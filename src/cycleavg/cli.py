@@ -28,6 +28,7 @@ from .fields import (
     with_epsilon,
 )
 from .flow import DEFAULT_STEPS, continuation_check, find_fixed_points, return_map
+from .flow import certificate_to_json as fixed_point_to_json
 from .monomials import (
     certificate_to_json,
     classify,
@@ -141,12 +142,8 @@ def cmd_simulate(args):
     for eps in eps_list:
         certs = find_fixed_points(with_epsilon(spec, eps), bracket,
                                   tol=args.tol, steps=steps)
-        runs.append({"epsilon": eps, "fixed_points": [
-            {"r_star": c.r_star, "residual": c.residual,
-             "map_derivative": c.map_derivative, "hyperbolic": c.hyperbolic,
-             "epsilon": c.epsilon}
-            for c in certs
-        ]})
+        runs.append({"epsilon": eps,
+                     "fixed_points": [fixed_point_to_json(c) for c in certs]})
     return {"bracket": list(bracket), "runs": runs}
 
 

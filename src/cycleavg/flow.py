@@ -94,6 +94,17 @@ class LimitCycleCertificate:
     epsilon: float
 
 
+def certificate_to_json(cert: LimitCycleCertificate) -> dict:
+    """JSON form of a fixed-point certificate, as the CLI prints it."""
+    return {
+        "r_star": cert.r_star,
+        "residual": cert.residual,
+        "map_derivative": cert.map_derivative,
+        "hyperbolic": cert.hyperbolic,
+        "epsilon": cert.epsilon,
+    }
+
+
 class ContinuationRow(NamedTuple):
     epsilon: float
     r_star: float
@@ -114,8 +125,9 @@ def _tables(fields, steps: int) -> _Tables:
     radial, transverse = [], []
     for field in fields:
         fr, ft = angular_components(field, thetas)
-        radial.append(tuple(np.asarray(fr, dtype=float)))
-        transverse.append(tuple(np.asarray(ft, dtype=float)))
+        # Python floats: scalar arithmetic on numpy scalars is ~2x slower.
+        radial.append(tuple(np.asarray(fr, dtype=float).tolist()))
+        transverse.append(tuple(np.asarray(ft, dtype=float).tolist()))
     alphas = tuple(float(f.alpha) for f in fields)
     return _Tables(steps, alphas, tuple(radial), tuple(transverse))
 
@@ -177,63 +189,119 @@ def _integrate_scalar(spec: PerturbationSpec, tabs: _Tables, r0: float,
     return r, state[0]
 
 
+def _integrate_tangent(spec: PerturbationSpec, tabs: _Tables, r0: float,
+                       substeps: int) -> tuple[float, float]:
+    """RK4 over one revolution carrying the tangent s = dr/dr0; returns (r1, s1).
+
+    Each stage also evaluates df/dr, so s follows the variational equation
+    s' = (df/dr) s through the same RK4 stages.  Differentiating the RK4
+    stages by r0 gives exactly these stages, so s1 is the exact derivative
+    of the discrete map r0 -> r1, and r1 is bit-identical to
+    `_integrate_scalar`'s.  Raises like `_integrate_scalar`.
+    """
+    al = tabs.alphas
+    fields = tuple(zip(al, [a - 1.0 for a in al],
+                       [spec.epsilon * bj for bj in spec.b],
+                       tabs.radial, tabs.transverse))
+    stride = tabs.steps // substeps
+    h = 2.0 * math.pi / substeps
+    lo, hi = GUARD
+
+    def rhs(idx: int, r: float) -> tuple[float, float]:
+        if not lo < r < hi:
+            raise GuardBoundError(
+                f"radius {r:.6g} left the window ({lo:g}, {hi:g}) near "
+                f"theta={idx * math.pi / tabs.steps:.6g}"
+            )
+        # f = num / den with num = sum t_j, den = 1 + sum u_j / r, so
+        # num' = sum a_j t_j / r and den' = sum (a_j - 1) u_j / r^2.
+        num = dacc = dnum = ddacc = 0.0
+        for a, am, e, fr, tr in fields:
+            ra = r ** a
+            t = e * fr[idx] * ra
+            u = e * tr[idx] * ra
+            num += t
+            dacc += u
+            dnum += a * t
+            ddacc += am * u
+        den = 1.0 + dacc / r
+        if den <= 0.0:
+            raise AngularMonotonicityError(
+                f"angular speed {den:.3e} <= 0 at theta="
+                f"{idx * math.pi / tabs.steps:.6g}, r={r:.6g}"
+            )
+        f = num / den
+        return f, (dnum / r - f * ddacc / (r * r)) / den
+
+    r = float(r0)
+    s = 1.0
+    for n in range(substeps):
+        base = 2 * stride * n
+        k1, d1 = rhs(base, r)
+        l1 = d1 * s
+        k2, d2 = rhs(base + stride, r + 0.5 * h * k1)
+        l2 = d2 * (s + 0.5 * h * l1)
+        k3, d3 = rhs(base + stride, r + 0.5 * h * k2)
+        l3 = d3 * (s + 0.5 * h * l2)
+        k4, d4 = rhs(base + 2 * stride, r + h * k3)
+        l4 = d4 * (s + h * l3)
+        r += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        s += h * (l1 + 2.0 * l2 + 2.0 * l3 + l4) / 6.0
+    if not lo < r < hi:
+        raise GuardBoundError(f"final radius {r:.6g} left the window ({lo:g}, {hi:g})")
+    return r, s
+
+
 def _integrate_batch(spec: PerturbationSpec, tabs: _Tables, r0: np.ndarray,
                      substeps: int):
     """Vectorized RK4 over a batch of start radii.
 
-    Returns (r1, status, min_speed); elements that hit a guard bound or a
-    non-positive angular speed are flagged and carry NaN.
+    Returns (r1, status).  A row that leaves the guard window or loses
+    angular speed is tagged with its first failure (at one stage a guard
+    exit wins over a lost speed) and carries NaN.  Failed rows keep being
+    integrated on garbage; the cumulative `alive` mask keeps their later
+    failures from overwriting the first.
     """
     nf = len(tabs.alphas)
+    nodes = 2 * tabs.steps + 1
     alphas = np.asarray(tabs.alphas)[:, None]
-    ebf = np.asarray([spec.epsilon * bj for bj in spec.b])
-    frt = np.asarray(tabs.radial)
-    trt = np.asarray(tabs.transverse)
+    eb = spec.epsilon * np.asarray(spec.b, dtype=float)[:, None]
+    # eps*b folded in once: row idx holds the (2, nf) radial and transverse
+    # weights of stage angle idx, so one product gives num and den.
+    weights = np.ascontiguousarray(np.stack([
+        eb * np.reshape(tabs.radial, (nf, nodes)),
+        eb * np.reshape(tabs.transverse, (nf, nodes)),
+    ]).transpose(2, 0, 1))
     stride = tabs.steps // substeps
     h = 2.0 * math.pi / substeps
     lo, hi = GUARD
 
     r = np.array(r0, dtype=float, copy=True)
     status = np.zeros(r.shape, dtype=int)
-    min_den = np.full(r.shape, np.inf)
     alive = np.ones(r.shape, dtype=bool)
 
     def rhs(idx: int, rr: np.ndarray) -> np.ndarray:
-        nonlocal alive
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            in_window = (rr > lo) & (rr < hi)
-            bad_guard = alive & ~in_window
-            if bad_guard.any():
-                status[bad_guard] = _STATUS_GUARD
-                alive = alive & in_window
-            pa = np.where(in_window, rr, 1.0) ** alphas      # (nf, m)
-            if nf:
-                num = ebf @ (frt[:, idx][:, None] * pa)
-                den = 1.0 + (ebf @ (trt[:, idx][:, None] * pa)) / rr
-            else:
-                num = np.zeros_like(rr)
-                den = np.ones_like(rr)
-            bad_den = alive & ~(den > 0.0)
-            if bad_den.any():
-                status[bad_den] = _STATUS_SPEED
-                alive = alive & (den > 0.0)
-            np.minimum(min_den, np.where(alive, den, np.inf), out=min_den)
-            return np.where(alive, num / den, np.nan)
+        num, dacc = weights[idx] @ rr ** alphas
+        den = 1.0 + dacc / rr
+        in_window = (rr > lo) & (rr < hi)
+        ok = in_window & (den > 0.0)
+        # _STATUS_GUARD outside the window, else _STATUS_SPEED (one less)
+        np.copyto(status, _STATUS_GUARD - in_window, where=alive & ~ok)
+        np.logical_and(alive, ok, out=alive)
+        return num / den
 
-    for n in range(substeps):
-        base = 2 * stride * n
-        k1 = rhs(base, r)
-        k2 = rhs(base + stride, r + 0.5 * h * k1)
-        k3 = rhs(base + stride, r + 0.5 * h * k2)
-        k4 = rhs(base + 2 * stride, r + h * k3)
-        r = r + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        if not alive.any():
-            break
-    final_bad = alive & ~((r > lo) & (r < hi))
-    if final_bad.any():
-        status[final_bad] = _STATUS_GUARD
-    r = np.where(status == _STATUS_OK, r, np.nan)
-    return r, status, min_den
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        for n in range(substeps):
+            base = 2 * stride * n
+            k1 = rhs(base, r)
+            k2 = rhs(base + stride, r + 0.5 * h * k1)
+            k3 = rhs(base + stride, r + 0.5 * h * k2)
+            k4 = rhs(base + 2 * stride, r + h * k3)
+            r = r + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+            if not alive.any():    # once per step, not per stage
+                break
+        np.copyto(status, _STATUS_GUARD, where=alive & ~((r > lo) & (r < hi)))
+    return np.where(status == _STATUS_OK, r, np.nan), status
 
 
 def return_map(spec: PerturbationSpec, r0: float,
@@ -270,34 +338,66 @@ def scan_return_map(spec: PerturbationSpec, bracket, scan_points: int = 200,
         raise ValueError(f"bracket must satisfy 0 < lo < hi, got {bracket}")
     grid = np.logspace(math.log10(lo), math.log10(hi), scan_points)
     tabs = _tables(spec.fields, steps)
-    r1, status, _ = _integrate_batch(spec, tabs, grid, steps)
+    r1, status = _integrate_batch(spec, tabs, grid, steps)
     return grid, r1, status
 
 
-def _refine_fixed_point(pmap, a: float, b: float, fa: float, fb: float,
-                        rel_tol: float = 1e-12) -> float:
-    """Illinois false-position on g(r) = P(r) - r inside a sign-change cell."""
-    side = 0
+def _sign_change_cells(grid: np.ndarray, disp: np.ndarray, ok: np.ndarray):
+    """Yield (a, b, g(a), g(b)) for each cell to refine, by increasing radius.
+
+    A cell is a pair of adjacent OK nodes whose displacements have strictly
+    opposite signs.  An OK node whose displacement is exactly zero is a
+    degenerate cell of its own (a == b), so it is certified once, unless
+    an OK neighbour is zero too: there the map is the identity, a band of
+    fixed points rather than an isolated cycle.
+    """
+    n = len(grid)
+
+    def zero(k: int) -> bool:
+        return 0 <= k < n and bool(ok[k]) and disp[k] == 0.0
+
+    for i in range(n):
+        if not ok[i]:
+            continue
+        da = float(disp[i])
+        if da == 0.0:
+            if not (zero(i - 1) or zero(i + 1)):
+                yield float(grid[i]), float(grid[i]), 0.0, 0.0
+        elif i + 1 < n and ok[i + 1]:
+            db = float(disp[i + 1])
+            if db != 0.0 and (da > 0.0) != (db > 0.0):
+                yield float(grid[i]), float(grid[i + 1]), da, db
+
+
+def _newton_in_cell(pmap, a: float, b: float, ga: float, gb: float,
+                    rel_tol: float = 1e-12):
+    """Safeguarded Newton on g(r) = P(r) - r inside a sign-change cell [a, b].
+
+    `pmap(r)` returns (P(r), P'(r)).  Starts at the secant point of the
+    endpoint values, keeps the bracket, and bisects whenever a Newton step
+    leaves it or is not finite.  Stops once the next step is at most
+    rel_tol * r and returns (r, g(r), P'(r)) of the last evaluated point.
+    A degenerate cell (a == b, a zero-displacement node) is evaluated once.
+    """
+    x = (a * gb - b * ga) / (gb - ga) if a < b else a
+    if not a <= x <= b:
+        x = 0.5 * (a + b)
     for _ in range(100):
-        if b - a <= rel_tol * b:
-            break
-        m = (a * fb - b * fa) / (fb - fa)
-        if not (a < m < b) or not math.isfinite(m):
-            m = 0.5 * (a + b)
-        fm = pmap(m) - m
-        if fm == 0.0:
-            return m
-        if (fm > 0.0) == (fa > 0.0):
-            a, fa = m, fm
-            if side == -1:
-                fb *= 0.5
-            side = -1
+        p, dp = pmap(x)
+        g = p - x
+        evaluated = (x, g, dp)
+        if (g > 0.0) == (ga > 0.0):
+            a, ga = x, g
         else:
-            b, fb = m, fm
-            if side == 1:
-                fa *= 0.5
-            side = 1
-    return 0.5 * (a + b)
+            b, gb = x, g
+        slope = dp - 1.0
+        x_new = x - g / slope if slope != 0.0 else math.nan
+        if not a <= x_new <= b:
+            x_new = 0.5 * (a + b)
+        if abs(x_new - x) <= rel_tol * x:
+            break
+        x = x_new
+    return evaluated
 
 
 def find_fixed_points(spec: PerturbationSpec, bracket, tol: float = 1e-9,
@@ -305,11 +405,13 @@ def find_fixed_points(spec: PerturbationSpec, bracket, tol: float = 1e-9,
                       steps: int = DEFAULT_STEPS) -> list[LimitCycleCertificate]:
     """Certified fixed points of the return map inside the bracket.
 
-    Scans a log-spaced grid for sign changes of P(r) - r, refines each
-    cell, and emits a certificate with the displacement residual and a
-    central-difference map derivative.  Failing cells (guard exits, lost
-    angular monotonicity, unresolved bisection) are logged and skipped;
-    an empty list is a legitimate outcome.
+    Scans a log-spaced grid for sign changes of P(r) - r and refines each
+    cell by safeguarded Newton on the RK4 variational equation.  The
+    certificate's residual and map derivative come from the last Newton
+    revolution; the derivative is the exact derivative of the discrete
+    map.  Failing cells (guard exits, lost angular monotonicity, residual
+    above tol) are logged and skipped; an empty list is a legitimate
+    outcome.
     """
     if spec.epsilon == 0.0:
         raise SpecError("fixed-point search requires epsilon != 0")
@@ -323,30 +425,20 @@ def find_fixed_points(spec: PerturbationSpec, bracket, tol: float = 1e-9,
         log.warning("scan cell at r0=%.6g failed with status %d", grid[idx],
                     status[idx])
 
-    def pmap(r: float) -> float:
-        value, _ = _integrate_scalar(spec, tabs, r, steps)
-        return value
+    def pmap(r: float) -> tuple[float, float]:
+        return _integrate_tangent(spec, tabs, r, steps)
 
-    disp = r1 - grid
     certificates = []
-    for i in range(len(grid) - 1):
-        if status[i] != _STATUS_OK or status[i + 1] != _STATUS_OK:
-            continue
-        da, db = disp[i], disp[i + 1]
-        if da == 0.0 or (da > 0) == (db > 0):
-            continue
+    for a, b, ga, gb in _sign_change_cells(grid, r1 - grid, status == _STATUS_OK):
         try:
-            r_star = _refine_fixed_point(pmap, float(grid[i]), float(grid[i + 1]),
-                                         float(da), float(db))
-            residual = abs(pmap(r_star) - r_star)
-            if residual > tol:
-                log.warning("cell [%.6g, %.6g]: residual %.3e > tol %.1e, skipped",
-                            grid[i], grid[i + 1], residual, tol)
-                continue
-            delta = 1e-5 * r_star
-            deriv = (pmap(r_star + delta) - pmap(r_star - delta)) / (2.0 * delta)
+            r_star, g, deriv = _newton_in_cell(pmap, a, b, ga, gb)
         except (GuardBoundError, AngularMonotonicityError) as exc:
-            log.warning("cell [%.6g, %.6g]: %s", grid[i], grid[i + 1], exc)
+            log.warning("cell [%.6g, %.6g]: %s", a, b, exc)
+            continue
+        residual = abs(g)
+        if residual > tol:
+            log.warning("cell [%.6g, %.6g]: residual %.3e > tol %.1e, skipped",
+                        a, b, residual, tol)
             continue
         certificates.append(LimitCycleCertificate(
             r_star=float(r_star),
@@ -363,10 +455,8 @@ def continuation_check(spec: PerturbationSpec, eps_values, predicted_root: float
                        steps: int = DEFAULT_STEPS) -> list[ContinuationRow]:
     """Track the fixed point nearest a predicted radius while eps decreases.
 
-    For each epsilon the nearest fixed point must lie within half the
-    predicted radius, and the gap sequence |r* - predicted| must be
-    non-increasing within 20% slack (plus a 1e-9 floor for gaps already
-    at integrator noise level).
+    Searches each epsilon in turn and checks the rows as
+    `continuation_rows` does.
     """
     eps_list = [float(e) for e in eps_values]
     if not eps_list:
@@ -380,10 +470,23 @@ def continuation_check(spec: PerturbationSpec, eps_values, predicted_root: float
     if bracket is None:
         bracket = (0.3 * predicted_root, 3.0 * predicted_root)
 
+    # lazy, so the first epsilon that fails ends the search
+    runs = ((eps, find_fixed_points(with_epsilon(spec, eps), bracket, tol,
+                                    scan_points, steps))
+            for eps in eps_list)
+    return continuation_rows(runs, predicted_root)
+
+
+def continuation_rows(runs, predicted_root: float) -> list[ContinuationRow]:
+    """Rows of the fixed point nearest a predicted radius, one per epsilon.
+
+    `runs` yields (epsilon, certificates) in strictly decreasing epsilon.
+    The nearest fixed point must lie within half the predicted radius, and
+    the gap sequence |r* - predicted| must be non-increasing within 20%
+    slack (plus a 1e-9 floor for gaps already at integrator noise level).
+    """
     rows: list[ContinuationRow] = []
-    for eps in eps_list:
-        certs = find_fixed_points(with_epsilon(spec, eps), bracket, tol,
-                                  scan_points, steps)
+    for eps, certs in runs:
         if not certs:
             raise ContinuationError(f"no fixed point found at eps={eps:g}")
         nearest = min(certs, key=lambda c: abs(c.r_star - predicted_root))

@@ -19,7 +19,8 @@ from .errors import CountMismatchError, SpecError
 from .fields import PerturbationSpec, normalize_ccw, spec_to_json, with_b
 from .flow import (
     DEFAULT_STEPS,
-    continuation_check,
+    certificate_to_json,
+    continuation_rows,
     find_fixed_points,
     scan_return_map,
     with_epsilon,
@@ -52,16 +53,6 @@ def retune_b(spec: PerturbationSpec, targets, integral_tol: float = 1e-10):
         if nz:
             new_b[j] = 2.0 * math.pi * next(it) / ij
     return with_b(work, new_b), integrals, keep, coeffs
-
-
-def _certificate_json(cert) -> dict:
-    return {
-        "r_star": cert.r_star,
-        "residual": cert.residual,
-        "map_derivative": cert.map_derivative,
-        "hyperbolic": cert.hyperbolic,
-        "epsilon": cert.epsilon,
-    }
 
 
 def _write_scan_csv(path, grid, r1, status):
@@ -145,6 +136,7 @@ def run_pipeline(spec: PerturbationSpec, targets=None, eps_values=None,
     if csv_dir is not None:
         os.makedirs(csv_dir, exist_ok=True)
 
+    runs = []
     for idx, eps in enumerate(eps_list):
         certs = find_fixed_points(with_epsilon(work, eps), sim_bracket, tol,
                                   scan_points, steps)
@@ -155,7 +147,7 @@ def run_pipeline(spec: PerturbationSpec, targets=None, eps_values=None,
                             grid, r1, status)
         out["runs"].append({
             "epsilon": eps,
-            "fixed_points": [_certificate_json(c) for c in certs],
+            "fixed_points": [certificate_to_json(c) for c in certs],
         })
         if len(certs) != len(predicted):
             raise CountMismatchError(
@@ -164,12 +156,11 @@ def run_pipeline(spec: PerturbationSpec, targets=None, eps_values=None,
                 f"{len(certs)} fixed points at eps={eps:g} in "
                 f"bracket {sim_bracket}"
             )
+        runs.append((eps, certs))
 
     if len(eps_list) >= 2:
         for z in predicted:
-            rows = continuation_check(work, eps_list, z, bracket=sim_bracket,
-                                      tol=tol, scan_points=scan_points,
-                                      steps=steps)
+            rows = continuation_rows(runs, z)
             out["continuation"].append({
                 "predicted_root": z,
                 "rows": [{"epsilon": row.epsilon, "r_star": row.r_star,

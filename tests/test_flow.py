@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cycleavg import flow, pipeline
 from cycleavg import (
     AngularMonotonicityError,
     ContinuationError,
@@ -14,15 +15,20 @@ from cycleavg import (
     averaged_function,
     capillary,
     continuation_check,
+    example2,
     find_fixed_points,
+    lienard,
     linear_field,
     normalize_ccw,
     radial_rhs,
     reflect_diagonal,
+    retune_b,
     return_map,
+    run_pipeline,
     scan_return_map,
     theta_speed,
     vdp,
+    with_b,
     with_epsilon,
 )
 
@@ -159,3 +165,112 @@ def test_continuation_validation():
         continuation_check(spec, (0.01,), -1.0)
     with pytest.raises(ContinuationError):
         continuation_check(spec, (0.01,), 0.3)  # no cycle near r = 0.3
+
+
+def _lienard7():
+    """`repro lienard --m 7`: four nested cycles, and a scan over (0.4, 2.2)
+    that loses both the guard and the angular speed."""
+    return retune_b(lienard(7, epsilon=0.005).spec,
+                    [0.8 + i / 3.0 for i in range(4)])[0]
+
+
+def test_batch_status_matches_scalar_exceptions():
+    spec, steps = _lienard7(), 256
+    grid, r1, status = scan_return_map(spec, (0.4, 2.2), steps=steps)
+    assert {0, 1, 2} <= set(status.tolist())
+    tabs = flow._tables(spec.fields, steps)
+    for r0, r1_batch, st in zip(grid, r1, status):
+        try:
+            single, _ = flow._integrate_scalar(spec, tabs, float(r0), steps)
+        except AngularMonotonicityError:
+            assert st == 1, r0
+        except GuardBoundError:
+            assert st == 2, r0
+        else:
+            assert st == 0, r0
+            assert abs(r1_batch - single) <= 1e-12 * single
+            assert flow._integrate_tangent(spec, tabs, float(r0), steps)[0] == single
+            assert abs(r1_batch - return_map(spec, float(r0), steps).r1) <= 1e-12 * single
+
+
+def _richardson_derivative(spec, r, rel_delta=1e-4):
+    """(4 D(d/2) - D(d)) / 3 from central differences of the value-only map."""
+    def central(d):
+        return (return_map(spec, r + d).r1 - return_map(spec, r - d).r1) / (2.0 * d)
+
+    d = rel_delta * r
+    return (4.0 * central(0.5 * d) - central(d)) / 3.0
+
+
+@pytest.mark.parametrize("case", ["vdp", "lienard7-outer"])
+def test_map_derivative_matches_richardson_differences(case):
+    if case == "vdp":
+        spec, bracket = with_epsilon(vdp().spec, 0.01), (0.5, 2.0)
+    else:
+        spec, bracket = _lienard7(), (0.4, 2.2)
+    cert = find_fixed_points(spec, bracket)[-1]
+    assert abs(cert.map_derivative - _richardson_derivative(spec, cert.r_star)) <= 1e-8
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(flow, name)
+
+    def wrapper(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(flow, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["vdp", "example2", "lienard6"])
+def test_newton_revolutions_per_cell(monkeypatch, case):
+    if case == "vdp":
+        spec, targets = with_epsilon(vdp().spec, 0.01), [VDP_ROOT]
+    elif case == "example2":
+        targets = [1.1, 3.7]
+        spec = with_epsilon(retune_b(example2().spec, targets)[0], 0.01)
+    else:
+        targets = [0.8, 1.3, 1.8]
+        spec = retune_b(lienard(6, epsilon=0.005).spec, targets)[0]
+    tangent = _counting(monkeypatch, "_integrate_tangent")
+    value_only = _counting(monkeypatch, "_integrate_scalar")
+    certs = find_fixed_points(spec, (0.3 * min(targets), 3.0 * max(targets)))
+    assert len(certs) == len(targets)
+    assert value_only == []
+    assert len(tangent) <= 4 * len(certs)
+
+
+def test_zero_displacement_node_is_certified_once(monkeypatch):
+    # one attracting and one repelling cycle
+    spec = retune_b(lienard(5, epsilon=0.005).spec, (0.8, 1.8))[0]
+    steps = 512
+    stars = [c.r_star for c in find_fixed_points(spec, (0.4, 3.0), steps=steps)]
+    assert len(stars) == 2
+    # with b = 0 the map is the identity: a band of zeros, no isolated cycle
+    assert find_fixed_points(with_b(spec, (0.0,) * 3), (0.4, 3.0), steps=steps) == []
+    # a scan with a node exactly on each fixed point, displacement 0.0
+    grid = np.array(sorted(stars + [0.5, 1.2, 2.0]))
+    r1 = np.array([r if r in stars else return_map(spec, r, steps).r1 for r in grid])
+    status = np.zeros(len(grid), dtype=int)
+    monkeypatch.setattr(flow, "scan_return_map", lambda *a, **k: (grid, r1, status))
+    certs = find_fixed_points(spec, (0.4, 3.0), steps=steps)
+    assert [c.r_star for c in certs] == pytest.approx(stars, rel=1e-12)
+
+
+def test_pipeline_searches_each_epsilon_once(monkeypatch):
+    calls = []
+    real = flow.find_fixed_points
+
+    def counting(spec, *args, **kwargs):
+        calls.append(spec.epsilon)
+        return real(spec, *args, **kwargs)
+
+    monkeypatch.setattr(flow, "find_fixed_points", counting)
+    monkeypatch.setattr(pipeline, "find_fixed_points", counting)
+    out = run_pipeline(vdp().spec, eps_values=(0.02, 0.01, 0.005))
+    assert calls == [0.02, 0.01, 0.005]
+    (cont,) = out["continuation"]
+    assert [(row["epsilon"], row["r_star"]) for row in cont["rows"]] == [
+        (run["epsilon"], run["fixed_points"][0]["r_star"]) for run in out["runs"]]
