@@ -38,6 +38,7 @@ DEFAULT_STEPS = 4096
 _STATUS_OK = 0
 _STATUS_SPEED = 1
 _STATUS_GUARD = 2
+_STATUS_NAMES = {_STATUS_SPEED: "angular_speed", _STATUS_GUARD: "guard"}
 
 
 def theta_speed(spec: PerturbationSpec, theta: float, r: float) -> float:
@@ -400,16 +401,65 @@ def _newton_in_cell(pmap, a: float, b: float, ga: float, gb: float,
     return evaluated
 
 
+def _settle_scan(spec: PerturbationSpec, tabs: _Tables, grid: np.ndarray,
+                 r1: np.ndarray, status: np.ndarray, r1_half: np.ndarray):
+    """Full-resolution values and statuses wherever a coarse scan may be wrong.
+
+    `r1`, `status` come from a coarse scan of `grid` and `r1_half` from the
+    same scan at half its steps.  Two kinds of node are integrated again at
+    tabs.steps with the scalar kernel:
+
+    - an OK node whose displacement |r1 - r0| does not exceed its own
+      coarse-versus-half difference (a failed half pass gives no difference,
+      so the node is settled too);
+    - a failed node next to an OK one, repeated outward while the settled
+      nodes turn out OK, so a band that only the coarse steps lose is
+      recovered node by node.
+
+    Returns new (r1, status) arrays.
+    """
+    r1, status = r1.copy(), status.copy()
+    n = len(grid)
+    ok = status == _STATUS_OK
+    with np.errstate(invalid="ignore"):
+        trusted = np.abs(r1 - grid) > np.abs(r1 - r1_half)
+    borders = ~ok & (np.r_[False, ok[:-1]] | np.r_[ok[1:], False])
+    pending = np.nonzero((ok & ~trusted) | borders)[0].tolist()
+    settled = set()
+    while pending:
+        i = pending.pop()
+        if i in settled:
+            continue
+        settled.add(i)
+        try:
+            r1[i], _ = _integrate_scalar(spec, tabs, float(grid[i]), tabs.steps)
+            status[i] = _STATUS_OK
+        except AngularMonotonicityError:
+            r1[i], status[i] = math.nan, _STATUS_SPEED
+        except GuardBoundError:
+            r1[i], status[i] = math.nan, _STATUS_GUARD
+        if status[i] == _STATUS_OK:
+            pending += [j for j in (i - 1, i + 1)
+                        if 0 <= j < n and status[j] != _STATUS_OK]
+    return r1, status
+
+
 def find_fixed_points(spec: PerturbationSpec, bracket, tol: float = 1e-9,
                       scan_points: int = 200,
                       steps: int = DEFAULT_STEPS) -> list[LimitCycleCertificate]:
     """Certified fixed points of the return map inside the bracket.
 
     Scans a log-spaced grid for sign changes of P(r) - r and refines each
-    cell by safeguarded Newton on the RK4 variational equation.  The
-    certificate's residual and map derivative come from the last Newton
-    revolution; the derivative is the exact derivative of the discrete
-    map.  Failing cells (guard exits, lost angular monotonicity, residual
+    cell by safeguarded Newton on the RK4 variational equation.  The scan
+    only has to place the sign changes, so it runs at about steps / 8,
+    with a pass at half that to estimate each node's error; nodes whose
+    sign or status that resolution cannot be trusted with are integrated
+    again at `steps` (`_settle_scan`).  Refinement, the residual test and
+    the certificate all use `steps`, so the coarse scan moves only
+    Newton's start point: the certificate's residual and map derivative
+    come from the last Newton revolution, and the derivative is the exact
+    derivative of the discrete map.  Failing scan nodes are summarized in one warning per
+    scan; failing cells (guard exits, lost angular monotonicity, residual
     above tol) are logged and skipped; an empty list is a legitimate
     outcome.
     """
@@ -417,13 +467,22 @@ def find_fixed_points(spec: PerturbationSpec, bracket, tol: float = 1e-9,
         raise SpecError("fixed-point search requires epsilon != 0")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    _check_steps(steps)
     spec = normalize_ccw(spec)
-    grid, r1, status = scan_return_map(spec, bracket, scan_points, steps)
+    # a multiple of 8 near steps / 8, so its half pass keeps the axis-angle
+    # alignment too
+    coarse = max(8, steps // 64 * 8)
+    grid, r1, status = scan_return_map(spec, bracket, scan_points, coarse)
+    r1_half, _ = _integrate_batch(spec, _tables(spec.fields, coarse), grid,
+                                  coarse // 2)
     tabs = _tables(spec.fields, steps)
-
-    for idx in np.nonzero(status != _STATUS_OK)[0]:
-        log.warning("scan cell at r0=%.6g failed with status %d", grid[idx],
-                    status[idx])
+    r1, status = _settle_scan(spec, tabs, grid, r1, status, r1_half)
+    failed = {name: int(np.count_nonzero(status == code))
+              for code, name in _STATUS_NAMES.items()}
+    if any(failed.values()):
+        log.warning("scan of %d radii in [%.6g, %.6g]: %d failed (%s)",
+                    len(grid), grid[0], grid[-1], sum(failed.values()),
+                    ", ".join(f"{name} {count}" for name, count in failed.items()))
 
     def pmap(r: float) -> tuple[float, float]:
         return _integrate_tangent(spec, tabs, r, steps)

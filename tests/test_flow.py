@@ -1,5 +1,7 @@
 """Return-map integration, fixed-point certificates, continuation."""
 
+import csv
+import logging
 import math
 
 import numpy as np
@@ -15,6 +17,7 @@ from cycleavg import (
     averaged_function,
     capillary,
     continuation_check,
+    example1,
     example2,
     find_fixed_points,
     lienard,
@@ -234,11 +237,14 @@ def test_newton_revolutions_per_cell(monkeypatch, case):
     else:
         targets = [0.8, 1.3, 1.8]
         spec = retune_b(lienard(6, epsilon=0.005).spec, targets)[0]
+    bracket = (0.3 * min(targets), 3.0 * max(targets))
     tangent = _counting(monkeypatch, "_integrate_tangent")
     value_only = _counting(monkeypatch, "_integrate_scalar")
-    certs = find_fixed_points(spec, (0.3 * min(targets), 3.0 * max(targets)))
+    certs = find_fixed_points(spec, bracket)
     assert len(certs) == len(targets)
-    assert value_only == []
+    # value-only revolutions only settle scan nodes; refinement makes none
+    grid = np.logspace(math.log10(bracket[0]), math.log10(bracket[1]), 200)
+    assert set(value_only) <= set(grid.tolist())
     assert len(tangent) <= 4 * len(certs)
 
 
@@ -259,6 +265,16 @@ def test_zero_displacement_node_is_certified_once(monkeypatch):
     assert [c.r_star for c in certs] == pytest.approx(stars, rel=1e-12)
 
 
+def test_zero_displacement_node_is_a_cell_of_its_own():
+    # the search settles such nodes at full resolution, where the
+    # displacement is rarely exactly 0.0, so the cell rule is checked here
+    grid = np.array([0.5, 0.8, 1.2, 1.8, 2.0, 2.5, 3.0])
+    disp = np.array([0.1, 0.0, -0.1, 0.0, 0.2, 0.0, 0.0])
+    ok = np.ones(len(grid), dtype=bool)
+    assert list(flow._sign_change_cells(grid, disp, ok)) == [
+        (0.8, 0.8, 0.0, 0.0), (1.8, 1.8, 0.0, 0.0)]
+
+
 def test_pipeline_searches_each_epsilon_once(monkeypatch):
     calls = []
     real = flow.find_fixed_points
@@ -274,3 +290,141 @@ def test_pipeline_searches_each_epsilon_once(monkeypatch):
     (cont,) = out["continuation"]
     assert [(row["epsilon"], row["r_star"]) for row in cont["rows"]] == [
         (run["epsilon"], run["fixed_points"][0]["r_star"]) for run in out["runs"]]
+
+
+def _search_cells(monkeypatch, spec, bracket, **kwargs):
+    """Certificates of a search and the (grid, displacement, ok) of its cells."""
+    seen = []
+    real = flow._sign_change_cells
+
+    def spy(grid, disp, ok):
+        seen.append((grid, disp, ok))
+        return real(grid, disp, ok)
+
+    monkeypatch.setattr(flow, "_sign_change_cells", spy)
+    certs = find_fixed_points(spec, bracket, **kwargs)
+    (cells,) = seen
+    return certs, cells
+
+
+def _cell_bounds(grid, disp, ok):
+    return [(a, b) for a, b, _, _ in flow._sign_change_cells(grid, disp, ok)]
+
+
+def _assert_full_resolution_cells(cells, spec, bracket, scan_points, steps):
+    """The search built its cells from full-resolution statuses and signs."""
+    grid, disp, ok = cells
+    full_grid, r1, status = scan_return_map(spec, bracket, scan_points, steps)
+    full_ok = status == 0
+    assert np.array_equal(grid, full_grid)
+    assert np.array_equal(ok, full_ok)
+    assert np.array_equal(np.sign(disp[ok]), np.sign((r1 - grid)[ok]))
+    assert _cell_bounds(grid, disp, ok) == _cell_bounds(grid, r1 - grid, full_ok)
+
+
+def test_example1_fixed_point_next_to_a_node_is_certified_at_full_resolution(
+        monkeypatch):
+    # example1's signed square root makes RK4 observe order ~2.5, so the
+    # coarse scan is off by a few 1e-9 near the cycle
+    spec, steps, points = example1().spec, 4096, 201
+    (cert,) = find_fixed_points(spec, (0.4, 3.4))
+    node = cert.r_star * (1.0 + 2e-8)
+    bracket = (0.5 * node, 2.0 * node)  # the middle scan node sits at `node`
+    coarse_grid, coarse_r1, _ = scan_return_map(spec, bracket, points, steps // 8)
+    mid = points // 2
+    assert coarse_grid[mid] == pytest.approx(node, rel=1e-14)
+    full_disp = return_map(spec, node, steps).r1 - node
+    coarse_disp = coarse_r1[mid] - coarse_grid[mid]
+    assert full_disp < 0.0 < coarse_disp  # the coarse sign is wrong
+
+    certs, cells = _search_cells(monkeypatch, spec, bracket, scan_points=points)
+    _assert_full_resolution_cells(cells, spec, bracket, points, steps)
+    assert len(certs) == 1
+    assert certs[0].r_star == pytest.approx(cert.r_star, rel=1e-12)
+    assert certs[0].map_derivative == pytest.approx(cert.map_derivative, rel=1e-9)
+    assert certs[0].residual <= 1e-12
+
+
+def test_lienard6_stiff_band_cells_match_full_resolution(monkeypatch):
+    # beyond r ~ 4.7 the coarse scan leaves the guard window where the full
+    # resolution does not, and next to that band its values are off by a few %
+    spec = retune_b(lienard(6, epsilon=0.005).spec, [0.8, 1.3, 1.8])[0]
+    bracket, steps = (0.24, 5.4), 4096
+    _, _, coarse_status = scan_return_map(spec, bracket, steps=steps // 8)
+    _, _, full_status = scan_return_map(spec, bracket, steps=steps)
+    assert np.count_nonzero((coarse_status == 2) & (full_status == 0)) >= 5
+
+    certs, cells = _search_cells(monkeypatch, spec, bracket)
+    _assert_full_resolution_cells(cells, spec, bracket, 200, steps)
+    assert len(certs) == 3
+
+
+def test_coarse_failures_next_to_ok_nodes_are_settled(monkeypatch):
+    # a run of coarse failures over the cell of vdp's cycle: the run's ends
+    # border OK nodes, and each one that integrates at full resolution lets
+    # the settling move further in
+    spec, bracket = with_epsilon(vdp().spec, 0.01), (0.5, 2.0)
+    (cert,) = find_fixed_points(spec, bracket)
+    real = flow.scan_return_map
+
+    def failing(*args):
+        grid, r1, status = real(*args)
+        k = int(np.searchsorted(grid, cert.r_star))
+        r1[k - 2:k + 2], status[k - 2:k + 2] = np.nan, 2
+        return grid, r1, status
+
+    monkeypatch.setattr(flow, "scan_return_map", failing)
+    certs, cells = _search_cells(monkeypatch, spec, bracket)
+    _assert_full_resolution_cells(cells, spec, bracket, 200, flow.DEFAULT_STEPS)
+    assert len(certs) == 1
+    assert certs[0].r_star == pytest.approx(cert.r_star, rel=1e-12)
+
+
+def _batched_substeps(monkeypatch):
+    calls = []
+    real = flow._integrate_batch
+
+    def counting(spec, tabs, r0, substeps):
+        calls.append(substeps)
+        return real(spec, tabs, r0, substeps)
+
+    monkeypatch.setattr(flow, "_integrate_batch", counting)
+    return calls
+
+
+def test_search_scans_at_a_fraction_of_the_steps(monkeypatch):
+    steps = flow.DEFAULT_STEPS
+    calls = _batched_substeps(monkeypatch)
+    certs = find_fixed_points(with_epsilon(vdp().spec, 0.01), (0.5, 2.0))
+    assert len(certs) == 1
+    assert calls and sum(calls) <= 3 * steps // 16
+
+
+def test_csv_scan_stays_at_full_resolution(monkeypatch, tmp_path):
+    steps = 1024
+    calls = _batched_substeps(monkeypatch)
+    out = run_pipeline(vdp().spec, eps_values=(0.02, 0.01), steps=steps,
+                       csv_dir=str(tmp_path))
+    # per eps: the search's coarse scan and its half pass, then the CSV scan
+    assert calls == [steps // 8, steps // 16, steps] * 2
+    with open(tmp_path / "scan_01.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    _, r1, _ = scan_return_map(with_epsilon(vdp().spec, 0.01), out["bracket"],
+                               steps=steps)
+    assert [float(row[1]) for row in rows] == r1.tolist()
+
+
+def test_failed_scan_nodes_are_summarized_once_per_epsilon(caplog):
+    spec = _lienard7()
+    eps_values = (0.005, 0.004)
+    with caplog.at_level(logging.WARNING, logger="cycleavg.flow"):
+        for eps in eps_values:
+            find_fixed_points(with_epsilon(spec, eps), (0.5, 2.0))
+    summaries = [r.getMessage() for r in caplog.records
+                 if r.name == "cycleavg.flow" and r.getMessage().startswith("scan ")]
+    assert len(summaries) == len(eps_values)
+    assert len(caplog.records) <= len(eps_values)
+    _, _, status = scan_return_map(with_epsilon(spec, 0.004), (0.5, 2.0))
+    assert summaries[-1].endswith(
+        f"angular_speed {np.count_nonzero(status == 1)}, "
+        f"guard {np.count_nonzero(status == 2)})")
