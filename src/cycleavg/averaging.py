@@ -18,7 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguousIntegralError, SpecError
-from .fields import HomogeneousField, PerturbationSpec, angular_components
+from .fields import (
+    HomogeneousField,
+    PerturbationSpec,
+    angular_components,
+    normalize_ccw,
+)
 from .quadrature import integrate_circle
 
 #: |I| above NONZERO_FACTOR*tol counts as structurally nonzero, below tol as
@@ -88,35 +93,47 @@ class AveragedFunction:
         return float(acc) if acc.ndim == 0 else acc
 
 
-def averaged_function(spec: PerturbationSpec, tol: float = 1e-10) -> AveragedFunction:
-    """Build h from a ccw spec; structurally-zero integrals are dropped.
-
-    Terms whose angular integral sits below tol contribute nothing at
-    first order and are removed, as are fields with b == 0.
-    """
-    if spec.orientation != "ccw":
-        raise SpecError("averaged_function expects a ccw-normalized spec")
-    integrals = [angular_integral(f, tol) for f in spec.fields]
-    keep = classify_nonzero(integrals, tol)
-    exponents, coefficients = [], []
-    for field, bj, ij, nz in zip(spec.fields, spec.b, integrals, keep):
-        if not nz or bj == 0.0:
-            continue
-        exponents.append(float(field.alpha))
-        coefficients.append(bj * ij / (2.0 * math.pi))
-    return AveragedFunction(tuple(exponents), tuple(coefficients))
+def averaged_to_json(h: AveragedFunction) -> dict:
+    """JSON form of an averaged function, as the CLI prints it."""
+    return {"exponents": list(h.exponents),
+            "coefficients": list(h.coefficients)}
 
 
-def lower_bound_count(spec: PerturbationSpec, tol: float = 1e-10) -> int:
-    """Limit cycles guaranteed realizable by tuning b: (#nonzero I) - 1, >= 0.
+@dataclass(frozen=True)
+class Averaged:
+    """Angular integrals of a ccw-normalized spec and their dead-band flags,
+    from which h and the lower bound follow.  The integrals do not depend
+    on b, so a retuned spec reuses them (see pipeline.retune_b)."""
 
-    Orientation-independent: the diagonal reflection used to normalize cw
-    specs permutes the integrand by theta -> pi/2 - theta and leaves every
-    angular integral unchanged.
-    """
-    integrals = [angular_integral(f, tol) for f in spec.fields]
-    nonzero = sum(classify_nonzero(integrals, tol))
-    return max(nonzero - 1, 0)
+    spec: PerturbationSpec
+    integrals: tuple[float, ...]
+    keep: tuple[bool, ...]
+
+    @property
+    def h(self) -> AveragedFunction:
+        """h without the terms whose integral is structurally zero or b == 0."""
+        terms = [(float(f.alpha), bj * ij / (2.0 * math.pi))
+                 for f, bj, ij, nz in zip(self.spec.fields, self.spec.b,
+                                          self.integrals, self.keep)
+                 if nz and bj != 0.0]
+        return AveragedFunction(tuple(e for e, _ in terms),
+                                tuple(c for _, c in terms))
+
+    @property
+    def lower_bound(self) -> int:
+        """Cycles guaranteed realizable by tuning b: (#nonzero I) - 1, >= 0.
+
+        Orientation-independent: the diagonal reflection that normalizes a
+        cw spec maps theta -> pi/2 - theta and keeps every integral.
+        """
+        return max(sum(self.keep) - 1, 0)
+
+
+def average(spec: PerturbationSpec, tol: float = 1e-10) -> Averaged:
+    """Angular integrals of the ccw-normalized spec, classified against tol."""
+    work = normalize_ccw(spec)
+    integrals = tuple(angular_integral(f, tol) for f in work.fields)
+    return Averaged(work, integrals, tuple(classify_nonzero(integrals, tol)))
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +159,7 @@ def melnikov_line_integral(spec: PerturbationSpec, k: float,
     Computes the line integral of P dy - Q dx over the circle, where
     (P, Q) = sum_j b[j] * fields[j].  Requires a smooth perturbation
     (all exponents integer) and a ccw spec.  Normalization: this equals
-    2*pi * melnikov(averaged_function(spec), k); the factor 2*pi is the
+    2*pi * melnikov(average(spec).h, k); the factor 2*pi is the
     angular period absorbed into the averaged coefficients.
     """
     if spec.orientation != "ccw":

@@ -5,7 +5,8 @@ version, never timestamps) plus the result payload, serialized with
 sorted keys so identical inputs give byte-identical output.
 
 Exit codes: 0 success; 2 malformed input (bad JSON, schema violation,
-inconsistent flags); 3 quadrature failure or ambiguous integral; 4
+inconsistent flags, out-of-range numeric arguments, which the package
+reports as ValueError); 3 quadrature failure or ambiguous integral; 4
 simulated fixed-point count disagrees with the averaged prediction;
 1 any other computation error.
 """
@@ -19,15 +20,16 @@ import os
 import sys
 
 from . import __version__
-from .averaging import AveragedFunction, angular_integral, classify_nonzero
+from .averaging import average, averaged_to_json
 from .errors import CountMismatchError, CycleAvgError, QuadratureError, SpecError
-from .fields import (
-    load_spec,
-    normalize_ccw,
-    spec_to_json,
-    with_epsilon,
+from .fields import load_spec, normalize_ccw, spec_to_json, with_epsilon
+from .flow import (
+    DEFAULT_STEPS,
+    continuation_check,
+    find_fixed_points,
+    return_map,
+    simulation_bracket,
 )
-from .flow import DEFAULT_STEPS, continuation_check, find_fixed_points, return_map
 from .flow import certificate_to_json as fixed_point_to_json
 from .monomials import (
     certificate_to_json,
@@ -37,7 +39,7 @@ from .monomials import (
 )
 from .pipeline import retune_b, run_pipeline
 from .presets import catalog, lienard
-from .roots import DEFAULT_BRACKET, positive_roots
+from .roots import DEFAULT_BRACKET, positive_roots, root_to_json
 from . import presets
 
 
@@ -56,64 +58,41 @@ def _load_input(args):
     raise SpecError("a system is required: --preset NAME or --spec FILE")
 
 
-def _averaged(spec, tol):
-    work = normalize_ccw(spec)
-    integrals = [angular_integral(f, tol) for f in work.fields]
-    keep = classify_nonzero(integrals, tol)
-    exponents, coefficients = [], []
-    for field, bj, ij, nz in zip(work.fields, work.b, integrals, keep):
-        if nz and bj != 0.0:
-            exponents.append(float(field.alpha))
-            coefficients.append(bj * ij / (2.0 * math.pi))
-    h = AveragedFunction(tuple(exponents), tuple(coefficients))
-    return work, integrals, keep, h
-
-
 def cmd_integrals(args):
-    work, integrals, keep, _ = _averaged(_load_input(args), args.tol)
+    avg = average(_load_input(args), args.tol)
     return {
-        "alphas": [f"{a.numerator}/{a.denominator}" for a in work.alphas],
-        "integrals": list(integrals),
-        "nonzero": [bool(v) for v in keep],
-        "lower_bound": max(sum(keep) - 1, 0),
+        "alphas": [f"{a.numerator}/{a.denominator}" for a in avg.spec.alphas],
+        "integrals": list(avg.integrals),
+        "nonzero": list(avg.keep),
+        "lower_bound": avg.lower_bound,
     }
 
 
 def cmd_averaged(args):
-    _, _, keep, h = _averaged(_load_input(args), args.tol)
-    return {
-        "averaged": {"exponents": list(h.exponents),
-                     "coefficients": list(h.coefficients)},
-        "lower_bound": max(sum(keep) - 1, 0),
-    }
+    avg = average(_load_input(args), args.tol)
+    return {"averaged": averaged_to_json(avg.h), "lower_bound": avg.lower_bound}
 
 
 def cmd_roots(args):
-    _, _, _, h = _averaged(_load_input(args), args.tol)
+    h = average(_load_input(args), args.tol).h
     bracket = tuple(args.bracket) if args.bracket else DEFAULT_BRACKET
     report = positive_roots(h, bracket=bracket)
     return {
-        "averaged": {"exponents": list(h.exponents),
-                     "coefficients": list(h.coefficients)},
+        "averaged": averaged_to_json(h),
         "descartes_bound": report.descartes_bound,
         "bracket": list(report.bracket),
-        "roots": [
-            {"z": r.z, "derivative_sign": r.derivative_sign,
-             "interval_degree": r.interval_degree}
-            for r in report.roots
-        ],
+        "roots": [root_to_json(r) for r in report.roots],
     }
 
 
 def cmd_synthesize(args):
     spec = _load_input(args)
-    retuned, integrals, keep, coeffs = retune_b(spec, args.targets,
-                                                integral_tol=args.tol)
+    avg, coeffs = retune_b(spec, args.targets, integral_tol=args.tol)
     return {
         "targets": list(args.targets),
         "synthesized_coefficients": list(coeffs),
-        "b": list(retuned.b),
-        "spec": spec_to_json(retuned),
+        "b": list(avg.spec.b),
+        "spec": spec_to_json(avg.spec),
     }
 
 
@@ -133,10 +112,8 @@ def cmd_simulate(args):
     if args.bracket:
         bracket = tuple(args.bracket)
     else:
-        _, _, _, h = _averaged(spec, args.tol)
-        report = positive_roots(h, bracket=DEFAULT_BRACKET)
-        zs = [r.z for r in report.roots]
-        bracket = (0.3 * min(zs), 3.0 * max(zs)) if zs else (0.5, 2.0)
+        report = positive_roots(average(spec, args.tol).h)
+        bracket = simulation_bracket([r.z for r in report.roots])
     eps_list = args.eps if args.eps else [spec.epsilon]
     runs = []
     for eps in eps_list:
@@ -153,8 +130,7 @@ def cmd_continuation(args):
         raise SpecError("continuation needs --eps with at least two values")
     root = args.root
     if root is None:
-        _, _, _, h = _averaged(spec, args.tol)
-        report = positive_roots(h, bracket=DEFAULT_BRACKET)
+        report = positive_roots(average(spec, args.tol).h)
         if len(report.roots) != 1:
             raise SpecError(
                 f"spec predicts {len(report.roots)} roots; pass --root to pick one"
@@ -165,8 +141,7 @@ def cmd_continuation(args):
                               tol=args.tol, steps=args.steps)
     return {
         "predicted_root": root,
-        "rows": [{"epsilon": r.epsilon, "r_star": r.r_star, "gap": r.gap}
-                 for r in rows],
+        "rows": [row._asdict() for row in rows],
     }
 
 
@@ -329,23 +304,19 @@ def _emit(payload: dict, out_path) -> None:
         sys.stdout.write(text)
 
 
+#: Exit code per error type, first match wins (see the module docstring).
+_EXIT_CODES = ((SpecError, 2), (ValueError, 2), (QuadratureError, 3),
+               (CountMismatchError, 4), (CycleAvgError, 1))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         payload = args.func(args)
-    except SpecError as exc:
+    except (CycleAvgError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except QuadratureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except CountMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except CycleAvgError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
     _emit(payload, args.out)
     return 0
 

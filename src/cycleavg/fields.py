@@ -76,6 +76,7 @@ class SignedPowerTerm:
         return self.x_exp + self.y_exp
 
     def value(self, x, y):
+        """Evaluate the term; exact at the axes (no NaN there)."""
         return (
             self.coeff
             * _signed_power(x, float(self.x_exp), self.x_signed)
@@ -94,11 +95,6 @@ def monomial(coeff: float, x_pow: int, y_pow: int) -> SignedPowerTerm:
         x_signed=bool(x_pow % 2),
         y_signed=bool(y_pow % 2),
     )
-
-
-def eval_term(term: SignedPowerTerm, x, y):
-    """Evaluate one term; exact at the axes (no NaN there)."""
-    return term.value(x, y)
 
 
 @dataclass(frozen=True)
@@ -125,10 +121,6 @@ class HomogeneousField:
         fx = sum(t.value(x, y) for t in self.f_terms) if self.f_terms else 0.0 * (x + y)
         gy = sum(t.value(x, y) for t in self.g_terms) if self.g_terms else 0.0 * (x + y)
         return fx, gy
-
-
-def eval_field(field: HomogeneousField, x, y):
-    return field.evaluate(x, y)
 
 
 def angular_components(field: HomogeneousField, theta):

@@ -41,38 +41,6 @@ _STATUS_GUARD = 2
 _STATUS_NAMES = {_STATUS_SPEED: "angular_speed", _STATUS_GUARD: "guard"}
 
 
-def theta_speed(spec: PerturbationSpec, theta: float, r: float) -> float:
-    """Angular velocity d(theta)/dt at polar point (r, theta); ccw form."""
-    spec = normalize_ccw(spec)
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    acc = 0.0
-    for bj, field in zip(spec.b, spec.fields):
-        _, transverse = angular_components(field, theta)
-        acc += bj * float(transverse) * r ** (float(field.alpha) - 1.0)
-    return 1.0 + spec.epsilon * acc
-
-
-def radial_rhs(spec: PerturbationSpec, theta: float, r: float) -> float:
-    """Exact dr/dtheta quotient; raises if the angular speed is not positive."""
-    spec = normalize_ccw(spec)
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    num = 0.0
-    den = 1.0
-    eps = spec.epsilon
-    for bj, field in zip(spec.b, spec.fields):
-        radial, transverse = angular_components(field, theta)
-        ra = r ** float(field.alpha)
-        num += bj * float(radial) * ra
-        den += eps * bj * float(transverse) * ra / r
-    if den <= 0.0:
-        raise AngularMonotonicityError(
-            f"angular speed {den:.3e} <= 0 at theta={theta:.6g}, r={r:.6g}"
-        )
-    return eps * num / den
-
-
 @dataclass(frozen=True)
 class ReturnMapSample:
     """One evaluation P(r0) = r1 with integration diagnostics."""
@@ -106,6 +74,14 @@ def certificate_to_json(cert: LimitCycleCertificate) -> dict:
     }
 
 
+def simulation_bracket(predicted) -> tuple[float, float]:
+    """Default search bracket: (0.3 min, 3 max) of the predicted radii,
+    or (0.5, 2.0) without any."""
+    if not predicted:
+        return (0.5, 2.0)
+    return (0.3 * min(predicted), 3.0 * max(predicted))
+
+
 class ContinuationRow(NamedTuple):
     epsilon: float
     r_star: float
@@ -131,6 +107,13 @@ def _tables(fields, steps: int) -> _Tables:
         transverse.append(tuple(np.asarray(ft, dtype=float).tolist()))
     alphas = tuple(float(f.alpha) for f in fields)
     return _Tables(steps, alphas, tuple(radial), tuple(transverse))
+
+
+def _check_bracket(bracket) -> tuple[float, float]:
+    lo, hi = float(bracket[0]), float(bracket[1])
+    if not 0 < lo < hi:
+        raise ValueError(f"bracket must satisfy 0 < lo < hi, got {bracket}")
+    return lo, hi
 
 
 def _check_steps(steps: int):
@@ -334,9 +317,7 @@ def scan_return_map(spec: PerturbationSpec, bracket, scan_points: int = 200,
     """Evaluate the return map on a log-spaced grid; returns (r0, r1, status)."""
     _check_steps(steps)
     spec = normalize_ccw(spec)
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not 0 < lo < hi:
-        raise ValueError(f"bracket must satisfy 0 < lo < hi, got {bracket}")
+    lo, hi = _check_bracket(bracket)
     grid = np.logspace(math.log10(lo), math.log10(hi), scan_points)
     tabs = _tables(spec.fields, steps)
     r1, status = _integrate_batch(spec, tabs, grid, steps)
@@ -461,13 +442,17 @@ def find_fixed_points(spec: PerturbationSpec, bracket, tol: float = 1e-9,
     derivative of the discrete map.  Failing scan nodes are summarized in one warning per
     scan; failing cells (guard exits, lost angular monotonicity, residual
     above tol) are logged and skipped; an empty list is a legitimate
-    outcome.
+    outcome.  With every b_j zero the map is the identity, which has no
+    isolated fixed point, so nothing is integrated.
     """
     if spec.epsilon == 0.0:
         raise SpecError("fixed-point search requires epsilon != 0")
     if tol <= 0:
         raise ValueError("tol must be positive")
     _check_steps(steps)
+    _check_bracket(bracket)
+    if all(bj == 0.0 for bj in spec.b):
+        return []
     spec = normalize_ccw(spec)
     # a multiple of 8 near steps / 8, so its half pass keeps the axis-angle
     # alignment too
@@ -527,7 +512,7 @@ def continuation_check(spec: PerturbationSpec, eps_values, predicted_root: float
     if predicted_root <= 0:
         raise ValueError("predicted_root must be positive")
     if bracket is None:
-        bracket = (0.3 * predicted_root, 3.0 * predicted_root)
+        bracket = simulation_bracket([predicted_root])
 
     # lazy, so the first epsilon that fails ends the search
     runs = ((eps, find_fixed_points(with_epsilon(spec, eps), bracket, tol,

@@ -9,50 +9,48 @@ from __future__ import annotations
 import csv
 import math
 import os
+from dataclasses import replace
 
-from .averaging import (
-    AveragedFunction,
-    angular_integral,
-    classify_nonzero,
-)
+from .averaging import Averaged, average, averaged_to_json
 from .errors import CountMismatchError, SpecError
-from .fields import PerturbationSpec, normalize_ccw, spec_to_json, with_b
+from .fields import PerturbationSpec, spec_to_json, with_b
 from .flow import (
     DEFAULT_STEPS,
     certificate_to_json,
     continuation_rows,
     find_fixed_points,
     scan_return_map,
+    simulation_bracket,
     with_epsilon,
 )
-from .roots import DEFAULT_BRACKET, positive_roots, synthesize_coefficients
+from .roots import positive_roots, root_to_json, synthesize_coefficients
 
 
-def retune_b(spec: PerturbationSpec, targets, integral_tol: float = 1e-10):
+def retune_b(spec: PerturbationSpec, targets,
+             integral_tol: float = 1e-10) -> tuple[Averaged, tuple]:
     """Choose b so the averaged function has exactly the target roots.
 
     Synthesizes coefficients over the exponents whose angular integral is
     nonzero (one more exponent than targets) and maps them back through
     b_j = 2*pi*c_j / I_j; fields with structurally zero integrals keep
     their input b, since no choice of b can make them contribute.
+    Returns the retuned spec's averaging stage, reusing the input's
+    integrals (they do not depend on b), and the coefficients.
     """
-    work = normalize_ccw(spec)
-    integrals = [angular_integral(f, integral_tol) for f in work.fields]
-    keep = classify_nonzero(integrals, integral_tol)
-    exponents = [float(f.alpha) for f, nz in zip(work.fields, keep) if nz]
+    avg = average(spec, integral_tol)
+    exponents = [float(f.alpha) for f, nz in zip(avg.spec.fields, avg.keep)
+                 if nz]
     targets = tuple(float(t) for t in targets)
-    if len(targets) != max(len(exponents) - 1, 0):
+    if len(targets) != avg.lower_bound:
         raise SpecError(
-            f"need {max(len(exponents) - 1, 0)} targets for {len(exponents)} "
+            f"need {avg.lower_bound} targets for {len(exponents)} "
             f"nonzero integrals, got {len(targets)}"
         )
     coeffs = synthesize_coefficients(exponents, targets)
-    new_b = list(work.b)
     it = iter(coeffs)
-    for j, (nz, ij) in enumerate(zip(keep, integrals)):
-        if nz:
-            new_b[j] = 2.0 * math.pi * next(it) / ij
-    return with_b(work, new_b), integrals, keep, coeffs
+    new_b = [2.0 * math.pi * next(it) / ij if nz else bj
+             for bj, ij, nz in zip(avg.spec.b, avg.integrals, avg.keep)]
+    return replace(avg, spec=with_b(avg.spec, new_b)), coeffs
 
 
 def _write_scan_csv(path, grid, r1, status):
@@ -78,56 +76,33 @@ def run_pipeline(spec: PerturbationSpec, targets=None, eps_values=None,
     bounds the fixed-point search, defaulting to (0.3 min, 3 max) around
     the predicted roots.
     """
-    work = normalize_ccw(spec)
-
     if targets is not None:
-        work, integrals, keep, synthesized = retune_b(work, targets,
-                                                      integral_tol)
+        avg, synthesized = retune_b(spec, targets, integral_tol)
     else:
-        integrals = [angular_integral(f, integral_tol) for f in work.fields]
-        keep = classify_nonzero(integrals, integral_tol)
-        synthesized = None
-
-    exponents, coefficients = [], []
-    for field, bj, ij, nz in zip(work.fields, work.b, integrals, keep):
-        if nz and bj != 0.0:
-            exponents.append(float(field.alpha))
-            coefficients.append(bj * ij / (2.0 * math.pi))
-    h = AveragedFunction(tuple(exponents), tuple(coefficients))
-
-    report = positive_roots(h, bracket=DEFAULT_BRACKET)
+        avg, synthesized = average(spec, integral_tol), None
+    work, h = avg.spec, avg.h
+    report = positive_roots(h)
     predicted = [r.z for r in report.roots]
 
-    if eps_values is None:
-        eps_list = [work.epsilon]
-    else:
-        eps_list = [float(e) for e in eps_values]
+    eps_list = ([work.epsilon] if eps_values is None
+                else [float(e) for e in eps_values])
     if not eps_list or any(e <= 0 for e in eps_list):
         raise SpecError("epsilon values must be positive")
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise SpecError("epsilon values must strictly decrease")
 
-    if bracket is not None:
-        sim_bracket = (float(bracket[0]), float(bracket[1]))
-    elif predicted:
-        sim_bracket = (0.3 * min(predicted), 3.0 * max(predicted))
-    else:
-        sim_bracket = (0.5, 2.0)
+    sim_bracket = (simulation_bracket(predicted) if bracket is None
+                   else (float(bracket[0]), float(bracket[1])))
 
     out = {
         "spec": spec_to_json(work),
-        "integrals": list(integrals),
-        "nonzero": [bool(v) for v in keep],
-        "lower_bound": max(sum(keep) - 1, 0),
+        "integrals": list(avg.integrals),
+        "nonzero": list(avg.keep),
+        "lower_bound": avg.lower_bound,
         "synthesized_coefficients": list(synthesized) if synthesized else None,
-        "averaged": {"exponents": list(h.exponents),
-                     "coefficients": list(h.coefficients)},
+        "averaged": averaged_to_json(h),
         "descartes_bound": report.descartes_bound,
-        "predicted_roots": [
-            {"z": r.z, "derivative_sign": r.derivative_sign,
-             "interval_degree": r.interval_degree}
-            for r in report.roots
-        ],
+        "predicted_roots": [root_to_json(r) for r in report.roots],
         "bracket": list(sim_bracket),
         "runs": [],
         "continuation": [],
@@ -163,7 +138,6 @@ def run_pipeline(spec: PerturbationSpec, targets=None, eps_values=None,
             rows = continuation_rows(runs, z)
             out["continuation"].append({
                 "predicted_root": z,
-                "rows": [{"epsilon": row.epsilon, "r_star": row.r_star,
-                          "gap": row.gap} for row in rows],
+                "rows": [row._asdict() for row in rows],
             })
     return out

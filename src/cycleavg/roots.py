@@ -52,6 +52,12 @@ class PositiveRoot:
     bracket: tuple[float, float]
 
 
+def root_to_json(root: PositiveRoot) -> dict:
+    """JSON form of a positive root, as the CLI prints it."""
+    return {"z": root.z, "derivative_sign": root.derivative_sign,
+            "interval_degree": root.interval_degree}
+
+
 @dataclass(frozen=True)
 class RootReport:
     roots: tuple[PositiveRoot, ...]

@@ -10,7 +10,7 @@ from cycleavg import (
     AveragedFunction,
     RootError,
     angular_integral,
-    averaged_function,
+    average,
     classify,
     constant_field,
     descartes_bound,
@@ -20,7 +20,6 @@ from cycleavg import (
     find_fixed_points,
     lienard,
     linear_field,
-    lower_bound_count,
     melnikov_line_integral,
     monomial,
     positive_roots,
@@ -88,8 +87,9 @@ def test_criterion_2_wronskian_closed_form():
 def test_criterion_3_example1_one_cycle():
     t0 = time.perf_counter()
     preset = example1()  # epsilon = 0.01
-    assert lower_bound_count(preset.spec) == 1
-    h = averaged_function(preset.spec)
+    avg = average(preset.spec)
+    assert avg.lower_bound == 1
+    h = avg.h
     report = positive_roots(h)
     assert report.count == 1
     z = report.roots[0].z
@@ -107,9 +107,9 @@ def test_criterion_4_example2_synthesized_pair():
     t0 = time.perf_counter()
     preset = example2()  # epsilon = 0.005
     targets = preset.expected["targets"]
-    retuned, _, keep, _ = retune_b(preset.spec, targets)
-    assert sum(keep) == 3
-    h = averaged_function(retuned)
+    avg, _ = retune_b(preset.spec, targets)
+    assert sum(avg.keep) == 3
+    retuned, h = avg.spec, avg.h
     roots = [r.z for r in positive_roots(h).roots]
     assert len(roots) == 2
     assert all(abs(z - t) <= 1e-8 * t for z, t in zip(roots, targets))
@@ -145,8 +145,9 @@ def test_criterion_6_lienard_cycle_ladders():
     for m in (5, 6, 7):
         preset = lienard(m, epsilon=0.005)
         targets = _lienard_targets(m)
-        retuned, _, _, _ = retune_b(preset.spec, targets)
-        roots = [r.z for r in positive_roots(averaged_function(retuned)).roots]
+        avg, _ = retune_b(preset.spec, targets)
+        retuned = avg.spec
+        roots = [r.z for r in positive_roots(avg.h).roots]
         assert len(roots) == m - 3
         certs = find_fixed_points(retuned, (0.4, 2.2))
         assert len(certs) == m - 3
@@ -204,7 +205,7 @@ def test_criterion_8_line_integral_matches_average():
             b.append(float(rng.uniform(-2, 2)))
         spec = PerturbationSpec(fields=tuple(fields), b=tuple(b),
                                 epsilon=0.01, orientation="ccw")
-        h = averaged_function(spec)
+        h = average(spec).h
         for k in (0.5, 1.0, 2.0):
             rk = math.sqrt(k)
             line = melnikov_line_integral(spec, k)

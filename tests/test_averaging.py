@@ -12,12 +12,12 @@ from cycleavg import (
     SpecError,
     angular_components,
     angular_integral,
-    averaged_function,
+    average,
     classify_nonzero,
-    lower_bound_count,
     melnikov,
     melnikov_line_integral,
     normalize_ccw,
+    with_b,
     wronskian_closed_form,
     wronskian_numeric,
 )
@@ -82,26 +82,28 @@ def test_classify_nonzero_dead_band():
 
 def test_averaged_function_drops_structural_zeros():
     pre = example1()
-    h = averaged_function(pre.spec)
+    avg = average(pre.spec)
+    h = avg.h
     assert h.exponents == (0.5, 1.0)
     assert h.coefficients[0] == pytest.approx(4.0 * beta_moment(1.5) / math.pi,
                                               abs=1e-10)
     assert h.coefficients[1] == pytest.approx(-1.0, abs=1e-12)
+    # fields with b == 0 leave h but still count toward the lower bound
+    zeroed = average(with_b(pre.spec, (0.0,) * len(pre.spec.b)))
+    assert zeroed.h.exponents == () and zeroed.keep == avg.keep
+    assert zeroed.lower_bound == avg.lower_bound == 1
 
 
-def test_averaged_function_requires_ccw():
-    from cycleavg.presets import capillary
-    with pytest.raises(SpecError):
-        averaged_function(capillary().spec)
-    # the normalized spec is fine
-    averaged_function(normalize_ccw(capillary().spec))
-
-
-def test_lower_bound_orientation_independent():
+def test_average_orientation_independent():
     from cycleavg.presets import capillary
     cw = capillary().spec
-    assert lower_bound_count(cw) == lower_bound_count(normalize_ccw(cw))
-    assert lower_bound_count(example1().spec) == 1
+    assert cw.orientation == "cw"
+    avg = average(cw)
+    assert avg == average(normalize_ccw(cw))
+    assert avg.spec.orientation == "ccw"
+    # the reflection to ccw form leaves every angular integral unchanged
+    raw = [angular_integral(f) for f in cw.fields]
+    assert list(avg.integrals) == pytest.approx(raw, abs=1e-12)
 
 
 def test_averaged_function_domain_and_eval():
@@ -116,7 +118,7 @@ def test_averaged_function_domain_and_eval():
 
 
 def test_melnikov_scaling_relation():
-    h = averaged_function(vdp().spec)
+    h = average(vdp().spec).h
     for k in (0.5, 1.0, 2.0, 4.0):
         assert melnikov(h, k) == pytest.approx(math.sqrt(k) * h(math.sqrt(k)),
                                                rel=1e-14)
@@ -124,7 +126,7 @@ def test_melnikov_scaling_relation():
 
 def test_melnikov_line_integral_consistency():
     spec = vdp().spec
-    h = averaged_function(spec)
+    h = average(spec).h
     for k in (0.5, 1.0, 2.0):
         line = melnikov_line_integral(spec, k)
         assert line == pytest.approx(2.0 * math.pi * melnikov(h, k), rel=1e-10)

@@ -136,6 +136,24 @@ def test_exit_code_2_on_bad_input(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    "roots --preset vdp --bracket 2 1",
+    "simulate --preset vdp --steps 100 --r0 1",
+    "simulate --preset vdp --r0 -1",
+    "simulate --preset vdp --bracket 2 1 --steps 512",
+    "pipeline --preset vdp --steps 100",
+    "continuation --preset vdp --eps 0.01 0.02 --steps 512",
+    "continuation --preset vdp --eps 0.02 0.01 --root -1 --steps 512",
+    "repro lienard --m 3",
+])
+def test_exit_code_2_on_bad_numeric_argument(capsys, argv):
+    rc = main(argv.split())
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_exit_code_3_on_ambiguous_integral(capsys):
     # pi and 3*pi/4 both land inside the dead band [0.1, 10)
     assert main(["integrals", "--preset", "vdp", "--tol", "0.1"]) == 3

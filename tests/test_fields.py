@@ -13,8 +13,6 @@ from cycleavg import (
     SignedPowerTerm,
     SpecError,
     angular_components,
-    eval_field,
-    eval_term,
     homogeneity_residual,
     monomial,
     reflect_diagonal,
@@ -29,20 +27,20 @@ from cycleavg import presets
 
 def test_eval_term_spec_examples():
     t = SignedPowerTerm(1.0, Fraction(1, 2), Fraction(0), True, False)
-    assert eval_term(t, -4.0, 7.0) == -2.0
+    assert t.value(-4.0, 7.0) == -2.0
     t = SignedPowerTerm(3.0, Fraction(2), Fraction(1), False, True)
-    assert eval_term(t, 2.0, -1.0) == -12.0
+    assert t.value(2.0, -1.0) == -12.0
     t = SignedPowerTerm(1.0, Fraction(1, 3), Fraction(0), True, False)
-    assert eval_term(t, -8.0, 0.0) == pytest.approx(-2.0, abs=1e-14)
+    assert t.value(-8.0, 0.0) == pytest.approx(-2.0, abs=1e-14)
 
 
 def test_eval_term_axis_values():
     t = SignedPowerTerm(2.0, Fraction(1, 2), Fraction(0), True, False)
-    assert eval_term(t, 0.0, 5.0) == 0.0
+    assert t.value(0.0, 5.0) == 0.0
     const = SignedPowerTerm(3.5, Fraction(0), Fraction(0), False, False)
-    assert eval_term(const, 0.0, 0.0) == 3.5
+    assert const.value(0.0, 0.0) == 3.5
     mixed = SignedPowerTerm(1.0, Fraction(0), Fraction(2), False, False)
-    assert eval_term(mixed, 0.0, -3.0) == 9.0
+    assert mixed.value(0.0, -3.0) == 9.0
 
 
 def test_term_constructor_rejections():
@@ -61,18 +59,18 @@ def test_term_continuity_across_axes():
     for exp, signed in ((Fraction(1, 2), True), (Fraction(1, 3), True),
                         (Fraction(2), False), (Fraction(3, 2), False)):
         t = SignedPowerTerm(1.0, exp, Fraction(0), signed, False)
-        at0 = eval_term(t, 0.0, 1.0)
+        at0 = t.value(0.0, 1.0)
         for delta in (1e-2, 1e-4, 1e-6):
             for s in (+1.0, -1.0):
-                jump = abs(eval_term(t, s * delta, 1.0) - at0)
+                jump = abs(t.value(s * delta, 1.0) - at0)
                 assert jump <= 2.0 * delta ** min(float(exp), 1.0)
 
 
 def test_monomial_sign_flags_follow_parity():
     m = monomial(2.0, 3, 2)
     assert m.x_signed and not m.y_signed
-    assert eval_term(m, -1.0, -1.0) == -2.0
-    assert eval_term(monomial(1.0, 2, 0), -3.0, 0.0) == 9.0
+    assert m.value(-1.0, -1.0) == -2.0
+    assert monomial(1.0, 2, 0).value(-3.0, 0.0) == 9.0
 
 
 def test_field_degree_invariant_enforced():
@@ -80,7 +78,7 @@ def test_field_degree_invariant_enforced():
     with pytest.raises(SpecError):
         HomogeneousField(f_terms=(good,), g_terms=(), alpha=Fraction(2))
     field = HomogeneousField(f_terms=(good,), g_terms=(), alpha=Fraction(3))
-    assert eval_field(field, 2.0, 1.0) == (4.0, 0.0)
+    assert field.evaluate(2.0, 1.0) == (4.0, 0.0)
 
 
 def test_angular_components_identity_and_rotation():
@@ -124,7 +122,7 @@ def test_homogeneity_residual_random():
         for _ in range(100):
             r = float(rng.uniform(0.1, 10.0))
             x, y = rng.uniform(-2.0, 2.0, size=2)
-            fx, gy = eval_field(field, x, y)
+            fx, gy = field.evaluate(x, y)
             bound = 1e-12 * (1.0 + max(abs(fx), abs(gy)))
             assert homogeneity_residual(field, r, float(x), float(y)) <= bound
 
@@ -146,7 +144,7 @@ def test_swap_orientation_preserves_values():
     for f_cw, f_ccw in zip(cw.fields, ccw.fields):
         for _ in range(20):
             x, y = (float(v) for v in rng.uniform(-2.0, 2.0, size=2))
-            assert eval_field(f_ccw, y, x) == tuple(reversed(eval_field(f_cw, x, y)))
+            assert f_ccw.evaluate(y, x) == tuple(reversed(f_cw.evaluate(x, y)))
 
 
 def test_spec_validation():

@@ -14,7 +14,7 @@ from cycleavg import (
     GuardBoundError,
     PerturbationSpec,
     SpecError,
-    averaged_function,
+    average,
     capillary,
     continuation_check,
     example1,
@@ -23,13 +23,11 @@ from cycleavg import (
     lienard,
     linear_field,
     normalize_ccw,
-    radial_rhs,
     reflect_diagonal,
     retune_b,
     return_map,
     run_pipeline,
     scan_return_map,
-    theta_speed,
     vdp,
     with_b,
     with_epsilon,
@@ -59,7 +57,7 @@ def test_step_halving_convergence():
 
 def test_displacement_sign_matches_averaged_function():
     spec = with_epsilon(vdp().spec, 0.005)
-    h = averaged_function(spec)
+    h = average(spec).h
     for r0 in (0.5, 0.9, 1.4, 1.9):
         sample = return_map(spec, r0)
         assert math.copysign(1, sample.r1 - r0) == math.copysign(1, h(r0))
@@ -109,15 +107,6 @@ def test_steps_validation():
         return_map(spec, -1.0)
     with pytest.raises(ValueError):
         scan_return_map(spec, (2.0, 0.5))
-
-
-def test_pointwise_helpers_validate_radius():
-    spec = vdp().spec
-    with pytest.raises(ValueError):
-        theta_speed(spec, 0.0, -1.0)
-    with pytest.raises(ValueError):
-        radial_rhs(spec, 0.0, 0.0)
-    assert theta_speed(spec, 0.3, 1.0) == pytest.approx(1.0, abs=0.1)
 
 
 def test_guard_escape_raises_scalar_and_tags_batch():
@@ -174,7 +163,7 @@ def _lienard7():
     """`repro lienard --m 7`: four nested cycles, and a scan over (0.4, 2.2)
     that loses both the guard and the angular speed."""
     return retune_b(lienard(7, epsilon=0.005).spec,
-                    [0.8 + i / 3.0 for i in range(4)])[0]
+                    [0.8 + i / 3.0 for i in range(4)])[0].spec
 
 
 def test_batch_status_matches_scalar_exceptions():
@@ -233,10 +222,10 @@ def test_newton_revolutions_per_cell(monkeypatch, case):
         spec, targets = with_epsilon(vdp().spec, 0.01), [VDP_ROOT]
     elif case == "example2":
         targets = [1.1, 3.7]
-        spec = with_epsilon(retune_b(example2().spec, targets)[0], 0.01)
+        spec = with_epsilon(retune_b(example2().spec, targets)[0].spec, 0.01)
     else:
         targets = [0.8, 1.3, 1.8]
-        spec = retune_b(lienard(6, epsilon=0.005).spec, targets)[0]
+        spec = retune_b(lienard(6, epsilon=0.005).spec, targets)[0].spec
     bracket = (0.3 * min(targets), 3.0 * max(targets))
     tangent = _counting(monkeypatch, "_integrate_tangent")
     value_only = _counting(monkeypatch, "_integrate_scalar")
@@ -250,7 +239,7 @@ def test_newton_revolutions_per_cell(monkeypatch, case):
 
 def test_zero_displacement_node_is_certified_once(monkeypatch):
     # one attracting and one repelling cycle
-    spec = retune_b(lienard(5, epsilon=0.005).spec, (0.8, 1.8))[0]
+    spec = retune_b(lienard(5, epsilon=0.005).spec, (0.8, 1.8))[0].spec
     steps = 512
     stars = [c.r_star for c in find_fixed_points(spec, (0.4, 3.0), steps=steps)]
     assert len(stars) == 2
@@ -348,7 +337,7 @@ def test_example1_fixed_point_next_to_a_node_is_certified_at_full_resolution(
 def test_lienard6_stiff_band_cells_match_full_resolution(monkeypatch):
     # beyond r ~ 4.7 the coarse scan leaves the guard window where the full
     # resolution does not, and next to that band its values are off by a few %
-    spec = retune_b(lienard(6, epsilon=0.005).spec, [0.8, 1.3, 1.8])[0]
+    spec = retune_b(lienard(6, epsilon=0.005).spec, [0.8, 1.3, 1.8])[0].spec
     bracket, steps = (0.24, 5.4), 4096
     _, _, coarse_status = scan_return_map(spec, bracket, steps=steps // 8)
     _, _, full_status = scan_return_map(spec, bracket, steps=steps)
@@ -390,6 +379,17 @@ def _batched_substeps(monkeypatch):
 
     monkeypatch.setattr(flow, "_integrate_batch", counting)
     return calls
+
+
+def test_identity_map_integrates_nothing(monkeypatch):
+    # every b_j == 0: dr/dtheta is exactly zero, so no cell can exist
+    spec = with_b(vdp().spec, (0.0, 0.0))
+    scalar = _counting(monkeypatch, "_integrate_scalar")
+    batch = _batched_substeps(monkeypatch)
+    assert find_fixed_points(spec, (0.5, 2.0)) == []
+    assert scalar == [] and batch == []
+    with pytest.raises(ValueError):
+        find_fixed_points(spec, (2.0, 0.5))
 
 
 def test_search_scans_at_a_fraction_of_the_steps(monkeypatch):

@@ -6,10 +6,11 @@ import math
 
 import pytest
 
+from cycleavg import averaging, cli
 from cycleavg import (
     CountMismatchError,
     SpecError,
-    averaged_function,
+    average,
     example1,
     example2,
     positive_roots,
@@ -24,15 +25,39 @@ VDP_ROOT = 2.0 / math.sqrt(3.0)
 
 def test_retune_places_roots_on_targets():
     spec = example2().spec
-    retuned, integrals, keep, coeffs = retune_b(spec, (1.0, 4.0))
-    assert keep == [False, True, True, True]
-    assert abs(integrals[0]) < 1e-12
+    avg, coeffs = retune_b(spec, (1.0, 4.0))
+    assert avg.keep == (False, True, True, True)
+    assert abs(avg.integrals[0]) < 1e-12
     assert len(coeffs) == 3 and coeffs[-1] == 1.0
-    assert retuned.b[0] == 1.0  # structural zero keeps the input b
-    assert retuned.b[3] == pytest.approx(2.0, rel=1e-12)  # 2*pi*1/pi
-    h = averaged_function(retuned)
-    found = [r.z for r in positive_roots(h).roots]
+    assert avg.spec.b[0] == 1.0  # structural zero keeps the input b
+    assert avg.spec.b[3] == pytest.approx(2.0, rel=1e-12)  # 2*pi*1/pi
+    # the integrals do not depend on b, so reusing them is exact
+    assert avg == average(avg.spec)
+    found = [r.z for r in positive_roots(avg.h).roots]
     assert found == pytest.approx([1.0, 4.0], rel=1e-9)
+
+
+@pytest.mark.parametrize("argv", [
+    None,                                   # run_pipeline itself
+    ["synthesize", "--preset", "example2", "--targets", "1", "4"],
+    ["roots", "--preset", "example2"],
+], ids=["run_pipeline", "synthesize", "roots"])
+def test_each_integral_computed_once(monkeypatch, capsys, argv):
+    calls = []
+    real = averaging.angular_integral
+
+    def counting(field, *args, **kwargs):
+        calls.append(field)
+        return real(field, *args, **kwargs)
+
+    monkeypatch.setattr(averaging, "angular_integral", counting)
+    spec = example2().spec
+    if argv is None:
+        run_pipeline(spec, targets=(1.0, 4.0), steps=512)
+    else:
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+    assert len(calls) == len(spec.fields)
 
 
 def test_retune_target_count_mismatch():

@@ -12,10 +12,9 @@ from cycleavg import (
     Fraction,
     PerturbationSpec,
     Preset,
-    averaged_function,
+    average,
     capillary,
     catalog,
-    eval_field,
     example1,
     example2,
     herd,
@@ -30,7 +29,7 @@ def full_rhs(spec, x, y):
     """Center plus scaled perturbation, evaluated without the polar form."""
     cx, cy = (-y, x) if spec.orientation == "ccw" else (y, -x)
     for bj, field in zip(spec.b, spec.fields):
-        fx, fy = eval_field(field, x, y)
+        fx, fy = field.evaluate(x, y)
         cx += spec.epsilon * bj * fx
         cy += spec.epsilon * bj * fy
     return cx, cy
@@ -49,7 +48,7 @@ def test_moment_constants_match_beta_oracle():
 
 def test_example1_recovers_expected_root():
     preset = example1()
-    h = averaged_function(preset.spec)
+    h = average(preset.spec).h
     report = positive_roots(h)
     assert report.count == preset.expected["lower_bound"] == 1
     (want,) = preset.expected["roots"]
@@ -103,7 +102,7 @@ def test_capillary_pointwise():
 
 def test_capillary_root_field_value():
     spec = capillary().spec
-    assert eval_field(spec.fields[1], 2.0, 0.0) == pytest.approx((0.0, -2.0),
+    assert spec.fields[1].evaluate(2.0, 0.0) == pytest.approx((0.0, -2.0),
                                                                 abs=1e-15)
 
 
@@ -119,7 +118,7 @@ def test_herd_pointwise():
 
 def test_herd_interaction_field_value():
     spec = herd(c=1.0).spec
-    assert eval_field(spec.fields[1], 1.0, 1.0) == (-1.0, 1.0)
+    assert spec.fields[1].evaluate(1.0, 1.0) == (-1.0, 1.0)
 
 
 def test_sir_pointwise():
