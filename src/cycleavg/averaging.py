@@ -109,6 +109,11 @@ class Averaged:
     integrals: tuple[float, ...]
     keep: tuple[bool, ...]
 
+    def __post_init__(self):
+        if self.spec.orientation != "ccw":
+            raise SpecError("Averaged expects a ccw-normalized spec; "
+                            "use average(spec)")
+
     @property
     def h(self) -> AveragedFunction:
         """h without the terms whose integral is structurally zero or b == 0."""

@@ -94,6 +94,25 @@ def test_averaged_function_drops_structural_zeros():
     assert zeroed.lower_bound == avg.lower_bound == 1
 
 
+def test_averaged_function_requires_ccw():
+    from cycleavg import Averaged
+    from cycleavg.presets import capillary
+    cw = capillary().spec
+    ccw = normalize_ccw(cw)
+    # the record holds integrals of a ccw spec only; average() normalizes
+    with pytest.raises(SpecError):
+        Averaged(cw, (0.0,) * len(cw.fields), (False,) * len(cw.fields))
+    Averaged(ccw, (0.0,) * len(ccw.fields), (False,) * len(ccw.fields))
+    assert average(cw).spec.orientation == "ccw"
+
+
+def test_lower_bound_orientation_independent():
+    from cycleavg.presets import capillary
+    cw = capillary().spec
+    assert average(cw).lower_bound == average(normalize_ccw(cw)).lower_bound
+    assert average(example1().spec).lower_bound == 1
+
+
 def test_average_orientation_independent():
     from cycleavg.presets import capillary
     cw = capillary().spec
