@@ -31,15 +31,14 @@ from .quadrature import integrate_circle
 NONZERO_FACTOR = 100.0
 
 
-def angular_integral(field: HomogeneousField, tol: float = 1e-10,
-                     max_depth: int = 30) -> float:
+def angular_integral(field: HomogeneousField, tol: float = 1e-10) -> float:
     """Integral of the field's radial component over one revolution."""
 
     def integrand(theta):
         radial, _ = angular_components(field, theta)
         return radial
 
-    return integrate_circle(integrand, tol, max_depth)
+    return integrate_circle(integrand, tol, max_depth=30)
 
 
 def classify_nonzero(values, tol: float) -> list[bool]:

@@ -5,10 +5,11 @@ version, never timestamps) plus the result payload, serialized with
 sorted keys so identical inputs give byte-identical output.
 
 Exit codes: 0 success; 2 malformed input (bad JSON, schema violation,
-inconsistent flags, out-of-range numeric arguments, which the package
-reports as ValueError); 3 quadrature failure or ambiguous integral; 4
+inconsistent flags: SpecError) or an out-of-range or non-finite numeric
+argument (ValueError); 3 quadrature failure or ambiguous integral; 4
 simulated fixed-point count disagrees with the averaged prediction;
-1 any other computation error.
+1 any other computation error.  `simulate`, `pipeline` and `continuation`
+share one `--eps` rule (`flow.sweep`), checked before any search.
 """
 
 from __future__ import annotations
@@ -26,12 +27,13 @@ from .fields import load_spec, normalize_ccw, spec_to_json, with_epsilon
 from .flow import (
     DEFAULT_STEPS,
     continuation_check,
-    find_fixed_points,
     return_map,
+    run_to_json,
     simulation_bracket,
+    sweep,
 )
-from .flow import certificate_to_json as fixed_point_to_json
 from .monomials import (
+    SCAN_COEFFICIENTS,
     certificate_to_json,
     classify,
     enumerate_systems,
@@ -98,10 +100,11 @@ def cmd_synthesize(args):
 
 def cmd_simulate(args):
     spec = normalize_ccw(_load_input(args))
-    steps = args.steps
     if args.r0 is not None:
+        if args.eps and len(args.eps) > 1:
+            raise SpecError("--r0 takes at most one --eps value")
         eps = args.eps[0] if args.eps else spec.epsilon
-        sample = return_map(with_epsilon(spec, eps), args.r0, steps)
+        sample = return_map(with_epsilon(spec, eps), args.r0, args.steps)
         return {"sample": {
             "r0": sample.r0, "r1": sample.r1,
             "displacement": sample.r1 - sample.r0,
@@ -114,14 +117,10 @@ def cmd_simulate(args):
     else:
         report = positive_roots(average(spec, args.tol).h)
         bracket = simulation_bracket([r.z for r in report.roots])
-    eps_list = args.eps if args.eps else [spec.epsilon]
-    runs = []
-    for eps in eps_list:
-        certs = find_fixed_points(with_epsilon(spec, eps), bracket,
-                                  tol=args.tol, steps=steps)
-        runs.append({"epsilon": eps,
-                     "fixed_points": [fixed_point_to_json(c) for c in certs]})
-    return {"bracket": list(bracket), "runs": runs}
+    runs = sweep(spec, args.eps or [spec.epsilon], bracket, args.tol,
+                 steps=args.steps)
+    return {"bracket": list(bracket),
+            "runs": [run_to_json(eps, certs) for eps, certs in runs]}
 
 
 def cmd_continuation(args):
@@ -136,8 +135,7 @@ def cmd_continuation(args):
                 f"spec predicts {len(report.roots)} roots; pass --root to pick one"
             )
         root = report.roots[0].z
-    bracket = tuple(args.bracket) if args.bracket else None
-    rows = continuation_check(spec, args.eps, root, bracket=bracket,
+    rows = continuation_check(spec, args.eps, root, bracket=args.bracket,
                               tol=args.tol, steps=args.steps)
     return {
         "predicted_root": root,
@@ -168,7 +166,8 @@ def cmd_classify(args):
         cert = classify(system)
         counts[cert.property] = counts.get(cert.property, 0) + 1
         total += 1
-    return {"scan": {"max_exp": args.scan, "coefficients": [-1.0, 0.0, 1.0],
+    return {"scan": {"max_exp": args.scan,
+                     "coefficients": list(SCAN_COEFFICIENTS),
                      "total": total,
                      "counts": {k: counts[k] for k in sorted(counts)}}}
 
@@ -205,11 +204,9 @@ def cmd_repro(args):
 
 
 def cmd_pipeline(args):
-    spec = _load_input(args)
-    bracket = tuple(args.bracket) if args.bracket else None
-    return run_pipeline(spec, targets=args.targets, eps_values=args.eps,
-                        bracket=bracket, tol=args.tol, steps=args.steps,
-                        csv_dir=args.csv)
+    return run_pipeline(_load_input(args), targets=args.targets,
+                        eps_values=args.eps, bracket=args.bracket,
+                        tol=args.tol, steps=args.steps, csv_dir=args.csv)
 
 
 def _add_input_flags(sub):

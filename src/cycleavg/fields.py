@@ -185,6 +185,8 @@ class PerturbationSpec:
             raise SpecError(f"orientation must be 'ccw' or 'cw', got {self.orientation!r}")
         if len(self.fields) != len(self.b):
             raise SpecError("b must have one entry per field")
+        if not np.all(np.isfinite((self.epsilon,) + self.b)):
+            raise SpecError("epsilon and b must be finite")
         degrees = [f.alpha for f in self.fields]
         if any(d2 <= d1 for d1, d2 in zip(degrees, degrees[1:])):
             raise SpecError(f"field degrees must strictly increase, got {degrees}")

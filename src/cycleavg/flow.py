@@ -29,6 +29,7 @@ from .errors import (
     SpecError,
 )
 from .fields import PerturbationSpec, angular_components, normalize_ccw, with_epsilon
+from .roots import check_bracket
 
 log = logging.getLogger(__name__)
 
@@ -107,13 +108,6 @@ def _tables(fields, steps: int) -> _Tables:
         transverse.append(tuple(np.asarray(ft, dtype=float).tolist()))
     alphas = tuple(float(f.alpha) for f in fields)
     return _Tables(steps, alphas, tuple(radial), tuple(transverse))
-
-
-def _check_bracket(bracket) -> tuple[float, float]:
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not 0 < lo < hi:
-        raise ValueError(f"bracket must satisfy 0 < lo < hi, got {bracket}")
-    return lo, hi
 
 
 def _check_steps(steps: int):
@@ -298,8 +292,8 @@ def return_map(spec: PerturbationSpec, r0: float,
     """
     _check_steps(steps)
     spec = normalize_ccw(spec)
-    if r0 <= 0:
-        raise ValueError("start radius must be positive")
+    if not 0 < r0 < math.inf:
+        raise ValueError(f"start radius must be positive and finite, got {r0}")
     tabs = _tables(spec.fields, steps)
     r1, min_den = _integrate_scalar(spec, tabs, r0, steps)
     r1_half, _ = _integrate_scalar(spec, tabs, r0, steps // 2)
@@ -317,7 +311,7 @@ def scan_return_map(spec: PerturbationSpec, bracket, scan_points: int = 200,
     """Evaluate the return map on a log-spaced grid; returns (r0, r1, status)."""
     _check_steps(steps)
     spec = normalize_ccw(spec)
-    lo, hi = _check_bracket(bracket)
+    lo, hi = check_bracket(bracket)
     grid = np.logspace(math.log10(lo), math.log10(hi), scan_points)
     tabs = _tables(spec.fields, steps)
     r1, status = _integrate_batch(spec, tabs, grid, steps)
@@ -351,14 +345,13 @@ def _sign_change_cells(grid: np.ndarray, disp: np.ndarray, ok: np.ndarray):
                 yield float(grid[i]), float(grid[i + 1]), da, db
 
 
-def _newton_in_cell(pmap, a: float, b: float, ga: float, gb: float,
-                    rel_tol: float = 1e-12):
+def _newton_in_cell(pmap, a: float, b: float, ga: float, gb: float):
     """Safeguarded Newton on g(r) = P(r) - r inside a sign-change cell [a, b].
 
     `pmap(r)` returns (P(r), P'(r)).  Starts at the secant point of the
     endpoint values, keeps the bracket, and bisects whenever a Newton step
     leaves it or is not finite.  Stops once the next step is at most
-    rel_tol * r and returns (r, g(r), P'(r)) of the last evaluated point.
+    1e-12 r and returns (r, g(r), P'(r)) of the last evaluated point.
     A degenerate cell (a == b, a zero-displacement node) is evaluated once.
     """
     x = (a * gb - b * ga) / (gb - ga) if a < b else a
@@ -376,7 +369,7 @@ def _newton_in_cell(pmap, a: float, b: float, ga: float, gb: float,
         x_new = x - g / slope if slope != 0.0 else math.nan
         if not a <= x_new <= b:
             x_new = 0.5 * (a + b)
-        if abs(x_new - x) <= rel_tol * x:
+        if abs(x_new - x) <= 1e-12 * x:
             break
         x = x_new
     return evaluated
@@ -450,7 +443,7 @@ def find_fixed_points(spec: PerturbationSpec, bracket, tol: float = 1e-9,
     if tol <= 0:
         raise ValueError("tol must be positive")
     _check_steps(steps)
-    _check_bracket(bracket)
+    check_bracket(bracket)
     if all(bj == 0.0 for bj in spec.b):
         return []
     spec = normalize_ccw(spec)
@@ -494,31 +487,45 @@ def find_fixed_points(spec: PerturbationSpec, bracket, tol: float = 1e-9,
     return certificates
 
 
+def sweep(spec: PerturbationSpec, eps_values, bracket, tol: float = 1e-9,
+          scan_points: int = 200, steps: int = DEFAULT_STEPS):
+    """Certified fixed points at each epsilon, as lazy (eps, certificates).
+
+    The epsilon list is checked here, before any search: it must be
+    non-empty, every value finite and positive, and the list strictly
+    decreasing.  The searches run only as the result is iterated, so a
+    consumer that stops at the first failing epsilon searches no further.
+    """
+    eps_list = [float(e) for e in eps_values]
+    if not eps_list or not all(0 < e < math.inf for e in eps_list):
+        raise ValueError(f"epsilon values must be finite and positive, got {eps_list}")
+    if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
+        raise ValueError(f"epsilon values must strictly decrease, got {eps_list}")
+    return ((eps, find_fixed_points(with_epsilon(spec, eps), bracket, tol,
+                                    scan_points, steps))
+            for eps in eps_list)
+
+
+def run_to_json(eps: float, certs) -> dict:
+    """JSON form of one epsilon's search, as the CLI prints it."""
+    return {"epsilon": eps,
+            "fixed_points": [certificate_to_json(c) for c in certs]}
+
+
 def continuation_check(spec: PerturbationSpec, eps_values, predicted_root: float,
                        bracket=None, tol: float = 1e-9, scan_points: int = 200,
                        steps: int = DEFAULT_STEPS) -> list[ContinuationRow]:
     """Track the fixed point nearest a predicted radius while eps decreases.
 
-    Searches each epsilon in turn and checks the rows as
+    Searches each epsilon in turn (`sweep`) and checks the rows as
     `continuation_rows` does.
     """
-    eps_list = [float(e) for e in eps_values]
-    if not eps_list:
-        raise ValueError("eps_values must be non-empty")
-    if any(e <= 0 for e in eps_list):
-        raise ValueError("eps_values must be positive")
-    if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
-        raise ValueError("eps_values must strictly decrease")
-    if predicted_root <= 0:
-        raise ValueError("predicted_root must be positive")
+    if not 0 < predicted_root < math.inf:
+        raise ValueError("predicted_root must be positive and finite")
     if bracket is None:
         bracket = simulation_bracket([predicted_root])
-
-    # lazy, so the first epsilon that fails ends the search
-    runs = ((eps, find_fixed_points(with_epsilon(spec, eps), bracket, tol,
-                                    scan_points, steps))
-            for eps in eps_list)
-    return continuation_rows(runs, predicted_root)
+    return continuation_rows(sweep(spec, eps_values, bracket, tol, scan_points,
+                                   steps), predicted_root)
 
 
 def continuation_rows(runs, predicted_root: float) -> list[ContinuationRow]:

@@ -299,10 +299,13 @@ def classify(sys: MonomialSystem) -> NoCycleCertificate:
     return _classify_two_monomials(a, p, q, b, i, j, c, k, l, trace)
 
 
-def enumerate_systems(max_exp: int = 3, coeffs=(-1.0, 0.0, 1.0)):
-    """All systems with exponents 0..max_exp and coefficients from `coeffs`."""
+SCAN_COEFFICIENTS = (-1.0, 0.0, 1.0)
+
+
+def enumerate_systems(max_exp: int = 3):
+    """All systems with exponents 0..max_exp and coefficients in SCAN_COEFFICIENTS."""
     exps = range(max_exp + 1)
-    for a, b, c in product(coeffs, repeat=3):
+    for a, b, c in product(SCAN_COEFFICIENTS, repeat=3):
         for p, q, i, j, k, l in product(exps, repeat=6):
             yield MonomialSystem(a, p, q, b, i, j, c, k, l)
 

@@ -16,14 +16,14 @@ from .errors import CountMismatchError, SpecError
 from .fields import PerturbationSpec, spec_to_json, with_b
 from .flow import (
     DEFAULT_STEPS,
-    certificate_to_json,
     continuation_rows,
-    find_fixed_points,
+    run_to_json,
     scan_return_map,
     simulation_bracket,
+    sweep,
     with_epsilon,
 )
-from .roots import positive_roots, root_to_json, synthesize_coefficients
+from .roots import check_bracket, positive_roots, root_to_json, synthesize_coefficients
 
 
 def retune_b(spec: PerturbationSpec, targets,
@@ -64,35 +64,29 @@ def _write_scan_csv(path, grid, r1, status):
 
 
 def run_pipeline(spec: PerturbationSpec, targets=None, eps_values=None,
-                 bracket=None, tol: float = 1e-9, integral_tol: float = 1e-10,
-                 scan_points: int = 200, steps: int = DEFAULT_STEPS,
-                 csv_dir=None) -> dict:
+                 bracket=None, tol: float = 1e-9, scan_points: int = 200,
+                 steps: int = DEFAULT_STEPS, csv_dir=None) -> dict:
     """Full report for one spec; raises CountMismatchError when the
     simulated fixed-point count disagrees with the averaged prediction.
 
     With `targets` the coefficients b are first retuned by synthesis.
-    `eps_values` (strictly decreasing when several) selects the epsilons
-    to simulate; the spec's own epsilon is used when omitted.  `bracket`
+    `eps_values` (checked by `flow.sweep`) selects the epsilons to
+    simulate; the spec's own epsilon is used when omitted.  `bracket`
     bounds the fixed-point search, defaulting to (0.3 min, 3 max) around
     the predicted roots.
     """
     if targets is not None:
-        avg, synthesized = retune_b(spec, targets, integral_tol)
+        avg, synthesized = retune_b(spec, targets)
     else:
-        avg, synthesized = average(spec, integral_tol), None
+        avg, synthesized = average(spec), None
     work, h = avg.spec, avg.h
     report = positive_roots(h)
     predicted = [r.z for r in report.roots]
 
-    eps_list = ([work.epsilon] if eps_values is None
-                else [float(e) for e in eps_values])
-    if not eps_list or any(e <= 0 for e in eps_list):
-        raise SpecError("epsilon values must be positive")
-    if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
-        raise SpecError("epsilon values must strictly decrease")
-
     sim_bracket = (simulation_bracket(predicted) if bracket is None
-                   else (float(bracket[0]), float(bracket[1])))
+                   else check_bracket(bracket))
+    searches = sweep(work, [work.epsilon] if eps_values is None else eps_values,
+                     sim_bracket, tol, scan_points, steps)
 
     out = {
         "spec": spec_to_json(work),
@@ -112,18 +106,13 @@ def run_pipeline(spec: PerturbationSpec, targets=None, eps_values=None,
         os.makedirs(csv_dir, exist_ok=True)
 
     runs = []
-    for idx, eps in enumerate(eps_list):
-        certs = find_fixed_points(with_epsilon(work, eps), sim_bracket, tol,
-                                  scan_points, steps)
+    for idx, (eps, certs) in enumerate(searches):
         if csv_dir is not None:
             grid, r1, status = scan_return_map(with_epsilon(work, eps),
                                                sim_bracket, scan_points, steps)
             _write_scan_csv(os.path.join(csv_dir, f"scan_{idx:02d}.csv"),
                             grid, r1, status)
-        out["runs"].append({
-            "epsilon": eps,
-            "fixed_points": [certificate_to_json(c) for c in certs],
-        })
+        out["runs"].append(run_to_json(eps, certs))
         if len(certs) != len(predicted):
             raise CountMismatchError(
                 f"averaged function predicts {len(predicted)} cycles "
@@ -133,7 +122,7 @@ def run_pipeline(spec: PerturbationSpec, targets=None, eps_values=None,
             )
         runs.append((eps, certs))
 
-    if len(eps_list) >= 2:
+    if len(runs) >= 2:
         for z in predicted:
             rows = continuation_rows(runs, z)
             out["continuation"].append({

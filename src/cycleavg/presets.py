@@ -39,15 +39,7 @@ def constant_field(s1: float, s2: float) -> HomogeneousField:
 
 def linear_field(p11: float, p12: float, p21: float, p22: float) -> HomogeneousField:
     """Matrix field (p11 x + p12 y, p21 x + p22 y); angular integral (p11+p22)*pi."""
-    def row(cx, cy):
-        terms = []
-        if cx:
-            terms.append(monomial(cx, 1, 0))
-        if cy:
-            terms.append(monomial(cy, 0, 1))
-        return tuple(terms)
-    return HomogeneousField(f_terms=row(p11, p12), g_terms=row(p21, p22),
-                            alpha=Fraction(1))
+    return signed_root_field(p11, p12, p21, p22, exponent=1)
 
 
 def signed_root_field(q11: float, q12: float, q21: float, q22: float,

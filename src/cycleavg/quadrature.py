@@ -26,19 +26,18 @@ def gauss_panel(fn, a: float, b: float) -> float:
 def _refine(fn, a, b, whole, tol, floor, depth):
     mid = 0.5 * (a + b)
     if not a < mid < b:
-        return whole, 0.0
+        return whole
     left = gauss_panel(fn, a, mid)
     right = gauss_panel(fn, mid, b)
     err = abs(left + right - whole)
     if err <= max(tol, floor):
-        return left + right, err
+        return left + right
     if depth <= 0:
         raise QuadratureError(
             f"panel [{a:.6g}, {b:.6g}] did not converge (residual {err:.3g} > {tol:.3g})"
         )
-    lv, le = _refine(fn, a, mid, left, 0.5 * tol, floor, depth - 1)
-    rv, re = _refine(fn, mid, b, right, 0.5 * tol, floor, depth - 1)
-    return lv + rv, le + re
+    return (_refine(fn, a, mid, left, 0.5 * tol, floor, depth - 1)
+            + _refine(fn, mid, b, right, 0.5 * tol, floor, depth - 1))
 
 
 def integrate_panels(fn, breakpoints, tol: float, max_depth: int = 40) -> float:
@@ -59,8 +58,7 @@ def integrate_panels(fn, breakpoints, tol: float, max_depth: int = 40) -> float:
     total = 0.0
     for a, b in pieces:
         whole = gauss_panel(fn, a, b)
-        value, _ = _refine(fn, a, b, whole, budget, floor, max_depth)
-        total += value
+        total += _refine(fn, a, b, whole, budget, floor, max_depth)
     return total
 
 

@@ -19,6 +19,15 @@ from .averaging import AveragedFunction
 from .errors import RootError, SynthesisError
 
 DEFAULT_BRACKET = (1e-6, 1e3)
+SCAN_POINTS = 10_000
+
+
+def check_bracket(bracket) -> tuple[float, float]:
+    """(lo, hi) as floats; ValueError unless 0 < lo < hi < inf."""
+    lo, hi = float(bracket[0]), float(bracket[1])
+    if not 0 < lo < hi < math.inf:
+        raise ValueError(f"bracket must satisfy 0 < lo < hi < inf, got {bracket}")
+    return lo, hi
 
 
 def descartes_bound(h: AveragedFunction) -> int:
@@ -28,13 +37,12 @@ def descartes_bound(h: AveragedFunction) -> int:
 
 
 def interval_degree(h, a: float, b: float, abs_tol: float = 1e-12) -> int:
-    """(sgn h(b) - sgn h(a)) / 2 over 0 < a < b; +/-1 means a forced zero.
+    """(sgn h(b) - sgn h(a)) / 2 over 0 < a < b < inf; +/-1 means a forced zero.
 
     Refuses endpoints where |h| <= abs_tol, since the sign is then
     meaningless at the working precision.
     """
-    if not 0 < a < b:
-        raise ValueError(f"need 0 < a < b, got ({a}, {b})")
+    check_bracket((a, b))
     ha, hb = float(h(a)), float(h(b))
     if abs(ha) <= abs_tol or abs(hb) <= abs_tol:
         raise RootError(
@@ -104,7 +112,7 @@ def _derivative_sign(h, z: float) -> int:
 
 
 def positive_roots(h: AveragedFunction, bracket=DEFAULT_BRACKET,
-                   abs_tol: float = 1e-9, scan_points: int = 10_000) -> RootReport:
+                   abs_tol: float = 1e-9) -> RootReport:
     """Locate positive zeros of h inside the bracket.
 
     Log-spaced scan for sign changes, bisection inside each cell, then a
@@ -113,26 +121,24 @@ def positive_roots(h: AveragedFunction, bracket=DEFAULT_BRACKET,
     the sign-change bound; exceeding it is a numerical contradiction and
     raises rather than returns.
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not 0 < lo < hi:
-        raise ValueError(f"bracket must satisfy 0 < lo < hi, got {bracket}")
+    lo, hi = check_bracket(bracket)
     bound = descartes_bound(h)
     if all(c == 0.0 for c in h.coefficients):
         return RootReport((), bound, (lo, hi))
 
-    zs = np.logspace(math.log10(lo), math.log10(hi), scan_points)
+    zs = np.logspace(math.log10(lo), math.log10(hi), SCAN_POINTS)
     vals = np.asarray(h(zs))
     signs = np.sign(vals)
 
     roots: list[PositiveRoot] = []
     last_sign = 0
     last_idx = -1
-    for idx in range(scan_points):
+    for idx in range(SCAN_POINTS):
         sign = int(signs[idx])
         if sign == 0:
             # Grid point is an exact zero; degree from the flanking signs.
             nxt = next((int(s) for s in signs[idx + 1:] if s != 0), 0)
-            cell = (float(zs[max(idx - 1, 0)]), float(zs[min(idx + 1, scan_points - 1)]))
+            cell = (float(zs[max(idx - 1, 0)]), float(zs[min(idx + 1, SCAN_POINTS - 1)]))
             roots.append(PositiveRoot(float(zs[idx]), _derivative_sign(h, zs[idx]),
                                       (nxt - last_sign) // 2, cell))
             last_sign, last_idx = 0, idx
@@ -151,8 +157,8 @@ def positive_roots(h: AveragedFunction, bracket=DEFAULT_BRACKET,
     return RootReport(tuple(roots), bound, (lo, hi))
 
 
-def synthesize_coefficients(exponents, targets, cond_limit: float = 1e12,
-                            verify: bool = True) -> tuple[float, ...]:
+def synthesize_coefficients(exponents, targets,
+                            cond_limit: float = 1e12) -> tuple[float, ...]:
     """Coefficients giving h exactly the prescribed positive zeros.
 
     With n+1 exponents and n targets the top coefficient is pinned to
@@ -173,8 +179,8 @@ def synthesize_coefficients(exponents, targets, cond_limit: float = 1e12,
         )
     if any(e2 <= e1 for e1, e2 in zip(exps, exps[1:])):
         raise ValueError("exponents must strictly increase")
-    if any(t <= 0 for t in tgts) or any(t2 <= t1 for t1, t2 in zip(tgts, tgts[1:])):
-        raise ValueError("targets must be positive and strictly increasing")
+    if not all(0 < t1 < t2 for t1, t2 in zip(tgts, tgts[1:] + [math.inf])):
+        raise ValueError(f"targets must be finite, positive and increasing, got {tgts}")
 
     n = len(tgts)
     top = (-1.0) ** n
@@ -196,22 +202,21 @@ def synthesize_coefficients(exponents, targets, cond_limit: float = 1e12,
     coeffs = np.linalg.solve(mat, rhs)
     result = tuple(float(c) for c in coeffs) + (top,)
 
-    if verify:
-        h = AveragedFunction(tuple(exps), result)
-        scale = max(
-            abs(c) * max(t ** e for t in tgts) for c, e in zip(result, exps)
+    h = AveragedFunction(tuple(exps), result)
+    scale = max(
+        abs(c) * max(t ** e for t in tgts) for c, e in zip(result, exps)
+    )
+    report = positive_roots(
+        h,
+        bracket=(min(tgts) / 10.0, max(tgts) * 10.0),
+        abs_tol=1e-9 * scale,
+    )
+    found = [r.z for r in report.roots]
+    ok = len(found) == n and all(
+        abs(z - t) <= 1e-9 * t for z, t in zip(found, tgts)
+    ) and all(r.interval_degree != 0 for r in report.roots)
+    if not ok:
+        raise SynthesisError(
+            f"verification failed: targets {tgts}, recovered {found}"
         )
-        report = positive_roots(
-            h,
-            bracket=(min(tgts) / 10.0, max(tgts) * 10.0),
-            abs_tol=1e-9 * scale,
-        )
-        found = [r.z for r in report.roots]
-        ok = len(found) == n and all(
-            abs(z - t) <= 1e-9 * t for z, t in zip(found, tgts)
-        ) and all(r.interval_degree != 0 for r in report.roots)
-        if not ok:
-            raise SynthesisError(
-                f"verification failed: targets {tgts}, recovered {found}"
-            )
     return result

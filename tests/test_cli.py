@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from cycleavg import example1, spec_to_json
+from cycleavg import example1, spec_to_json, vdp
 from cycleavg.cli import main
 
 
@@ -145,6 +145,20 @@ def test_exit_code_2_on_bad_input(capsys):
     "continuation --preset vdp --eps 0.01 0.02 --steps 512",
     "continuation --preset vdp --eps 0.02 0.01 --root -1 --steps 512",
     "repro lienard --m 3",
+    "simulate --preset vdp --eps nan --steps 512",
+    "simulate --preset vdp --eps inf --steps 512",
+    "simulate --preset vdp --eps -0.01 --steps 512",
+    "simulate --preset vdp --eps 0.01 0.02 --steps 512",
+    "simulate --preset vdp --bracket 0.5 inf --steps 512",
+    "simulate --preset vdp --r0 nan",
+    "simulate --preset vdp --r0 inf",
+    "simulate --preset vdp --r0 1 --eps 0.01 0.5",
+    "pipeline --preset vdp --eps nan --steps 512",
+    "continuation --preset vdp --eps 0.02 nan --steps 512",
+    "continuation --preset vdp --eps 0.02 0.01 --root nan --bracket 0.5 2 "
+    "--steps 512",
+    "roots --preset vdp --bracket 1 inf",
+    "synthesize --preset vdp --targets nan",
 ])
 def test_exit_code_2_on_bad_numeric_argument(capsys, argv):
     rc = main(argv.split())
@@ -152,6 +166,15 @@ def test_exit_code_2_on_bad_numeric_argument(capsys, argv):
     assert rc == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_exit_code_2_on_non_finite_spec(capsys, tmp_path):
+    doc = spec_to_json(vdp().spec)
+    doc["b"][1] = math.nan
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    rc, out = run(capsys, "averaged", "--spec", str(path))
+    assert rc == 2 and out == ""
 
 
 def test_exit_code_3_on_ambiguous_integral(capsys):

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from cycleavg import flow, pipeline
+from cycleavg import cli, flow
 from cycleavg import (
     AngularMonotonicityError,
     ContinuationError,
@@ -273,12 +273,33 @@ def test_pipeline_searches_each_epsilon_once(monkeypatch):
         return real(spec, *args, **kwargs)
 
     monkeypatch.setattr(flow, "find_fixed_points", counting)
-    monkeypatch.setattr(pipeline, "find_fixed_points", counting)
     out = run_pipeline(vdp().spec, eps_values=(0.02, 0.01, 0.005))
     assert calls == [0.02, 0.01, 0.005]
     (cont,) = out["continuation"]
     assert [(row["epsilon"], row["r_star"]) for row in cont["rows"]] == [
         (run["epsilon"], run["fixed_points"][0]["r_star"]) for run in out["runs"]]
+
+
+@pytest.mark.parametrize("eps_values", [
+    (), (0.01, 0.02), (0.02, 0.02), (0.01, -0.005), (0.02, math.nan),
+    (math.inf, 0.01)])
+def test_bad_epsilon_list_searches_nothing(monkeypatch, capsys, tmp_path,
+                                           eps_values):
+    calls = []
+    monkeypatch.setattr(flow, "find_fixed_points",
+                        lambda spec, *args: calls.append(spec.epsilon))
+    csv_dir = tmp_path / "scans"
+    with pytest.raises(ValueError):
+        run_pipeline(vdp().spec, eps_values=eps_values, csv_dir=str(csv_dir))
+    assert not csv_dir.exists()
+    with pytest.raises(ValueError):
+        continuation_check(vdp().spec, eps_values, VDP_ROOT)
+    if eps_values:
+        argv = ["simulate", "--preset", "vdp", "--eps",
+                *map(repr, eps_values)]
+        assert cli.main(argv) == 2
+        capsys.readouterr()
+    assert calls == []
 
 
 def _search_cells(monkeypatch, spec, bracket, **kwargs):

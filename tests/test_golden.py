@@ -2,7 +2,8 @@
 
 `golden_cli.json` holds, for each argv, the exit code and the parsed
 stdout document: `integrals`, `averaged` and `roots` for every preset,
-plus one `synthesize` and one `repro`.  Exit codes, keys, strings, ints
+plus one `synthesize`, one `repro`, two `simulate` (an epsilon sweep and
+one `--r0` sample), one `continuation` and `classify --scan 1`.  Exit codes, keys, strings, ints
 and bools must match exactly; floats within 1e-12 (relative or
 absolute), so that another libm does not fail the comparison.
 """

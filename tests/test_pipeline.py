@@ -106,11 +106,11 @@ def test_pipeline_count_mismatch_raises():
 
 def test_pipeline_epsilon_validation():
     spec = vdp().spec
-    with pytest.raises(SpecError):
+    with pytest.raises(ValueError):
         run_pipeline(spec, eps_values=(0.01, 0.02))
-    with pytest.raises(SpecError):
+    with pytest.raises(ValueError):
         run_pipeline(spec, eps_values=(0.01, -0.005))
-    with pytest.raises(SpecError):
+    with pytest.raises(ValueError):
         run_pipeline(with_epsilon(spec, -1.0))
 
 

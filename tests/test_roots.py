@@ -29,6 +29,8 @@ def test_interval_degree_signs():
     assert interval_degree(h, 1.0, 2.0) == 0
     with pytest.raises(ValueError):
         interval_degree(h, -1.0, 2.0)
+    with pytest.raises(ValueError):
+        interval_degree(h, 1.0, math.inf)
     with pytest.raises(RootError):
         interval_degree(h, 4.0, 9.0)  # endpoint sits on the zero
 
@@ -87,6 +89,9 @@ def test_synthesize_input_validation():
         synthesize_coefficients((1.0, 2.0), (-1.0,))
     with pytest.raises(ValueError):
         synthesize_coefficients((1.0, 2.0, 3.0), (2.0, 1.0))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="targets"):
+            synthesize_coefficients((1.0, 2.0), (bad,))
 
 
 def test_synthesize_clustered_targets_abort():
