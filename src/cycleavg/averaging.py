@@ -26,39 +26,41 @@ from .fields import (
 )
 from .quadrature import integrate_circle
 
-#: |I| above NONZERO_FACTOR*tol counts as structurally nonzero, below tol as
-#: zero; anything in between is refused rather than guessed.
+#: Quadrature tolerance of the angular integrals and their dead band: |I| below
+#: INTEGRAL_TOL counts as zero, above NONZERO_FACTOR*INTEGRAL_TOL as structurally
+#: nonzero; anything in between is refused rather than guessed.
+INTEGRAL_TOL = 1e-10
 NONZERO_FACTOR = 100.0
 
 
-def angular_integral(field: HomogeneousField, tol: float = 1e-10) -> float:
+def angular_integral(field: HomogeneousField) -> float:
     """Integral of the field's radial component over one revolution."""
 
     def integrand(theta):
         radial, _ = angular_components(field, theta)
         return radial
 
-    return integrate_circle(integrand, tol, max_depth=30)
+    return integrate_circle(integrand, INTEGRAL_TOL, max_depth=30)
 
 
-def classify_nonzero(values, tol: float) -> list[bool]:
+def classify_nonzero(values) -> list[bool]:
     """Dead-band classification of angular integrals.
 
-    Raises AmbiguousIntegralError when a value falls between tol and
-    NONZERO_FACTOR*tol, where quadrature noise and a genuinely small
-    integral cannot be told apart.
+    Raises AmbiguousIntegralError when a value falls between INTEGRAL_TOL
+    and NONZERO_FACTOR*INTEGRAL_TOL, where quadrature noise and a genuinely
+    small integral cannot be told apart.
     """
     flags = []
     for idx, v in enumerate(values):
         mag = abs(v)
-        if mag >= NONZERO_FACTOR * tol:
+        if mag >= NONZERO_FACTOR * INTEGRAL_TOL:
             flags.append(True)
-        elif mag < tol:
+        elif mag < INTEGRAL_TOL:
             flags.append(False)
         else:
             raise AmbiguousIntegralError(
                 f"integral {idx} has magnitude {mag:.3e}, inside the dead band "
-                f"[{tol:.1e}, {NONZERO_FACTOR * tol:.1e}]; tighten tol"
+                f"[{INTEGRAL_TOL:.1e}, {NONZERO_FACTOR * INTEGRAL_TOL:.1e}]"
             )
     return flags
 
@@ -133,11 +135,11 @@ class Averaged:
         return max(sum(self.keep) - 1, 0)
 
 
-def average(spec: PerturbationSpec, tol: float = 1e-10) -> Averaged:
-    """Angular integrals of the ccw-normalized spec, classified against tol."""
+def average(spec: PerturbationSpec) -> Averaged:
+    """Angular integrals of the ccw-normalized spec and their dead-band flags."""
     work = normalize_ccw(spec)
-    integrals = tuple(angular_integral(f, tol) for f in work.fields)
-    return Averaged(work, integrals, tuple(classify_nonzero(integrals, tol)))
+    integrals = tuple(angular_integral(f) for f in work.fields)
+    return Averaged(work, integrals, tuple(classify_nonzero(integrals)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,9 @@ argument (ValueError); 3 quadrature failure or ambiguous integral; 4
 simulated fixed-point count disagrees with the averaged prediction;
 1 any other computation error.  `simulate`, `pipeline` and `continuation`
 share one `--eps` rule (`flow.sweep`), checked before any search.
+`--tol` (on `simulate`, `continuation`, `pipeline` and `repro`) is the
+fixed-point residual tolerance and must be finite and positive; the
+angular integrals always use `averaging.INTEGRAL_TOL`.
 """
 
 from __future__ import annotations
@@ -26,9 +29,11 @@ from .errors import CountMismatchError, CycleAvgError, QuadratureError, SpecErro
 from .fields import load_spec, normalize_ccw, spec_to_json, with_epsilon
 from .flow import (
     DEFAULT_STEPS,
+    RESIDUAL_TOL,
     continuation_check,
     return_map,
     run_to_json,
+    sample_to_json,
     simulation_bracket,
     sweep,
 )
@@ -61,7 +66,7 @@ def _load_input(args):
 
 
 def cmd_integrals(args):
-    avg = average(_load_input(args), args.tol)
+    avg = average(_load_input(args))
     return {
         "alphas": [f"{a.numerator}/{a.denominator}" for a in avg.spec.alphas],
         "integrals": list(avg.integrals),
@@ -71,12 +76,12 @@ def cmd_integrals(args):
 
 
 def cmd_averaged(args):
-    avg = average(_load_input(args), args.tol)
+    avg = average(_load_input(args))
     return {"averaged": averaged_to_json(avg.h), "lower_bound": avg.lower_bound}
 
 
 def cmd_roots(args):
-    h = average(_load_input(args), args.tol).h
+    h = average(_load_input(args)).h
     bracket = tuple(args.bracket) if args.bracket else DEFAULT_BRACKET
     report = positive_roots(h, bracket=bracket)
     return {
@@ -89,7 +94,7 @@ def cmd_roots(args):
 
 def cmd_synthesize(args):
     spec = _load_input(args)
-    avg, coeffs = retune_b(spec, args.targets, integral_tol=args.tol)
+    avg, coeffs = retune_b(spec, args.targets)
     return {
         "targets": list(args.targets),
         "synthesized_coefficients": list(coeffs),
@@ -105,17 +110,11 @@ def cmd_simulate(args):
             raise SpecError("--r0 takes at most one --eps value")
         eps = args.eps[0] if args.eps else spec.epsilon
         sample = return_map(with_epsilon(spec, eps), args.r0, args.steps)
-        return {"sample": {
-            "r0": sample.r0, "r1": sample.r1,
-            "displacement": sample.r1 - sample.r0,
-            "min_theta_speed": sample.min_theta_speed,
-            "steps": sample.steps,
-            "error_estimate": sample.error_estimate,
-        }}
+        return {"sample": sample_to_json(sample)}
     if args.bracket:
         bracket = tuple(args.bracket)
     else:
-        report = positive_roots(average(spec, args.tol).h)
+        report = positive_roots(average(spec).h)
         bracket = simulation_bracket([r.z for r in report.roots])
     runs = sweep(spec, args.eps or [spec.epsilon], bracket, args.tol,
                  steps=args.steps)
@@ -129,7 +128,7 @@ def cmd_continuation(args):
         raise SpecError("continuation needs --eps with at least two values")
     root = args.root
     if root is None:
-        report = positive_roots(average(spec, args.tol).h)
+        report = positive_roots(average(spec).h)
         if len(report.roots) != 1:
             raise SpecError(
                 f"spec predicts {len(report.roots)} roots; pass --root to pick one"
@@ -223,26 +222,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, bracket=True, eps=False, steps=False, csv=False):
-        p.add_argument("--tol", type=float, default=1e-10,
-                       help="quadrature / residual tolerance")
         if bracket:
             p.add_argument("--bracket", nargs=2, type=float, metavar=("LO", "HI"))
         if eps:
             p.add_argument("--eps", nargs="+", type=float,
                            help="epsilon value(s), strictly decreasing when several")
         if steps:
+            p.add_argument("--tol", type=float, default=RESIDUAL_TOL,
+                           help="fixed-point residual tolerance")
             p.add_argument("--steps", type=int, default=DEFAULT_STEPS)
         if csv:
             p.add_argument("--csv", help="directory for return-map scan CSV files")
 
     p = sub.add_parser("integrals", help="angular integrals and lower bound")
     _add_input_flags(p)
-    common(p, bracket=False)
     p.set_defaults(func=cmd_integrals)
 
     p = sub.add_parser("averaged", help="averaged function coefficients")
     _add_input_flags(p)
-    common(p, bracket=False)
     p.set_defaults(func=cmd_averaged)
 
     p = sub.add_parser("roots", help="positive roots of the averaged function")
@@ -252,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synthesize", help="retune b for prescribed averaged roots")
     _add_input_flags(p)
-    common(p, bracket=False)
     p.add_argument("--targets", nargs="+", type=float, required=True)
     p.set_defaults(func=cmd_synthesize)
 

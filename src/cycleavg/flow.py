@@ -35,6 +35,8 @@ log = logging.getLogger(__name__)
 
 GUARD = (1e-4, 1e4)
 DEFAULT_STEPS = 4096
+#: Default largest |P(r*) - r*| a fixed point may have to be certified.
+RESIDUAL_TOL = 1e-10
 
 _STATUS_OK = 0
 _STATUS_SPEED = 1
@@ -51,6 +53,14 @@ class ReturnMapSample:
     min_theta_speed: float
     steps: int
     error_estimate: float
+
+
+def sample_to_json(sample: ReturnMapSample) -> dict:
+    """JSON form of a return-map sample, as the CLI prints it."""
+    return {"r0": sample.r0, "r1": sample.r1,
+            "displacement": sample.r1 - sample.r0,
+            "min_theta_speed": sample.min_theta_speed,
+            "steps": sample.steps, "error_estimate": sample.error_estimate}
 
 
 @dataclass(frozen=True)
@@ -418,8 +428,8 @@ def _settle_scan(spec: PerturbationSpec, tabs: _Tables, grid: np.ndarray,
     return r1, status
 
 
-def find_fixed_points(spec: PerturbationSpec, bracket, tol: float = 1e-9,
-                      scan_points: int = 200,
+def find_fixed_points(spec: PerturbationSpec, bracket,
+                      tol: float = RESIDUAL_TOL, scan_points: int = 200,
                       steps: int = DEFAULT_STEPS) -> list[LimitCycleCertificate]:
     """Certified fixed points of the return map inside the bracket.
 
@@ -440,8 +450,8 @@ def find_fixed_points(spec: PerturbationSpec, bracket, tol: float = 1e-9,
     """
     if spec.epsilon == 0.0:
         raise SpecError("fixed-point search requires epsilon != 0")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     _check_steps(steps)
     check_bracket(bracket)
     if all(bj == 0.0 for bj in spec.b):
@@ -487,7 +497,7 @@ def find_fixed_points(spec: PerturbationSpec, bracket, tol: float = 1e-9,
     return certificates
 
 
-def sweep(spec: PerturbationSpec, eps_values, bracket, tol: float = 1e-9,
+def sweep(spec: PerturbationSpec, eps_values, bracket, tol: float = RESIDUAL_TOL,
           scan_points: int = 200, steps: int = DEFAULT_STEPS):
     """Certified fixed points at each epsilon, as lazy (eps, certificates).
 
@@ -513,7 +523,8 @@ def run_to_json(eps: float, certs) -> dict:
 
 
 def continuation_check(spec: PerturbationSpec, eps_values, predicted_root: float,
-                       bracket=None, tol: float = 1e-9, scan_points: int = 200,
+                       bracket=None, tol: float = RESIDUAL_TOL,
+                       scan_points: int = 200,
                        steps: int = DEFAULT_STEPS) -> list[ContinuationRow]:
     """Track the fixed point nearest a predicted radius while eps decreases.
 

@@ -16,6 +16,7 @@ from .errors import CountMismatchError, SpecError
 from .fields import PerturbationSpec, spec_to_json, with_b
 from .flow import (
     DEFAULT_STEPS,
+    RESIDUAL_TOL,
     continuation_rows,
     run_to_json,
     scan_return_map,
@@ -26,8 +27,7 @@ from .flow import (
 from .roots import check_bracket, positive_roots, root_to_json, synthesize_coefficients
 
 
-def retune_b(spec: PerturbationSpec, targets,
-             integral_tol: float = 1e-10) -> tuple[Averaged, tuple]:
+def retune_b(spec: PerturbationSpec, targets) -> tuple[Averaged, tuple]:
     """Choose b so the averaged function has exactly the target roots.
 
     Synthesizes coefficients over the exponents whose angular integral is
@@ -37,7 +37,7 @@ def retune_b(spec: PerturbationSpec, targets,
     Returns the retuned spec's averaging stage, reusing the input's
     integrals (they do not depend on b), and the coefficients.
     """
-    avg = average(spec, integral_tol)
+    avg = average(spec)
     exponents = [float(f.alpha) for f, nz in zip(avg.spec.fields, avg.keep)
                  if nz]
     targets = tuple(float(t) for t in targets)
@@ -64,7 +64,7 @@ def _write_scan_csv(path, grid, r1, status):
 
 
 def run_pipeline(spec: PerturbationSpec, targets=None, eps_values=None,
-                 bracket=None, tol: float = 1e-9, scan_points: int = 200,
+                 bracket=None, tol: float = RESIDUAL_TOL, scan_points: int = 200,
                  steps: int = DEFAULT_STEPS, csv_dir=None) -> dict:
     """Full report for one spec; raises CountMismatchError when the
     simulated fixed-point count disagrees with the averaged prediction.

@@ -36,22 +36,6 @@ def descartes_bound(h: AveragedFunction) -> int:
     return sum(s1 != s2 for s1, s2 in zip(signs, signs[1:]))
 
 
-def interval_degree(h, a: float, b: float, abs_tol: float = 1e-12) -> int:
-    """(sgn h(b) - sgn h(a)) / 2 over 0 < a < b < inf; +/-1 means a forced zero.
-
-    Refuses endpoints where |h| <= abs_tol, since the sign is then
-    meaningless at the working precision.
-    """
-    check_bracket((a, b))
-    ha, hb = float(h(a)), float(h(b))
-    if abs(ha) <= abs_tol or abs(hb) <= abs_tol:
-        raise RootError(
-            f"h vanishes at an endpoint within {abs_tol:.1e}: h({a:.6g})={ha:.3e}, "
-            f"h({b:.6g})={hb:.3e}"
-        )
-    return (int(math.copysign(1, hb)) - int(math.copysign(1, ha))) // 2
-
-
 @dataclass(frozen=True)
 class PositiveRoot:
     z: float

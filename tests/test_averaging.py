@@ -75,9 +75,9 @@ def test_even_power_integral_matches_wallis():
 
 
 def test_classify_nonzero_dead_band():
-    assert classify_nonzero([0.5, 1e-12, -3.0], 1e-10) == [True, False, True]
+    assert classify_nonzero([0.5, 1e-12, -3.0]) == [True, False, True]
     with pytest.raises(AmbiguousIntegralError):
-        classify_nonzero([5e-10], 1e-10)
+        classify_nonzero([5e-10])
 
 
 def test_averaged_function_drops_structural_zeros():

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from cycleavg import example1, spec_to_json, vdp
+from cycleavg import PerturbationSpec, example1, linear_field, spec_to_json, vdp
 from cycleavg.cli import main
 
 
@@ -159,6 +159,9 @@ def test_exit_code_2_on_bad_input(capsys):
     "--steps 512",
     "roots --preset vdp --bracket 1 inf",
     "synthesize --preset vdp --targets nan",
+    "pipeline --preset vdp --tol nan --steps 512",
+    "pipeline --preset vdp --tol inf --steps 512",
+    "simulate --preset vdp --tol nan --steps 512",
 ])
 def test_exit_code_2_on_bad_numeric_argument(capsys, argv):
     rc = main(argv.split())
@@ -177,9 +180,44 @@ def test_exit_code_2_on_non_finite_spec(capsys, tmp_path):
     assert rc == 2 and out == ""
 
 
-def test_exit_code_3_on_ambiguous_integral(capsys):
-    # pi and 3*pi/4 both land inside the dead band [0.1, 10)
-    assert main(["integrals", "--preset", "vdp", "--tol", "0.1"]) == 3
+def test_exit_code_3_on_ambiguous_integral(capsys, tmp_path):
+    # (a + d) * pi = 3.14e-9 lands inside the dead band [1e-10, 1e-8)
+    spec = PerturbationSpec(fields=(linear_field(5e-10, 0.0, 0.0, 5e-10),),
+                            b=(1.0,), epsilon=0.01, orientation="ccw")
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec_to_json(spec)), encoding="utf-8")
+    rc, out = run(capsys, "integrals", "--spec", str(path))
+    assert rc == 3 and out == ""
+
+
+def test_loose_residual_tol_leaves_integrals_alone(capsys):
+    rc, out = run(capsys, "simulate", "--preset", "vdp", "--tol", "0.1",
+                  "--steps", "512")
+    assert rc == 0
+    (run_doc,) = json.loads(out)["result"]["runs"]
+    assert len(run_doc["fixed_points"]) == 1
+
+
+def test_continuation_tol_keeps_predicted_root(capsys):
+    roots = []
+    for extra in ([], ["--tol", "1e-6"]):
+        rc, out = run(capsys, "continuation", "--preset", "vdp", "--eps",
+                      "0.02", "0.01", "--steps", "512", *extra)
+        assert rc == 0
+        roots.append(json.loads(out)["result"]["predicted_root"])
+    assert roots[0] == roots[1]
+
+
+@pytest.mark.parametrize("argv", [
+    "integrals --preset vdp",
+    "averaged --preset vdp",
+    "roots --preset vdp",
+    "synthesize --preset vdp --targets 1",
+])
+def test_tol_only_on_search_commands(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv.split(), "--tol", "0.1"])
+    assert exc.value.code == 2
     capsys.readouterr()
 
 

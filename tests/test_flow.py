@@ -130,12 +130,17 @@ def test_lost_monotonicity_raises_scalar_and_tags_batch():
     assert np.any(status == 1)
 
 
-def test_fixed_point_search_validation():
+def test_fixed_point_search_validation(monkeypatch):
     spec = vdp().spec
     with pytest.raises(SpecError):
         find_fixed_points(with_epsilon(spec, 0.0), (0.5, 2.0))
-    with pytest.raises(ValueError):
-        find_fixed_points(spec, (0.5, 2.0), tol=-1e-9)
+    # `residual > nan` is False, so a NaN tol would certify every cell;
+    # a bad tol is refused before the scan integrates anything
+    monkeypatch.setattr(flow, "scan_return_map",
+                        lambda *args: pytest.fail("scan ran"))
+    for tol in (-1e-9, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            find_fixed_points(spec, (0.5, 2.0), tol=tol)
 
 
 def test_continuation_tracks_predicted_root():

@@ -7,13 +7,12 @@ import pytest
 
 from cycleavg import (
     AveragedFunction,
-    RootError,
     SynthesisError,
     descartes_bound,
-    interval_degree,
     positive_roots,
     synthesize_coefficients,
 )
+from cycleavg.roots import check_bracket
 
 
 def test_descartes_bound_counts_sign_changes():
@@ -25,14 +24,14 @@ def test_descartes_bound_counts_sign_changes():
 
 def test_interval_degree_signs():
     h = AveragedFunction((0.5, 1.0), (2.0, -1.0))  # root at z = 4, decreasing
-    assert interval_degree(h, 1.0, 9.0) == -1
-    assert interval_degree(h, 1.0, 2.0) == 0
-    with pytest.raises(ValueError):
-        interval_degree(h, -1.0, 2.0)
-    with pytest.raises(ValueError):
-        interval_degree(h, 1.0, math.inf)
-    with pytest.raises(RootError):
-        interval_degree(h, 4.0, 9.0)  # endpoint sits on the zero
+    flipped = AveragedFunction(h.exponents, tuple(-c for c in h.coefficients))
+    assert [r.interval_degree for r in positive_roots(h).roots] == [-1]
+    assert [r.interval_degree for r in positive_roots(flipped).roots] == [1]
+    assert check_bracket((1, 9)) == (1.0, 9.0)
+    for bracket in ((-1.0, 2.0), (1.0, math.inf), (2.0, 1.0),
+                    (math.nan, 2.0)):
+        with pytest.raises(ValueError):
+            check_bracket(bracket)
 
 
 def test_positive_roots_single():
