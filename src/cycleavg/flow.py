@@ -37,6 +37,8 @@ GUARD = (1e-4, 1e4)
 DEFAULT_STEPS = 4096
 #: Default largest |P(r*) - r*| a fixed point may have to be certified.
 RESIDUAL_TOL = 1e-10
+#: Radii in the log-spaced scan of a fixed-point search.
+SCAN_POINTS = 200
 
 _STATUS_OK = 0
 _STATUS_SPEED = 1
@@ -316,7 +318,7 @@ def return_map(spec: PerturbationSpec, r0: float,
     )
 
 
-def scan_return_map(spec: PerturbationSpec, bracket, scan_points: int = 200,
+def scan_return_map(spec: PerturbationSpec, bracket, scan_points: int = SCAN_POINTS,
                     steps: int = DEFAULT_STEPS):
     """Evaluate the return map on a log-spaced grid; returns (r0, r1, status)."""
     _check_steps(steps)
@@ -428,15 +430,15 @@ def _settle_scan(spec: PerturbationSpec, tabs: _Tables, grid: np.ndarray,
     return r1, status
 
 
-def find_fixed_points(spec: PerturbationSpec, bracket,
-                      tol: float = RESIDUAL_TOL, scan_points: int = 200,
+def find_fixed_points(spec: PerturbationSpec, bracket, tol: float = RESIDUAL_TOL,
                       steps: int = DEFAULT_STEPS) -> list[LimitCycleCertificate]:
     """Certified fixed points of the return map inside the bracket.
 
-    Scans a log-spaced grid for sign changes of P(r) - r and refines each
-    cell by safeguarded Newton on the RK4 variational equation.  The scan
-    only has to place the sign changes, so it runs at about steps / 8,
-    with a pass at half that to estimate each node's error; nodes whose
+    Scans a log-spaced grid of `SCAN_POINTS` radii for sign changes of
+    P(r) - r and refines each cell by safeguarded Newton on the RK4
+    variational equation.  The scan only has to place the sign changes,
+    so it runs at about steps / 8, with a pass at half that to estimate
+    each node's error; nodes whose
     sign or status that resolution cannot be trusted with are integrated
     again at `steps` (`_settle_scan`).  Refinement, the residual test and
     the certificate all use `steps`, so the coarse scan moves only
@@ -460,7 +462,7 @@ def find_fixed_points(spec: PerturbationSpec, bracket,
     # a multiple of 8 near steps / 8, so its half pass keeps the axis-angle
     # alignment too
     coarse = max(8, steps // 64 * 8)
-    grid, r1, status = scan_return_map(spec, bracket, scan_points, coarse)
+    grid, r1, status = scan_return_map(spec, bracket, SCAN_POINTS, coarse)
     r1_half, _ = _integrate_batch(spec, _tables(spec.fields, coarse), grid,
                                   coarse // 2)
     tabs = _tables(spec.fields, steps)
@@ -498,7 +500,7 @@ def find_fixed_points(spec: PerturbationSpec, bracket,
 
 
 def sweep(spec: PerturbationSpec, eps_values, bracket, tol: float = RESIDUAL_TOL,
-          scan_points: int = 200, steps: int = DEFAULT_STEPS):
+          steps: int = DEFAULT_STEPS):
     """Certified fixed points at each epsilon, as lazy (eps, certificates).
 
     The epsilon list is checked here, before any search: it must be
@@ -511,8 +513,7 @@ def sweep(spec: PerturbationSpec, eps_values, bracket, tol: float = RESIDUAL_TOL
         raise ValueError(f"epsilon values must be finite and positive, got {eps_list}")
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ValueError(f"epsilon values must strictly decrease, got {eps_list}")
-    return ((eps, find_fixed_points(with_epsilon(spec, eps), bracket, tol,
-                                    scan_points, steps))
+    return ((eps, find_fixed_points(with_epsilon(spec, eps), bracket, tol, steps))
             for eps in eps_list)
 
 
@@ -524,7 +525,6 @@ def run_to_json(eps: float, certs) -> dict:
 
 def continuation_check(spec: PerturbationSpec, eps_values, predicted_root: float,
                        bracket=None, tol: float = RESIDUAL_TOL,
-                       scan_points: int = 200,
                        steps: int = DEFAULT_STEPS) -> list[ContinuationRow]:
     """Track the fixed point nearest a predicted radius while eps decreases.
 
@@ -535,8 +535,8 @@ def continuation_check(spec: PerturbationSpec, eps_values, predicted_root: float
         raise ValueError("predicted_root must be positive and finite")
     if bracket is None:
         bracket = simulation_bracket([predicted_root])
-    return continuation_rows(sweep(spec, eps_values, bracket, tol, scan_points,
-                                   steps), predicted_root)
+    return continuation_rows(sweep(spec, eps_values, bracket, tol, steps),
+                             predicted_root)
 
 
 def continuation_rows(runs, predicted_root: float) -> list[ContinuationRow]:

@@ -18,6 +18,7 @@ exponents and coefficient signs and records them in the certificate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
@@ -44,9 +45,24 @@ def _nonneg_int(value, name: str) -> int:
     return value
 
 
+def _finite_float(value, name: str) -> float:
+    try:
+        result = float(value)
+    except (TypeError, ValueError, OverflowError):
+        result = math.nan
+    if not math.isfinite(result):
+        raise SpecError(f"{name} must be a finite real number, got {value!r}")
+    return result
+
+
 @dataclass(frozen=True)
 class MonomialSystem:
-    """(dx/dt, dy/dt) = (a x^p y^q, b x^i y^j + c x^k y^l)."""
+    """(dx/dt, dy/dt) = (a x^p y^q, b x^i y^j + c x^k y^l).
+
+    The constructor is the one place a system is validated: exponents
+    must be non-negative integers and coefficients finite real numbers,
+    else `SpecError`.
+    """
 
     a: float
     p: int
@@ -62,7 +78,7 @@ class MonomialSystem:
         for name in ("p", "q", "i", "j", "k", "l"):
             object.__setattr__(self, name, _nonneg_int(getattr(self, name), name))
         for name in ("a", "b", "c"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, _finite_float(getattr(self, name), name))
 
 
 class Check(NamedTuple):
@@ -76,30 +92,6 @@ class NoCycleCertificate:
     case_label: str
     reduction_trace: tuple[str, ...]
     precondition_checks: tuple[Check, ...]
-
-
-def reduce_common_factor(sys: MonomialSystem):
-    """Strip the common factors x^s, y^u with s = min(p,i,k), u = min(q,j,l).
-
-    Valid only when a, b, c are all nonzero (otherwise the minima would
-    see phantom exponents); removing the factor rescales time off the
-    axes and cannot create or destroy periodic orbits there.
-    """
-    if sys.a == 0 or sys.b * sys.c == 0:
-        raise ValueError("reduction requires a != 0 and b*c != 0")
-    s = min(sys.p, sys.i, sys.k)
-    u = min(sys.q, sys.j, sys.l)
-    trace = []
-    if s > 0:
-        trace.append(f"x^{s}")
-    if u > 0:
-        trace.append(f"y^{u}")
-    reduced = MonomialSystem(
-        sys.a, sys.p - s, sys.q - u,
-        sys.b, sys.i - s, sys.j - u,
-        sys.c, sys.k - s, sys.l - u,
-    )
-    return reduced, tuple(trace)
 
 
 def _cert(prop, label, trace, checks):
@@ -164,11 +156,11 @@ def _classify_two_monomials(a, p, q, b, i, j, c, k, l, trace):
             ])
         unique = Check("origin is the only critical point",
                        q >= 1 and i >= 1 and l >= 1)
-        if q % 2 == 0 or i % 2 == 0 or a * b > 0:
+        if q % 2 == 0 or i % 2 == 0 or (a > 0) == (b > 0):
             return _cert("P1", "(ii)-parity", trace, [
                 unique,
                 Check("no-encircling-orbit: axis sign parity blocks rotation",
-                      q % 2 == 0 or i % 2 == 0 or a * b > 0),
+                      q % 2 == 0 or i % 2 == 0 or (a > 0) == (b > 0)),
             ])
         if l % 2 == 0:
             return _cert("P6", "(ii)-reversible", trace, [
@@ -229,11 +221,11 @@ def _classify_two_monomials(a, p, q, b, i, j, c, k, l, trace):
             # the y-carrying monomial b y^j (x-power zero).
             unique = Check("origin is the only critical point",
                            q >= 1 and k >= 1 and j >= 1)
-            if q % 2 == 0 or k % 2 == 0 or a * c > 0:
+            if q % 2 == 0 or k % 2 == 0 or (a > 0) == (c > 0):
                 return _cert("P1", "(v)-parity", trace, [
                     unique,
                     Check("no-encircling-orbit: axis sign parity blocks rotation",
-                          q % 2 == 0 or k % 2 == 0 or a * c > 0),
+                          q % 2 == 0 or k % 2 == 0 or (a > 0) == (c > 0)),
                 ])
             if j % 2 == 0:
                 return _cert("P6", "(v)-reversible", trace, [
@@ -287,12 +279,16 @@ def classify(sys: MonomialSystem) -> NoCycleCertificate:
     if a < 0:
         a, b, c = -a, -b, -c
         trace = trace + ("time reversal t -> -t",)
-    reduced, rtrace = reduce_common_factor(
-        MonomialSystem(a, p, q, b, i, j, c, k, l))
-    trace = trace + rtrace
-    a, p, q = reduced.a, reduced.p, reduced.q
-    b, i, j = reduced.b, reduced.i, reduced.j
-    c, k, l = reduced.c, reduced.k, reduced.l
+    # Strip the common factor x^s y^u.  a, b and c are all nonzero here,
+    # so the minima see every monomial; dividing by x^s y^u rescales time
+    # off the axes and cannot create or destroy periodic orbits there.
+    s, u = min(p, i, k), min(q, j, l)
+    if s > 0:
+        trace = trace + (f"x^{s}",)
+    if u > 0:
+        trace = trace + (f"y^{u}",)
+    p, i, k = p - s, i - s, k - s
+    q, j, l = q - u, j - u, l - u
     if i > k:
         b, i, j, c, k, l = c, k, l, b, i, j
         trace = trace + ("order dy/dt monomials by x-power",)
@@ -323,18 +319,11 @@ def monomial_to_json(sys: MonomialSystem) -> dict:
 def monomial_from_json(obj) -> MonomialSystem:
     if not isinstance(obj, dict):
         raise SpecError(f"monomial system must be an object, got {type(obj).__name__}")
-    missing = {"a", "p", "q", "b", "i", "j", "c", "k", "l"} - set(obj)
+    names = ("a", "p", "q", "b", "i", "j", "c", "k", "l")
+    missing = set(names) - set(obj)
     if missing:
         raise SpecError(f"monomial system missing keys {sorted(missing)}")
-    try:
-        coeffs = {name: float(obj[name]) for name in ("a", "b", "c")}
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"bad coefficient in {obj!r}") from exc
-    return MonomialSystem(
-        coeffs["a"], obj["p"], obj["q"],
-        coeffs["b"], obj["i"], obj["j"],
-        coeffs["c"], obj["k"], obj["l"],
-    )
+    return MonomialSystem(*(obj[name] for name in names))
 
 
 def certificate_to_json(cert: NoCycleCertificate) -> dict:

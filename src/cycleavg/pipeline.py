@@ -13,6 +13,7 @@ from dataclasses import replace
 
 from .averaging import Averaged, average, averaged_to_json
 from .errors import CountMismatchError, SpecError
+from . import flow
 from .fields import PerturbationSpec, spec_to_json, with_b
 from .flow import (
     DEFAULT_STEPS,
@@ -64,7 +65,7 @@ def _write_scan_csv(path, grid, r1, status):
 
 
 def run_pipeline(spec: PerturbationSpec, targets=None, eps_values=None,
-                 bracket=None, tol: float = RESIDUAL_TOL, scan_points: int = 200,
+                 bracket=None, tol: float = RESIDUAL_TOL,
                  steps: int = DEFAULT_STEPS, csv_dir=None) -> dict:
     """Full report for one spec; raises CountMismatchError when the
     simulated fixed-point count disagrees with the averaged prediction.
@@ -86,7 +87,7 @@ def run_pipeline(spec: PerturbationSpec, targets=None, eps_values=None,
     sim_bracket = (simulation_bracket(predicted) if bracket is None
                    else check_bracket(bracket))
     searches = sweep(work, [work.epsilon] if eps_values is None else eps_values,
-                     sim_bracket, tol, scan_points, steps)
+                     sim_bracket, tol, steps)
 
     out = {
         "spec": spec_to_json(work),
@@ -108,8 +109,8 @@ def run_pipeline(spec: PerturbationSpec, targets=None, eps_values=None,
     runs = []
     for idx, (eps, certs) in enumerate(searches):
         if csv_dir is not None:
-            grid, r1, status = scan_return_map(with_epsilon(work, eps),
-                                               sim_bracket, scan_points, steps)
+            grid, r1, status = scan_return_map(with_epsilon(work, eps), sim_bracket,
+                                               flow.SCAN_POINTS, steps)
             _write_scan_csv(os.path.join(csv_dir, f"scan_{idx:02d}.csv"),
                             grid, r1, status)
         out["runs"].append(run_to_json(eps, certs))

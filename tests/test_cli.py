@@ -108,6 +108,14 @@ def test_classify_system_from_file(capsys, tmp_path):
     assert json.loads(out)["result"]["property"] == "P3"
 
 
+def test_classify_coefficient_underflow(capsys):
+    # b*c underflows to 0; the system is valid and gets a certificate
+    system = '{"a":1,"p":1,"q":0,"b":1e-200,"i":1,"j":0,"c":1e-200,"k":0,"l":1}'
+    rc, out = run(capsys, "classify", "--system", system)
+    assert rc == 0
+    assert json.loads(out)["result"]["property"] == "P3"
+
+
 def test_classify_scan_counts(capsys):
     rc, out = run(capsys, "classify", "--scan", "1")
     assert rc == 0
@@ -115,6 +123,15 @@ def test_classify_scan_counts(capsys):
     assert scan["total"] == 27 * 64
     assert sum(scan["counts"].values()) == scan["total"]
     assert set(scan["counts"]) <= {"P1", "P2", "P3", "P4", "P5", "P6"}
+
+
+def test_classify_scan_4_counts(capsys):
+    rc, out = run(capsys, "classify", "--scan", "4")
+    assert rc == 0
+    scan = json.loads(out)["result"]["scan"]
+    assert scan["total"] == 27 * 5 ** 6
+    assert scan["counts"] == {"P1": 47_272, "P2": 92_736, "P3": 265_639,
+                              "P4": 13_100, "P5": 1_040, "P6": 2_088}
 
 
 def test_repro_example1(capsys):
@@ -162,6 +179,8 @@ def test_exit_code_2_on_bad_input(capsys):
     "pipeline --preset vdp --tol nan --steps 512",
     "pipeline --preset vdp --tol inf --steps 512",
     "simulate --preset vdp --tol nan --steps 512",
+    'classify --system {"a":NaN,"p":1,"q":0,"b":1,"i":0,"j":1,"c":1,"k":0,"l":0}',
+    'classify --system {"a":1,"p":1,"q":0,"b":Infinity,"i":0,"j":1,"c":1,"k":0,"l":0}',
 ])
 def test_exit_code_2_on_bad_numeric_argument(capsys, argv):
     rc = main(argv.split())

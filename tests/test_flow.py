@@ -307,7 +307,7 @@ def test_bad_epsilon_list_searches_nothing(monkeypatch, capsys, tmp_path,
     assert calls == []
 
 
-def _search_cells(monkeypatch, spec, bracket, **kwargs):
+def _search_cells(monkeypatch, spec, bracket):
     """Certificates of a search and the (grid, displacement, ok) of its cells."""
     seen = []
     real = flow._sign_change_cells
@@ -317,7 +317,7 @@ def _search_cells(monkeypatch, spec, bracket, **kwargs):
         return real(grid, disp, ok)
 
     monkeypatch.setattr(flow, "_sign_change_cells", spy)
-    certs = find_fixed_points(spec, bracket, **kwargs)
+    certs = find_fixed_points(spec, bracket)
     (cells,) = seen
     return certs, cells
 
@@ -352,7 +352,8 @@ def test_example1_fixed_point_next_to_a_node_is_certified_at_full_resolution(
     coarse_disp = coarse_r1[mid] - coarse_grid[mid]
     assert full_disp < 0.0 < coarse_disp  # the coarse sign is wrong
 
-    certs, cells = _search_cells(monkeypatch, spec, bracket, scan_points=points)
+    monkeypatch.setattr(flow, "SCAN_POINTS", points)
+    certs, cells = _search_cells(monkeypatch, spec, bracket)
     _assert_full_resolution_cells(cells, spec, bracket, points, steps)
     assert len(certs) == 1
     assert certs[0].r_star == pytest.approx(cert.r_star, rel=1e-12)
@@ -370,7 +371,7 @@ def test_lienard6_stiff_band_cells_match_full_resolution(monkeypatch):
     assert np.count_nonzero((coarse_status == 2) & (full_status == 0)) >= 5
 
     certs, cells = _search_cells(monkeypatch, spec, bracket)
-    _assert_full_resolution_cells(cells, spec, bracket, 200, steps)
+    _assert_full_resolution_cells(cells, spec, bracket, flow.SCAN_POINTS, steps)
     assert len(certs) == 3
 
 

@@ -3,9 +3,12 @@
 `golden_cli.json` holds, for each argv, the exit code and the parsed
 stdout document: `integrals`, `averaged` and `roots` for every preset,
 plus one `synthesize`, one `repro`, two `simulate` (an epsilon sweep and
-one `--r0` sample), one `continuation` and `classify --scan 1`.  Exit codes, keys, strings, ints
-and bools must match exactly; floats within 1e-12 (relative or
-absolute), so that another libm does not fail the comparison.
+one `--r0` sample), one `continuation`, `classify --scan 1` and one
+`classify --system` per canonicalization step (duplicate merge, swap,
+time reversal, x^s strip, y^u strip, x-power ordering).  Exit codes,
+keys, strings, ints and bools must match exactly; floats within 1e-12
+(relative or absolute), so that another libm does not fail the
+comparison.
 """
 
 import json

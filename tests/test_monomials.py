@@ -1,6 +1,7 @@
 """Cycle-free classifier: case coverage, certificate semantics, families."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from cycleavg import (
     monomial,
     monomial_from_json,
     monomial_to_json,
-    reduce_common_factor,
     return_map,
 )
 
@@ -43,20 +43,36 @@ def test_exponent_validation():
     assert sys.p == 2 and isinstance(sys.p, int)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, None, "x",
+                                 10 ** 400],
+                         ids=["nan", "inf", "-inf", "None", "str", "10**400"])
+@pytest.mark.parametrize("slot", [0, 3, 6])
+def test_coefficient_validation(bad, slot):
+    args = [1.0, 0, 1, -1.0, 1, 0, 1.0, 2, 1]
+    args[slot] = bad
+    with pytest.raises(SpecError):
+        MonomialSystem(*args)
+
+
+def test_classify_builds_no_system(monkeypatch):
+    sys = MonomialSystem(1.0, 0, 1, -1.0, 1, 0, 1.0, 2, 1)
+    calls = []
+    real = MonomialSystem.__post_init__
+
+    def spy(self):
+        calls.append(self)
+        real(self)
+
+    monkeypatch.setattr(MonomialSystem, "__post_init__", spy)
+    assert classify(sys).case_label == "(ii)-divergence"
+    assert calls == []
+
+
 def test_reduce_common_factor():
-    sys = MonomialSystem(1.0, 2, 1, 1.0, 3, 2, 1.0, 2, 4)
-    reduced, trace = reduce_common_factor(sys)
-    assert trace == ("x^2", "y^1")
-    assert (reduced.p, reduced.q, reduced.i, reduced.j, reduced.k, reduced.l) \
-        == (0, 0, 1, 1, 0, 3)
-    assert (reduced.a, reduced.b, reduced.c) == (1.0, 1.0, 1.0)
-
-
-def test_reduce_requires_all_coefficients():
-    with pytest.raises(ValueError):
-        reduce_common_factor(MonomialSystem(0.0, 1, 0, 1.0, 1, 0, 1.0, 0, 1))
-    with pytest.raises(ValueError):
-        reduce_common_factor(MonomialSystem(1.0, 1, 0, 0.0, 1, 0, 1.0, 0, 1))
+    cert = classify(MonomialSystem(1.0, 2, 1, 1.0, 3, 2, 1.0, 2, 4))
+    trace = cert.reduction_trace
+    assert "x^2" in trace and "y^1" in trace
+    assert trace.index("x^2") < trace.index("y^1")
 
 
 # one representative per branch of the case tree
@@ -94,6 +110,24 @@ def test_branch_coverage():
         cert = classify(MonomialSystem(*args))
         assert (cert.property, cert.case_label) == (prop, label), args
         assert all(ch.ok for ch in cert.precondition_checks)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_certificate_ignores_coefficient_scale(scale):
+    # scaling every coefficient by one positive factor rescales time
+    for args, _, _ in BRANCHES:
+        a, p, q, b, i, j, c, k, l = args
+        scaled = (a * scale, p, q, b * scale, i, j, c * scale, k, l)
+        assert certificate_to_json(classify(MonomialSystem(*scaled))) \
+            == certificate_to_json(classify(MonomialSystem(*args))), args
+
+
+def test_parity_tests_signs_not_products():
+    # a*b underflows to 0 for the scaled system; the sign rule still holds
+    unscaled = classify(MonomialSystem(1.0, 0, 1, 1.0, 1, 0, 1.0, 2, 1))
+    scaled = classify(MonomialSystem(1e-200, 0, 1, 1e-200, 1, 0, 1.0, 2, 1))
+    assert unscaled.case_label == "(ii)-parity"
+    assert certificate_to_json(scaled) == certificate_to_json(unscaled)
 
 
 def test_reduction_trace_recorded():
@@ -223,9 +257,10 @@ def test_monomial_json_round_trip():
         monomial_from_json([1, 2, 3])
     with pytest.raises(SpecError):
         monomial_from_json({"a": 1.0, "p": 0})
-    with pytest.raises(SpecError):
-        monomial_from_json({"a": "x", "p": 0, "q": 0, "b": 0, "i": 0,
-                            "j": 0, "c": 0, "k": 0, "l": 0})
+    for bad in ("x", None, math.nan, math.inf):
+        with pytest.raises(SpecError):
+            monomial_from_json({"a": 1.0, "p": 0, "q": 0, "b": bad, "i": 0,
+                                "j": 0, "c": 0, "k": 0, "l": 0})
 
 
 def test_certificate_json_shape():

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from cycleavg import averaging, cli
+from cycleavg import averaging, cli, flow
 from cycleavg import (
     CountMismatchError,
     SpecError,
@@ -121,8 +121,9 @@ def test_pipeline_example1():
     assert len(out["runs"][0]["fixed_points"]) == 1
 
 
-def test_pipeline_writes_scan_csv(tmp_path):
-    out = run_pipeline(vdp().spec, scan_points=50, csv_dir=str(tmp_path))
+def test_pipeline_writes_scan_csv(monkeypatch, tmp_path):
+    monkeypatch.setattr(flow, "SCAN_POINTS", 50)
+    out = run_pipeline(vdp().spec, csv_dir=str(tmp_path))
     path = tmp_path / "scan_00.csv"
     assert path.exists()
     with open(path, newline="") as fh:
