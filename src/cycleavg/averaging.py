@@ -18,37 +18,48 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguousIntegralError, SpecError
-from .fields import (
-    HomogeneousField,
-    PerturbationSpec,
-    angular_components,
-    normalize_ccw,
-)
+from .fields import HomogeneousField, PerturbationSpec, normalize_ccw
 from .quadrature import integrate_circle
 
-#: Quadrature tolerance of the angular integrals and their dead band: |I| below
-#: INTEGRAL_TOL counts as zero, above NONZERO_FACTOR*INTEGRAL_TOL as structurally
-#: nonzero; anything in between is refused rather than guessed.
+#: Dead band of the angular integrals: |I| below INTEGRAL_TOL counts as zero,
+#: above NONZERO_FACTOR*INTEGRAL_TOL as structurally nonzero; anything in
+#: between is refused rather than guessed.
 INTEGRAL_TOL = 1e-10
 NONZERO_FACTOR = 100.0
 
 
+def _quarter_moment(a, b) -> float:
+    """int_0^{pi/2} cos^a sin^b = B((a+1)/2, (b+1)/2) / 2 for a, b >= 0.
+
+    Evaluated through log-gamma, which stays finite for every degree a
+    spec accepts (math.gamma overflows once (a+1)/2 passes ~171).
+    """
+    p, q = 0.5 * (float(a) + 1.0), 0.5 * (float(b) + 1.0)
+    return 0.5 * math.exp(math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q))
+
+
 def angular_integral(field: HomogeneousField) -> float:
-    """Integral of the field's radial component over one revolution."""
+    """Integral of the field's radial component f cos + g sin over one revolution.
 
-    def integrand(theta):
-        radial, _ = angular_components(field, theta)
-        return radial
-
-    return integrate_circle(integrand, INTEGRAL_TOL, max_depth=30)
+    On each quarter turn an f term c p(x, a, sx) p(y, b, sy) contributes
+    +-c |cos|^(a+1) |sin|^b.  The four quadrant signs cancel unless the term
+    is odd in x and even in y, leaving 4c M(a+1, b) with M the quarter-turn
+    moment; a g term likewise leaves 4c M(a, b+1) when odd in y and even in
+    x.  Structurally zero integrals are therefore exactly 0.0.
+    """
+    f_part = sum(t.coeff * _quarter_moment(t.x_exp + 1, t.y_exp)
+                 for t in field.f_terms if t.x_signed and not t.y_signed)
+    g_part = sum(t.coeff * _quarter_moment(t.x_exp, t.y_exp + 1)
+                 for t in field.g_terms if t.y_signed and not t.x_signed)
+    return 4.0 * (f_part + g_part)
 
 
 def classify_nonzero(values) -> list[bool]:
     """Dead-band classification of angular integrals.
 
     Raises AmbiguousIntegralError when a value falls between INTEGRAL_TOL
-    and NONZERO_FACTOR*INTEGRAL_TOL, where quadrature noise and a genuinely
-    small integral cannot be told apart.
+    and NONZERO_FACTOR*INTEGRAL_TOL, where a cancellation between terms that
+    leaves rounding noise and a genuinely small integral cannot be told apart.
     """
     flags = []
     for idx, v in enumerate(values):

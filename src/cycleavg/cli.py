@@ -6,13 +6,13 @@ sorted keys so identical inputs give byte-identical output.
 
 Exit codes: 0 success; 2 malformed input (bad JSON, schema violation,
 inconsistent flags: SpecError) or an out-of-range or non-finite numeric
-argument (ValueError); 3 quadrature failure or ambiguous integral; 4
-simulated fixed-point count disagrees with the averaged prediction;
-1 any other computation error.  `simulate`, `pipeline` and `continuation`
+argument (ValueError); 3 an angular integral in the dead band
+(AmbiguousIntegralError); 4 simulated fixed-point count disagrees with
+the averaged prediction; 1 any other computation error.  `simulate`, `pipeline` and `continuation`
 share one `--eps` rule (`flow.sweep`), checked before any search.
 `--tol` (on `simulate`, `continuation`, `pipeline` and `repro`) is the
-fixed-point residual tolerance and must be finite and positive; the
-angular integrals always use `averaging.INTEGRAL_TOL`.
+fixed-point residual tolerance and must be finite and positive; the dead
+band of the angular integrals is always `averaging.INTEGRAL_TOL`.
 """
 
 from __future__ import annotations

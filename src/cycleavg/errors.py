@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: malformed input (2), quadrature
-failure (3), predicted-vs-simulated count mismatch (4).
+The CLI maps these onto exit codes: malformed input (2), an angular
+integral in the dead band (3), predicted-vs-simulated count mismatch (4).
 """
 
 

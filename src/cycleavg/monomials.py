@@ -46,13 +46,16 @@ def _nonneg_int(value, name: str) -> int:
 
 
 def _finite_float(value, name: str) -> float:
-    try:
-        result = float(value)
-    except (TypeError, ValueError, OverflowError):
-        result = math.nan
-    if not math.isfinite(result):
-        raise SpecError(f"{name} must be a finite real number, got {value!r}")
-    return result
+    # Floats first: the scan's coefficients are floats and skip the bool test.
+    if isinstance(value, float) or (isinstance(value, int)
+                                    and not isinstance(value, bool)):
+        try:
+            result = float(value)
+        except OverflowError:
+            result = math.inf
+        if math.isfinite(result):
+            return result
+    raise SpecError(f"{name} must be a finite real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -60,8 +63,8 @@ class MonomialSystem:
     """(dx/dt, dy/dt) = (a x^p y^q, b x^i y^j + c x^k y^l).
 
     The constructor is the one place a system is validated: exponents
-    must be non-negative integers and coefficients finite real numbers,
-    else `SpecError`.
+    must be non-negative integers and coefficients finite ints or floats,
+    else `SpecError`.  Bools and numeric strings are refused for both.
     """
 
     a: float

@@ -62,6 +62,6 @@ def integrate_panels(fn, breakpoints, tol: float, max_depth: int = 40) -> float:
     return total
 
 
-def integrate_circle(fn, tol: float, max_depth: int = 40) -> float:
+def integrate_circle(fn, tol: float) -> float:
     """Integrate over one angular period, pre-split at the axis angles."""
-    return integrate_panels(fn, AXIS_ANGLES, tol, max_depth)
+    return integrate_panels(fn, AXIS_ANGLES, tol)

@@ -1,14 +1,18 @@
 """Angular integrals, the averaged function, and the Wronskian pair."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import beta_moment, quad_circle, wallis_even
 from cycleavg import (
     AmbiguousIntegralError,
     AveragedFunction,
+    HomogeneousField,
+    SignedPowerTerm,
     SpecError,
     angular_components,
     angular_integral,
@@ -21,9 +25,13 @@ from cycleavg import (
     wronskian_closed_form,
     wronskian_numeric,
 )
+from cycleavg import quadrature
+from cycleavg.fields import reflect_diagonal
 from cycleavg.presets import (
+    catalog,
     constant_field,
     example1,
+    example2,
     linear_field,
     signed_root_field,
     vdp,
@@ -74,6 +82,104 @@ def test_even_power_integral_matches_wallis():
                                                         rel=1e-12)
 
 
+#: Rational exponents 0..6 with denominators up to 6.
+EXPONENTS = st.integers(1, 6).flatmap(
+    lambda d: st.integers(0, 6 * d).map(lambda n: Fraction(n, d)))
+
+
+@st.composite
+def signed_power_fields(draw):
+    """A field of degree alpha with 0..2 terms in each component; each term
+    splits alpha into x and y exponents and carries any valid sign flags."""
+    alpha = draw(EXPONENTS)
+
+    def term():
+        d = draw(st.integers(1, 6))
+        x_exp = Fraction(draw(st.integers(0, math.floor(alpha * d))), d)
+        y_exp = alpha - x_exp
+        return SignedPowerTerm(draw(st.floats(-3.0, 3.0)), x_exp, y_exp,
+                               x_exp > 0 and draw(st.booleans()),
+                               y_exp > 0 and draw(st.booleans()))
+
+    f_terms = tuple(term() for _ in range(draw(st.integers(0, 2))))
+    g_terms = tuple(term() for _ in range(draw(st.integers(0, 2))))
+    return HomogeneousField(f_terms, g_terms, alpha)
+
+
+def _radial_profile(field):
+    """f cos + g sin on the unit circle, evaluated term by term with math."""
+    def power(u, e, signed):
+        mag = abs(u) ** float(e)
+        return math.copysign(mag, u) if signed else mag
+
+    def component(terms, c, s):
+        return sum(t.coeff * power(c, t.x_exp, t.x_signed)
+                   * power(s, t.y_exp, t.y_signed) for t in terms)
+
+    def radial(theta):
+        c, s = math.cos(theta), math.sin(theta)
+        return (component(field.f_terms, c, s) * c
+                + component(field.g_terms, c, s) * s)
+
+    return radial
+
+
+# QUADPACK warns when rounding stops it short of 1e-13 on a quarter turn;
+# the assertion still bounds the difference by 1e-12.
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(signed_power_fields())
+def test_angular_integral_matches_scipy_on_random_fields(field):
+    reference = quad_circle(_radial_profile(field), tol=1e-13)
+    assert angular_integral(field) == pytest.approx(reference, rel=1e-12,
+                                                    abs=1e-12)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(signed_power_fields())
+def test_angular_integral_invariant_under_diagonal_reflection(field):
+    # normalize_ccw rewrites a cw spec through this reflection
+    assert angular_integral(reflect_diagonal(field)) == angular_integral(field)
+
+
+def test_structural_zeros_are_exact():
+    zeros = {}
+    for name, make in catalog().items():
+        avg = average(make().spec)
+        zeros[name] = [v for v, nz in zip(avg.integrals, avg.keep) if not nz]
+        assert all(v == 0.0 for v in zeros[name]), name
+    for name in ("example1", "example2", "herd", "capillary"):
+        assert zeros[name], name
+
+
+def test_average_runs_no_quadrature(monkeypatch):
+    calls = []
+    real = quadrature.gauss_panel
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(quadrature, "gauss_panel", spy)
+    average(example2().spec)
+    assert calls == []
+    # the spy sees the quadrature that the Melnikov line integral runs
+    melnikov_line_integral(vdp().spec, 1.0)
+    assert calls
+
+
+def test_degree_400_integral_is_finite_and_exact():
+    # sgn(x)|x|^200 |y|^200 integrates 4 int_0^{pi/2} cos^201 sin^200; with
+    # u = sin that is 4 sum_j C(100, j) (-1)^j / (201 + 2j), exactly.
+    field = HomogeneousField((SignedPowerTerm(1.0, 200, 200, True, False),),
+                             (), 400)
+    exact = 4 * sum(Fraction((-1) ** j * math.comb(100, j), 201 + 2 * j)
+                    for j in range(101))
+    val = angular_integral(field)
+    assert math.isfinite(val) and val > 0.0
+    assert val == pytest.approx(float(exact), rel=1e-12, abs=0.0)
+
+
 def test_classify_nonzero_dead_band():
     assert classify_nonzero([0.5, 1e-12, -3.0]) == [True, False, True]
     with pytest.raises(AmbiguousIntegralError):
@@ -122,7 +228,7 @@ def test_average_orientation_independent():
     assert avg.spec.orientation == "ccw"
     # the reflection to ccw form leaves every angular integral unchanged
     raw = [angular_integral(f) for f in cw.fields]
-    assert list(avg.integrals) == pytest.approx(raw, abs=1e-12)
+    assert list(avg.integrals) == raw
 
 
 def test_averaged_function_domain_and_eval():

@@ -181,6 +181,8 @@ def test_exit_code_2_on_bad_input(capsys):
     "simulate --preset vdp --tol nan --steps 512",
     'classify --system {"a":NaN,"p":1,"q":0,"b":1,"i":0,"j":1,"c":1,"k":0,"l":0}',
     'classify --system {"a":1,"p":1,"q":0,"b":Infinity,"i":0,"j":1,"c":1,"k":0,"l":0}',
+    'classify --system {"a":"1.5","p":1,"q":0,"b":1,"i":0,"j":1,"c":1,"k":0,"l":0}',
+    'classify --system {"a":1.5,"p":1,"q":0,"b":true,"i":0,"j":1,"c":1,"k":0,"l":0}',
 ])
 def test_exit_code_2_on_bad_numeric_argument(capsys, argv):
     rc = main(argv.split())

@@ -44,8 +44,9 @@ def test_exponent_validation():
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, None, "x",
-                                 10 ** 400],
-                         ids=["nan", "inf", "-inf", "None", "str", "10**400"])
+                                 10 ** 400, "1.5", True],
+                         ids=["nan", "inf", "-inf", "None", "str", "10**400",
+                              "numeric-str", "bool"])
 @pytest.mark.parametrize("slot", [0, 3, 6])
 def test_coefficient_validation(bad, slot):
     args = [1.0, 0, 1, -1.0, 1, 0, 1.0, 2, 1]
