@@ -23,7 +23,8 @@ class AmbiguousIntegralError(QuadratureError):
 
 
 class RootError(CycleAvgError):
-    """Root scan or bisection failure, or a count exceeding the sign-change bound."""
+    """Non-finite value of h during root isolation, or a count exceeding the
+    sign-change bound."""
 
 
 class SynthesisError(CycleAvgError):

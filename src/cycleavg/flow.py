@@ -312,7 +312,7 @@ def return_map(spec: PerturbationSpec, r0: float,
     return ReturnMapSample(
         r0=float(r0),
         r1=r1,
-        min_theta_speed=min_den if math.isfinite(min_den) else 1.0,
+        min_theta_speed=min_den,
         steps=steps,
         error_estimate=abs(r1 - r1_half) / 15.0,
     )

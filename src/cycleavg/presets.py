@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from typing import Mapping
 
+from .averaging import _quarter_moment
 from .fields import (
     Fraction,
     HomogeneousField,
@@ -24,10 +25,10 @@ from .monomials import lienard_family
 
 #: int_0^{pi/2} cos^{3/2} = B(5/4, 1/2) / 2, the quarter-turn moment of the
 #: signed square root; the full-circle integral of sqrt-sgn(cos)*cos is 4x this.
-SQRT_MOMENT = 0.5 * math.gamma(1.25) * math.gamma(0.5) / math.gamma(1.75)
+SQRT_MOMENT = _quarter_moment(Fraction(3, 2), 0)
 
 #: Same for the signed cube root: int_0^{pi/2} cos^{4/3} = B(7/6, 1/2) / 2.
-CBRT_MOMENT = 0.5 * math.gamma(7 / 6) * math.gamma(0.5) / math.gamma(5 / 3)
+CBRT_MOMENT = _quarter_moment(Fraction(4, 3), 0)
 
 
 def constant_field(s1: float, s2: float) -> HomogeneousField:

@@ -2,15 +2,16 @@
 
 Power tuples with distinct exponents form an extended Chebyshev system
 on (0, inf), so the number of positive zeros never exceeds the number
-of sign changes in the coefficient sequence.  The finder pairs a
-log-spaced sign scan with bisection and annotates each zero with a
-topological degree over its isolating interval, which is the part that
-survives as a limit-cycle count under perturbation.
+of sign changes in the coefficient sequence.  The Rolle step of that
+rule (Jameson, Math. Gazette 90, 2006) isolates the zeros exactly, and
+each carries its topological degree over its isolating piece, which is
+the part that survives as a limit-cycle count under perturbation.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,6 @@ from .averaging import AveragedFunction
 from .errors import RootError, SynthesisError
 
 DEFAULT_BRACKET = (1e-6, 1e3)
-SCAN_POINTS = 10_000
 
 
 def check_bracket(bracket) -> tuple[float, float]:
@@ -61,82 +61,80 @@ class RootReport:
         return len(self.roots)
 
 
-def _bisect_to_zero(h, lo: float, hi: float, abs_tol: float) -> float:
-    """Bisect a sign-change cell down to relative machine width.
+def _evaluate(terms, z: float) -> float:
+    try:
+        value = sum(c * z ** e for e, c in terms)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise RootError(f"h is not finite at z={z:.9g}")
+    return value
 
-    The returned point must satisfy |h| <= abs_tol, otherwise the cell is
-    declared unresolvable (e.g. a near-tangency the scan misread).
+
+def _bisect(terms, a: float, b: float, rising: bool) -> float:
+    """Zero of sum c z^e on a monotone piece (a, b), bisected to adjacent floats.
+
+    Positive floats are ordered like their bit patterns, and each probe is
+    the pattern in between with the most trailing zero bits.  The probes
+    thus form one fixed binary tree, so every piece that holds the band in
+    which rounding blurs the sign of the sum ends at the same float: the
+    zero does not depend on the bracket.
     """
-    flo = float(h(lo))
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 4.0 * np.finfo(float).eps * mid:
-            break
-        fmid = float(h(mid))
-        if fmid == 0.0:
-            lo = hi = mid
-            break
-        if (flo > 0) != (fmid > 0):
+    lo, hi = (struct.unpack("<q", struct.pack("<d", x))[0] for x in (a, b))
+    root = a
+    while hi - lo > 1:
+        shift = (lo ^ (hi - 1)).bit_length() - 1
+        mid = (hi - 1) >> shift << shift
+        z = struct.unpack("<d", struct.pack("<q", mid))[0]
+        value = _evaluate(terms, z)
+        if value == 0.0:
+            return z
+        if (value > 0) == rising:
             hi = mid
         else:
-            lo, flo = mid, fmid
-    z = 0.5 * (lo + hi)
-    if abs(float(h(z))) > abs_tol:
-        raise RootError(
-            f"bisection stalled at z={z:.9g} with |h|={abs(float(h(z))):.3e} > "
-            f"abs_tol={abs_tol:.1e}"
-        )
-    return z
+            lo, root = mid, z
+    return root
 
 
-def _derivative_sign(h, z: float) -> int:
-    step = 1e-6 * z
-    diff = float(h(z + step)) - float(h(z - step))
-    return 1 if diff > 0 else (-1 if diff < 0 else 0)
+def _odd_zeros(terms, lo: float, hi: float) -> list[PositiveRoot]:
+    """Sign changes of sum c z^e on [lo, hi], in increasing order.
+
+    Dividing by z^e0 keeps the zeros and removes a term from the derivative,
+    whose own sign changes (found by recursion) cut [lo, hi] into pieces on
+    which the function is monotone: a piece holds one zero exactly when its
+    endpoint values have strictly opposite signs.
+    """
+    terms = [(e, c) for e, c in terms if c != 0.0]
+    if len(terms) < 2:
+        return []
+    e0 = terms[0][0]
+    terms = [(e - e0, c) for e, c in terms]
+    slope = [(e - 1.0, c * e) for e, c in terms[1:]]
+    cuts = [lo] + [r.z for r in _odd_zeros(slope, lo, hi)] + [hi]
+    values = [_evaluate(terms, z) for z in cuts]
+    roots = []
+    for a, b, fa, fb in zip(cuts, cuts[1:], values, values[1:]):
+        if fa < 0 < fb or fb < 0 < fa:
+            degree = 1 if fb > 0 else -1
+            roots.append(PositiveRoot(_bisect(terms, a, b, fb > 0), degree,
+                                      degree, (a, b)))
+    return roots
 
 
-def positive_roots(h: AveragedFunction, bracket=DEFAULT_BRACKET,
-                   abs_tol: float = 1e-9) -> RootReport:
-    """Locate positive zeros of h inside the bracket.
+def positive_roots(h: AveragedFunction, bracket=DEFAULT_BRACKET) -> RootReport:
+    """Locate the zeros of h of odd multiplicity inside the bracket.
 
-    Log-spaced scan for sign changes, bisection inside each cell, then a
-    derivative sign (central difference) and the interval degree of the
-    isolating cell for every zero found.  The count is checked against
-    the sign-change bound; exceeding it is a numerical contradiction and
-    raises rather than returns.
+    Each comes from `_odd_zeros` with its degree (+1 or -1, also the
+    derivative sign) and the monotone piece isolating it.  A count above
+    the sign-change bound is a numerical contradiction and raises, as
+    does a non-finite value of h.
     """
     lo, hi = check_bracket(bracket)
     bound = descartes_bound(h)
-    if all(c == 0.0 for c in h.coefficients):
-        return RootReport((), bound, (lo, hi))
-
-    zs = np.logspace(math.log10(lo), math.log10(hi), SCAN_POINTS)
-    vals = np.asarray(h(zs))
-    signs = np.sign(vals)
-
-    roots: list[PositiveRoot] = []
-    last_sign = 0
-    last_idx = -1
-    for idx in range(SCAN_POINTS):
-        sign = int(signs[idx])
-        if sign == 0:
-            # Grid point is an exact zero; degree from the flanking signs.
-            nxt = next((int(s) for s in signs[idx + 1:] if s != 0), 0)
-            cell = (float(zs[max(idx - 1, 0)]), float(zs[min(idx + 1, SCAN_POINTS - 1)]))
-            roots.append(PositiveRoot(float(zs[idx]), _derivative_sign(h, zs[idx]),
-                                      (nxt - last_sign) // 2, cell))
-            last_sign, last_idx = 0, idx
-            continue
-        if last_sign != 0 and sign != last_sign:
-            a, b = float(zs[last_idx]), float(zs[idx])
-            z = _bisect_to_zero(h, a, b, abs_tol)
-            deg = (sign - last_sign) // 2
-            roots.append(PositiveRoot(z, _derivative_sign(h, z), deg, (a, b)))
-        last_sign, last_idx = sign, idx
-
+    roots = _odd_zeros(zip(h.exponents, h.coefficients), lo, hi)
     if len(roots) > bound:
         raise RootError(
-            f"scan found {len(roots)} zeros but the sign-change bound is {bound}"
+            f"isolated {len(roots)} zeros but the sign-change bound is {bound}"
         )
     return RootReport(tuple(roots), bound, (lo, hi))
 
@@ -187,14 +185,7 @@ def synthesize_coefficients(exponents, targets,
     result = tuple(float(c) for c in coeffs) + (top,)
 
     h = AveragedFunction(tuple(exps), result)
-    scale = max(
-        abs(c) * max(t ** e for t in tgts) for c, e in zip(result, exps)
-    )
-    report = positive_roots(
-        h,
-        bracket=(min(tgts) / 10.0, max(tgts) * 10.0),
-        abs_tol=1e-9 * scale,
-    )
+    report = positive_roots(h, bracket=(min(tgts) / 10.0, max(tgts) * 10.0))
     found = [r.z for r in report.roots]
     ok = len(found) == n and all(
         abs(z - t) <= 1e-9 * t for z, t in zip(found, tgts)

@@ -5,11 +5,10 @@ from fractions import Fraction
 
 
 def beta_moment(a: float) -> float:
-    """int_0^{pi/2} cos^a = B((a+1)/2, 1/2) / 2, via log-gamma."""
-    p, q = 0.5 * (a + 1.0), 0.5
-    return 0.5 * math.exp(
-        math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q)
-    )
+    """int_0^{pi/2} cos^a = B((a+1)/2, 1/2) / 2, via scipy's Beta function."""
+    from scipy.special import beta
+
+    return 0.5 * float(beta(0.5 * (a + 1.0), 0.5))
 
 
 def wallis_even(n: int) -> float:

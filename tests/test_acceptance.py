@@ -172,10 +172,8 @@ def test_criterion_7_root_count_never_exceeds_sign_changes():
         coeffs[rng.uniform(size=n) < 0.2] = 0.0
         checked += 1
         h = AveragedFunction(tuple(exps), tuple(coeffs))
-        scale = max((abs(c) * 1e3 ** e for c, e in zip(coeffs, exps)),
-                    default=1.0)
         try:
-            report = positive_roots(h, abs_tol=1e-9 * max(scale, 1.0))
+            report = positive_roots(h)
         except RootError:
             violations += 1
             continue

@@ -1,12 +1,14 @@
-"""Sign-change root isolation, interval degree, and coefficient synthesis."""
+"""Rolle-recursion root isolation, interval degree, and coefficient synthesis."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cycleavg import (
     AveragedFunction,
+    RootError,
     SynthesisError,
     descartes_bound,
     positive_roots,
@@ -49,6 +51,12 @@ def test_positive_roots_empty_cases():
     assert positive_roots(AveragedFunction((), ())).count == 0
     assert positive_roots(AveragedFunction((1.0, 2.0), (0.0, 0.0))).count == 0
     assert positive_roots(AveragedFunction((1.0, 3.0), (1.0, 2.0))).count == 0
+
+
+def test_non_finite_value_raises():
+    # z^200 overflows a double long before the bracket's end 1e3
+    with pytest.raises(RootError, match="not finite"):
+        positive_roots(AveragedFunction((0.0, 200.0), (1.0, -1.0)))
 
 
 def test_positive_roots_known_cubic():
@@ -108,8 +116,7 @@ def test_random_ect_descartes_consistency():
             continue
         coeffs = rng.uniform(-2.0, 2.0, size=n)
         h = AveragedFunction(tuple(exps), tuple(coeffs))
-        scale = max(abs(c) * 1e3 ** e for c, e in zip(coeffs, exps))
-        report = positive_roots(h, abs_tol=1e-9 * max(scale, 1.0))
+        report = positive_roots(h)
         assert report.count <= report.descartes_bound <= n - 1
 
 
@@ -119,3 +126,63 @@ def test_roots_are_simple_zeros_with_nonzero_degree():
     for root in positive_roots(h).roots:
         assert root.interval_degree in (-1, 1)
         assert root.derivative_sign == root.interval_degree
+
+
+def test_near_double_pair_gives_both_roots():
+    h = AveragedFunction((0.0, 1.0, 2.0), (1.001, -2.001, 1.0))  # (z-1)(z-1.001)
+    report = positive_roots(h)
+    assert [r.z for r in report.roots] == pytest.approx([1.0, 1.001], rel=1e-12)
+    assert [r.interval_degree for r in report.roots] == [-1, 1]
+
+
+@st.composite
+def exponents_and_targets(draw):
+    """2-5 distinct exponents in [0, 5]; one target fewer in [1e-3, 1e2],
+    consecutive ratios at least 1.001 and often exactly 1.001."""
+    exps = sorted(draw(st.sets(st.floats(0.0, 5.0), min_size=2, max_size=5)))
+    n = len(exps) - 1
+    logs = sorted(draw(st.lists(st.floats(math.log(1e-3), math.log(1e2 / 1.001 ** 3)),
+                                min_size=n, max_size=n)))
+    near = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    targets = [math.exp(logs[0])]
+    for x, pair in zip(logs[1:], near):
+        targets.append(1.001 * targets[-1] if pair else max(math.exp(x), 1.001 * targets[-1]))
+    return exps, targets
+
+
+@settings(max_examples=200, deadline=None)
+@given(exponents_and_targets())
+@example(((0.0, 1.0, 2.0), [1.0, 1.001]))
+@example(((0.5, 1.5, 2.5, 4.0), [0.02, 0.02002, 30.0]))
+def test_synthesized_targets_are_all_recovered(case):
+    # synthesis verifies its zeros on (min / 10, max * 10); on the default
+    # bracket they must come back as well, never fewer
+    exps, targets = case
+    try:
+        coeffs = synthesize_coefficients(exps, targets)
+    except SynthesisError:
+        return
+    found = [r.z for r in positive_roots(AveragedFunction(exps, coeffs)).roots]
+    assert len(found) == len(targets)
+    assert found == pytest.approx(targets, rel=1e-9, abs=0.0)
+
+
+def test_badly_scaled_terms_are_recovered():
+    # four targets whose h has terms near 1e7 (cf. the bench's SCALED_TERMS)
+    exps = (1 / 3, 1 / 2, 2 / 3, 3 / 4, 3.0)
+    targets = [0.362, 0.9, 11.2, 59.2]
+    h = AveragedFunction(exps, synthesize_coefficients(exps, targets))
+    assert max(abs(c) * 59.2 ** e for c, e in zip(h.coefficients, h.exponents)) > 1e6
+    report = positive_roots(h)
+    assert [r.z for r in report.roots] == pytest.approx(targets, rel=1e-9, abs=0.0)
+    assert [r.interval_degree for r in report.roots] == [-1, 1, -1, 1]
+
+
+def test_zero_does_not_depend_on_the_bracket():
+    # zeros 1% apart: rounding blurs the sign of h over ~2e-9 around each
+    exps = (2.0, 2.75, 2.8125, 3.0)
+    h = AveragedFunction(exps, synthesize_coefficients(exps, (1.0, 1.01, 1.0201)))
+    wide = [r.z for r in positive_roots(h).roots]
+    assert len(wide) == 3
+    for bracket in ((0.1, 10.0), (0.5, 1.5), (0.99, 1.03)):
+        assert [r.z for r in positive_roots(h, bracket).roots] == wide
