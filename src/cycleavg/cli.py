@@ -28,7 +28,6 @@ from .averaging import average, averaged_to_json
 from .errors import CountMismatchError, CycleAvgError, QuadratureError, SpecError
 from .fields import load_spec, normalize_ccw, spec_to_json, with_epsilon
 from .flow import (
-    DEFAULT_STEPS,
     RESIDUAL_TOL,
     continuation_check,
     return_map,
@@ -230,7 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
         if steps:
             p.add_argument("--tol", type=float, default=RESIDUAL_TOL,
                            help="fixed-point residual tolerance")
-            p.add_argument("--steps", type=int, default=DEFAULT_STEPS)
+            p.add_argument("--steps", type=int,
+                           help="RK4 steps per revolution (default: chosen from "
+                                "the error estimate; N pins it)")
         if csv:
             p.add_argument("--csv", help="directory for return-map scan CSV files")
 

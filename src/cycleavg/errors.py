@@ -23,8 +23,9 @@ class AmbiguousIntegralError(QuadratureError):
 
 
 class RootError(CycleAvgError):
-    """Non-finite value of h during root isolation, or a count exceeding the
-    sign-change bound."""
+    """A value of h without a sign during root isolation (a non-finite
+    coefficient; a sum that only overflows is signed from scaled terms),
+    or a count exceeding the sign-change bound."""
 
 
 class SynthesisError(CycleAvgError):

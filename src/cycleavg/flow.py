@@ -10,12 +10,34 @@ with (F_j, G_j) the radial/transverse circle profiles of field j.  The
 quotient is kept exact (no small-eps truncation).  One revolution of a
 fixed-step RK4 integration yields the return map P; its fixed points
 are the periodic orbits crossing the positive x-axis.
+
+The signed fractional powers of the fields lose smoothness on the axes,
+where uniform RK4 drops to order ~2.5.  A spec with such a term
+therefore runs on a quadrant-graded mesh: each quadrant k is crossed as
+theta = (pi/2)(k + sigma(u)), u in [0, 1], with the quintic
+sigma(u) = u^3 (10 - 15u + 6u^2), whose first two derivatives vanish at
+both ends, and the radial profile carries the factor sigma'(u)
+(Sidi's endpoint transformation, 1993).  RK4 then observes order 4
+again.  Specs made only of ordinary monomials keep the uniform mesh.
+
+Without an explicit `steps` a revolution is chosen by accuracy.  A
+Newton cell of the fixed-point search runs at BASE_STEPS and at half
+that, and when the Richardson estimate |P_N - P_N/2| / 15 exceeds the
+residual tolerance it is repeated at the power of two that fourth order
+predicts meets it, up to MAX_STEPS.  A lone revolution (`return_map`)
+starts at REVOLUTION_STEPS instead and doubles while its estimate exceeds
+RESIDUAL_TOL, each level serving as the next one's half pass.  Started
+at BASE_STEPS, a stiff radius would cost 20 to 30 easy ones; started at
+REVOLUTION_STEPS, most radii need no second level and the stiffest ones
+cost two to three, so the cost of a revolution depends little on its
+radius.  An explicit `steps` pins every revolution to that count.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -34,7 +56,12 @@ from .roots import check_bracket
 log = logging.getLogger(__name__)
 
 GUARD = (1e-4, 1e4)
-DEFAULT_STEPS = 4096
+#: First resolution of a Newton cell whose step count is chosen.
+BASE_STEPS = 512
+#: First resolution of a lone revolution whose step count is chosen.
+REVOLUTION_STEPS = 4096
+#: Largest step count the error estimate may choose.
+MAX_STEPS = 2 ** 16
 #: Default largest |P(r*) - r*| a fixed point may have to be certified.
 RESIDUAL_TOL = 1e-10
 #: Radii in the log-spaced scan of a fixed-point search.
@@ -103,26 +130,63 @@ class ContinuationRow(NamedTuple):
 
 class _Tables(NamedTuple):
     steps: int                     # resolution the grid was built for
+    thetas: np.ndarray             # angle of each node, for error messages
     alphas: tuple[float, ...]
-    radial: tuple[tuple[float, ...], ...]      # per field, on the half-step grid
-    transverse: tuple[tuple[float, ...], ...]
+    radial: tuple                  # per field, on the half-step grid
+    transverse: tuple
+
+
+def _ordinary(term) -> bool:
+    """An ordinary monomial: integer exponents, signed exactly when odd."""
+    return all(e.denominator == 1 and signed == bool(e.numerator % 2)
+               for e, signed in ((term.x_exp, term.x_signed),
+                                 (term.y_exp, term.y_signed)))
 
 
 @lru_cache(maxsize=64)
 def _tables(fields, steps: int) -> _Tables:
     # Half-step grid so every RK4 stage angle is a precomputed node.
-    thetas = np.linspace(0.0, 2.0 * math.pi, 2 * steps + 1)
+    if all(_ordinary(t) for f in fields for t in f.f_terms + f.g_terms):
+        thetas = np.linspace(0.0, 2.0 * math.pi, 2 * steps + 1)
+        weight = 1.0
+    else:
+        # steps // 2 half steps per quadrant, so the axes are nodes
+        per = steps // 2
+        j = np.arange(2 * steps + 1)
+        k = np.minimum(j // per, 3)
+        u = (j - k * per) / per
+        thetas = 0.5 * math.pi * (k + u ** 3 * (10.0 - 15.0 * u + 6.0 * u * u))
+        weight = 30.0 * u * u * (1.0 - u) ** 2
+    # Python floats: scalar arithmetic on numpy scalars is ~2x slower.
+    # Counts above BASE_STEPS other than REVOLUTION_STEPS serve only the
+    # few revolutions a stiff orbit chooses, where packed doubles take a
+    # quarter of the memory.
+    if steps <= BASE_STEPS or steps == REVOLUTION_STEPS:
+        def row(values):
+            return tuple(np.asarray(values, dtype=float).tolist())
+    else:
+        def row(values):
+            return array("d", np.asarray(values, dtype=float).tobytes())
     radial, transverse = [], []
     for field in fields:
         fr, ft = angular_components(field, thetas)
-        # Python floats: scalar arithmetic on numpy scalars is ~2x slower.
-        radial.append(tuple(np.asarray(fr, dtype=float).tolist()))
-        transverse.append(tuple(np.asarray(ft, dtype=float).tolist()))
+        radial.append(row(fr * weight))
+        transverse.append(row(ft))
     alphas = tuple(float(f.alpha) for f in fields)
-    return _Tables(steps, alphas, tuple(radial), tuple(transverse))
+    return _Tables(steps, thetas, alphas, tuple(radial), tuple(transverse))
 
 
-def _check_steps(steps: int):
+def _steps_for(estimate: float, tol: float) -> int:
+    """Power of two from BASE_STEPS whose fourth-order error meets tol."""
+    n = BASE_STEPS
+    while estimate * (BASE_STEPS / n) ** 4 > tol and n < MAX_STEPS:
+        n *= 2
+    return n
+
+
+def _check_steps(steps):
+    if steps is None:
+        return
     if steps < 8 or steps % 8 != 0:
         raise ValueError(
             f"steps must be a multiple of 8 (axis-angle panel alignment at both "
@@ -148,7 +212,7 @@ def _integrate_scalar(spec: PerturbationSpec, tabs: _Tables, r0: float,
         if not lo < r < hi:
             raise GuardBoundError(
                 f"radius {r:.6g} left the window ({lo:g}, {hi:g}) near "
-                f"theta={idx * math.pi / tabs.steps:.6g}"
+                f"theta={tabs.thetas[idx]:.6g}"
             )
         num = 0.0
         dacc = 0.0
@@ -160,7 +224,7 @@ def _integrate_scalar(spec: PerturbationSpec, tabs: _Tables, r0: float,
         if den <= 0.0:
             raise AngularMonotonicityError(
                 f"angular speed {den:.3e} <= 0 at theta="
-                f"{idx * math.pi / tabs.steps:.6g}, r={r:.6g}"
+                f"{tabs.thetas[idx]:.6g}, r={r:.6g}"
             )
         if den < state[0]:
             state[0] = den
@@ -201,7 +265,7 @@ def _integrate_tangent(spec: PerturbationSpec, tabs: _Tables, r0: float,
         if not lo < r < hi:
             raise GuardBoundError(
                 f"radius {r:.6g} left the window ({lo:g}, {hi:g}) near "
-                f"theta={idx * math.pi / tabs.steps:.6g}"
+                f"theta={tabs.thetas[idx]:.6g}"
             )
         # f = num / den with num = sum t_j, den = 1 + sum u_j / r, so
         # num' = sum a_j t_j / r and den' = sum (a_j - 1) u_j / r^2.
@@ -218,7 +282,7 @@ def _integrate_tangent(spec: PerturbationSpec, tabs: _Tables, r0: float,
         if den <= 0.0:
             raise AngularMonotonicityError(
                 f"angular speed {den:.3e} <= 0 at theta="
-                f"{idx * math.pi / tabs.steps:.6g}, r={r:.6g}"
+                f"{tabs.thetas[idx]:.6g}, r={r:.6g}"
             )
         f = num / den
         return f, (dnum / r - f * ddacc / (r * r)) / den
@@ -295,31 +359,33 @@ def _integrate_batch(spec: PerturbationSpec, tabs: _Tables, r0: np.ndarray,
 
 
 def return_map(spec: PerturbationSpec, r0: float,
-               steps: int = DEFAULT_STEPS) -> ReturnMapSample:
+               steps: int | None = None) -> ReturnMapSample:
     """P(r0) after one revolution, with a step-halving error estimate.
 
-    Fixed-step RK4 at `steps` steps (panels aligned with the axis angles)
-    plus a half-resolution pass; the fourth-order Richardson estimate
-    |P_full - P_half| / 15 is attached to the sample.
+    Fixed-step RK4 (panels aligned with the axis angles) plus a
+    half-resolution pass; the fourth-order Richardson estimate
+    |P_full - P_half| / 15 is attached to the sample.  Without `steps`
+    the count starts at REVOLUTION_STEPS and doubles while the estimate
+    exceeds RESIDUAL_TOL, up to MAX_STEPS.
     """
     _check_steps(steps)
     spec = normalize_ccw(spec)
     if not 0 < r0 < math.inf:
         raise ValueError(f"start radius must be positive and finite, got {r0}")
-    tabs = _tables(spec.fields, steps)
-    r1, min_den = _integrate_scalar(spec, tabs, r0, steps)
-    r1_half, _ = _integrate_scalar(spec, tabs, r0, steps // 2)
-    return ReturnMapSample(
-        r0=float(r0),
-        r1=r1,
-        min_theta_speed=min_den,
-        steps=steps,
-        error_estimate=abs(r1 - r1_half) / 15.0,
-    )
+    n = steps or REVOLUTION_STEPS
+    tabs = _tables(spec.fields, n)
+    r1, min_den = _integrate_scalar(spec, tabs, r0, n)
+    half, _ = _integrate_scalar(spec, tabs, r0, n // 2)
+    while steps is None and abs(r1 - half) / 15.0 > RESIDUAL_TOL and n < MAX_STEPS:
+        # the tables nest, so the last revolution is this level's half pass
+        n, half = 2 * n, r1
+        r1, min_den = _integrate_scalar(spec, _tables(spec.fields, n), r0, n)
+    return ReturnMapSample(r0=float(r0), r1=r1, min_theta_speed=min_den,
+                           steps=n, error_estimate=abs(r1 - half) / 15.0)
 
 
 def scan_return_map(spec: PerturbationSpec, bracket, scan_points: int = SCAN_POINTS,
-                    steps: int = DEFAULT_STEPS):
+                    steps: int = BASE_STEPS):
     """Evaluate the return map on a log-spaced grid; returns (r0, r1, status)."""
     _check_steps(steps)
     spec = normalize_ccw(spec)
@@ -387,13 +453,14 @@ def _newton_in_cell(pmap, a: float, b: float, ga: float, gb: float):
     return evaluated
 
 
-def _settle_scan(spec: PerturbationSpec, tabs: _Tables, grid: np.ndarray,
-                 r1: np.ndarray, status: np.ndarray, r1_half: np.ndarray):
-    """Full-resolution values and statuses wherever a coarse scan may be wrong.
+def _settle_scan(spec: PerturbationSpec, grid: np.ndarray, r1: np.ndarray,
+                 status: np.ndarray, r1_half: np.ndarray, coarse: int, steps,
+                 tol: float):
+    """Finer values and statuses wherever a coarse scan may be wrong.
 
-    `r1`, `status` come from a coarse scan of `grid` and `r1_half` from the
-    same scan at half its steps.  Two kinds of node are integrated again at
-    tabs.steps with the scalar kernel:
+    `r1`, `status` come from a scan of `grid` at `coarse` steps and
+    `r1_half` from the same scan at half of them.  Two kinds of node are
+    integrated again with the scalar kernel:
 
     - an OK node whose displacement |r1 - r0| does not exceed its own
       coarse-versus-half difference (a failed half pass gives no difference,
@@ -402,7 +469,12 @@ def _settle_scan(spec: PerturbationSpec, tabs: _Tables, grid: np.ndarray,
       nodes turn out OK, so a band that only the coarse steps lose is
       recovered node by node.
 
-    Returns new (r1, status) arrays.
+    A pinned `steps` settles each such node at `steps`.  Otherwise its
+    steps double from 2 * coarse until its sign is trusted by the same
+    rule or its Richardson estimate is within `tol` (a displacement that
+    small is a fixed point to the search's accuracy), up to MAX_STEPS; a
+    node that still fails at BASE_STEPS stays failed.  Returns new
+    (r1, status) arrays.
     """
     r1, status = r1.copy(), status.copy()
     n = len(grid)
@@ -411,19 +483,32 @@ def _settle_scan(spec: PerturbationSpec, tabs: _Tables, grid: np.ndarray,
         trusted = np.abs(r1 - grid) > np.abs(r1 - r1_half)
     borders = ~ok & (np.r_[False, ok[:-1]] | np.r_[ok[1:], False])
     pending = np.nonzero((ok & ~trusted) | borders)[0].tolist()
+    levels = [steps or 2 * coarse]
+    while steps is None and levels[-1] < MAX_STEPS:
+        levels.append(2 * levels[-1])
     settled = set()
     while pending:
         i = pending.pop()
         if i in settled:
             continue
         settled.add(i)
-        try:
-            r1[i], _ = _integrate_scalar(spec, tabs, float(grid[i]), tabs.steps)
-            status[i] = _STATUS_OK
-        except AngularMonotonicityError:
-            r1[i], status[i] = math.nan, _STATUS_SPEED
-        except GuardBoundError:
-            r1[i], status[i] = math.nan, _STATUS_GUARD
+        r0 = float(grid[i])
+        for level in levels:
+            prev = r1[i]
+            try:
+                r1[i], _ = _integrate_scalar(spec, _tables(spec.fields, level),
+                                             r0, level)
+                status[i] = _STATUS_OK
+            except AngularMonotonicityError:
+                r1[i], status[i] = math.nan, _STATUS_SPEED
+            except GuardBoundError:
+                r1[i], status[i] = math.nan, _STATUS_GUARD
+            if status[i] == _STATUS_OK:
+                change = abs(r1[i] - prev)
+                if abs(r1[i] - r0) > change or change <= 15.0 * tol:
+                    break
+            elif level >= BASE_STEPS:
+                break
         if status[i] == _STATUS_OK:
             pending += [j for j in (i - 1, i + 1)
                         if 0 <= j < n and status[j] != _STATUS_OK]
@@ -431,24 +516,30 @@ def _settle_scan(spec: PerturbationSpec, tabs: _Tables, grid: np.ndarray,
 
 
 def find_fixed_points(spec: PerturbationSpec, bracket, tol: float = RESIDUAL_TOL,
-                      steps: int = DEFAULT_STEPS) -> list[LimitCycleCertificate]:
+                      steps: int | None = None, *,
+                      on_scan=None) -> list[LimitCycleCertificate]:
     """Certified fixed points of the return map inside the bracket.
 
     Scans a log-spaced grid of `SCAN_POINTS` radii for sign changes of
     P(r) - r and refines each cell by safeguarded Newton on the RK4
     variational equation.  The scan only has to place the sign changes,
-    so it runs at about steps / 8, with a pass at half that to estimate
-    each node's error; nodes whose
-    sign or status that resolution cannot be trusted with are integrated
-    again at `steps` (`_settle_scan`).  Refinement, the residual test and
-    the certificate all use `steps`, so the coarse scan moves only
-    Newton's start point: the certificate's residual and map derivative
-    come from the last Newton revolution, and the derivative is the exact
-    derivative of the discrete map.  Failing scan nodes are summarized in one warning per
-    scan; failing cells (guard exits, lost angular monotonicity, residual
-    above tol) are logged and skipped; an empty list is a legitimate
-    outcome.  With every b_j zero the map is the identity, which has no
-    isolated fixed point, so nothing is integrated.
+    so it runs at about N / 8, with N = `steps` or BASE_STEPS, and a pass
+    at half that to estimate each node's error; nodes whose sign or
+    status that resolution cannot be trusted with are integrated again
+    (`_settle_scan`).  `on_scan`, if given, receives the settled scan as
+    (grid, r1, status).
+
+    Newton runs at `steps`; without it, each cell's count is chosen once,
+    at its secant start point, from the estimate against `tol`, and that
+    first revolution is also Newton's first evaluation.  The coarse scan
+    moves only Newton's start point: the certificate's residual and map
+    derivative come from the last Newton revolution, and the derivative
+    is the exact derivative of the discrete map.  Failing scan nodes are
+    summarized in one warning per scan; failing cells (guard exits, lost
+    angular monotonicity, residual above tol) are logged and skipped; an
+    empty list is a legitimate outcome.  With every b_j zero the map is
+    the identity, which has no isolated fixed point, so nothing is
+    integrated.
     """
     if spec.epsilon == 0.0:
         raise SpecError("fixed-point search requires epsilon != 0")
@@ -459,14 +550,15 @@ def find_fixed_points(spec: PerturbationSpec, bracket, tol: float = RESIDUAL_TOL
     if all(bj == 0.0 for bj in spec.b):
         return []
     spec = normalize_ccw(spec)
-    # a multiple of 8 near steps / 8, so its half pass keeps the axis-angle
+    # a multiple of 8 near N / 8, so its half pass keeps the axis-angle
     # alignment too
-    coarse = max(8, steps // 64 * 8)
+    coarse = max(8, (steps or BASE_STEPS) // 64 * 8)
     grid, r1, status = scan_return_map(spec, bracket, SCAN_POINTS, coarse)
     r1_half, _ = _integrate_batch(spec, _tables(spec.fields, coarse), grid,
                                   coarse // 2)
-    tabs = _tables(spec.fields, steps)
-    r1, status = _settle_scan(spec, tabs, grid, r1, status, r1_half)
+    r1, status = _settle_scan(spec, grid, r1, status, r1_half, coarse, steps, tol)
+    if on_scan is not None:
+        on_scan((grid, r1, status))
     failed = {name: int(np.count_nonzero(status == code))
               for code, name in _STATUS_NAMES.items()}
     if any(failed.values()):
@@ -474,13 +566,29 @@ def find_fixed_points(spec: PerturbationSpec, bracket, tol: float = RESIDUAL_TOL
                     len(grid), grid[0], grid[-1], sum(failed.values()),
                     ", ".join(f"{name} {count}" for name, count in failed.items()))
 
-    def pmap(r: float) -> tuple[float, float]:
-        return _integrate_tangent(spec, tabs, r, steps)
+    def cell_map():
+        """P and P' for one cell, at `steps` or at a count chosen at the
+        cell's first point, whose revolution is also Newton's first."""
+        tabs = None if steps is None else _tables(spec.fields, steps)
+
+        def pmap(r: float) -> tuple[float, float]:
+            nonlocal tabs
+            if tabs is None:
+                tabs = _tables(spec.fields, BASE_STEPS)
+                first = _integrate_tangent(spec, tabs, r, BASE_STEPS)
+                half, _ = _integrate_scalar(spec, tabs, r, BASE_STEPS // 2)
+                estimate = abs(first[0] - half) / 15.0
+                if estimate <= tol:
+                    return first
+                tabs = _tables(spec.fields, _steps_for(estimate, tol))
+            return _integrate_tangent(spec, tabs, r, tabs.steps)
+
+        return pmap
 
     certificates = []
     for a, b, ga, gb in _sign_change_cells(grid, r1 - grid, status == _STATUS_OK):
         try:
-            r_star, g, deriv = _newton_in_cell(pmap, a, b, ga, gb)
+            r_star, g, deriv = _newton_in_cell(cell_map(), a, b, ga, gb)
         except (GuardBoundError, AngularMonotonicityError) as exc:
             log.warning("cell [%.6g, %.6g]: %s", a, b, exc)
             continue
@@ -500,20 +608,22 @@ def find_fixed_points(spec: PerturbationSpec, bracket, tol: float = RESIDUAL_TOL
 
 
 def sweep(spec: PerturbationSpec, eps_values, bracket, tol: float = RESIDUAL_TOL,
-          steps: int = DEFAULT_STEPS):
+          steps: int | None = None, *, on_scan=None):
     """Certified fixed points at each epsilon, as lazy (eps, certificates).
 
     The epsilon list is checked here, before any search: it must be
     non-empty, every value finite and positive, and the list strictly
     decreasing.  The searches run only as the result is iterated, so a
     consumer that stops at the first failing epsilon searches no further.
+    `on_scan` is passed to each `find_fixed_points`.
     """
     eps_list = [float(e) for e in eps_values]
     if not eps_list or not all(0 < e < math.inf for e in eps_list):
         raise ValueError(f"epsilon values must be finite and positive, got {eps_list}")
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ValueError(f"epsilon values must strictly decrease, got {eps_list}")
-    return ((eps, find_fixed_points(with_epsilon(spec, eps), bracket, tol, steps))
+    return ((eps, find_fixed_points(with_epsilon(spec, eps), bracket, tol, steps,
+                                    on_scan=on_scan))
             for eps in eps_list)
 
 
@@ -525,7 +635,7 @@ def run_to_json(eps: float, certs) -> dict:
 
 def continuation_check(spec: PerturbationSpec, eps_values, predicted_root: float,
                        bracket=None, tol: float = RESIDUAL_TOL,
-                       steps: int = DEFAULT_STEPS) -> list[ContinuationRow]:
+                       steps: int | None = None) -> list[ContinuationRow]:
     """Track the fixed point nearest a predicted radius while eps decreases.
 
     Searches each epsilon in turn (`sweep`) and checks the rows as

@@ -13,17 +13,13 @@ from dataclasses import replace
 
 from .averaging import Averaged, average, averaged_to_json
 from .errors import CountMismatchError, SpecError
-from . import flow
 from .fields import PerturbationSpec, spec_to_json, with_b
 from .flow import (
-    DEFAULT_STEPS,
     RESIDUAL_TOL,
     continuation_rows,
     run_to_json,
-    scan_return_map,
     simulation_bracket,
     sweep,
-    with_epsilon,
 )
 from .roots import check_bracket, positive_roots, root_to_json, synthesize_coefficients
 
@@ -66,7 +62,7 @@ def _write_scan_csv(path, grid, r1, status):
 
 def run_pipeline(spec: PerturbationSpec, targets=None, eps_values=None,
                  bracket=None, tol: float = RESIDUAL_TOL,
-                 steps: int = DEFAULT_STEPS, csv_dir=None) -> dict:
+                 steps: int | None = None, csv_dir=None) -> dict:
     """Full report for one spec; raises CountMismatchError when the
     simulated fixed-point count disagrees with the averaged prediction.
 
@@ -74,7 +70,8 @@ def run_pipeline(spec: PerturbationSpec, targets=None, eps_values=None,
     `eps_values` (checked by `flow.sweep`) selects the epsilons to
     simulate; the spec's own epsilon is used when omitted.  `bracket`
     bounds the fixed-point search, defaulting to (0.3 min, 3 max) around
-    the predicted roots.
+    the predicted roots.  With `csv_dir` each epsilon's settled scan
+    is written to scan_NN.csv there.
     """
     if targets is not None:
         avg, synthesized = retune_b(spec, targets)
@@ -86,8 +83,10 @@ def run_pipeline(spec: PerturbationSpec, targets=None, eps_values=None,
 
     sim_bracket = (simulation_bracket(predicted) if bracket is None
                    else check_bracket(bracket))
+    scans = []
     searches = sweep(work, [work.epsilon] if eps_values is None else eps_values,
-                     sim_bracket, tol, steps)
+                     sim_bracket, tol, steps,
+                     on_scan=None if csv_dir is None else scans.append)
 
     out = {
         "spec": spec_to_json(work),
@@ -109,10 +108,8 @@ def run_pipeline(spec: PerturbationSpec, targets=None, eps_values=None,
     runs = []
     for idx, (eps, certs) in enumerate(searches):
         if csv_dir is not None:
-            grid, r1, status = scan_return_map(with_epsilon(work, eps), sim_bracket,
-                                               flow.SCAN_POINTS, steps)
             _write_scan_csv(os.path.join(csv_dir, f"scan_{idx:02d}.csv"),
-                            grid, r1, status)
+                            *scans[idx])
         out["runs"].append(run_to_json(eps, certs))
         if len(certs) != len(predicted):
             raise CountMismatchError(

@@ -62,10 +62,21 @@ class RootReport:
 
 
 def _evaluate(terms, z: float) -> float:
+    """sum c z^e, or only its sign where the plain sum overflows.
+
+    There the terms are scaled by the largest one in log space, which
+    keeps their sum's sign but not its size; the callers need only signs.
+    """
     try:
         value = sum(c * z ** e for e, c in terms)
     except OverflowError:
         value = math.inf
+    if math.isfinite(value):
+        return value
+    logs = [math.log(abs(c)) + e * math.log(z) for e, c in terms]
+    top = max(logs)
+    value = sum(math.copysign(math.exp(v - top), c)
+                for v, (_, c) in zip(logs, terms))
     if not math.isfinite(value):
         raise RootError(f"h is not finite at z={z:.9g}")
     return value

@@ -1,8 +1,10 @@
 """Return-map integration, fixed-point certificates, continuation."""
 
 import csv
+import json
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from cycleavg import (
     GuardBoundError,
     PerturbationSpec,
     SpecError,
+    angular_components,
     average,
     capillary,
     continuation_check,
@@ -209,12 +212,13 @@ def test_map_derivative_matches_richardson_differences(case):
     assert abs(cert.map_derivative - _richardson_derivative(spec, cert.r_star)) <= 1e-8
 
 
-def _counting(monkeypatch, name):
+def _counting(monkeypatch, name, with_steps=False):
+    """Record each call's start radius, or (radius, steps) with_steps."""
     calls = []
     real = getattr(flow, name)
 
     def wrapper(*args):
-        calls.append(args[2])
+        calls.append((args[2], args[3]) if with_steps else args[2])
         return real(*args)
 
     monkeypatch.setattr(flow, name, wrapper)
@@ -233,13 +237,25 @@ def test_newton_revolutions_per_cell(monkeypatch, case):
         spec = retune_b(lienard(6, epsilon=0.005).spec, targets)[0].spec
     bracket = (0.3 * min(targets), 3.0 * max(targets))
     tangent = _counting(monkeypatch, "_integrate_tangent")
-    value_only = _counting(monkeypatch, "_integrate_scalar")
+    value_only = _counting(monkeypatch, "_integrate_scalar", with_steps=True)
     certs = find_fixed_points(spec, bracket)
     assert len(certs) == len(targets)
-    # value-only revolutions only settle scan nodes; refinement makes none
-    grid = np.logspace(math.log10(bracket[0]), math.log10(bracket[1]), 200)
-    assert set(value_only) <= set(grid.tolist())
+    # value-only revolutions settle scan nodes; refinement adds one per
+    # cell, the half-resolution pass that chooses the cell's step count
+    grid = set(np.logspace(math.log10(bracket[0]), math.log10(bracket[1]),
+                           200).tolist())
+    off_grid = [n for r, n in value_only if r not in grid]
+    assert off_grid == [flow.BASE_STEPS // 2] * len(certs)
     assert len(tangent) <= 4 * len(certs)
+
+
+def test_repro_vdp_tangent_work_per_cell(monkeypatch, capsys):
+    tangent = _counting(monkeypatch, "_integrate_tangent", with_steps=True)
+    assert cli.main(["repro", "vdp"]) == 0
+    runs = json.loads(capsys.readouterr().out)["result"]["runs"]
+    certs = sum(len(run["fixed_points"]) for run in runs)
+    assert certs == 3
+    assert sum(n for _, n in tangent) <= 4 * flow.BASE_STEPS * certs
 
 
 def test_zero_displacement_node_is_certified_once(monkeypatch):
@@ -307,7 +323,7 @@ def test_bad_epsilon_list_searches_nothing(monkeypatch, capsys, tmp_path,
     assert calls == []
 
 
-def _search_cells(monkeypatch, spec, bracket):
+def _search_cells(monkeypatch, spec, bracket, steps=None):
     """Certificates of a search and the (grid, displacement, ok) of its cells."""
     seen = []
     real = flow._sign_change_cells
@@ -317,7 +333,8 @@ def _search_cells(monkeypatch, spec, bracket):
         return real(grid, disp, ok)
 
     monkeypatch.setattr(flow, "_sign_change_cells", spy)
-    certs = find_fixed_points(spec, bracket)
+    certs = find_fixed_points(spec, bracket, steps=steps)
+    monkeypatch.setattr(flow, "_sign_change_cells", real)
     (cells,) = seen
     return certs, cells
 
@@ -339,18 +356,19 @@ def _assert_full_resolution_cells(cells, spec, bracket, scan_points, steps):
 
 def test_example1_fixed_point_next_to_a_node_is_certified_at_full_resolution(
         monkeypatch):
-    # example1's signed square root makes RK4 observe order ~2.5, so the
-    # coarse scan is off by a few 1e-9 near the cycle
+    # the search scans example1 at BASE_STEPS / 8 = 64 steps, which is
+    # off by about 3e-8 near the cycle
     spec, steps, points = example1().spec, 4096, 201
     (cert,) = find_fixed_points(spec, (0.4, 3.4))
-    node = cert.r_star * (1.0 + 2e-8)
+    node = cert.r_star * (1.0 - 2e-8)
     bracket = (0.5 * node, 2.0 * node)  # the middle scan node sits at `node`
-    coarse_grid, coarse_r1, _ = scan_return_map(spec, bracket, points, steps // 8)
+    coarse_grid, coarse_r1, _ = scan_return_map(spec, bracket, points,
+                                                flow.BASE_STEPS // 8)
     mid = points // 2
     assert coarse_grid[mid] == pytest.approx(node, rel=1e-14)
     full_disp = return_map(spec, node, steps).r1 - node
     coarse_disp = coarse_r1[mid] - coarse_grid[mid]
-    assert full_disp < 0.0 < coarse_disp  # the coarse sign is wrong
+    assert coarse_disp < 0.0 < full_disp  # the coarse sign is wrong
 
     monkeypatch.setattr(flow, "SCAN_POINTS", points)
     certs, cells = _search_cells(monkeypatch, spec, bracket)
@@ -367,12 +385,19 @@ def test_lienard6_stiff_band_cells_match_full_resolution(monkeypatch):
     spec = retune_b(lienard(6, epsilon=0.005).spec, [0.8, 1.3, 1.8])[0].spec
     bracket, steps = (0.24, 5.4), 4096
     _, _, coarse_status = scan_return_map(spec, bracket, steps=steps // 8)
-    _, _, full_status = scan_return_map(spec, bracket, steps=steps)
+    full_grid, full_r1, full_status = scan_return_map(spec, bracket, steps=steps)
     assert np.count_nonzero((coarse_status == 2) & (full_status == 0)) >= 5
 
-    certs, cells = _search_cells(monkeypatch, spec, bracket)
+    certs, cells = _search_cells(monkeypatch, spec, bracket, steps)
     _assert_full_resolution_cells(cells, spec, bracket, flow.SCAN_POINTS, steps)
     assert len(certs) == 3
+    # a chosen step count settles failures only up to BASE_STEPS, so the
+    # stiff band stays failed, but the cells are those of the full scan
+    chosen, (grid, disp, ok) = _search_cells(monkeypatch, spec, bracket)
+    assert _cell_bounds(grid, disp, ok) == _cell_bounds(
+        full_grid, full_r1 - full_grid, full_status == 0)
+    assert [c.r_star for c in chosen] == pytest.approx(
+        [c.r_star for c in certs], rel=1e-9)
 
 
 def test_coarse_failures_next_to_ok_nodes_are_settled(monkeypatch):
@@ -391,7 +416,7 @@ def test_coarse_failures_next_to_ok_nodes_are_settled(monkeypatch):
 
     monkeypatch.setattr(flow, "scan_return_map", failing)
     certs, cells = _search_cells(monkeypatch, spec, bracket)
-    _assert_full_resolution_cells(cells, spec, bracket, 200, flow.DEFAULT_STEPS)
+    _assert_full_resolution_cells(cells, spec, bracket, 200, 4096)
     assert len(certs) == 1
     assert certs[0].r_star == pytest.approx(cert.r_star, rel=1e-12)
 
@@ -419,26 +444,47 @@ def test_identity_map_integrates_nothing(monkeypatch):
         find_fixed_points(spec, (2.0, 0.5))
 
 
+def test_rotation_only_map_settles_each_node_once(monkeypatch):
+    # no radial component: P(r) = r exactly, so no node's sign is ever
+    # trusted; each is settled once, as its estimate 0 is within tol
+    spec = PerturbationSpec(fields=(linear_field(0.0, -1.0, 1.0, 0.0),),
+                            b=(1.0,), epsilon=0.01, orientation="ccw")
+    scalar = _counting(monkeypatch, "_integrate_scalar", with_steps=True)
+    assert find_fixed_points(spec, (0.5, 2.0)) == []
+    assert [n for _, n in scalar] == [flow.BASE_STEPS // 4] * flow.SCAN_POINTS
+
+
 def test_search_scans_at_a_fraction_of_the_steps(monkeypatch):
-    steps = flow.DEFAULT_STEPS
+    steps = flow.BASE_STEPS
     calls = _batched_substeps(monkeypatch)
     certs = find_fixed_points(with_epsilon(vdp().spec, 0.01), (0.5, 2.0))
     assert len(certs) == 1
     assert calls and sum(calls) <= 3 * steps // 16
 
 
-def test_csv_scan_stays_at_full_resolution(monkeypatch, tmp_path):
-    steps = 1024
+def test_csv_holds_the_settled_scan(monkeypatch, tmp_path):
     calls = _batched_substeps(monkeypatch)
-    out = run_pipeline(vdp().spec, eps_values=(0.02, 0.01), steps=steps,
-                       csv_dir=str(tmp_path))
-    # per eps: the search's coarse scan and its half pass, then the CSV scan
-    assert calls == [steps // 8, steps // 16, steps] * 2
-    with open(tmp_path / "scan_01.csv", newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
-    _, r1, _ = scan_return_map(with_epsilon(vdp().spec, 0.01), out["bracket"],
-                               steps=steps)
-    assert [float(row[1]) for row in rows] == r1.tolist()
+    settled = []
+    real = flow._settle_scan
+
+    def spy(*args):
+        settled.append(real(*args))
+        return settled[-1]
+
+    monkeypatch.setattr(flow, "_settle_scan", spy)
+    run_pipeline(vdp().spec, eps_values=(0.02, 0.01), csv_dir=str(tmp_path))
+    # per eps only the search's coarse scan and its half pass
+    coarse = flow.BASE_STEPS // 8
+    assert calls == [coarse, coarse // 2] * 2
+    for idx, (r1, status) in enumerate(settled):
+        with open(tmp_path / f"scan_{idx:02d}.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [float(row[1]) for row in rows] == pytest.approx(
+            r1.tolist(), rel=0, abs=0, nan_ok=True)
+        assert [int(row[3]) for row in rows] == status.tolist()
+        signs = [math.copysign(1.0, float(row[2])) for row in rows if row[3] == "0"]
+        grid = np.array([float(row[0]) for row in rows])
+        assert signs == np.sign((r1 - grid)[status == 0]).tolist()
 
 
 def test_failed_scan_nodes_are_summarized_once_per_epsilon(caplog):
@@ -455,3 +501,96 @@ def test_failed_scan_nodes_are_summarized_once_per_epsilon(caplog):
     assert summaries[-1].endswith(
         f"angular_speed {np.count_nonzero(status == 1)}, "
         f"guard {np.count_nonzero(status == 2)})")
+
+
+def _revolution(spec, r0, steps):
+    spec = normalize_ccw(spec)
+    tabs = flow._tables(spec.fields, steps)
+    return flow._integrate_scalar(spec, tabs, r0, steps)[0]
+
+
+@pytest.mark.parametrize("case, r0", [("example1", 1.2), ("example2", 2.0)])
+def test_graded_estimate_matches_the_error(case, r0):
+    # the quintic grading restores order 4 across the axes, so the /15
+    # Richardson estimate is the error itself, not a guess at it
+    spec = example1().spec if case == "example1" else example2().spec
+    reference = _revolution(spec, r0, 65536)
+    sample = return_map(spec, r0, steps=512)
+    error = abs(sample.r1 - reference)
+    assert 0.5 * error <= sample.error_estimate <= 2.0 * error
+    p256, p512, p1024 = (_revolution(spec, r0, n) for n in (256, 512, 1024))
+    order = math.log2(abs(p512 - p256) / abs(p1024 - p512))
+    assert 3.8 <= order <= 4.2
+    # BASE_STEPS is enough for a Newton cell here; a lone revolution
+    # starts higher and needs no second level
+    assert sample.error_estimate <= flow.RESIDUAL_TOL
+    chosen = return_map(spec, r0)
+    assert chosen == return_map(spec, r0, steps=flow.REVOLUTION_STEPS)
+
+
+def _uniform_tables(fields, steps):
+    thetas = np.linspace(0.0, 2.0 * math.pi, 2 * steps + 1)
+    comps = [angular_components(f, thetas) for f in fields]
+    return ([tuple(fr.tolist()) for fr, _ in comps],
+            [tuple(ft.tolist()) for _, ft in comps], thetas)
+
+
+@pytest.mark.parametrize("case", ["vdp", "lienard7"])
+def test_polynomial_specs_keep_the_uniform_mesh(case):
+    spec = vdp().spec if case == "vdp" else _lienard7()
+    # 1024 steps: beyond BASE_STEPS the rows are packed, with equal values
+    for steps in (512, 1024):
+        tabs = flow._tables(spec.fields, steps)
+        radial, transverse, thetas = _uniform_tables(spec.fields, steps)
+        assert [tuple(row) for row in tabs.radial] == radial
+        assert [tuple(row) for row in tabs.transverse] == transverse
+        assert np.array_equal(tabs.thetas, thetas)
+
+
+def test_fractional_spec_is_graded_per_quadrant():
+    tabs = flow._tables(example1().spec.fields, 64)
+    quarter = tabs.thetas[::32].tolist()
+    assert quarter == [k * math.pi / 2 for k in range(5)]
+    # sigma'(u) = 30 u^2 (1 - u)^2 vanishes on the axes
+    assert all(tabs.radial[j][32 * k] == 0.0 for j in range(3) for k in range(5))
+
+
+def test_stiff_revolution_chooses_more_steps():
+    # the bench's lienard6 sample spec near the edge of its radius range
+    spec = with_epsilon(with_b(lienard(6).spec,
+                               (7.00877, -23.01547, 17.824, -3.65714)), 0.0185)
+    reference = _revolution(spec, 2.87, 65536)
+    assert abs(return_map(spec, 2.87, steps=512).r1 - reference) > 1e-6
+    sample = return_map(spec, 2.87)
+    assert sample.steps > flow.REVOLUTION_STEPS
+    assert abs(sample.r1 - reference) <= flow.RESIDUAL_TOL
+    assert sample.error_estimate <= flow.RESIDUAL_TOL
+    # each doubling reuses the last revolution as its half pass, which
+    # the nested tables make the same value a pinned count computes
+    assert return_map(spec, 2.87, steps=sample.steps) == sample
+
+
+def test_explicit_steps_pin_the_revolution(monkeypatch):
+    assert return_map(example2().spec, 2.0, steps=64).steps == 64
+    tangent = _counting(monkeypatch, "_integrate_tangent", with_steps=True)
+    find_fixed_points(with_epsilon(vdp().spec, 0.01), (0.5, 2.0), steps=1024)
+    assert tangent and {n for _, n in tangent} == {1024}
+
+
+def test_kernel_errors_print_the_graded_angle():
+    # capillary's sqrt(2 x) puts it on the graded mesh; the printed angle
+    # and radius must be where the angular speed is really lost
+    spec = normalize_ccw(capillary().spec)
+    with pytest.raises(AngularMonotonicityError) as info:
+        return_map(spec, 1.0, steps=64)
+    match = re.search(r"angular speed (\S+) <= 0 at theta=(\S+), r=(\S+)",
+                      str(info.value))
+    speed, theta, r = map(float, match.groups())
+    x, y = r * math.cos(theta), r * math.sin(theta)
+    p = q = 0.0
+    for bj, field in zip(spec.b, spec.fields):
+        fv, gv = field.evaluate(x, y)
+        p, q = p + bj * fv, q + bj * gv
+    assert 1.0 + spec.epsilon * (x * q - y * p) / (r * r) == pytest.approx(
+        speed, abs=1e-4)
+    assert speed < -1e-2

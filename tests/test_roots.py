@@ -54,9 +54,20 @@ def test_positive_roots_empty_cases():
 
 
 def test_non_finite_value_raises():
-    # z^200 overflows a double long before the bracket's end 1e3
+    # a NaN coefficient has no sign, even from scaled terms
     with pytest.raises(RootError, match="not finite"):
-        positive_roots(AveragedFunction((0.0, 200.0), (1.0, -1.0)))
+        positive_roots(AveragedFunction((0.0, 1.0), (1.0, math.nan)))
+
+
+@pytest.mark.parametrize("top", [110.0, 200.0])
+def test_overflowing_sum_keeps_its_sign(top):
+    # z^top overflows a double long before the bracket's end 1e3; the
+    # sign then comes from the terms scaled by the largest one
+    report = positive_roots(AveragedFunction((0.0, top), (1.0, -1.0)))
+    assert [r.z for r in report.roots] == [1.0]
+    assert report.roots[0].derivative_sign == -1
+    report = positive_roots(AveragedFunction((1.0, top), (1.0, -1.0)))
+    assert [r.z for r in report.roots] == [1.0]
 
 
 def test_positive_roots_known_cubic():
