@@ -13,6 +13,7 @@ a small parameter.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -35,6 +36,22 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, float) and value.is_integer():
         return Fraction(int(value))
     raise SpecError(f"exponent must be an exact rational, got {value!r}")
+
+
+def _finite_float(value, name: str) -> float:
+    """A finite int or float as a float, else `SpecError`; bools, strings
+    and None are refused.  The one number check of both wire formats."""
+    # Floats first: a monomial scan's coefficients are floats and skip the
+    # bool test.
+    if isinstance(value, float) or (isinstance(value, int)
+                                    and not isinstance(value, bool)):
+        try:
+            result = float(value)
+        except OverflowError:
+            result = math.inf
+        if math.isfinite(result):
+            return result
+    raise SpecError(f"{name} must be a finite real number, got {value!r}")
 
 
 def _signed_power(u, exponent: float, signed: bool):
@@ -251,11 +268,8 @@ def term_from_json(obj) -> SignedPowerTerm:
         raise SpecError(f"term missing keys {sorted(missing)}")
     if not isinstance(obj["sx"], bool) or not isinstance(obj["sy"], bool):
         raise SpecError("term sign flags must be booleans")
-    try:
-        coeff = float(obj["c"])
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"bad term coefficient {obj['c']!r}") from exc
-    return SignedPowerTerm(coeff, _as_fraction(obj["px"]), _as_fraction(obj["py"]),
+    return SignedPowerTerm(_finite_float(obj["c"], "term coefficient"),
+                           _as_fraction(obj["px"]), _as_fraction(obj["py"]),
                            obj["sx"], obj["sy"])
 
 
@@ -299,14 +313,10 @@ def spec_from_json(obj) -> PerturbationSpec:
             raise SpecError(f"spec missing key {key!r}")
     if not isinstance(obj["b"], list) or not isinstance(obj["fields"], list):
         raise SpecError("spec 'b' and 'fields' must be arrays")
-    try:
-        eps = float(obj["epsilon"])
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"bad epsilon {obj['epsilon']!r}") from exc
     return PerturbationSpec(
         fields=tuple(field_from_json(f) for f in obj["fields"]),
-        b=tuple(obj["b"]),
-        epsilon=eps,
+        b=tuple(_finite_float(v, "b entry") for v in obj["b"]),
+        epsilon=_finite_float(obj["epsilon"], "epsilon"),
         orientation=obj["orientation"],
     )
 

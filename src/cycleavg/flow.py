@@ -20,17 +20,15 @@ both ends, and the radial profile carries the factor sigma'(u)
 (Sidi's endpoint transformation, 1993).  RK4 then observes order 4
 again.  Specs made only of ordinary monomials keep the uniform mesh.
 
-Without an explicit `steps` a revolution is chosen by accuracy.  A
-Newton cell of the fixed-point search runs at BASE_STEPS and at half
-that, and when the Richardson estimate |P_N - P_N/2| / 15 exceeds the
-residual tolerance it is repeated at the power of two that fourth order
-predicts meets it, up to MAX_STEPS.  A lone revolution (`return_map`)
-starts at REVOLUTION_STEPS instead and doubles while its estimate exceeds
-RESIDUAL_TOL, each level serving as the next one's half pass.  Started
-at BASE_STEPS, a stiff radius would cost 20 to 30 easy ones; started at
-REVOLUTION_STEPS, most radii need no second level and the stiffest ones
-cost two to three, so the cost of a revolution depends little on its
-radius.  An explicit `steps` pins every revolution to that count.
+Without an explicit `steps` every revolution's count is chosen by one
+rule (`_revolve`): run at a start count and, while the Richardson
+estimate |P_N - P_N/2| / 15 exceeds the caller's target, double the
+count, up to MAX_STEPS; each level serves as the next one's half pass.
+A Newton cell of the fixed-point search starts at BASE_STEPS, a scan
+node it settles at twice the scan's count, and a lone revolution
+(`return_map`) at REVOLUTION_STEPS, so that most radii need no second
+level and its cost depends little on its radius.  An explicit `steps`
+pins every revolution to that count.
 """
 
 from __future__ import annotations
@@ -174,14 +172,6 @@ def _tables(fields, steps: int) -> _Tables:
         transverse.append(row(ft))
     alphas = tuple(float(f.alpha) for f in fields)
     return _Tables(steps, thetas, alphas, tuple(radial), tuple(transverse))
-
-
-def _steps_for(estimate: float, tol: float) -> int:
-    """Power of two from BASE_STEPS whose fourth-order error meets tol."""
-    n = BASE_STEPS
-    while estimate * (BASE_STEPS / n) ** 4 > tol and n < MAX_STEPS:
-        n *= 2
-    return n
 
 
 def _check_steps(steps):
@@ -358,6 +348,31 @@ def _integrate_batch(spec: PerturbationSpec, tabs: _Tables, r0: np.ndarray,
     return np.where(status == _STATUS_OK, r, np.nan), status
 
 
+def _revolve(spec: PerturbationSpec, kernel, r0: float, start: int, tol: float,
+             steps: int | None = None, *, half: float | None = None, done=None):
+    """One revolution of r0 by `kernel`, at `steps` or a count chosen by accuracy.
+
+    `kernel(spec, tables, r0, n)` returns a pair whose first item is P(r0).
+    Without `steps` it runs at `start` steps and, while the Richardson
+    estimate |P - half| / 15 is not within tol (a NaN is not), at twice the
+    last count, up to MAX_STEPS; each level's P is the next level's half
+    pass (the tables nest, so it equals a revolution pinned at that
+    count).  The first half pass is `half`, or a scalar revolution at half
+    the first count.  `done(r0, n, pair, half)`, if given, may stop the
+    doubling earlier.  Returns (n, pair, half) of the last level.
+    """
+    n = steps or start
+    tabs = _tables(spec.fields, n)
+    out = kernel(spec, tabs, r0, n)
+    if half is None:
+        half, _ = _integrate_scalar(spec, tabs, r0, n // 2)
+    while (steps is None and n < MAX_STEPS and not abs(out[0] - half) / 15.0 <= tol
+           and not (done and done(r0, n, out, half))):
+        n, half = 2 * n, out[0]
+        out = kernel(spec, _tables(spec.fields, n), r0, n)
+    return n, out, half
+
+
 def return_map(spec: PerturbationSpec, r0: float,
                steps: int | None = None) -> ReturnMapSample:
     """P(r0) after one revolution, with a step-halving error estimate.
@@ -366,20 +381,14 @@ def return_map(spec: PerturbationSpec, r0: float,
     half-resolution pass; the fourth-order Richardson estimate
     |P_full - P_half| / 15 is attached to the sample.  Without `steps`
     the count starts at REVOLUTION_STEPS and doubles while the estimate
-    exceeds RESIDUAL_TOL, up to MAX_STEPS.
+    exceeds RESIDUAL_TOL (`_revolve`).
     """
     _check_steps(steps)
     spec = normalize_ccw(spec)
     if not 0 < r0 < math.inf:
         raise ValueError(f"start radius must be positive and finite, got {r0}")
-    n = steps or REVOLUTION_STEPS
-    tabs = _tables(spec.fields, n)
-    r1, min_den = _integrate_scalar(spec, tabs, r0, n)
-    half, _ = _integrate_scalar(spec, tabs, r0, n // 2)
-    while steps is None and abs(r1 - half) / 15.0 > RESIDUAL_TOL and n < MAX_STEPS:
-        # the tables nest, so the last revolution is this level's half pass
-        n, half = 2 * n, r1
-        r1, min_den = _integrate_scalar(spec, _tables(spec.fields, n), r0, n)
+    n, (r1, min_den), half = _revolve(spec, _integrate_scalar, r0,
+                                      REVOLUTION_STEPS, RESIDUAL_TOL, steps)
     return ReturnMapSample(r0=float(r0), r1=r1, min_theta_speed=min_den,
                            steps=n, error_estimate=abs(r1 - half) / 15.0)
 
@@ -469,13 +478,25 @@ def _settle_scan(spec: PerturbationSpec, grid: np.ndarray, r1: np.ndarray,
       nodes turn out OK, so a band that only the coarse steps lose is
       recovered node by node.
 
-    A pinned `steps` settles each such node at `steps`.  Otherwise its
-    steps double from 2 * coarse until its sign is trusted by the same
-    rule or its Richardson estimate is within `tol` (a displacement that
-    small is a fixed point to the search's accuracy), up to MAX_STEPS; a
-    node that still fails at BASE_STEPS stays failed.  Returns new
-    (r1, status) arrays.
+    A pinned `steps` settles each such node at `steps`.  Otherwise it
+    runs `_revolve` from 2 * coarse steps with the coarse value as the
+    first half pass, against `tol` (a displacement that small is a fixed
+    point to the search's accuracy), and stops early once its sign is
+    trusted by the same rule; a node that still fails at BASE_STEPS
+    stays failed.  Returns new (r1, status) arrays.
     """
+    def node(spec, tabs, r0, n):
+        try:
+            return _integrate_scalar(spec, tabs, r0, n)[0], _STATUS_OK
+        except AngularMonotonicityError:
+            return math.nan, _STATUS_SPEED
+        except GuardBoundError:
+            return math.nan, _STATUS_GUARD
+
+    def done(r0, n, out, half):
+        r, st = out
+        return abs(r - r0) > abs(r - half) if st == _STATUS_OK else n >= BASE_STEPS
+
     r1, status = r1.copy(), status.copy()
     n = len(grid)
     ok = status == _STATUS_OK
@@ -483,32 +504,14 @@ def _settle_scan(spec: PerturbationSpec, grid: np.ndarray, r1: np.ndarray,
         trusted = np.abs(r1 - grid) > np.abs(r1 - r1_half)
     borders = ~ok & (np.r_[False, ok[:-1]] | np.r_[ok[1:], False])
     pending = np.nonzero((ok & ~trusted) | borders)[0].tolist()
-    levels = [steps or 2 * coarse]
-    while steps is None and levels[-1] < MAX_STEPS:
-        levels.append(2 * levels[-1])
     settled = set()
     while pending:
         i = pending.pop()
         if i in settled:
             continue
         settled.add(i)
-        r0 = float(grid[i])
-        for level in levels:
-            prev = r1[i]
-            try:
-                r1[i], _ = _integrate_scalar(spec, _tables(spec.fields, level),
-                                             r0, level)
-                status[i] = _STATUS_OK
-            except AngularMonotonicityError:
-                r1[i], status[i] = math.nan, _STATUS_SPEED
-            except GuardBoundError:
-                r1[i], status[i] = math.nan, _STATUS_GUARD
-            if status[i] == _STATUS_OK:
-                change = abs(r1[i] - prev)
-                if abs(r1[i] - r0) > change or change <= 15.0 * tol:
-                    break
-            elif level >= BASE_STEPS:
-                break
+        _, (r1[i], status[i]), _ = _revolve(spec, node, float(grid[i]), 2 * coarse,
+                                            tol, steps, half=float(r1[i]), done=done)
         if status[i] == _STATUS_OK:
             pending += [j for j in (i - 1, i + 1)
                         if 0 <= j < n and status[j] != _STATUS_OK]
@@ -530,9 +533,9 @@ def find_fixed_points(spec: PerturbationSpec, bracket, tol: float = RESIDUAL_TOL
     (grid, r1, status).
 
     Newton runs at `steps`; without it, each cell's count is chosen once,
-    at its secant start point, from the estimate against `tol`, and that
-    first revolution is also Newton's first evaluation.  The coarse scan
-    moves only Newton's start point: the certificate's residual and map
+    at its secant start point, by `_revolve` from BASE_STEPS against
+    `tol`, and that revolution is also Newton's first evaluation.  The
+    coarse scan moves only Newton's start point: the certificate's residual and map
     derivative come from the last Newton revolution, and the derivative
     is the exact derivative of the discrete map.  Failing scan nodes are
     summarized in one warning per scan; failing cells (guard exits, lost
@@ -567,21 +570,16 @@ def find_fixed_points(spec: PerturbationSpec, bracket, tol: float = RESIDUAL_TOL
                     ", ".join(f"{name} {count}" for name, count in failed.items()))
 
     def cell_map():
-        """P and P' for one cell, at `steps` or at a count chosen at the
-        cell's first point, whose revolution is also Newton's first."""
-        tabs = None if steps is None else _tables(spec.fields, steps)
+        """P and P' for one cell, at `steps` or at the count `_revolve`
+        chooses at the cell's first point, which is Newton's first."""
+        n = steps
 
         def pmap(r: float) -> tuple[float, float]:
-            nonlocal tabs
-            if tabs is None:
-                tabs = _tables(spec.fields, BASE_STEPS)
-                first = _integrate_tangent(spec, tabs, r, BASE_STEPS)
-                half, _ = _integrate_scalar(spec, tabs, r, BASE_STEPS // 2)
-                estimate = abs(first[0] - half) / 15.0
-                if estimate <= tol:
-                    return first
-                tabs = _tables(spec.fields, _steps_for(estimate, tol))
-            return _integrate_tangent(spec, tabs, r, tabs.steps)
+            nonlocal n
+            if n is None:
+                n, first, _ = _revolve(spec, _integrate_tangent, r, BASE_STEPS, tol)
+                return first
+            return _integrate_tangent(spec, _tables(spec.fields, n), r, n)
 
         return pmap
 

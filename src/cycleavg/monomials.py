@@ -18,7 +18,6 @@ exponents and coefficient signs and records them in the certificate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
@@ -29,6 +28,7 @@ from .fields import (
     HomogeneousField,
     PerturbationSpec,
     SignedPowerTerm,
+    _finite_float,
     swap_orientation,
 )
 
@@ -43,19 +43,6 @@ def _nonneg_int(value, name: str) -> int:
     if value < 0:
         raise SpecError(f"{name} must be >= 0, got {value}")
     return value
-
-
-def _finite_float(value, name: str) -> float:
-    # Floats first: the scan's coefficients are floats and skip the bool test.
-    if isinstance(value, float) or (isinstance(value, int)
-                                    and not isinstance(value, bool)):
-        try:
-            result = float(value)
-        except OverflowError:
-            result = math.inf
-        if math.isfinite(result):
-            return result
-    raise SpecError(f"{name} must be a finite real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -369,10 +356,3 @@ def lienard_family(m: int, coefficients, epsilon: float = 0.01) -> PerturbationS
     cw_spec = PerturbationSpec(fields=fields, b=coeffs, epsilon=float(epsilon),
                                orientation="cw")
     return swap_orientation(cw_spec)
-
-
-def hilbert_monomial_lower_bound(m: int) -> int:
-    """Limit cycles realizable with m monomials: 0 for m <= 3, else >= m - 3."""
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"monomial count must be a positive integer, got {m}")
-    return 0 if m <= 3 else m - 3

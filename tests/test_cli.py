@@ -201,6 +201,44 @@ def test_exit_code_2_on_non_finite_spec(capsys, tmp_path):
     assert rc == 2 and out == ""
 
 
+def _set_number(doc, key, value):
+    if key == "b":
+        doc["b"][0] = value
+    elif key == "epsilon":
+        doc["epsilon"] = value
+    else:
+        doc["fields"][0]["f"][0]["c"] = value
+
+
+@pytest.mark.parametrize("key", ["b", "epsilon", "c"])
+@pytest.mark.parametrize("value", [None, [1], True, "2"],
+                         ids=["null", "array", "bool", "string"])
+def test_exit_code_2_on_malformed_spec_number(capsys, tmp_path, key, value):
+    # the spec wire format checks its numbers as MonomialSystem does
+    doc = spec_to_json(vdp().spec)
+    _set_number(doc, key, value)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    rc = main(["integrals", "--spec", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def test_spec_numbers_load_as_ints_or_floats(capsys, tmp_path):
+    path = tmp_path / "spec.json"
+    outputs = []
+    for number in (1, 1.0):
+        doc = spec_to_json(vdp().spec)
+        doc["b"] = [number, -number]
+        _set_number(doc, "c", number)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        rc, out = run(capsys, "integrals", "--spec", str(path))
+        assert rc == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
 def test_exit_code_3_on_ambiguous_integral(capsys, tmp_path):
     # (a + d) * pi = 3.14e-9 lands inside the dead band [1e-10, 1e-8)
     spec = PerturbationSpec(fields=(linear_field(5e-10, 0.0, 0.0, 5e-10),),

@@ -570,6 +570,33 @@ def test_stiff_revolution_chooses_more_steps():
     assert return_map(spec, 2.87, steps=sample.steps) == sample
 
 
+def test_stiff_cell_doubles_to_the_count_it_needs(monkeypatch):
+    # the same stiff radius as a Newton cell's first point: its error falls
+    # ~23x per doubling from 512 steps, faster than order 4 predicts, so a
+    # count predicted from 512 steps would be 16384 where 8192 meet tol
+    spec = with_epsilon(with_b(lienard(6).spec,
+                               (7.00877, -23.01547, 17.824, -3.65714)), 0.0185)
+    r0 = 2.87
+    monkeypatch.setattr(flow, "_sign_change_cells",
+                        lambda grid, disp, ok: iter([(r0, r0, 0.0, 0.0)]))
+    revolutions = []
+    real = flow._integrate_tangent
+
+    def spy(spec, tabs, r, steps):
+        revolutions.append((r, steps, real(spec, tabs, r, steps)))
+        return revolutions[-1][2]
+
+    monkeypatch.setattr(flow, "_integrate_tangent", spy)
+    find_fixed_points(spec, (2.8, 2.9))
+    assert [r for r, _, _ in revolutions] == [r0] * len(revolutions)
+    *_, (_, half_steps, half), (_, steps, chosen) = revolutions
+    assert (half_steps, steps) == (4096, 8192)
+    assert abs(chosen[0] - half[0]) / 15.0 <= flow.RESIDUAL_TOL
+    assert abs(chosen[0] - _revolution(spec, r0, 65536)) <= flow.RESIDUAL_TOL
+    pinned = normalize_ccw(spec)
+    assert chosen == real(pinned, flow._tables(pinned.fields, 8192), r0, 8192)
+
+
 def test_explicit_steps_pin_the_revolution(monkeypatch):
     assert return_map(example2().spec, 2.0, steps=64).steps == 64
     tangent = _counting(monkeypatch, "_integrate_tangent", with_steps=True)

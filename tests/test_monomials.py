@@ -14,10 +14,11 @@ from cycleavg import (
     PerturbationSpec,
     SpecError,
     angular_integral,
+    average,
     certificate_to_json,
     classify,
     enumerate_systems,
-    hilbert_monomial_lower_bound,
+    lienard,
     lienard_family,
     monomial,
     monomial_from_json,
@@ -296,12 +297,10 @@ def test_lienard_family_validation():
 
 
 def test_monomial_count_lower_bound():
-    assert [hilbert_monomial_lower_bound(m) for m in (1, 2, 3, 4, 5, 6, 7)] \
-        == [0, 0, 0, 1, 2, 3, 4]
-    with pytest.raises(ValueError):
-        hilbert_monomial_lower_bound(0)
-    with pytest.raises(ValueError):
-        hilbert_monomial_lower_bound(4.5)
+    # m monomials realize m - 3 limit cycles: the Lienard family with m
+    # monomials has m - 2 nonzero integrals, so b tunes m - 3 simple zeros
+    assert [average(lienard(m).spec).lower_bound for m in (4, 5, 6, 7)] \
+        == [1, 2, 3, 4]
 
 
 def test_classifier_error_is_exported():
