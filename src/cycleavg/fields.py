@@ -151,16 +151,6 @@ def angular_components(field: HomogeneousField, theta):
     return fv * c + gv * s, gv * c - fv * s
 
 
-def homogeneity_residual(field: HomogeneousField, scale: float, x: float, y: float) -> float:
-    """Max-norm defect of X(scale*x, scale*y) = scale^alpha * X(x, y); scale > 0."""
-    if scale <= 0:
-        raise SpecError("homogeneity scale must be positive")
-    fs, gs = field.evaluate(scale * x, scale * y)
-    f1, g1 = field.evaluate(x, y)
-    factor = scale ** float(field.alpha)
-    return float(max(abs(fs - factor * f1), abs(gs - factor * g1)))
-
-
 def _swap_term(term: SignedPowerTerm) -> SignedPowerTerm:
     return SignedPowerTerm(
         term.coeff, term.y_exp, term.x_exp, term.y_signed, term.x_signed
@@ -196,14 +186,12 @@ class PerturbationSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "fields", tuple(self.fields))
-        object.__setattr__(self, "b", tuple(float(v) for v in self.b))
-        object.__setattr__(self, "epsilon", float(self.epsilon))
+        object.__setattr__(self, "b", tuple(_finite_float(v, "b entry") for v in self.b))
+        object.__setattr__(self, "epsilon", _finite_float(self.epsilon, "epsilon"))
         if self.orientation not in ("ccw", "cw"):
             raise SpecError(f"orientation must be 'ccw' or 'cw', got {self.orientation!r}")
         if len(self.fields) != len(self.b):
             raise SpecError("b must have one entry per field")
-        if not np.all(np.isfinite((self.epsilon,) + self.b)):
-            raise SpecError("epsilon and b must be finite")
         degrees = [f.alpha for f in self.fields]
         if any(d2 <= d1 for d1, d2 in zip(degrees, degrees[1:])):
             raise SpecError(f"field degrees must strictly increase, got {degrees}")
@@ -235,11 +223,11 @@ def normalize_ccw(spec: PerturbationSpec) -> PerturbationSpec:
 
 
 def with_epsilon(spec: PerturbationSpec, epsilon: float) -> PerturbationSpec:
-    return replace(spec, epsilon=float(epsilon))
+    return replace(spec, epsilon=epsilon)
 
 
 def with_b(spec: PerturbationSpec, b) -> PerturbationSpec:
-    return replace(spec, b=tuple(float(v) for v in b))
+    return replace(spec, b=tuple(b))
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +303,8 @@ def spec_from_json(obj) -> PerturbationSpec:
         raise SpecError("spec 'b' and 'fields' must be arrays")
     return PerturbationSpec(
         fields=tuple(field_from_json(f) for f in obj["fields"]),
-        b=tuple(_finite_float(v, "b entry") for v in obj["b"]),
-        epsilon=_finite_float(obj["epsilon"], "epsilon"),
+        b=tuple(obj["b"]),
+        epsilon=obj["epsilon"],
         orientation=obj["orientation"],
     )
 

@@ -12,13 +12,20 @@ cites one of six obstructions:
     P5  single-signed divergence off a measure-zero set
     P6  reversibility with respect to an axis mirror
 
-The classifier re-verifies every branch precondition on the concrete
-exponents and coefficient signs and records them in the certificate.
+`classify` runs in two stages.  `normal_form` is the one reduction: it
+merges equal dy/dt monomials, puts a nonzero one first, reverses time
+for a < 0, strips x^s y^u and orders by x-power, and keeps only the
+coefficients' signs.  The branch dispatch is a pure function of that
+form, so it runs once per distinct form; its certificate is kept in a
+module-level table, with the reduction's trace prepended on each call.
+Every branch re-verifies its preconditions on the form's exponents and
+signs and records them in the certificate; a failing check raises
+`ClassifierError` and is never cached.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 from typing import NamedTuple
 
@@ -45,30 +52,26 @@ def _nonneg_int(value, name: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class MonomialSystem:
-    """(dx/dt, dy/dt) = (a x^p y^q, b x^i y^j + c x^k y^l).
+class MonomialSystem(namedtuple("MonomialSystem", "a p q b i j c k l")):
+    """(dx/dt, dy/dt) = (a x^p y^q, b x^i y^j + c x^k y^l), an immutable tuple.
 
-    The constructor is the one place a system is validated: exponents
-    must be non-negative integers and coefficients finite ints or floats,
-    else `SpecError`.  Bools and numeric strings are refused for both.
+    The constructor (and `_replace`) is the one public place a system is
+    validated: exponents must be non-negative integers and coefficients
+    finite ints or floats, else `SpecError`.  Bools and numeric strings
+    are refused for both.  `_make` skips the checks; it serves
+    `enumerate_systems`, which validates its whole domain once.
     """
 
-    a: float
-    p: int
-    q: int
-    b: float
-    i: int
-    j: int
-    c: float
-    k: int
-    l: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("p", "q", "i", "j", "k", "l"):
-            object.__setattr__(self, name, _nonneg_int(getattr(self, name), name))
-        for name in ("a", "b", "c"):
-            object.__setattr__(self, name, _finite_float(getattr(self, name), name))
+    def __new__(cls, a, p, q, b, i, j, c, k, l):
+        return super().__new__(
+            cls, _finite_float(a, "a"), _nonneg_int(p, "p"), _nonneg_int(q, "q"),
+            _finite_float(b, "b"), _nonneg_int(i, "i"), _nonneg_int(j, "j"),
+            _finite_float(c, "c"), _nonneg_int(k, "k"), _nonneg_int(l, "l"))
+
+    def _replace(self, **changes):
+        return type(self)(**{**self._asdict(), **changes})
 
 
 class Check(NamedTuple):
@@ -76,8 +79,7 @@ class Check(NamedTuple):
     ok: bool
 
 
-@dataclass(frozen=True)
-class NoCycleCertificate:
+class NoCycleCertificate(NamedTuple):
     property: str
     case_label: str
     reduction_trace: tuple[str, ...]
@@ -91,20 +93,20 @@ def _cert(prop, label, trace, checks):
     return NoCycleCertificate(prop, label, tuple(trace), tuple(checks))
 
 
-def _classify_single_monomial(a, p, q, b, i, j, trace):
+def _classify_single_monomial(a, p, q, b, i, j):
     """dy/dt has a single monomial b x^i y^j (b != 0, a != 0)."""
     if p == 0 and j == 0:
-        return _cert("P4", "bc=0-integrable", trace, [
+        return _cert("P4", "bc=0-integrable", (), [
             Check("dx/dt involves only y", p == 0),
             Check("dy/dt involves only x", j == 0),
             Check("separable polynomial first integral", p == 0 and j == 0),
         ])
     if q == 0:
-        return _cert("P3", "bc=0-separable", trace, [
+        return _cert("P3", "bc=0-separable", (), [
             Check("dx/dt involves only x", q == 0),
         ])
     if i == 0:
-        return _cert("P3", "bc=0-separable", trace, [
+        return _cert("P3", "bc=0-separable", (), [
             Check("dy/dt involves only y", i == 0),
         ])
     # q >= 1 and i >= 1 here, and not both p and j vanish, so at least one
@@ -112,7 +114,7 @@ def _classify_single_monomial(a, p, q, b, i, j, trace):
     # critical point an orbit could encircle.
     x_line = p >= 1 and i >= 1
     y_line = q >= 1 and j >= 1
-    return _cert("P2", "bc=0-line", trace, [
+    return _cert("P2", "bc=0-line", (), [
         Check("critical set confined to the axes", q >= 1),
         Check("some axis is an invariant critical line", x_line or y_line),
         Check("critical points on x=0 covered by an invariant line",
@@ -122,8 +124,9 @@ def _classify_single_monomial(a, p, q, b, i, j, trace):
     ])
 
 
-def _classify_two_monomials(a, p, q, b, i, j, c, k, l, trace):
+def _classify_two_monomials(a, p, q, b, i, j, c, k, l):
     """Reduced system with abc != 0, a > 0, i <= k before relabeling."""
+    trace = ()
     if i >= 1:
         # First reduced form (p = 0): dx/dt = a y^q.
         if p != 0:
@@ -137,7 +140,7 @@ def _classify_two_monomials(a, p, q, b, i, j, c, k, l, trace):
         if j > 0:
             # Put the y-free monomial first; its x-power stays >= 1.
             b, i, j, c, k, l = c, k, l, b, i, j
-            trace = trace + ("swap dy/dt monomials",)
+            trace = ("swap dy/dt monomials",)
         # Case shape: (a y^q, b x^i + c x^k y^l), q >= 1, i >= 1, j = 0.
         if l == 0:
             return _cert("P4", "(ii)-integrable", trace, [
@@ -239,35 +242,41 @@ def _classify_two_monomials(a, p, q, b, i, j, c, k, l, trace):
     raise ClassifierError("y-reduction left no y-free monomial in dy/dt")
 
 
-def classify(sys: MonomialSystem) -> NoCycleCertificate:
-    """Certify the system cycle-free, citing one obstruction P1..P6.
+def _sign(value: float) -> int:
+    return (value > 0) - (value < 0)
 
-    Every branch records its precondition checks; a failing check is an
-    internal error, never a silently weaker certificate.
+
+#: The form of every system with a = 0: nothing past dx/dt = 0 is read.
+_ZERO_FORM = (0, 0, 0, 0, 0, 0, 0, 0, 0)
+
+
+def normal_form(sys: MonomialSystem) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    """The reduced system the certificate depends on, and the steps taken.
+
+    Returns `(form, trace)`.  `form` is (sign a, p, q, sign b, i, j,
+    sign c, k, l) of the reduced system, signs in {-1, 0, 1}, with a zero
+    monomial's exponents set to 0; `trace` names the reduction steps in
+    the order they ran.  a = 0 ends the reduction at `_ZERO_FORM`.  With
+    a single nonzero dy/dt monomial the form keeps the sign of a; with two,
+    a > 0 after time reversal and the common factor x^s y^u is stripped.
     """
-    trace: tuple[str, ...] = ()
-    if sys.a == 0.0:
-        return _cert("P3", "a=0", trace, [
-            Check("dx/dt is identically zero", sys.a == 0.0),
-        ])
-    a, p, q = sys.a, sys.p, sys.q
-    b, i, j = sys.b, sys.i, sys.j
-    c, k, l = sys.c, sys.k, sys.l
-    if b != 0 and c != 0 and (i, j) == (k, l):
+    a, p, q, b, i, j, c, k, l = sys
+    if a == 0:
+        return _ZERO_FORM, ()
+    trace = ()
+    if b != 0 and c != 0 and i == k and j == l:
         b, c = b + c, 0.0
-        trace = trace + ("merge duplicate dy/dt monomials",)
-    if b == 0.0 and c == 0.0:
-        return _cert("P3", "bc=0-trivial", trace, [
-            Check("dy/dt is identically zero", b == 0.0 and c == 0.0),
-        ])
-    if b == 0.0:
+        trace = ("merge duplicate dy/dt monomials",)
+    if b == 0:
+        if c == 0:
+            return (_sign(a), p, q, 0, 0, 0, 0, 0, 0), trace
         b, i, j, c, k, l = c, k, l, b, i, j
         trace = trace + ("swap dy/dt monomials",)
-    if c == 0.0:
-        return _classify_single_monomial(a, p, q, b, i, j, trace)
+    if c == 0:
+        return (_sign(a), p, q, _sign(b), i, j, 0, 0, 0), trace
 
     if a < 0:
-        a, b, c = -a, -b, -c
+        b, c = -b, -c
         trace = trace + ("time reversal t -> -t",)
     # Strip the common factor x^s y^u.  a, b and c are all nonzero here,
     # so the minima see every monomial; dividing by x^s y^u rescales time
@@ -282,18 +291,66 @@ def classify(sys: MonomialSystem) -> NoCycleCertificate:
     if i > k:
         b, i, j, c, k, l = c, k, l, b, i, j
         trace = trace + ("order dy/dt monomials by x-power",)
-    return _classify_two_monomials(a, p, q, b, i, j, c, k, l, trace)
+    return (1, p, q, _sign(b), i, j, _sign(c), k, l), trace
+
+
+def _dispatch(form) -> NoCycleCertificate:
+    """The certificate of a normal form, with the branch's own trace only."""
+    a, p, q, b, i, j, c, k, l = form
+    if a == 0:
+        return _cert("P3", "a=0", (), [
+            Check("dx/dt is identically zero", a == 0),
+        ])
+    if b == 0:
+        return _cert("P3", "bc=0-trivial", (), [
+            Check("dy/dt is identically zero", b == 0 and c == 0),
+        ])
+    if c == 0:
+        return _classify_single_monomial(a, p, q, b, i, j)
+    return _classify_two_monomials(a, p, q, b, i, j, c, k, l)
+
+
+# Normal form -> its certificate, and each distinct certificate interned
+# (a `--scan 3` meets 4,117 forms but 29 certificates).  Both hold pure
+# functions of their keys, so a warm table cannot change an answer.
+_FORMS: dict[tuple[int, ...], NoCycleCertificate] = {}
+_CERTS: dict[NoCycleCertificate, NoCycleCertificate] = {}
+
+
+def classify(sys: MonomialSystem) -> NoCycleCertificate:
+    """Certify the system cycle-free, citing one obstruction P1..P6.
+
+    The branch is decided once per normal form and kept; each call pays
+    only for `normal_form`.  Every branch records its precondition
+    checks; a failing check is an internal error, never a silently
+    weaker certificate.
+    """
+    form, trace = normal_form(sys)
+    cert = _FORMS.get(form)
+    if cert is None:
+        cert = _dispatch(form)
+        cert = _FORMS[form] = _CERTS.setdefault(cert, cert)
+    if not trace:
+        return cert
+    return NoCycleCertificate(cert.property, cert.case_label,
+                              trace + cert.reduction_trace,
+                              cert.precondition_checks)
 
 
 SCAN_COEFFICIENTS = (-1.0, 0.0, 1.0)
 
 
 def enumerate_systems(max_exp: int = 3):
-    """All systems with exponents 0..max_exp and coefficients in SCAN_COEFFICIENTS."""
-    exps = range(max_exp + 1)
-    for a, b, c in product(SCAN_COEFFICIENTS, repeat=3):
-        for p, q, i, j, k, l in product(exps, repeat=6):
-            yield MonomialSystem(a, p, q, b, i, j, c, k, l)
+    """All systems with exponents 0..max_exp and coefficients in SCAN_COEFFICIENTS.
+
+    They come in lexicographic order of (a, p, q, b, i, j, c, k, l).  The
+    domain is validated once, here, and each system is built with
+    `MonomialSystem._make`, which skips the per-system checks.
+    """
+    exps = range(_nonneg_int(max_exp, "max_exp") + 1)
+    coefficients = [_finite_float(v, "scan coefficient") for v in SCAN_COEFFICIENTS]
+    monomial = (coefficients, exps, exps)
+    return map(MonomialSystem._make, product(*monomial * 3))
 
 
 # ---------------------------------------------------------------------------
@@ -301,19 +358,16 @@ def enumerate_systems(max_exp: int = 3):
 # ---------------------------------------------------------------------------
 
 def monomial_to_json(sys: MonomialSystem) -> dict:
-    return {"a": sys.a, "p": sys.p, "q": sys.q,
-            "b": sys.b, "i": sys.i, "j": sys.j,
-            "c": sys.c, "k": sys.k, "l": sys.l}
+    return sys._asdict()
 
 
 def monomial_from_json(obj) -> MonomialSystem:
     if not isinstance(obj, dict):
         raise SpecError(f"monomial system must be an object, got {type(obj).__name__}")
-    names = ("a", "p", "q", "b", "i", "j", "c", "k", "l")
-    missing = set(names) - set(obj)
+    missing = set(MonomialSystem._fields) - set(obj)
     if missing:
         raise SpecError(f"monomial system missing keys {sorted(missing)}")
-    return MonomialSystem(*(obj[name] for name in names))
+    return MonomialSystem(*(obj[name] for name in MonomialSystem._fields))
 
 
 def certificate_to_json(cert: NoCycleCertificate) -> dict:
@@ -341,7 +395,7 @@ def lienard_family(m: int, coefficients, epsilon: float = 0.01) -> PerturbationS
     """
     if not isinstance(m, int) or m < 4:
         raise ValueError(f"family needs m >= 4 monomials, got {m}")
-    coeffs = tuple(float(v) for v in coefficients)
+    coeffs = tuple(coefficients)
     if len(coeffs) != m - 2:
         raise ValueError(f"need m - 2 = {m - 2} damping coefficients, got {len(coeffs)}")
     fields = tuple(
@@ -353,6 +407,6 @@ def lienard_family(m: int, coefficients, epsilon: float = 0.01) -> PerturbationS
         )
         for d in range(m - 2)
     )
-    cw_spec = PerturbationSpec(fields=fields, b=coeffs, epsilon=float(epsilon),
+    cw_spec = PerturbationSpec(fields=fields, b=coeffs, epsilon=epsilon,
                                orientation="cw")
     return swap_orientation(cw_spec)

@@ -2,10 +2,12 @@
 
 import json
 import math
+import sys
 
 import pytest
 
 from cycleavg import PerturbationSpec, example1, linear_field, spec_to_json, vdp
+from cycleavg import monomials
 from cycleavg.cli import main
 
 
@@ -125,6 +127,36 @@ def test_classify_scan_counts(capsys):
     assert set(scan["counts"]) <= {"P1", "P2", "P3", "P4", "P5", "P6"}
 
 
+@pytest.mark.parametrize("max_exp, counts", [
+    (1, {"P1": 64, "P2": 124, "P3": 1348, "P4": 176, "P5": 8, "P6": 8}),
+    (3, {"P1": 10904, "P2": 20956, "P3": 73380, "P4": 4416, "P5": 336,
+         "P6": 600}),
+])
+def test_classify_scan_calls_classify_once_per_system(capsys, monkeypatch,
+                                                      max_exp, counts):
+    # A benchmark counts `classify` calls by wrapping the function in every
+    # loaded cycleavg module after import, and requires one per system; a
+    # scan that classified each normal form once, or that bound `classify`
+    # at import, would read fewer here.
+    real = monomials.classify
+    calls = []
+
+    def counted(system):
+        calls.append(None)
+        return real(system)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and name.split(".")[0] == "cycleavg":
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counted)
+    rc, out = run(capsys, "classify", "--scan", str(max_exp))
+    assert rc == 0
+    scan = json.loads(out)["result"]["scan"]
+    assert len(calls) == scan["total"] == 27 * (max_exp + 1) ** 6
+    assert scan["counts"] == counts
+
+
 def test_classify_scan_4_counts(capsys):
     rc, out = run(capsys, "classify", "--scan", "4")
     assert rc == 0
@@ -149,6 +181,7 @@ def test_exit_code_2_on_bad_input(capsys):
     assert main(["classify"]) == 2
     assert main(["classify", "--system", "{not json"]) == 2
     assert main(["classify", "--system", '{"a": 1}']) == 2
+    assert main(["classify", "--scan", "-1"]) == 2
     assert main(["continuation", "--preset", "vdp", "--eps", "0.01"]) == 2
     capsys.readouterr()
 

@@ -13,7 +13,6 @@ from cycleavg import (
     SignedPowerTerm,
     SpecError,
     angular_components,
-    homogeneity_residual,
     monomial,
     reflect_diagonal,
     spec_from_json,
@@ -21,6 +20,8 @@ from cycleavg import (
     swap_orientation,
     term_from_json,
     term_to_json,
+    with_b,
+    with_epsilon,
 )
 from cycleavg import presets
 
@@ -114,6 +115,14 @@ def test_angular_components_periodic():
         assert abs(a[1] - b[1]) <= 1e-13
 
 
+def homogeneity_residual(field: HomogeneousField, scale: float, x: float, y: float) -> float:
+    """Max-norm defect of X(scale*x, scale*y) = scale^alpha * X(x, y); scale > 0."""
+    fs, gs = field.evaluate(scale * x, scale * y)
+    f1, g1 = field.evaluate(x, y)
+    factor = scale ** float(field.alpha)
+    return float(max(abs(fs - factor * f1), abs(gs - factor * g1)))
+
+
 def test_homogeneity_residual_random():
     rng = np.random.default_rng(42)
     fields = [p.spec.fields[i] for p in (presets.example1(), presets.herd(),
@@ -155,6 +164,25 @@ def test_spec_validation():
         PerturbationSpec(fields=(lin, lin), b=(1.0, 1.0), epsilon=0.1)
     with pytest.raises(SpecError):
         PerturbationSpec(fields=(lin,), b=(1.0,), epsilon=0.1, orientation="up")
+
+
+@pytest.mark.parametrize("build", [
+    lambda spec: PerturbationSpec(fields=spec.fields, b=("1", False), epsilon=0.01),
+    lambda spec: with_epsilon(spec, True),
+    lambda spec: with_b(spec, [True, "2"]),
+], ids=["spec", "with_epsilon", "with_b"])
+def test_spec_numbers_checked_as_on_the_wire(build):
+    # the Python API refuses what the JSON codec refuses: bools and strings
+    with pytest.raises(SpecError):
+        build(presets.vdp().spec)
+
+
+def test_spec_numbers_accept_numpy_floats():
+    spec = presets.vdp().spec
+    tuned = with_b(with_epsilon(spec, np.float64(0.02)), np.array([1.0, -2.0]))
+    assert tuned.epsilon == 0.02 and tuned.b == (1.0, -2.0)
+    assert type(tuned.epsilon) is float
+    assert all(type(v) is float for v in tuned.b)
 
 
 def test_json_round_trip_byte_identical():

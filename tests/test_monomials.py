@@ -1,10 +1,14 @@
 """Cycle-free classifier: case coverage, certificate semantics, families."""
 
+import functools
 import json
 import math
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycleavg import (
     ClassifierError,
@@ -25,6 +29,7 @@ from cycleavg import (
     monomial_to_json,
     return_map,
 )
+from cycleavg import monomials
 
 
 def rhs(sys, x, y):
@@ -56,18 +61,79 @@ def test_coefficient_validation(bad, slot):
         MonomialSystem(*args)
 
 
-def test_classify_builds_no_system(monkeypatch):
-    sys = MonomialSystem(1.0, 0, 1, -1.0, 1, 0, 1.0, 2, 1)
+@pytest.fixture
+def validator_calls(monkeypatch):
+    """Names passed to the monomials module's two number checks."""
     calls = []
-    real = MonomialSystem.__post_init__
+    for name in ("_nonneg_int", "_finite_float"):
+        real = getattr(monomials, name)
 
-    def spy(self):
-        calls.append(self)
-        real(self)
+        def spy(value, what, real=real):
+            calls.append(what)
+            return real(value, what)
 
-    monkeypatch.setattr(MonomialSystem, "__post_init__", spy)
+        monkeypatch.setattr(monomials, name, spy)
+    return calls
+
+
+def test_classify_builds_no_system(validator_calls):
+    sys = MonomialSystem(1.0, 0, 1, -1.0, 1, 0, 1.0, 2, 1)
+    assert len(validator_calls) == 9
     assert classify(sys).case_label == "(ii)-divergence"
-    assert calls == []
+    assert len(validator_calls) == 9
+
+
+def test_scan_validates_its_domain_once(validator_calls):
+    systems = list(enumerate_systems(1))
+    assert len(systems) == 27 * 64
+    assert validator_calls == ["max_exp"] + ["scan coefficient"] * 3
+    assert all(type(s) is MonomialSystem for s in systems)
+    assert systems[-1] == MonomialSystem(1.0, 1, 1, 1.0, 1, 1, 1.0, 1, 1)
+
+
+def test_replace_validates():
+    sys = MonomialSystem(1.0, 0, 1, -1.0, 1, 0, 1.0, 2, 1)
+    assert sys._replace(p=2.0).p == 2 and isinstance(sys._replace(p=2.0).p, int)
+    for bad in ({"p": -1}, {"a": math.nan}, {"c": "1"}):
+        with pytest.raises(SpecError):
+            sys._replace(**bad)
+
+
+_COEFFICIENTS = st.sampled_from([-2.5, -1.0, 0.0, 1e-200, 1.0, 3.0])
+_EXPONENTS = st.integers(0, 6)
+
+
+@st.composite
+def _systems(draw):
+    a, b, c = draw(_COEFFICIENTS), draw(_COEFFICIENTS), draw(_COEFFICIENTS)
+    p, q, i, j = (draw(_EXPONENTS) for _ in range(4))
+    # half the draws repeat the first dy/dt monomial, so merges are common
+    k, l = (i, j) if draw(st.booleans()) else (draw(_EXPONENTS), draw(_EXPONENTS))
+    return MonomialSystem(a, p, q, b, i, j, c, k, l)
+
+
+@functools.cache
+def _scan_table():
+    """The form table a `--scan 2` fills, starting empty."""
+    monomials._FORMS.clear()
+    for sys in enumerate_systems(2):
+        classify(sys)
+    return dict(monomials._FORMS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_systems())
+def test_form_table_never_changes_a_certificate(sys):
+    # Warm: a scan's forms, then twins with sys's exponents and other
+    # coefficient signs and sizes, many of which share sys's form.
+    monomials._FORMS.clear()
+    monomials._FORMS.update(_scan_table())
+    factors = (-1.0, 1e-200, 0.5, 3.0)
+    for fa, fb, fc in product(factors, repeat=3):
+        classify(sys._replace(a=sys.a * fa, b=sys.b * fb, c=sys.c * fc))
+    warm = certificate_to_json(classify(sys))
+    monomials._FORMS.clear()
+    assert certificate_to_json(classify(sys)) == warm
 
 
 def test_reduce_common_factor():
