@@ -7,6 +7,8 @@ radii, verify the prediction against a polar-coordinate return map, and
 certify small monomial systems cycle-free.
 """
 
+from types import ModuleType as _ModuleType
+
 from .averaging import (
     Averaged,
     AveragedFunction,
@@ -104,86 +106,6 @@ from .roots import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmbiguousIntegralError",
-    "AngularMonotonicityError",
-    "Averaged",
-    "AveragedFunction",
-    "BASE_STEPS",
-    "CBRT_MOMENT",
-    "Check",
-    "ClassifierError",
-    "ContinuationError",
-    "ContinuationRow",
-    "CountMismatchError",
-    "CycleAvgError",
-    "DEFAULT_BRACKET",
-    "Fraction",
-    "GUARD",
-    "GuardBoundError",
-    "HomogeneousField",
-    "LimitCycleCertificate",
-    "MAX_STEPS",
-    "MonomialSystem",
-    "NoCycleCertificate",
-    "PerturbationSpec",
-    "PositiveRoot",
-    "Preset",
-    "QuadratureError",
-    "REVOLUTION_STEPS",
-    "ReturnMapSample",
-    "RootError",
-    "RootReport",
-    "SQRT_MOMENT",
-    "SignedPowerTerm",
-    "SimulationError",
-    "SpecError",
-    "SynthesisError",
-    "angular_components",
-    "angular_integral",
-    "average",
-    "capillary",
-    "catalog",
-    "certificate_to_json",
-    "classify",
-    "classify_nonzero",
-    "constant_field",
-    "continuation_check",
-    "descartes_bound",
-    "enumerate_systems",
-    "example1",
-    "example2",
-    "field_from_json",
-    "field_to_json",
-    "find_fixed_points",
-    "herd",
-    "lienard",
-    "lienard_family",
-    "linear_field",
-    "load_spec",
-    "melnikov",
-    "melnikov_line_integral",
-    "monomial",
-    "monomial_from_json",
-    "monomial_to_json",
-    "normalize_ccw",
-    "positive_roots",
-    "reflect_diagonal",
-    "retune_b",
-    "return_map",
-    "run_pipeline",
-    "scan_return_map",
-    "signed_root_field",
-    "sir",
-    "spec_from_json",
-    "spec_to_json",
-    "swap_orientation",
-    "synthesize_coefficients",
-    "term_from_json",
-    "term_to_json",
-    "vdp",
-    "with_b",
-    "with_epsilon",
-    "wronskian_closed_form",
-    "wronskian_numeric",
-]
+# Every public name bound above, listed once: the imports are the list.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -169,15 +169,15 @@ def melnikov(h: AveragedFunction, k: float) -> float:
     return rk * h(rk)
 
 
-def melnikov_line_integral(spec: PerturbationSpec, k: float,
-                           tol: float = 1e-12) -> float:
+def melnikov_line_integral(spec: PerturbationSpec, k: float) -> float:
     """Circulation integral of the perturbation along x^2 + y^2 = k.
 
-    Computes the line integral of P dy - Q dx over the circle, where
-    (P, Q) = sum_j b[j] * fields[j].  Requires a smooth perturbation
-    (all exponents integer) and a ccw spec.  Normalization: this equals
-    2*pi * melnikov(average(spec).h, k); the factor 2*pi is the
-    angular period absorbed into the averaged coefficients.
+    Computes the line integral of P dy - Q dx over the circle to absolute
+    tolerance 1e-12, where (P, Q) = sum_j b[j] * fields[j].  Requires a
+    smooth perturbation (all exponents integer) and a ccw spec.
+    Normalization: this equals 2*pi * melnikov(average(spec).h, k); the
+    factor 2*pi is the angular period absorbed into the averaged
+    coefficients.
     """
     if spec.orientation != "ccw":
         raise SpecError("melnikov_line_integral expects a ccw-normalized spec")
@@ -202,7 +202,7 @@ def melnikov_line_integral(spec: PerturbationSpec, k: float,
             qy = qy + bj * gv
         return px * rk * np.cos(theta) + qy * rk * np.sin(theta)
 
-    return integrate_circle(integrand, tol)
+    return integrate_circle(integrand, 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -74,9 +74,8 @@ class SignedPowerTerm:
     def __post_init__(self):
         object.__setattr__(self, "x_exp", _as_fraction(self.x_exp))
         object.__setattr__(self, "y_exp", _as_fraction(self.y_exp))
-        object.__setattr__(self, "coeff", float(self.coeff))
-        if not np.isfinite(self.coeff):
-            raise SpecError("term coefficient must be finite")
+        object.__setattr__(self, "coeff",
+                           _finite_float(self.coeff, "term coefficient"))
         for exp, signed, name in (
             (self.x_exp, self.x_signed, "x"),
             (self.y_exp, self.y_signed, "y"),
@@ -256,9 +255,7 @@ def term_from_json(obj) -> SignedPowerTerm:
         raise SpecError(f"term missing keys {sorted(missing)}")
     if not isinstance(obj["sx"], bool) or not isinstance(obj["sy"], bool):
         raise SpecError("term sign flags must be booleans")
-    return SignedPowerTerm(_finite_float(obj["c"], "term coefficient"),
-                           _as_fraction(obj["px"]), _as_fraction(obj["py"]),
-                           obj["sx"], obj["sy"])
+    return SignedPowerTerm(obj["c"], obj["px"], obj["py"], obj["sx"], obj["sy"])
 
 
 def field_to_json(field: HomogeneousField) -> dict:

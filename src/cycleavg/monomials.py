@@ -312,9 +312,11 @@ def _dispatch(form) -> NoCycleCertificate:
 
 # Normal form -> its certificate, and each distinct certificate interned
 # (a `--scan 3` meets 4,117 forms but 29 certificates).  Both hold pure
-# functions of their keys, so a warm table cannot change an answer.
+# functions of their keys, so a warm table cannot change an answer, and
+# both are cleared together at _FORMS_MAX forms, far above any scan.
 _FORMS: dict[tuple[int, ...], NoCycleCertificate] = {}
 _CERTS: dict[NoCycleCertificate, NoCycleCertificate] = {}
+_FORMS_MAX = 1 << 16
 
 
 def classify(sys: MonomialSystem) -> NoCycleCertificate:
@@ -328,6 +330,9 @@ def classify(sys: MonomialSystem) -> NoCycleCertificate:
     form, trace = normal_form(sys)
     cert = _FORMS.get(form)
     if cert is None:
+        if len(_FORMS) >= _FORMS_MAX:
+            _FORMS.clear()
+            _CERTS.clear()
         cert = _dispatch(form)
         cert = _FORMS[form] = _CERTS.setdefault(cert, cert)
     if not trace:

@@ -62,7 +62,6 @@ class Preset:
     name: str
     spec: PerturbationSpec
     expected: Mapping[str, object] = dc_field(default_factory=dict)
-    note: str = ""
 
 
 def example1(epsilon: float = 0.01) -> Preset:
@@ -88,7 +87,6 @@ def example1(epsilon: float = 0.01) -> Preset:
         name="example1",
         spec=spec,
         expected={"lower_bound": 1, "roots": (root,)},
-        note="one simple averaged root; constant field integrates to zero",
     )
 
 
@@ -115,23 +113,23 @@ def example2(epsilon: float = 0.005) -> Preset:
         name="example2",
         spec=spec,
         expected={"lower_bound": 2, "targets": (1.0, 4.0)},
-        note="synthesis demo: retune b so the averaged roots land on the targets",
     )
 
 
 def vdp(epsilon: float = 0.01) -> Preset:
-    """Cubic-damping oscillator: m = 4 member of the odd-damping family."""
+    """Cubic-damping oscillator: m = 4 member of the odd-damping family,
+    with averaged function z/2 - 3 z^3/8 and root 2/sqrt(3)."""
     spec = lienard_family(4, (1.0, -1.0), epsilon=epsilon)
     return Preset(
         name="vdp",
         spec=spec,
         expected={"lower_bound": 1, "roots": (2.0 / math.sqrt(3.0),)},
-        note="averaged function z/2 - 3 z^3/8; root 2/sqrt(3)",
     )
 
 
 def lienard(m: int, coefficients=None, epsilon: float = 0.01) -> Preset:
-    """Odd-damping oscillator with m monomials and up to m - 3 cycles."""
+    """Odd-damping oscillator with m monomials and up to m - 3 cycles;
+    averaged exponents 1, 3, ..., 2m-5, every angular integral positive."""
     if coefficients is None:
         coefficients = tuple((-1.0) ** d for d in range(m - 2))
     spec = lienard_family(m, coefficients, epsilon=epsilon)
@@ -139,7 +137,6 @@ def lienard(m: int, coefficients=None, epsilon: float = 0.01) -> Preset:
         name=f"lienard-m{m}",
         spec=spec,
         expected={"monomials": m, "max_roots": m - 3},
-        note="averaged exponents 1, 3, ..., 2m-5; all angular integrals positive",
     )
 
 
@@ -171,12 +168,7 @@ def capillary(a: float = 1.0, epsilon: float = 1.0) -> Preset:
         epsilon=epsilon,
         orientation="cw",
     )
-    return Preset(
-        name="capillary",
-        spec=spec,
-        expected={},
-        note="decomposition demo at epsilon=1; no limit-cycle claim",
-    )
+    return Preset(name="capillary", spec=spec)
 
 
 def herd(c: float = 1.0, epsilon: float = 1.0) -> Preset:
@@ -203,12 +195,7 @@ def herd(c: float = 1.0, epsilon: float = 1.0) -> Preset:
         epsilon=epsilon,
         orientation="ccw",
     )
-    return Preset(
-        name="herd",
-        spec=spec,
-        expected={},
-        note="decomposition demo at epsilon=1; no limit-cycle claim",
-    )
+    return Preset(name="herd", spec=spec)
 
 
 def sir(beta: float = 1.0, gamma: float = 1.0, epsilon: float = 1.0) -> Preset:
@@ -240,12 +227,7 @@ def sir(beta: float = 1.0, gamma: float = 1.0, epsilon: float = 1.0) -> Preset:
         epsilon=epsilon,
         orientation="ccw",
     )
-    return Preset(
-        name="sir",
-        spec=spec,
-        expected={},
-        note="decomposition demo at epsilon=1; no limit-cycle claim",
-    )
+    return Preset(name="sir", spec=spec)
 
 
 def catalog() -> dict:

@@ -40,14 +40,14 @@ def _refine(fn, a, b, whole, tol, floor, depth):
             + _refine(fn, mid, b, right, 0.5 * tol, floor, depth - 1))
 
 
-def integrate_panels(fn, breakpoints, tol: float, max_depth: int = 40) -> float:
+def integrate_panels(fn, breakpoints, tol: float) -> float:
     """Integrate fn over consecutive [breakpoints] panels to absolute tol.
 
     fn must accept a numpy array of abscissae.  The per-level tolerance
     never drops below machine noise on the integrand's L1 scale, so
     requesting a tol finer than the data supports converges to the noise
     floor instead of recursing forever.  Raises QuadratureError if any
-    panel fails to converge within max_depth halvings.
+    panel fails to converge within 40 halvings.
     """
     if tol <= 0:
         raise QuadratureError("tolerance must be positive")
@@ -58,7 +58,7 @@ def integrate_panels(fn, breakpoints, tol: float, max_depth: int = 40) -> float:
     total = 0.0
     for a, b in pieces:
         whole = gauss_panel(fn, a, b)
-        total += _refine(fn, a, b, whole, budget, floor, max_depth)
+        total += _refine(fn, a, b, whole, budget, floor, 40)
     return total
 
 

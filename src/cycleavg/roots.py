@@ -4,8 +4,9 @@ Power tuples with distinct exponents form an extended Chebyshev system
 on (0, inf), so the number of positive zeros never exceeds the number
 of sign changes in the coefficient sequence.  The Rolle step of that
 rule (Jameson, Math. Gazette 90, 2006) isolates the zeros exactly, and
-each carries its topological degree over its isolating piece, which is
-the part that survives as a limit-cycle count under perturbation.
+each carries the topological degree of h over the monotone piece that
+isolated it, which is what survives as a limit-cycle count under
+perturbation.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ class PositiveRoot:
     z: float
     derivative_sign: int
     interval_degree: int
-    bracket: tuple[float, float]
 
 
 def root_to_json(root: PositiveRoot) -> dict:
@@ -128,15 +128,15 @@ def _odd_zeros(terms, lo: float, hi: float) -> list[PositiveRoot]:
         if fa < 0 < fb or fb < 0 < fa:
             degree = 1 if fb > 0 else -1
             roots.append(PositiveRoot(_bisect(terms, a, b, fb > 0), degree,
-                                      degree, (a, b)))
+                                      degree))
     return roots
 
 
 def positive_roots(h: AveragedFunction, bracket=DEFAULT_BRACKET) -> RootReport:
     """Locate the zeros of h of odd multiplicity inside the bracket.
 
-    Each comes from `_odd_zeros` with its degree (+1 or -1, also the
-    derivative sign) and the monotone piece isolating it.  A count above
+    Each comes from `_odd_zeros` with its degree over the monotone piece
+    that isolated it (+1 or -1, also the derivative sign).  A count above
     the sign-change bound is a numerical contradiction and raises, as
     does a non-finite value of h.
     """

@@ -55,6 +55,17 @@ def test_term_constructor_rejections():
         SignedPowerTerm(1.0, 0.5, Fraction(0), True, False)  # inexact float
 
 
+@pytest.mark.parametrize("build", [
+    lambda: SignedPowerTerm("2"),
+    lambda: SignedPowerTerm(True),
+    lambda: monomial(True, 1, 0),
+], ids=["string", "bool", "monomial_bool"])
+def test_term_coefficient_checked_as_on_the_wire(build):
+    # term_from_json refuses "2" and true; so does the Python API
+    with pytest.raises(SpecError):
+        build()
+
+
 def test_term_continuity_across_axes():
     # p(u) -> p(0) at least like delta^min(a,1) for every term shape
     for exp, signed in ((Fraction(1, 2), True), (Fraction(1, 3), True),

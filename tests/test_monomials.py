@@ -136,6 +136,20 @@ def test_form_table_never_changes_a_certificate(sys):
     assert certificate_to_json(classify(sys)) == warm
 
 
+def test_form_table_stays_bounded(monkeypatch):
+    monkeypatch.setattr(monomials, "_FORMS_MAX", 8)
+    monomials._FORMS.clear()
+    monomials._CERTS.clear()
+    systems = list(enumerate_systems(1))
+    bounded = []
+    for sys in systems:
+        bounded.append(certificate_to_json(classify(sys)))
+        assert len(monomials._CERTS) <= len(monomials._FORMS) <= 8
+    for sys, cert in zip(systems, bounded):
+        monomials._FORMS.clear()
+        assert certificate_to_json(classify(sys)) == cert
+
+
 def test_reduce_common_factor():
     cert = classify(MonomialSystem(1.0, 2, 1, 1.0, 3, 2, 1.0, 2, 4))
     trace = cert.reduction_trace
