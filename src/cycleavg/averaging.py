@@ -96,8 +96,8 @@ class AveragedFunction:
 
     def __call__(self, z):
         z = np.asarray(z, dtype=float)
-        if np.any(z <= 0):
-            raise ValueError("averaged function is defined for z > 0")
+        if not np.all((z > 0) & (z < np.inf)):
+            raise ValueError("averaged function is defined for finite z > 0")
         logz = np.log(z)
         acc = np.zeros_like(z)
         for e, c in zip(self.exponents, self.coefficients):
@@ -157,39 +157,41 @@ def average(spec: PerturbationSpec) -> Averaged:
 # Displacement function on circles of energy k
 # ---------------------------------------------------------------------------
 
+def _energy_radius(k: float) -> float:
+    if not 0 < k < math.inf:
+        raise ValueError(f"energy level k must be positive and finite, got {k}")
+    return math.sqrt(k)
+
+
 def melnikov(h: AveragedFunction, k: float) -> float:
     """First-order displacement rate on the circle x^2 + y^2 = k.
 
     Equals sqrt(k) * h(sqrt(k)); under the normalization documented in
     melnikov_line_integral the circulation integral is 2*pi times this.
     """
-    if k <= 0:
-        raise ValueError("energy level k must be positive")
-    rk = math.sqrt(k)
+    rk = _energy_radius(k)
     return rk * h(rk)
 
 
 def melnikov_line_integral(spec: PerturbationSpec, k: float) -> float:
     """Circulation integral of the perturbation along x^2 + y^2 = k.
 
-    Computes the line integral of P dy - Q dx over the circle to absolute
-    tolerance 1e-12, where (P, Q) = sum_j b[j] * fields[j].  Requires a
-    smooth perturbation (all exponents integer) and a ccw spec.
+    Computes the line integral of P dy - Q dx over the circle to rounding,
+    where (P, Q) = sum_j b[j] * fields[j].  Requires a smooth perturbation
+    (all exponents integer) and a ccw spec.
     Normalization: this equals 2*pi * melnikov(average(spec).h, k); the
     factor 2*pi is the angular period absorbed into the averaged
     coefficients.
     """
     if spec.orientation != "ccw":
         raise SpecError("melnikov_line_integral expects a ccw-normalized spec")
-    if k <= 0:
-        raise ValueError("energy level k must be positive")
+    rk = _energy_radius(k)
     for field in spec.fields:
         for term in field.f_terms + field.g_terms:
             if term.x_exp.denominator != 1 or term.y_exp.denominator != 1:
                 raise SpecError(
                     "line integral requires integer exponents (smooth perturbation)"
                 )
-    rk = math.sqrt(k)
 
     def integrand(theta):
         x = rk * np.cos(theta)
@@ -202,7 +204,7 @@ def melnikov_line_integral(spec: PerturbationSpec, k: float) -> float:
             qy = qy + bj * gv
         return px * rk * np.cos(theta) + qy * rk * np.sin(theta)
 
-    return integrate_circle(integrand, 1e-12)
+    return integrate_circle(integrand, int(max(spec.alphas, default=0)))
 
 
 # ---------------------------------------------------------------------------

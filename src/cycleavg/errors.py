@@ -14,7 +14,7 @@ class SpecError(CycleAvgError):
 
 
 class QuadratureError(CycleAvgError):
-    """Adaptive quadrature could not reach the requested tolerance."""
+    """Base of AmbiguousIntegralError; the CLI maps it to exit code 3."""
 
 
 class AmbiguousIntegralError(QuadratureError):

@@ -80,6 +80,8 @@ class SignedPowerTerm:
             (self.x_exp, self.x_signed, "x"),
             (self.y_exp, self.y_signed, "y"),
         ):
+            if not isinstance(signed, bool):
+                raise SpecError(f"{name} sign flag must be a bool, got {signed!r}")
             if exp < 0:
                 raise SpecError(f"{name} exponent must be >= 0, got {exp}")
             if exp == 0 and signed:
@@ -253,8 +255,6 @@ def term_from_json(obj) -> SignedPowerTerm:
     missing = {"c", "px", "py", "sx", "sy"} - set(obj)
     if missing:
         raise SpecError(f"term missing keys {sorted(missing)}")
-    if not isinstance(obj["sx"], bool) or not isinstance(obj["sy"], bool):
-        raise SpecError("term sign flags must be booleans")
     return SignedPowerTerm(obj["c"], obj["px"], obj["py"], obj["sx"], obj["sy"])
 
 

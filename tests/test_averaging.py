@@ -32,6 +32,7 @@ from cycleavg.presets import (
     constant_field,
     example1,
     example2,
+    lienard,
     linear_field,
     signed_root_field,
     vdp,
@@ -163,9 +164,12 @@ def test_average_runs_no_quadrature(monkeypatch):
     monkeypatch.setattr(quadrature, "gauss_panel", spy)
     average(example2().spec)
     assert calls == []
-    # the spy sees the quadrature that the Melnikov line integral runs
+    # the spy sees the quadrature that the Melnikov line integral runs:
+    # 4 * (1 + degree // 8) panels, for degree 3 and 9
     melnikov_line_integral(vdp().spec, 1.0)
-    assert calls
+    assert len(calls) == 4
+    melnikov_line_integral(lienard(7).spec, 1.0)
+    assert len(calls) == 4 + 8
 
 
 def test_degree_400_integral_is_finite_and_exact():
@@ -234,8 +238,9 @@ def test_average_orientation_independent():
 def test_averaged_function_domain_and_eval():
     h = AveragedFunction((0.5, 1.0), (2.0, -1.0))
     assert h(4.0) == pytest.approx(0.0, abs=1e-14)
-    with pytest.raises(ValueError):
-        h(-1.0)
+    for z in (-1.0, 0.0, math.nan, math.inf, [1.0, math.nan]):
+        with pytest.raises(ValueError):
+            h(z)
     with pytest.raises(SpecError):
         AveragedFunction((1.0, 0.5), (1.0, 1.0))
     with pytest.raises(SpecError):
@@ -247,6 +252,15 @@ def test_melnikov_scaling_relation():
     for k in (0.5, 1.0, 2.0, 4.0):
         assert melnikov(h, k) == pytest.approx(math.sqrt(k) * h(math.sqrt(k)),
                                                rel=1e-14)
+
+
+@pytest.mark.parametrize("k", [0.0, -1.0, math.nan, math.inf])
+def test_melnikov_refuses_bad_energy_levels(k):
+    spec = vdp().spec
+    with pytest.raises(ValueError):
+        melnikov(average(spec).h, k)
+    with pytest.raises(ValueError):
+        melnikov_line_integral(spec, k)
 
 
 def test_melnikov_line_integral_consistency():

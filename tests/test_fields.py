@@ -66,6 +66,16 @@ def test_term_coefficient_checked_as_on_the_wire(build):
         build()
 
 
+@pytest.mark.parametrize("flags", [
+    ("yes", False), (True, 1), (np.True_, False),
+], ids=["string", "int", "numpy_bool"])
+def test_term_sign_flags_checked_as_on_the_wire(flags):
+    # refused at construction, as on the wire, so every term the Python
+    # API builds round-trips through JSON
+    with pytest.raises(SpecError):
+        SignedPowerTerm(1.0, 1, 1, *flags)
+
+
 def test_term_continuity_across_axes():
     # p(u) -> p(0) at least like delta^min(a,1) for every term shape
     for exp, signed in ((Fraction(1, 2), True), (Fraction(1, 3), True),
