@@ -14,21 +14,18 @@ from .averaging import (
     AveragedFunction,
     angular_integral,
     average,
-    classify_nonzero,
     melnikov,
     melnikov_line_integral,
     wronskian_closed_form,
     wronskian_numeric,
 )
 from .errors import (
-    AmbiguousIntegralError,
     AngularMonotonicityError,
     ClassifierError,
     ContinuationError,
     CountMismatchError,
     CycleAvgError,
     GuardBoundError,
-    QuadratureError,
     RootError,
     SimulationError,
     SpecError,

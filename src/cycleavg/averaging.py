@@ -17,15 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmbiguousIntegralError, SpecError
+from .errors import SpecError
 from .fields import HomogeneousField, PerturbationSpec, normalize_ccw
 from .quadrature import integrate_circle
-
-#: Dead band of the angular integrals: |I| below INTEGRAL_TOL counts as zero,
-#: above NONZERO_FACTOR*INTEGRAL_TOL as structurally nonzero; anything in
-#: between is refused rather than guessed.
-INTEGRAL_TOL = 1e-10
-NONZERO_FACTOR = 100.0
 
 
 def _quarter_moment(a, b) -> float:
@@ -38,6 +32,41 @@ def _quarter_moment(a, b) -> float:
     return 0.5 * math.exp(math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q))
 
 
+def _class_sum(members, total) -> float:
+    """sum c M(p, total - p) over a class of terms; 0.0 when they cancel.
+
+    Each M is an exact rational multiple rho of the class's largest moment
+    M_ref, by M(p + 2, q - 2) = M(p, q) (p + 1) / (q - 1) and, for integers
+    with p + q odd, Wallis: M(p + 1, q - 1) / M(p, q) = prod (m - 1) / m,
+    m = p + 2, p + 4, ... < q.  With each rho rounded once, sum c rho is 0
+    within its rounding bound gamma_n sum |c rho|, n = 2 per term, or the
+    class sums to M_ref fsum(c rho): value and verdict share one sum.
+    """
+    # exponents as integers s in units of 1/d, so q = (t - s) / d
+    d = math.lcm(total.denominator, *(p.denominator for _, p, _ in members))
+    t, scaled = int(total * d), sorted((int(p * d), c) for c, p, _ in members)
+    lo, hi = scaled[0][0], scaled[-1][0]
+    if lo + hi > t:     # M(p, q) = M(q, p) grows with |p - q|: start at hi
+        scaled, lo = sorted((t - s, c) for s, c in scaled), t - hi
+    chains, cr = {0: (lo, 1, 1)}, []    # per parity: s, rho = num / den <= 1
+    for s, c in scaled:
+        k = (s - lo) // d % 2           # 1 only for integers with t odd
+        if k not in chains:             # Wallis
+            chains[1] = (lo + 1, math.prod(range(lo + 1, t - lo - 1, 2)),
+                         math.prod(range(lo + 2, t - lo, 2)))
+        at, num, den = chains[k]        # (p + 1) / (q - 1) per step of 2
+        num *= math.prod(range(at + d, s + d, 2 * d))
+        den *= math.prod(range(t - at - d, t - s - d, -2 * d))
+        chains[k] = s, num, den
+        cr.append(c * (num / den))
+    scale = 2.0 ** max(0, math.frexp(max(map(abs, cr)))[1] - 1)  # fsum < inf
+    cr = [v / scale for v in cr]
+    nu, total_cr = len(cr) * math.ulp(1.0), math.fsum(cr)   # nu = n u
+    if abs(total_cr) <= nu / (1 - nu) * math.fsum(map(abs, cr)):
+        return 0.0
+    return _quarter_moment(lo / d, (t - lo) / d) * total_cr * scale
+
+
 def angular_integral(field: HomogeneousField) -> float:
     """Integral of the field's radial component f cos + g sin over one revolution.
 
@@ -45,35 +74,27 @@ def angular_integral(field: HomogeneousField) -> float:
     +-c |cos|^(a+1) |sin|^b.  The four quadrant signs cancel unless the term
     is odd in x and even in y, leaving 4c M(a+1, b) with M the quarter-turn
     moment; a g term likewise leaves 4c M(a, b+1) when odd in y and even in
-    x.  Structurally zero integrals are therefore exactly 0.0.
+    x.  All such M(p, q) have p + q = alpha + 1; a class of exact rational
+    multiples holds the terms whose p differ by an even integer, or all
+    integer p when alpha + 1 is odd (one class, for monomials).
+    `_class_sum` adds a class of two or more terms, exactly 0.0 when it
+    cancels.  Assumed: no cancellation across classes is structural.
     """
-    f_part = sum(t.coeff * _quarter_moment(t.x_exp + 1, t.y_exp)
-                 for t in field.f_terms if t.x_signed and not t.y_signed)
-    g_part = sum(t.coeff * _quarter_moment(t.x_exp, t.y_exp + 1)
-                 for t in field.g_terms if t.y_signed and not t.x_signed)
-    return 4.0 * (f_part + g_part)
-
-
-def classify_nonzero(values) -> list[bool]:
-    """Dead-band classification of angular integrals.
-
-    Raises AmbiguousIntegralError when a value falls between INTEGRAL_TOL
-    and NONZERO_FACTOR*INTEGRAL_TOL, where a cancellation between terms that
-    leaves rounding noise and a genuinely small integral cannot be told apart.
-    """
-    flags = []
-    for idx, v in enumerate(values):
-        mag = abs(v)
-        if mag >= NONZERO_FACTOR * INTEGRAL_TOL:
-            flags.append(True)
-        elif mag < INTEGRAL_TOL:
-            flags.append(False)
-        else:
-            raise AmbiguousIntegralError(
-                f"integral {idx} has magnitude {mag:.3e}, inside the dead band "
-                f"[{INTEGRAL_TOL:.1e}, {NONZERO_FACTOR * INTEGRAL_TOL:.1e}]"
-            )
-    return flags
+    terms = ([(t.coeff, t.x_exp + 1, t.y_exp) for t in field.f_terms
+              if t.x_signed and not t.y_signed],
+             [(t.coeff, t.x_exp, t.y_exp + 1) for t in field.g_terms
+              if t.y_signed and not t.x_signed])
+    rational = field.alpha.denominator == 1 and field.alpha.numerator % 2 == 0
+    classes = {}            # p mod 2 as (num, den), or None for all integers
+    for c, p, q in terms[0] + terms[1]:
+        key = (None if rational and p.denominator == 1
+               else (p.numerator % (2 * p.denominator), p.denominator))
+        classes.setdefault(key, []).append((c, p, q))
+    grouped = [members for members in classes.values() if len(members) > 1]
+    f_part, g_part = (sum(c * _quarter_moment(p, q) for c, p, q in part
+                          if not any((c, p, q) in m for m in grouped))
+                      for part in terms)
+    return 4.0 * (f_part + g_part + sum(_class_sum(m, field.alpha + 1) for m in grouped))
 
 
 @dataclass(frozen=True)
@@ -113,18 +134,21 @@ def averaged_to_json(h: AveragedFunction) -> dict:
 
 @dataclass(frozen=True)
 class Averaged:
-    """Angular integrals of a ccw-normalized spec and their dead-band flags,
-    from which h and the lower bound follow.  The integrals do not depend
-    on b, so a retuned spec reuses them (see pipeline.retune_b)."""
+    """Angular integrals of a ccw-normalized spec; `keep` (the nonzero
+    ones), h and the lower bound follow.  The integrals do not depend on
+    b, so a retuned spec reuses them (see pipeline.retune_b)."""
 
     spec: PerturbationSpec
     integrals: tuple[float, ...]
-    keep: tuple[bool, ...]
 
     def __post_init__(self):
         if self.spec.orientation != "ccw":
             raise SpecError("Averaged expects a ccw-normalized spec; "
                             "use average(spec)")
+
+    @property
+    def keep(self) -> tuple[bool, ...]:
+        return tuple(v != 0.0 for v in self.integrals)
 
     @property
     def h(self) -> AveragedFunction:
@@ -147,10 +171,9 @@ class Averaged:
 
 
 def average(spec: PerturbationSpec) -> Averaged:
-    """Angular integrals of the ccw-normalized spec and their dead-band flags."""
+    """Angular integrals of the ccw-normalized spec."""
     work = normalize_ccw(spec)
-    integrals = tuple(angular_integral(f) for f in work.fields)
-    return Averaged(work, integrals, tuple(classify_nonzero(integrals)))
+    return Averaged(work, tuple(angular_integral(f) for f in work.fields))
 
 
 # ---------------------------------------------------------------------------

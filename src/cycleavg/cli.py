@@ -6,13 +6,12 @@ sorted keys so identical inputs give byte-identical output.
 
 Exit codes: 0 success; 2 malformed input (bad JSON, schema violation,
 inconsistent flags: SpecError) or an out-of-range or non-finite numeric
-argument (ValueError); 3 an angular integral in the dead band
-(AmbiguousIntegralError); 4 simulated fixed-point count disagrees with
-the averaged prediction; 1 any other computation error.  `simulate`, `pipeline` and `continuation`
-share one `--eps` rule (`flow.sweep`), checked before any search.
-`--tol` (on `simulate`, `continuation`, `pipeline` and `repro`) is the
-fixed-point residual tolerance and must be finite and positive; the dead
-band of the angular integrals is always `averaging.INTEGRAL_TOL`.
+argument (ValueError); 4 simulated fixed-point count disagrees with the
+averaged prediction; 1 any other computation error.  `simulate`,
+`pipeline` and `continuation` share one `--eps` rule (`flow.sweep`),
+checked before any search.  `--tol` (on `simulate`, `continuation`,
+`pipeline` and `repro`) is the fixed-point residual tolerance and must
+be finite and positive.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from collections import Counter
 
 from . import __version__
 from .averaging import average, averaged_to_json
-from .errors import CountMismatchError, CycleAvgError, QuadratureError, SpecError
+from .errors import CountMismatchError, CycleAvgError, SpecError
 from .fields import load_spec, normalize_ccw, spec_to_json, with_epsilon
 from .flow import (
     RESIDUAL_TOL,
@@ -47,7 +46,6 @@ from .monomials import (
 from .pipeline import retune_b, run_pipeline
 from .presets import catalog, lienard
 from .roots import DEFAULT_BRACKET, positive_roots, root_to_json
-from . import presets
 
 
 def _load_input(args):
@@ -106,8 +104,9 @@ def cmd_synthesize(args):
 def cmd_simulate(args):
     spec = normalize_ccw(_load_input(args))
     if args.r0 is not None:
-        if args.eps and len(args.eps) > 1:
-            raise SpecError("--r0 takes at most one --eps value")
+        if args.bracket or (args.eps and len(args.eps) > 1):
+            raise SpecError("--r0 samples one radius: it takes no --bracket "
+                            "and at most one --eps value")
         eps = args.eps[0] if args.eps else spec.epsilon
         sample = return_map(with_epsilon(spec, eps), args.r0, args.steps)
         return {"sample": sample_to_json(sample)}
@@ -174,28 +173,18 @@ def _lienard_targets(m: int):
 
 
 def cmd_repro(args):
-    case = args.case
-    if case == "example1":
-        preset = presets.example1()
-        return run_pipeline(preset.spec, eps_values=[preset.spec.epsilon],
-                            tol=args.tol, steps=args.steps, csv_dir=args.csv)
-    if case == "example2":
-        preset = presets.example2()
-        return run_pipeline(preset.spec, targets=preset.expected["targets"],
-                            eps_values=[0.01, 0.005], tol=args.tol,
-                            steps=args.steps, csv_dir=args.csv)
-    if case == "vdp":
-        preset = presets.vdp()
-        return run_pipeline(preset.spec, eps_values=[0.02, 0.01, 0.005],
-                            tol=args.tol, steps=args.steps, csv_dir=args.csv)
-    if case == "lienard":
-        if args.m is None:
-            raise SpecError("repro lienard needs --m")
-        preset = lienard(args.m, epsilon=0.005)
-        return run_pipeline(preset.spec, targets=_lienard_targets(args.m),
-                            eps_values=[0.005], bracket=(0.4, 2.2),
-                            tol=args.tol, steps=args.steps, csv_dir=args.csv)
-    raise SpecError(f"unknown repro case {case!r}")
+    if (args.case == "lienard") != (args.m is not None):
+        raise SpecError("repro lienard needs --m, and no other case takes it")
+    opts = {"tol": args.tol, "steps": args.steps, "csv_dir": args.csv}
+    if args.case == "lienard":
+        return run_pipeline(lienard(args.m, epsilon=0.005).spec,
+                            targets=_lienard_targets(args.m),
+                            eps_values=[0.005], bracket=(0.4, 2.2), **opts)
+    preset = catalog()[args.case]()
+    eps = {"example1": [preset.spec.epsilon], "example2": [0.01, 0.005],
+           "vdp": [0.02, 0.01, 0.005]}[args.case]
+    return run_pipeline(preset.spec, targets=preset.expected.get("targets"),
+                        eps_values=eps, **opts)
 
 
 def cmd_pipeline(args):
@@ -296,8 +285,8 @@ def _emit(payload: dict, out_path) -> None:
 
 
 #: Exit code per error type, first match wins (see the module docstring).
-_EXIT_CODES = ((SpecError, 2), (ValueError, 2), (QuadratureError, 3),
-               (CountMismatchError, 4), (CycleAvgError, 1))
+_EXIT_CODES = ((SpecError, 2), (ValueError, 2), (CountMismatchError, 4),
+               (CycleAvgError, 1))
 
 
 def main(argv=None) -> int:

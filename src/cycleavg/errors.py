@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: malformed input (2), an angular
-integral in the dead band (3), predicted-vs-simulated count mismatch (4).
+The CLI maps these onto exit codes: malformed input (2),
+predicted-vs-simulated count mismatch (4), any other error (1).
 """
 
 
@@ -11,15 +11,6 @@ class CycleAvgError(Exception):
 
 class SpecError(CycleAvgError):
     """Invalid system description: bad schema, exponents, orientation."""
-
-
-class QuadratureError(CycleAvgError):
-    """Base of AmbiguousIntegralError; the CLI maps it to exit code 3."""
-
-
-class AmbiguousIntegralError(QuadratureError):
-    """An angular integral landed in the dead band between the
-    structural-zero threshold and the confident-nonzero threshold."""
 
 
 class RootError(CycleAvgError):

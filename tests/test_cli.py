@@ -6,7 +6,16 @@ import sys
 
 import pytest
 
-from cycleavg import PerturbationSpec, example1, linear_field, spec_to_json, vdp
+from cycleavg import (
+    HomogeneousField,
+    PerturbationSpec,
+    SignedPowerTerm,
+    example1,
+    linear_field,
+    monomial,
+    spec_to_json,
+    vdp,
+)
 from cycleavg import monomials
 from cycleavg.cli import main
 
@@ -203,6 +212,8 @@ def test_exit_code_2_on_bad_input(capsys):
     "simulate --preset vdp --r0 nan",
     "simulate --preset vdp --r0 inf",
     "simulate --preset vdp --r0 1 --eps 0.01 0.5",
+    "simulate --preset vdp --r0 1 --bracket 0.5 2",
+    "repro vdp --m 5",
     "pipeline --preset vdp --eps nan --steps 512",
     "continuation --preset vdp --eps 0.02 nan --steps 512",
     "continuation --preset vdp --eps 0.02 0.01 --root nan --bracket 0.5 2 "
@@ -272,14 +283,59 @@ def test_spec_numbers_load_as_ints_or_floats(capsys, tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_exit_code_3_on_ambiguous_integral(capsys, tmp_path):
-    # (a + d) * pi = 3.14e-9 lands inside the dead band [1e-10, 1e-8)
+def test_small_integral_is_kept_not_refused(capsys, tmp_path):
+    # (a + d) * pi = 3.14e-9 is small but not a structural zero
     spec = PerturbationSpec(fields=(linear_field(5e-10, 0.0, 0.0, 5e-10),),
                             b=(1.0,), epsilon=0.01, orientation="ccw")
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec_to_json(spec)), encoding="utf-8")
     rc, out = run(capsys, "integrals", "--spec", str(path))
-    assert rc == 3 and out == ""
+    assert rc == 0
+    result = json.loads(out)["result"]
+    assert result["nonzero"] == [True] and result["lower_bound"] == 0
+
+
+def _integrals_beside_vdp_linear_field(capsys, tmp_path, alpha, f_terms):
+    """The `integrals` result for vdp's linear field plus one more field."""
+    field = HomogeneousField(tuple(f_terms), (), alpha)
+    spec = PerturbationSpec(fields=(vdp().spec.fields[0], field), b=(1.0, 1.0),
+                            epsilon=0.01, orientation="ccw")
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec_to_json(spec)), encoding="utf-8")
+    rc, out = run(capsys, "integrals", "--spec", str(path))
+    assert rc == 0
+    return json.loads(out)["result"]
+
+
+@pytest.mark.parametrize("c", [1.0, 1e5, 1e6, 1e7, 1e12])
+def test_cancelling_cubic_is_zero_at_every_scale(capsys, tmp_path, c):
+    # c (x^3 - 3 x y^2) integrates c (cos^4 - 3 cos^2 sin^2): exactly 0
+    result = _integrals_beside_vdp_linear_field(
+        capsys, tmp_path, 3, [monomial(c, 3, 0), monomial(-3.0 * c, 1, 2)])
+    assert result["integrals"][1] == 0.0
+    assert result["nonzero"] == [True, False] and result["lower_bound"] == 0
+
+
+@pytest.mark.parametrize("c", [1.0, 1e7])
+def test_cancelling_signed_quadratic_across_parities(capsys, tmp_path, c):
+    # c (sgn(x) x^2 - 2 sgn(x)|x||y|) integrates 4c (M(3, 0) - 2 M(2, 1))
+    # = 4c (2/3 - 2/3): rational moments of both parities of p cancel
+    result = _integrals_beside_vdp_linear_field(
+        capsys, tmp_path, 2, [SignedPowerTerm(c, 2, 0, True, False),
+                              SignedPowerTerm(-2.0 * c, 1, 1, True, False)])
+    assert result["integrals"][1] == 0.0
+    assert result["nonzero"] == [True, False] and result["lower_bound"] == 0
+
+
+@pytest.mark.parametrize("x_exp, y_exp", [(31, 30), (37, 36), (200, 200)],
+                         ids=["degree61", "degree73", "degree400"])
+def test_small_high_degree_integral_is_kept(capsys, tmp_path, x_exp, y_exp):
+    # sgn(x)|x|^a |y|^b integrates 4 M(a + 1, b) > 0, tiny at high degree
+    result = _integrals_beside_vdp_linear_field(
+        capsys, tmp_path, x_exp + y_exp,
+        [SignedPowerTerm(1.0, x_exp, y_exp, True, False)])
+    assert result["integrals"][1] > 0.0
+    assert result["nonzero"] == [True, True] and result["lower_bound"] == 1
 
 
 def test_loose_residual_tol_leaves_integrals_alone(capsys):

@@ -8,7 +8,8 @@ one `--r0` sample), one `continuation`, `classify --scan 1` and one
 time reversal, x^s strip, y^u strip, x-power ordering).  Exit codes,
 keys, strings, ints and bools must match exactly; floats within 1e-12
 (relative or absolute), so that another libm does not fail the
-comparison.
+comparison, except that a golden 0.0 (a structural zero) matches only
+0.0.
 """
 
 import json
@@ -27,7 +28,8 @@ with open(os.path.join(os.path.dirname(__file__), "golden_cli.json"),
 def assert_matches(got, want, path="result"):
     if isinstance(want, float):
         assert isinstance(got, float), path
-        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12), (
+        assert math.isclose(got, want, rel_tol=1e-12,
+                            abs_tol=1e-12 if want else 0.0), (
             f"{path}: {got!r} != {want!r}")
     elif isinstance(want, dict):
         assert isinstance(got, dict) and sorted(got) == sorted(want), path
