@@ -13,6 +13,7 @@ isolated periodic orbits for small epsilon.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,14 +23,22 @@ from .fields import HomogeneousField, PerturbationSpec, normalize_ccw
 from .quadrature import integrate_circle
 
 
-def _quarter_moment(a, b) -> float:
-    """int_0^{pi/2} cos^a sin^b = B((a+1)/2, (b+1)/2) / 2 for a, b >= 0.
+def _quarter_moment(a, b, c=1.0, scale=1.0) -> float:
+    """c * M * scale with M = int_0^{pi/2} cos^a sin^b, for a, b >= 0.
 
-    Evaluated through log-gamma, which stays finite for every degree a
-    spec accepts (math.gamma overflows once (a+1)/2 passes ~171).
+    M = B((a+1)/2, (b+1)/2) / 2 is evaluated through log-gamma, which
+    stays finite for every degree a spec accepts (math.gamma overflows
+    once (a+1)/2 passes ~171).  An M below the smallest normal double
+    takes log|c| and log(scale) into its exponent, so that c M scale does
+    not underflow with M.
     """
     p, q = 0.5 * (float(a) + 1.0), 0.5 * (float(b) + 1.0)
-    return 0.5 * math.exp(math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q))
+    log_m = math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q)
+    m = 0.5 * math.exp(log_m)
+    if m >= sys.float_info.min or c == 0.0:
+        return c * m * scale
+    return math.copysign(
+        0.5 * math.exp(log_m + math.log(abs(c)) + math.log(scale)), c)
 
 
 def _class_sum(members, total) -> float:
@@ -38,9 +47,10 @@ def _class_sum(members, total) -> float:
     Each M is an exact rational multiple rho of the class's largest moment
     M_ref, by M(p + 2, q - 2) = M(p, q) (p + 1) / (q - 1) and, for integers
     with p + q odd, Wallis: M(p + 1, q - 1) / M(p, q) = prod (m - 1) / m,
-    m = p + 2, p + 4, ... < q.  With each rho rounded once, sum c rho is 0
-    within its rounding bound gamma_n sum |c rho|, n = 2 per term, or the
-    class sums to M_ref fsum(c rho): value and verdict share one sum.
+    m = p + 2, p + 4, ... < q.  With each rho rounded once (or c rho, where
+    rho alone would underflow), sum c rho is 0 within its rounding bound
+    gamma_n sum |c rho|, n = 2 per term, or the class sums to
+    M_ref fsum(c rho): value and verdict share one sum.
     """
     # exponents as integers s in units of 1/d, so q = (t - s) / d
     d = math.lcm(total.denominator, *(p.denominator for _, p, _ in members))
@@ -58,13 +68,18 @@ def _class_sum(members, total) -> float:
         num *= math.prod(range(at + d, s + d, 2 * d))
         den *= math.prod(range(t - at - d, t - s - d, -2 * d))
         chains[k] = s, num, den
-        cr.append(c * (num / den))
+        rho = num / den
+        if rho >= sys.float_info.min:
+            cr.append(c * rho)
+        else:                           # round c rho once, not rho to 0
+            cn, cd = c.as_integer_ratio()
+            cr.append(cn * num / (cd * den))
     scale = 2.0 ** max(0, math.frexp(max(map(abs, cr)))[1] - 1)  # fsum < inf
     cr = [v / scale for v in cr]
     nu, total_cr = len(cr) * math.ulp(1.0), math.fsum(cr)   # nu = n u
     if abs(total_cr) <= nu / (1 - nu) * math.fsum(map(abs, cr)):
         return 0.0
-    return _quarter_moment(lo / d, (t - lo) / d) * total_cr * scale
+    return _quarter_moment(lo / d, (t - lo) / d, total_cr, scale)
 
 
 def angular_integral(field: HomogeneousField) -> float:
@@ -91,7 +106,7 @@ def angular_integral(field: HomogeneousField) -> float:
                else (p.numerator % (2 * p.denominator), p.denominator))
         classes.setdefault(key, []).append((c, p, q))
     grouped = [members for members in classes.values() if len(members) > 1]
-    f_part, g_part = (sum(c * _quarter_moment(p, q) for c, p, q in part
+    f_part, g_part = (sum(_quarter_moment(p, q, c) for c, p, q in part
                           if not any((c, p, q) in m for m in grouped))
                       for part in terms)
     return 4.0 * (f_part + g_part + sum(_class_sum(m, field.alpha + 1) for m in grouped))

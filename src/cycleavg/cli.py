@@ -17,6 +17,7 @@ be finite and positive.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -198,7 +199,10 @@ def _add_input_flags(sub):
     sub.add_argument("--spec", help="path to a spec JSON file")
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process on first use; every caller
+    shares it, so none may add to it."""
     parser = argparse.ArgumentParser(
         prog="cycleavg",
         description="First-order averaging toolkit for perturbed planar centers",
@@ -223,50 +227,41 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("integrals", help="angular integrals and lower bound")
     _add_input_flags(p)
-    p.set_defaults(func=cmd_integrals)
 
     p = sub.add_parser("averaged", help="averaged function coefficients")
     _add_input_flags(p)
-    p.set_defaults(func=cmd_averaged)
 
     p = sub.add_parser("roots", help="positive roots of the averaged function")
     _add_input_flags(p)
     common(p)
-    p.set_defaults(func=cmd_roots)
 
     p = sub.add_parser("synthesize", help="retune b for prescribed averaged roots")
     _add_input_flags(p)
     p.add_argument("--targets", nargs="+", type=float, required=True)
-    p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("simulate", help="return-map fixed points (or one sample)")
     _add_input_flags(p)
     common(p, eps=True, steps=True)
     p.add_argument("--r0", type=float, help="evaluate the return map at one radius")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("continuation", help="track a fixed point as eps decreases")
     _add_input_flags(p)
     common(p, eps=True, steps=True)
     p.add_argument("--root", type=float, help="predicted radius to track")
-    p.set_defaults(func=cmd_continuation)
 
     p = sub.add_parser("classify", help="no-cycle certificate for a monomial system")
     p.add_argument("--system", help="inline JSON or a path to a JSON file")
     p.add_argument("--scan", type=int, help="exhaustively classify exponents 0..N")
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("repro", help="rerun a canonical reproduction case")
     p.add_argument("case", choices=["example1", "example2", "lienard", "vdp"])
     p.add_argument("--m", type=int, help="monomial count for the lienard case")
     common(p, bracket=False, steps=True, csv=True)
-    p.set_defaults(func=cmd_repro)
 
     p = sub.add_parser("pipeline", help="integrals -> synthesis -> roots -> simulation")
     _add_input_flags(p)
     common(p, eps=True, steps=True, csv=True)
     p.add_argument("--targets", nargs="+", type=float)
-    p.set_defaults(func=cmd_pipeline)
 
     return parser
 
@@ -290,10 +285,12 @@ _EXIT_CODES = ((SpecError, 2), (ValueError, 2), (CountMismatchError, 4),
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # Looked up by name on every call, so a command replaced on the module
+    # (as a tracer wraps them) is the one that runs.
+    command = globals()[f"cmd_{args.command}"]
     try:
-        payload = args.func(args)
+        payload = command(args)
     except (CycleAvgError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))

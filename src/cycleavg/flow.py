@@ -187,50 +187,46 @@ def _check_steps(steps):
 def _integrate_scalar(spec: PerturbationSpec, tabs: _Tables, r0: float,
                       substeps: int) -> tuple[float, float]:
     """RK4 over one revolution with `substeps` steps; returns (r1, min speed)."""
-    nf = len(tabs.alphas)
-    al = tabs.alphas
-    eb = [spec.epsilon * bj for bj in spec.b]
+    fields = tuple(zip(tabs.alphas, [spec.epsilon * bj for bj in spec.b],
+                       tabs.radial, tabs.transverse))
     stride = tabs.steps // substeps           # table intervals per half step
     h = 2.0 * math.pi / substeps
     lo, hi = GUARD
     min_den = math.inf
-    state = [min_den]
-
-    frt, trt = tabs.radial, tabs.transverse
 
     def rhs(idx: int, r: float) -> float:
+        nonlocal min_den
         if not lo < r < hi:
             raise GuardBoundError(
                 f"radius {r:.6g} left the window ({lo:g}, {hi:g}) near "
                 f"theta={tabs.thetas[idx]:.6g}"
             )
-        num = 0.0
-        dacc = 0.0
-        for j in range(nf):
-            ra = r ** al[j]
-            num += eb[j] * frt[j][idx] * ra
-            dacc += eb[j] * trt[j][idx] * ra
+        num = dacc = 0.0
+        for a, e, fr, tr in fields:
+            ra = r ** a
+            num += e * fr[idx] * ra
+            dacc += e * tr[idx] * ra
         den = 1.0 + dacc / r
         if den <= 0.0:
             raise AngularMonotonicityError(
                 f"angular speed {den:.3e} <= 0 at theta="
                 f"{tabs.thetas[idx]:.6g}, r={r:.6g}"
             )
-        if den < state[0]:
-            state[0] = den
+        if den < min_den:
+            min_den = den
         return num / den
 
     r = float(r0)
-    for n in range(substeps):
-        base = 2 * stride * n
+    for base in range(0, 2 * stride * substeps, 2 * stride):
+        mid = base + stride
         k1 = rhs(base, r)
-        k2 = rhs(base + stride, r + 0.5 * h * k1)
-        k3 = rhs(base + stride, r + 0.5 * h * k2)
+        k2 = rhs(mid, r + 0.5 * h * k1)
+        k3 = rhs(mid, r + 0.5 * h * k2)
         k4 = rhs(base + 2 * stride, r + h * k3)
         r += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
     if not lo < r < hi:
         raise GuardBoundError(f"final radius {r:.6g} left the window ({lo:g}, {hi:g})")
-    return r, state[0]
+    return r, min_den
 
 
 def _integrate_tangent(spec: PerturbationSpec, tabs: _Tables, r0: float,

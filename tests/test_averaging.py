@@ -12,6 +12,7 @@ from conftest import beta_moment, quad_circle, wallis_even
 from cycleavg import (
     AveragedFunction,
     HomogeneousField,
+    PerturbationSpec,
     SignedPowerTerm,
     SpecError,
     angular_components,
@@ -25,7 +26,7 @@ from cycleavg import (
     wronskian_closed_form,
     wronskian_numeric,
 )
-from cycleavg import quadrature
+from cycleavg import averaging, quadrature
 from cycleavg.fields import reflect_diagonal
 from cycleavg.presets import (
     catalog,
@@ -541,6 +542,39 @@ def test_two_term_class_at_degree_20001_is_fast():
     assert time.perf_counter() - start < 2.0
     exact = 2 * (mpmath.beta((n + 2) / 2, 0.5) + mpmath.beta(1.5, n / 2))
     assert value == pytest.approx(float(exact), rel=1e-10)
+
+
+@pytest.mark.parametrize("terms", [
+    [(1101, 1100, 1e300)],
+    [(1101, 1100, -2e250)],
+    [(1101, 1100, 1e300), (1099, 1102, -3e300)],
+    [(1101, 1100, 1e300), (2201, 0, 1e-300)],
+    [(Fraction(2201, 2), 1001, 1e300)],
+], ids=["lone", "negative", "class", "far-class", "fractional"])
+def test_moment_below_the_smallest_double_keeps_its_term(terms):
+    # M(1102, 1100) ~ 1.4e-333 underflows a double, but c M ~ 5.6e-33 does
+    # not: c must enter before the moment is exponentiated, and in a class
+    # whose largest moment is M(2202, 0), before the ratio ~ 5e-332 rounds
+    mp = _MpmathMoment()
+    field = HomogeneousField(tuple(SignedPowerTerm(c, x, y, True, False)
+                                   for x, y, c in terms), (),
+                             terms[0][0] + terms[0][1])
+    exact = 4 * sum(mp.coeff(c) * mp(x + 1, y) for x, y, c in terms)
+    for f in (field, reflect_diagonal(field)):
+        value = angular_integral(f)
+        # lgamma near 3000 carries ~1e-12 of relative rounding
+        assert value == pytest.approx(float(exact), rel=1e-11, abs=0.0)
+    avg = average(PerturbationSpec((vdp().spec.fields[0], field), (1.0, 1.0), 0.01))
+    assert avg.keep == (True, True) and avg.lower_bound == 1
+
+
+def test_moments_above_the_smallest_double_keep_their_bits():
+    # the log-coefficient path runs only below the smallest normal double
+    for a, b, c in ((1001, 1000, 1e300), (3, 4, -2.5), (Fraction(3, 2), 0, 7.0),
+                    (1101, 1100, 0.0)):
+        p, q = 0.5 * (float(a) + 1.0), 0.5 * (float(b) + 1.0)
+        m = 0.5 * math.exp(math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q))
+        assert averaging._quarter_moment(a, b, c) == c * m
 
 
 def _scale_field(field, k):

@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
 
 import pytest
+
+import cycleavg
 
 from cycleavg import (
     HomogeneousField,
@@ -16,8 +20,8 @@ from cycleavg import (
     spec_to_json,
     vdp,
 )
-from cycleavg import monomials
-from cycleavg.cli import main
+from cycleavg import cli, monomials
+from cycleavg.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -61,6 +65,44 @@ def test_spec_file_round_trip(capsys, tmp_path):
     assert rc == 0
     _, via_preset = run(capsys, "integrals", "--preset", "example1")
     assert out == via_preset
+
+
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
+def test_commands_are_looked_up_when_main_is_called(capsys, monkeypatch):
+    # A tracer wraps `cli.cmd_*` on the module after a warm-up call; the
+    # cached parser must not hold on to the commands it saw first.
+    assert run(capsys, "integrals", "--preset", "vdp")[0] == 0
+    calls = []
+
+    def spy(args):
+        calls.append(args.preset)
+        return {"spied": True}
+
+    monkeypatch.setattr(cli, "cmd_integrals", spy)
+    rc, out = run(capsys, "integrals", "--preset", "example1")
+    assert rc == 0 and calls == ["example1"]
+    assert json.loads(out)["result"] == {"spied": True}
+
+
+def test_failed_calls_leave_the_next_call_as_a_first_call(capsys):
+    argv = ["simulate", "--preset", "vdp", "--r0", "1.0", "--steps", "512"]
+    with pytest.raises(SystemExit) as info:          # argparse rejects it
+        main(["simulate", "--preset", "vdp", "--r0"])
+    assert info.value.code == 2
+    assert main(["simulate", "--preset", "vdp", "--r0", "nan"]) == 2
+    capsys.readouterr()
+    rc, out = run(capsys, *argv)
+    src = os.path.dirname(os.path.dirname(cycleavg.__file__))
+    fresh = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from cycleavg.cli import main; sys.exit(main(sys.argv[1:]))",
+         *argv],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert rc == 0 and out == fresh.stdout and fresh.stderr == ""
 
 
 def test_roots_example1(capsys):
@@ -327,13 +369,15 @@ def test_cancelling_signed_quadratic_across_parities(capsys, tmp_path, c):
     assert result["nonzero"] == [True, False] and result["lower_bound"] == 0
 
 
-@pytest.mark.parametrize("x_exp, y_exp", [(31, 30), (37, 36), (200, 200)],
-                         ids=["degree61", "degree73", "degree400"])
-def test_small_high_degree_integral_is_kept(capsys, tmp_path, x_exp, y_exp):
-    # sgn(x)|x|^a |y|^b integrates 4 M(a + 1, b) > 0, tiny at high degree
+@pytest.mark.parametrize("x_exp, y_exp, c", [
+    (31, 30, 1.0), (37, 36, 1.0), (200, 200, 1.0), (1101, 1100, 1e300)],
+    ids=["degree61", "degree73", "degree400", "degree2201"])
+def test_small_high_degree_integral_is_kept(capsys, tmp_path, x_exp, y_exp, c):
+    # c sgn(x)|x|^a |y|^b integrates 4c M(a + 1, b) > 0, tiny at high
+    # degree; at degree 2201 M ~ 1e-333 is below the smallest double
     result = _integrals_beside_vdp_linear_field(
         capsys, tmp_path, x_exp + y_exp,
-        [SignedPowerTerm(1.0, x_exp, y_exp, True, False)])
+        [SignedPowerTerm(c, x_exp, y_exp, True, False)])
     assert result["integrals"][1] > 0.0
     assert result["nonzero"] == [True, True] and result["lower_bound"] == 1
 

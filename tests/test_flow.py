@@ -5,20 +5,25 @@ import json
 import logging
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cycleavg import cli, flow
 from cycleavg import (
     AngularMonotonicityError,
     ContinuationError,
     GuardBoundError,
+    HomogeneousField,
     PerturbationSpec,
+    SignedPowerTerm,
     SpecError,
     angular_components,
     average,
     capillary,
+    catalog,
     continuation_check,
     example1,
     example2,
@@ -621,3 +626,117 @@ def test_kernel_errors_print_the_graded_angle():
     assert 1.0 + spec.epsilon * (x * q - y * p) / (r * r) == pytest.approx(
         speed, abs=1e-4)
     assert speed < -1e-2
+
+
+def _reference_integrate_scalar(spec, tabs, r0, substeps):
+    """The value kernel in its index-per-stage form, kept as the reference
+    that `flow._integrate_scalar`'s row loop must match bit for bit."""
+    nf = len(tabs.alphas)
+    al = tabs.alphas
+    eb = [spec.epsilon * bj for bj in spec.b]
+    stride = tabs.steps // substeps           # table intervals per half step
+    h = 2.0 * math.pi / substeps
+    lo, hi = flow.GUARD
+    min_den = math.inf
+    state = [min_den]
+
+    frt, trt = tabs.radial, tabs.transverse
+
+    def rhs(idx: int, r: float) -> float:
+        if not lo < r < hi:
+            raise GuardBoundError(
+                f"radius {r:.6g} left the window ({lo:g}, {hi:g}) near "
+                f"theta={tabs.thetas[idx]:.6g}"
+            )
+        num = 0.0
+        dacc = 0.0
+        for j in range(nf):
+            ra = r ** al[j]
+            num += eb[j] * frt[j][idx] * ra
+            dacc += eb[j] * trt[j][idx] * ra
+        den = 1.0 + dacc / r
+        if den <= 0.0:
+            raise AngularMonotonicityError(
+                f"angular speed {den:.3e} <= 0 at theta="
+                f"{tabs.thetas[idx]:.6g}, r={r:.6g}"
+            )
+        if den < state[0]:
+            state[0] = den
+        return num / den
+
+    r = float(r0)
+    for n in range(substeps):
+        base = 2 * stride * n
+        k1 = rhs(base, r)
+        k2 = rhs(base + stride, r + 0.5 * h * k1)
+        k3 = rhs(base + stride, r + 0.5 * h * k2)
+        k4 = rhs(base + 2 * stride, r + h * k3)
+        r += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    if not lo < r < hi:
+        raise GuardBoundError(f"final radius {r:.6g} left the window ({lo:g}, {hi:g})")
+    return r, state[0]
+
+
+def _kernel_outcome(kernel, spec, r0, steps):
+    """(r1, min speed) of a revolution at `steps` and of its half pass, or
+    the type and message of the error it raised."""
+    tabs = flow._tables(spec.fields, steps)
+    outcome = []
+    for substeps in (steps, steps // 2):
+        try:
+            outcome.append(kernel(spec, tabs, r0, substeps))
+        except (GuardBoundError, AngularMonotonicityError) as exc:
+            outcome.append((type(exc), str(exc)))
+    return outcome
+
+
+def _assert_same_bits(spec, r0, steps):
+    new = _kernel_outcome(flow._integrate_scalar, spec, r0, steps)
+    ref = _kernel_outcome(_reference_integrate_scalar, spec, r0, steps)
+    # repr tells -0.0 from 0.0 and compares NaNs; == would do neither
+    assert repr(new) == repr(ref), (spec, r0, steps)
+    return new
+
+
+def test_value_kernel_matches_its_reference_on_every_preset():
+    outcomes = set()
+    for name, make in sorted(catalog().items()):
+        spec = normalize_ccw(make().spec)
+        for steps in (8, 64, 512, 4096):
+            for r0 in (0.5, 1.2, 3.0):
+                for result in _assert_same_bits(spec, r0, steps):
+                    outcomes.add(result[0] if isinstance(result[0], type)
+                                 else "ok")
+    # both error exits are compared, not only finished revolutions
+    assert outcomes == {"ok", GuardBoundError, AngularMonotonicityError}
+
+
+@st.composite
+def kernel_specs(draw):
+    """One to three fields of increasing degree <= 5 with fractional
+    exponents and any valid sign flags (so mostly the graded mesh)."""
+    alphas = sorted(draw(st.sets(
+        st.builds(Fraction, st.integers(0, 15), st.integers(1, 3)).filter(
+            lambda a: a <= 5), min_size=1, max_size=3)))
+
+    def term(alpha):
+        d = draw(st.integers(1, 4))
+        x_exp = Fraction(draw(st.integers(0, math.floor(alpha * d))), d)
+        y_exp = alpha - x_exp
+        return SignedPowerTerm(draw(st.floats(-3.0, 3.0)), x_exp, y_exp,
+                               x_exp > 0 and draw(st.booleans()),
+                               y_exp > 0 and draw(st.booleans()))
+
+    fields = tuple(
+        HomogeneousField(tuple(term(a) for _ in range(draw(st.integers(0, 2)))),
+                         tuple(term(a) for _ in range(draw(st.integers(0, 2)))),
+                         a)
+        for a in alphas)
+    b = tuple(draw(st.floats(-2.0, 2.0)) for _ in fields)
+    return PerturbationSpec(fields, b, draw(st.floats(1e-3, 0.05)), "ccw")
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(kernel_specs(), st.floats(0.3, 5.0), st.sampled_from([8, 64, 512]))
+def test_value_kernel_matches_its_reference_on_random_specs(spec, r0, steps):
+    _assert_same_bits(spec, r0, steps)
