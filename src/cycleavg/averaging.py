@@ -141,12 +141,6 @@ class AveragedFunction:
         return float(acc) if acc.ndim == 0 else acc
 
 
-def averaged_to_json(h: AveragedFunction) -> dict:
-    """JSON form of an averaged function, as the CLI prints it."""
-    return {"exponents": list(h.exponents),
-            "coefficients": list(h.coefficients)}
-
-
 @dataclass(frozen=True)
 class Averaged:
     """Angular integrals of a ccw-normalized spec; `keep` (the nonzero
@@ -189,6 +183,12 @@ def average(spec: PerturbationSpec) -> Averaged:
     """Angular integrals of the ccw-normalized spec."""
     work = normalize_ccw(spec)
     return Averaged(work, tuple(angular_integral(f) for f in work.fields))
+
+
+def integrals_to_json(avg: Averaged) -> dict:
+    """The integrals, which of them are nonzero, and the bound they give."""
+    return {"integrals": list(avg.integrals), "nonzero": list(avg.keep),
+            "lower_bound": avg.lower_bound}
 
 
 # ---------------------------------------------------------------------------

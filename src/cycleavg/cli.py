@@ -5,13 +5,14 @@ version, never timestamps) plus the result payload, serialized with
 sorted keys so identical inputs give byte-identical output.
 
 Exit codes: 0 success; 2 malformed input (bad JSON, schema violation,
-inconsistent flags: SpecError) or an out-of-range or non-finite numeric
-argument (ValueError); 4 simulated fixed-point count disagrees with the
-averaged prediction; 1 any other computation error.  `simulate`,
-`pipeline` and `continuation` share one `--eps` rule (`flow.sweep`),
-checked before any search.  `--tol` (on `simulate`, `continuation`,
-`pipeline` and `repro`) is the fixed-point residual tolerance and must
-be finite and positive.
+inconsistent flags, an unreadable --spec: SpecError), an out-of-range or
+non-finite numeric argument (ValueError), or a path that cannot be read
+or written (OSError: --out, --csv, a --system file); 4 simulated
+fixed-point count disagrees with the averaged prediction; 1 any other
+computation error.  `simulate`, `pipeline` and `continuation` share one
+`--eps` rule (`flow.sweep`), checked before any search.  `--tol` (on
+`simulate`, `continuation`, `pipeline` and `repro`) is the fixed-point
+residual tolerance and must be finite and positive.
 """
 
 from __future__ import annotations
@@ -25,12 +26,13 @@ import sys
 from collections import Counter
 
 from . import __version__
-from .averaging import average, averaged_to_json
+from .averaging import average, integrals_to_json
 from .errors import CountMismatchError, CycleAvgError, SpecError
-from .fields import load_spec, normalize_ccw, spec_to_json, with_epsilon
+from .fields import load_spec, spec_to_json, with_epsilon
 from .flow import (
     RESIDUAL_TOL,
     continuation_check,
+    continuation_to_json,
     return_map,
     run_to_json,
     sample_to_json,
@@ -46,7 +48,7 @@ from .monomials import (
 )
 from .pipeline import retune_b, run_pipeline
 from .presets import catalog, lienard
-from .roots import DEFAULT_BRACKET, positive_roots, root_to_json
+from .roots import DEFAULT_BRACKET, positive_roots
 
 
 def _load_input(args):
@@ -66,17 +68,13 @@ def _load_input(args):
 
 def cmd_integrals(args):
     avg = average(_load_input(args))
-    return {
-        "alphas": [f"{a.numerator}/{a.denominator}" for a in avg.spec.alphas],
-        "integrals": list(avg.integrals),
-        "nonzero": list(avg.keep),
-        "lower_bound": avg.lower_bound,
-    }
+    return {"alphas": [f"{a.numerator}/{a.denominator}" for a in avg.spec.alphas],
+            **integrals_to_json(avg)}
 
 
 def cmd_averaged(args):
     avg = average(_load_input(args))
-    return {"averaged": averaged_to_json(avg.h), "lower_bound": avg.lower_bound}
+    return {"averaged": dict(vars(avg.h)), "lower_bound": avg.lower_bound}
 
 
 def cmd_roots(args):
@@ -84,10 +82,10 @@ def cmd_roots(args):
     bracket = tuple(args.bracket) if args.bracket else DEFAULT_BRACKET
     report = positive_roots(h, bracket=bracket)
     return {
-        "averaged": averaged_to_json(h),
+        "averaged": dict(vars(h)),
         "descartes_bound": report.descartes_bound,
         "bracket": list(report.bracket),
-        "roots": [root_to_json(r) for r in report.roots],
+        "roots": [dict(vars(r)) for r in report.roots],
     }
 
 
@@ -103,7 +101,7 @@ def cmd_synthesize(args):
 
 
 def cmd_simulate(args):
-    spec = normalize_ccw(_load_input(args))
+    spec = _load_input(args)
     if args.r0 is not None:
         if args.bracket or (args.eps and len(args.eps) > 1):
             raise SpecError("--r0 samples one radius: it takes no --bracket "
@@ -123,7 +121,7 @@ def cmd_simulate(args):
 
 
 def cmd_continuation(args):
-    spec = normalize_ccw(_load_input(args))
+    spec = _load_input(args)
     if not args.eps or len(args.eps) < 2:
         raise SpecError("continuation needs --eps with at least two values")
     root = args.root
@@ -136,10 +134,7 @@ def cmd_continuation(args):
         root = report.roots[0].z
     rows = continuation_check(spec, args.eps, root, bracket=args.bracket,
                               tol=args.tol, steps=args.steps)
-    return {
-        "predicted_root": root,
-        "rows": [row._asdict() for row in rows],
-    }
+    return continuation_to_json(root, rows)
 
 
 def cmd_classify(args):
@@ -280,8 +275,8 @@ def _emit(payload: dict, out_path) -> None:
 
 
 #: Exit code per error type, first match wins (see the module docstring).
-_EXIT_CODES = ((SpecError, 2), (ValueError, 2), (CountMismatchError, 4),
-               (CycleAvgError, 1))
+_EXIT_CODES = ((SpecError, 2), (ValueError, 2), (OSError, 2),
+               (CountMismatchError, 4), (CycleAvgError, 1))
 
 
 def main(argv=None) -> int:
@@ -290,11 +285,10 @@ def main(argv=None) -> int:
     # (as a tracer wraps them) is the one that runs.
     command = globals()[f"cmd_{args.command}"]
     try:
-        payload = command(args)
-    except (CycleAvgError, ValueError) as exc:
+        _emit(command(args), args.out)
+    except (CycleAvgError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
-    _emit(payload, args.out)
     return 0
 
 

@@ -307,9 +307,11 @@ def spec_from_json(obj) -> PerturbationSpec:
 
 
 def load_spec(path) -> PerturbationSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"invalid JSON in {path}: {exc}") from exc
+    except OSError as exc:
+        raise SpecError(f"cannot read spec: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise SpecError(f"invalid JSON in {path}: {exc}") from exc
     return spec_from_json(obj)

@@ -83,11 +83,8 @@ class ReturnMapSample:
 
 
 def sample_to_json(sample: ReturnMapSample) -> dict:
-    """JSON form of a return-map sample, as the CLI prints it."""
-    return {"r0": sample.r0, "r1": sample.r1,
-            "displacement": sample.r1 - sample.r0,
-            "min_theta_speed": sample.min_theta_speed,
-            "steps": sample.steps, "error_estimate": sample.error_estimate}
+    """The sample's fields plus its one derived key, `displacement`."""
+    return {**vars(sample), "displacement": sample.r1 - sample.r0}
 
 
 @dataclass(frozen=True)
@@ -99,17 +96,6 @@ class LimitCycleCertificate:
     map_derivative: float
     hyperbolic: bool
     epsilon: float
-
-
-def certificate_to_json(cert: LimitCycleCertificate) -> dict:
-    """JSON form of a fixed-point certificate, as the CLI prints it."""
-    return {
-        "r_star": cert.r_star,
-        "residual": cert.residual,
-        "map_derivative": cert.map_derivative,
-        "hyperbolic": cert.hyperbolic,
-        "epsilon": cert.epsilon,
-    }
 
 
 def simulation_bracket(predicted) -> tuple[float, float]:
@@ -623,8 +609,13 @@ def sweep(spec: PerturbationSpec, eps_values, bracket, tol: float = RESIDUAL_TOL
 
 def run_to_json(eps: float, certs) -> dict:
     """JSON form of one epsilon's search, as the CLI prints it."""
-    return {"epsilon": eps,
-            "fixed_points": [certificate_to_json(c) for c in certs]}
+    return {"epsilon": eps, "fixed_points": [dict(vars(c)) for c in certs]}
+
+
+def continuation_to_json(predicted_root: float, rows) -> dict:
+    """JSON form of one tracked root's continuation rows."""
+    return {"predicted_root": predicted_root,
+            "rows": [row._asdict() for row in rows]}
 
 
 def continuation_check(spec: PerturbationSpec, eps_values, predicted_root: float,

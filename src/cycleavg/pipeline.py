@@ -11,17 +11,18 @@ import math
 import os
 from dataclasses import replace
 
-from .averaging import Averaged, average, averaged_to_json
+from .averaging import Averaged, average, integrals_to_json
 from .errors import CountMismatchError, SpecError
 from .fields import PerturbationSpec, spec_to_json, with_b
 from .flow import (
     RESIDUAL_TOL,
     continuation_rows,
+    continuation_to_json,
     run_to_json,
     simulation_bracket,
     sweep,
 )
-from .roots import check_bracket, positive_roots, root_to_json, synthesize_coefficients
+from .roots import check_bracket, positive_roots, synthesize_coefficients
 
 
 def retune_b(spec: PerturbationSpec, targets) -> tuple[Averaged, tuple]:
@@ -90,13 +91,11 @@ def run_pipeline(spec: PerturbationSpec, targets=None, eps_values=None,
 
     out = {
         "spec": spec_to_json(work),
-        "integrals": list(avg.integrals),
-        "nonzero": list(avg.keep),
-        "lower_bound": avg.lower_bound,
+        **integrals_to_json(avg),
         "synthesized_coefficients": list(synthesized) if synthesized else None,
-        "averaged": averaged_to_json(h),
+        "averaged": dict(vars(h)),
         "descartes_bound": report.descartes_bound,
-        "predicted_roots": [root_to_json(r) for r in report.roots],
+        "predicted_roots": [dict(vars(r)) for r in report.roots],
         "bracket": list(sim_bracket),
         "runs": [],
         "continuation": [],
@@ -121,10 +120,6 @@ def run_pipeline(spec: PerturbationSpec, targets=None, eps_values=None,
         runs.append((eps, certs))
 
     if len(runs) >= 2:
-        for z in predicted:
-            rows = continuation_rows(runs, z)
-            out["continuation"].append({
-                "predicted_root": z,
-                "rows": [row._asdict() for row in rows],
-            })
+        out["continuation"] = [continuation_to_json(z, continuation_rows(runs, z))
+                               for z in predicted]
     return out

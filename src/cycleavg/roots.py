@@ -44,12 +44,6 @@ class PositiveRoot:
     interval_degree: int
 
 
-def root_to_json(root: PositiveRoot) -> dict:
-    """JSON form of a positive root, as the CLI prints it."""
-    return {"z": root.z, "derivative_sign": root.derivative_sign,
-            "interval_degree": root.interval_degree}
-
-
 @dataclass(frozen=True)
 class RootReport:
     roots: tuple[PositiveRoot, ...]

@@ -413,6 +413,20 @@ def test_tol_only_on_search_commands(capsys, argv):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    "integrals --spec {tmp}/missing.json",
+    "--out {tmp}/missing_dir/doc.json integrals --preset vdp",
+    "pipeline --preset vdp --steps 512 --csv {tmp}/plain.txt/scans",
+])
+def test_exit_code_2_on_unusable_path(capsys, tmp_path, argv):
+    (tmp_path / "plain.txt").write_text("not a directory", encoding="utf-8")
+    rc = main(argv.format(tmp=tmp_path).split())
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_exit_code_4_on_count_mismatch(capsys):
     rc = main(["pipeline", "--preset", "vdp", "--bracket", "2.0", "3.0",
                "--steps", "512"])
