@@ -29,6 +29,16 @@ node it settles at twice the scan's count, and a lone revolution
 (`return_map`) at REVOLUTION_STEPS, so that most radii need no second
 level and its cost depends little on its radius.  An explicit `steps`
 pins every revolution to that count.
+
+A lone radius runs in one of two kernels generated per field count
+(`_kernel`): the value kernel, and the tangent kernel that also carries
+dP/dr0 for Newton.  Each is one revolution written out as straight-line
+Python for nf fields and compiled once per process.  The generated
+source holds field indices only; exponents, eps * b_j, the angle tables
+and the guard window are its arguments, so no spec data is compiled,
+and its sums run in field order, as the per-stage form they replace did,
+so results are bit for bit the same.  A scan's radii run together in a
+third kernel, one numpy call per RK4 stage (`_integrate_batch`).
 """
 
 from __future__ import annotations
@@ -163,56 +173,93 @@ def _tables(fields, steps: int) -> _Tables:
 def _check_steps(steps):
     if steps is None:
         return
-    if steps < 8 or steps % 8 != 0:
+    if isinstance(steps, bool) or not isinstance(steps, int) or steps < 8 or steps % 8:
         raise ValueError(
-            f"steps must be a multiple of 8 (axis-angle panel alignment at both "
-            f"resolutions), got {steps}"
+            f"steps must be an int multiple of 8 (axis-angle panel alignment at "
+            f"both resolutions), got {steps!r}"
         )
+
+
+def _guard_exit(r: float, lo: float, hi: float, theta: float):
+    raise GuardBoundError(
+        f"radius {r:.6g} left the window ({lo:g}, {hi:g}) near theta={theta:.6g}")
+
+
+def _speed_exit(den: float, theta: float, r: float):
+    raise AngularMonotonicityError(
+        f"angular speed {den:.3e} <= 0 at theta={theta:.6g}, r={r:.6g}")
+
+
+@lru_cache(maxsize=16)
+def _kernel(nf: int, tangent: bool):
+    """kernel(r0, h, n, stride, lo, hi, thetas, a_0, e_0, fr_0, tr_0, ...):
+    n RK4 steps for `nf` fields with e_j = eps * b_j, of num / den with
+    num = sum e_j fr_j r^a_j and den = 1 + sum e_j tr_j r^a_j / r, each sum
+    from 0.0 in field order.  Returns (r1, min speed), or with `tangent`
+    (r1, dr1/dr0) carried through the same stages by the variational
+    equation, df/dr = (sum a_j t_j / r - f sum (a_j - 1) u_j / r^2) / den.
+    """
+    fields = range(nf)
+
+    def total(terms):
+        return "(0.0" + "".join(f" + {t}" for t in terms) + ")"
+
+    def stage(k, idx, x, s):
+        t = [f"e{j} * fr{j}[{idx}] * p{j}" for j in fields]
+        u = [f"e{j} * tr{j}[{idx}] * p{j}" for j in fields]
+        yield f"x = {x}"
+        yield f"if not lo < x < hi: _guard_exit(x, lo, hi, thetas[{idx}])"
+        yield from (f"p{j} = x ** a{j}" for j in fields)
+        if tangent:                 # named, as df/dr uses each term again
+            yield from (f"t{j} = {t[j]}; u{j} = {u[j]}" for j in fields)
+            t, u = [f"t{j}" for j in fields], [f"u{j}" for j in fields]
+        yield f"den = 1.0 + {total(u)} / x"
+        yield f"if den <= 0.0: _speed_exit(den, thetas[{idx}], x)"
+        yield f"k{k} = {total(t)} / den"
+        if tangent:
+            yield (f"l{k} = (({total(f'a{j} * t{j}' for j in fields)} / x - k{k} * "
+                   f"{total(f'm{j} * u{j}' for j in fields)} / (x * x)) / den) * {s}")
+        else:
+            yield "if den < least: least = den"
+
+    stages = ((1, "base", "r", "s"), (2, "mid", "r + hh * k1", "(s + hh * l1)"),
+              (3, "mid", "r + hh * k2", "(s + hh * l2)"),
+              (4, "end", "r + h * k3", "(s + h * l3)"))
+    params = "".join(f", a{j}, e{j}, fr{j}, tr{j}" for j in fields)
+    source = "\n".join([
+        f"def kernel(r, h, n, stride, lo, hi, thetas{params}):",
+        "    hh = 0.5 * h",
+        *(f"    m{j} = a{j} - 1.0" for j in fields if tangent),
+        "    s = 1.0" if tangent else "    least = inf",
+        "    for base in range(0, 2 * stride * n, 2 * stride):",
+        "        mid = base + stride",
+        "        end = mid + stride",
+        *("        " + line for st in stages for line in stage(*st)),
+        "        r += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0",
+        "        s += h * (l1 + 2.0 * l2 + 2.0 * l3 + l4) / 6.0" if tangent else "",
+        "    return r, s" if tangent else "    return r, least"])
+    namespace = {"inf": math.inf, "_guard_exit": _guard_exit, "_speed_exit": _speed_exit}
+    exec(compile(source, f"<flow kernel nf={nf} tangent={tangent}>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+def _run_kernel(tangent: bool, spec: PerturbationSpec, tabs: _Tables, r0: float,
+                substeps: int) -> tuple[float, float]:
+    args = [float(r0), 2.0 * math.pi / substeps, substeps, tabs.steps // substeps,
+            *GUARD, tabs.thetas]
+    for a, bj, fr, tr in zip(tabs.alphas, spec.b, tabs.radial, tabs.transverse):
+        args += (a, spec.epsilon * bj, fr, tr)
+    r, second = _kernel(len(tabs.alphas), tangent)(*args)
+    lo, hi = GUARD
+    if not lo < r < hi:
+        raise GuardBoundError(f"final radius {r:.6g} left the window ({lo:g}, {hi:g})")
+    return r, second
 
 
 def _integrate_scalar(spec: PerturbationSpec, tabs: _Tables, r0: float,
                       substeps: int) -> tuple[float, float]:
     """RK4 over one revolution with `substeps` steps; returns (r1, min speed)."""
-    fields = tuple(zip(tabs.alphas, [spec.epsilon * bj for bj in spec.b],
-                       tabs.radial, tabs.transverse))
-    stride = tabs.steps // substeps           # table intervals per half step
-    h = 2.0 * math.pi / substeps
-    lo, hi = GUARD
-    min_den = math.inf
-
-    def rhs(idx: int, r: float) -> float:
-        nonlocal min_den
-        if not lo < r < hi:
-            raise GuardBoundError(
-                f"radius {r:.6g} left the window ({lo:g}, {hi:g}) near "
-                f"theta={tabs.thetas[idx]:.6g}"
-            )
-        num = dacc = 0.0
-        for a, e, fr, tr in fields:
-            ra = r ** a
-            num += e * fr[idx] * ra
-            dacc += e * tr[idx] * ra
-        den = 1.0 + dacc / r
-        if den <= 0.0:
-            raise AngularMonotonicityError(
-                f"angular speed {den:.3e} <= 0 at theta="
-                f"{tabs.thetas[idx]:.6g}, r={r:.6g}"
-            )
-        if den < min_den:
-            min_den = den
-        return num / den
-
-    r = float(r0)
-    for base in range(0, 2 * stride * substeps, 2 * stride):
-        mid = base + stride
-        k1 = rhs(base, r)
-        k2 = rhs(mid, r + 0.5 * h * k1)
-        k3 = rhs(mid, r + 0.5 * h * k2)
-        k4 = rhs(base + 2 * stride, r + h * k3)
-        r += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-    if not lo < r < hi:
-        raise GuardBoundError(f"final radius {r:.6g} left the window ({lo:g}, {hi:g})")
-    return r, min_den
+    return _run_kernel(False, spec, tabs, r0, substeps)
 
 
 def _integrate_tangent(spec: PerturbationSpec, tabs: _Tables, r0: float,
@@ -225,57 +272,7 @@ def _integrate_tangent(spec: PerturbationSpec, tabs: _Tables, r0: float,
     of the discrete map r0 -> r1, and r1 is bit-identical to
     `_integrate_scalar`'s.  Raises like `_integrate_scalar`.
     """
-    al = tabs.alphas
-    fields = tuple(zip(al, [a - 1.0 for a in al],
-                       [spec.epsilon * bj for bj in spec.b],
-                       tabs.radial, tabs.transverse))
-    stride = tabs.steps // substeps
-    h = 2.0 * math.pi / substeps
-    lo, hi = GUARD
-
-    def rhs(idx: int, r: float) -> tuple[float, float]:
-        if not lo < r < hi:
-            raise GuardBoundError(
-                f"radius {r:.6g} left the window ({lo:g}, {hi:g}) near "
-                f"theta={tabs.thetas[idx]:.6g}"
-            )
-        # f = num / den with num = sum t_j, den = 1 + sum u_j / r, so
-        # num' = sum a_j t_j / r and den' = sum (a_j - 1) u_j / r^2.
-        num = dacc = dnum = ddacc = 0.0
-        for a, am, e, fr, tr in fields:
-            ra = r ** a
-            t = e * fr[idx] * ra
-            u = e * tr[idx] * ra
-            num += t
-            dacc += u
-            dnum += a * t
-            ddacc += am * u
-        den = 1.0 + dacc / r
-        if den <= 0.0:
-            raise AngularMonotonicityError(
-                f"angular speed {den:.3e} <= 0 at theta="
-                f"{tabs.thetas[idx]:.6g}, r={r:.6g}"
-            )
-        f = num / den
-        return f, (dnum / r - f * ddacc / (r * r)) / den
-
-    r = float(r0)
-    s = 1.0
-    for n in range(substeps):
-        base = 2 * stride * n
-        k1, d1 = rhs(base, r)
-        l1 = d1 * s
-        k2, d2 = rhs(base + stride, r + 0.5 * h * k1)
-        l2 = d2 * (s + 0.5 * h * l1)
-        k3, d3 = rhs(base + stride, r + 0.5 * h * k2)
-        l3 = d3 * (s + 0.5 * h * l2)
-        k4, d4 = rhs(base + 2 * stride, r + h * k3)
-        l4 = d4 * (s + h * l3)
-        r += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        s += h * (l1 + 2.0 * l2 + 2.0 * l3 + l4) / 6.0
-    if not lo < r < hi:
-        raise GuardBoundError(f"final radius {r:.6g} left the window ({lo:g}, {hi:g})")
-    return r, s
+    return _run_kernel(True, spec, tabs, r0, substeps)
 
 
 def _integrate_batch(spec: PerturbationSpec, tabs: _Tables, r0: np.ndarray,

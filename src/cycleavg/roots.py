@@ -24,7 +24,9 @@ DEFAULT_BRACKET = (1e-6, 1e3)
 
 
 def check_bracket(bracket) -> tuple[float, float]:
-    """(lo, hi) as floats; ValueError unless 0 < lo < hi < inf."""
+    """(lo, hi) as floats; ValueError unless two values with 0 < lo < hi < inf."""
+    if len(bracket) != 2:
+        raise ValueError(f"bracket must be two values (lo, hi), got {bracket}")
     lo, hi = float(bracket[0]), float(bracket[1])
     if not 0 < lo < hi < math.inf:
         raise ValueError(f"bracket must satisfy 0 < lo < hi < inf, got {bracket}")

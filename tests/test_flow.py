@@ -111,6 +111,14 @@ def test_steps_validation():
     for bad in (0, 4, 12, 100):
         with pytest.raises(ValueError):
             return_map(spec, 1.0, steps=bad)
+    # whole-number floats and bools are not step counts
+    for bad in (512.0, 64.0, True):
+        with pytest.raises(ValueError, match="steps must be an int"):
+            return_map(spec, 1.0, steps=bad)
+        with pytest.raises(ValueError, match="steps must be an int"):
+            scan_return_map(spec, (0.5, 2.0), steps=bad)
+        with pytest.raises(ValueError, match="steps must be an int"):
+            find_fixed_points(spec, (0.5, 2.0), steps=bad)
     with pytest.raises(ValueError):
         return_map(spec, -1.0)
     with pytest.raises(ValueError):
@@ -630,7 +638,7 @@ def test_kernel_errors_print_the_graded_angle():
 
 def _reference_integrate_scalar(spec, tabs, r0, substeps):
     """The value kernel in its index-per-stage form, kept as the reference
-    that `flow._integrate_scalar`'s row loop must match bit for bit."""
+    that `flow._integrate_scalar`'s generated kernel must match bit for bit."""
     nf = len(tabs.alphas)
     al = tabs.alphas
     eb = [spec.epsilon * bj for bj in spec.b]
@@ -677,9 +685,71 @@ def _reference_integrate_scalar(spec, tabs, r0, substeps):
     return r, state[0]
 
 
+def _reference_integrate_tangent(spec, tabs, r0, substeps):
+    """The tangent kernel with a per-stage `rhs` closure and a loop over
+    the fields, kept as the reference that `flow._integrate_tangent`'s
+    generated kernel must match bit for bit."""
+    al = tabs.alphas
+    fields = tuple(zip(al, [a - 1.0 for a in al],
+                       [spec.epsilon * bj for bj in spec.b],
+                       tabs.radial, tabs.transverse))
+    stride = tabs.steps // substeps
+    h = 2.0 * math.pi / substeps
+    lo, hi = flow.GUARD
+
+    def rhs(idx: int, r: float) -> tuple[float, float]:
+        if not lo < r < hi:
+            raise GuardBoundError(
+                f"radius {r:.6g} left the window ({lo:g}, {hi:g}) near "
+                f"theta={tabs.thetas[idx]:.6g}"
+            )
+        # f = num / den with num = sum t_j, den = 1 + sum u_j / r, so
+        # num' = sum a_j t_j / r and den' = sum (a_j - 1) u_j / r^2.
+        num = dacc = dnum = ddacc = 0.0
+        for a, am, e, fr, tr in fields:
+            ra = r ** a
+            t = e * fr[idx] * ra
+            u = e * tr[idx] * ra
+            num += t
+            dacc += u
+            dnum += a * t
+            ddacc += am * u
+        den = 1.0 + dacc / r
+        if den <= 0.0:
+            raise AngularMonotonicityError(
+                f"angular speed {den:.3e} <= 0 at theta="
+                f"{tabs.thetas[idx]:.6g}, r={r:.6g}"
+            )
+        f = num / den
+        return f, (dnum / r - f * ddacc / (r * r)) / den
+
+    r = float(r0)
+    s = 1.0
+    for n in range(substeps):
+        base = 2 * stride * n
+        k1, d1 = rhs(base, r)
+        l1 = d1 * s
+        k2, d2 = rhs(base + stride, r + 0.5 * h * k1)
+        l2 = d2 * (s + 0.5 * h * l1)
+        k3, d3 = rhs(base + stride, r + 0.5 * h * k2)
+        l3 = d3 * (s + 0.5 * h * l2)
+        k4, d4 = rhs(base + 2 * stride, r + h * k3)
+        l4 = d4 * (s + h * l3)
+        r += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        s += h * (l1 + 2.0 * l2 + 2.0 * l3 + l4) / 6.0
+    if not lo < r < hi:
+        raise GuardBoundError(f"final radius {r:.6g} left the window ({lo:g}, {hi:g})")
+    return r, s
+
+
+#: Each generated kernel beside the hand-written form it must match.
+KERNELS = ((flow._integrate_scalar, _reference_integrate_scalar),
+           (flow._integrate_tangent, _reference_integrate_tangent))
+
+
 def _kernel_outcome(kernel, spec, r0, steps):
-    """(r1, min speed) of a revolution at `steps` and of its half pass, or
-    the type and message of the error it raised."""
+    """The pair a revolution at `steps` and its half pass return, or the
+    type and message of the error each raised."""
     tabs = flow._tables(spec.fields, steps)
     outcome = []
     for substeps in (steps, steps // 2):
@@ -691,33 +761,38 @@ def _kernel_outcome(kernel, spec, r0, steps):
 
 
 def _assert_same_bits(spec, r0, steps):
-    new = _kernel_outcome(flow._integrate_scalar, spec, r0, steps)
-    ref = _kernel_outcome(_reference_integrate_scalar, spec, r0, steps)
-    # repr tells -0.0 from 0.0 and compares NaNs; == would do neither
-    assert repr(new) == repr(ref), (spec, r0, steps)
-    return new
+    """Each kernel's outcome, checked against its reference; returns the
+    kinds of outcome, "ok" or the error type, per kernel."""
+    kinds = {}
+    for kernel, reference in KERNELS:
+        new = _kernel_outcome(kernel, spec, r0, steps)
+        ref = _kernel_outcome(reference, spec, r0, steps)
+        # repr tells -0.0 from 0.0 and compares NaNs; == would do neither
+        assert repr(new) == repr(ref), (kernel.__name__, spec, r0, steps)
+        kinds[kernel] = {out[0] if isinstance(out[0], type) else "ok" for out in new}
+    return kinds
 
 
-def test_value_kernel_matches_its_reference_on_every_preset():
-    outcomes = set()
+def test_kernels_match_their_references_on_every_preset():
+    outcomes = {kernel: set() for kernel, _ in KERNELS}
     for name, make in sorted(catalog().items()):
         spec = normalize_ccw(make().spec)
         for steps in (8, 64, 512, 4096):
             for r0 in (0.5, 1.2, 3.0):
-                for result in _assert_same_bits(spec, r0, steps):
-                    outcomes.add(result[0] if isinstance(result[0], type)
-                                 else "ok")
+                for kernel, kinds in _assert_same_bits(spec, r0, steps).items():
+                    outcomes[kernel] |= kinds
     # both error exits are compared, not only finished revolutions
-    assert outcomes == {"ok", GuardBoundError, AngularMonotonicityError}
+    for kinds in outcomes.values():
+        assert kinds == {"ok", GuardBoundError, AngularMonotonicityError}
 
 
 @st.composite
 def kernel_specs(draw):
-    """One to three fields of increasing degree <= 5 with fractional
+    """One to six fields of increasing degree <= 5 with fractional
     exponents and any valid sign flags (so mostly the graded mesh)."""
     alphas = sorted(draw(st.sets(
         st.builds(Fraction, st.integers(0, 15), st.integers(1, 3)).filter(
-            lambda a: a <= 5), min_size=1, max_size=3)))
+            lambda a: a <= 5), min_size=1, max_size=6)))
 
     def term(alpha):
         d = draw(st.integers(1, 4))
@@ -738,5 +813,83 @@ def kernel_specs(draw):
 
 @settings(derandomize=True, max_examples=120, deadline=None)
 @given(kernel_specs(), st.floats(0.3, 5.0), st.sampled_from([8, 64, 512]))
-def test_value_kernel_matches_its_reference_on_random_specs(spec, r0, steps):
+def test_kernels_match_their_references_on_random_specs(spec, r0, steps):
     _assert_same_bits(spec, r0, steps)
+
+
+def test_kernels_match_their_references_with_forty_fields():
+    rng = np.random.default_rng(40)
+    fields = []
+    for j in range(1, 41):
+        alpha = Fraction(j, 8)
+        x_exp = Fraction(int(rng.integers(0, j + 1)), 8)
+        fields.append(HomogeneousField(
+            (SignedPowerTerm(float(rng.uniform(-1, 1)), x_exp, alpha - x_exp,
+                             x_exp > 0, False),),
+            (SignedPowerTerm(float(rng.uniform(-1, 1)), alpha - x_exp, x_exp,
+                             False, x_exp > 0),),
+            alpha))
+    spec = PerturbationSpec(tuple(fields), tuple(rng.uniform(-1, 1, 40) / 40),
+                            0.01, "ccw")
+    for steps in (8, 64, 512):
+        for r0 in (0.5, 1.2):
+            kinds = _assert_same_bits(spec, r0, steps)
+            assert all(k == {"ok"} for k in kinds.values()), (steps, r0)
+
+
+def test_one_compiled_kernel_per_field_count_and_kind():
+    # the generated source holds field indices only, so every spec with
+    # the same number of fields shares one kernel of each kind
+    flow._kernel.cache_clear()
+    used = set()
+    for name, make in sorted(catalog().items()):
+        spec = normalize_ccw(make().spec)
+        for kind, kernel in ((False, flow._integrate_scalar),
+                             (True, flow._integrate_tangent)):
+            _kernel_outcome(kernel, spec, 1.0, 64)
+            used.add((len(spec.fields), kind))
+        for eps in (0.005, 0.02):
+            _kernel_outcome(flow._integrate_scalar, with_epsilon(spec, eps), 1.0, 64)
+    assert flow._kernel.cache_info().currsize == len(used)
+    assert flow._kernel.cache_info().misses == len(used)
+
+
+def _revolutions(monkeypatch):
+    """Count each kernel's revolutions by (kernel, substeps)."""
+    counts = {}
+    for name in ("_integrate_tangent", "_integrate_scalar", "_integrate_batch"):
+        real = getattr(flow, name)
+
+        def wrapper(*args, real=real, kind=name[len("_integrate_"):]):
+            counts[kind, args[3]] = counts.get((kind, args[3]), 0) + 1
+            return real(*args)
+
+        monkeypatch.setattr(flow, name, wrapper)
+    return counts
+
+
+#: Revolutions per (kernel, substeps) of each `repro`: deterministic, so a
+#: change of speed cannot hide a change of work.
+REPRO_WORK = [
+    (["repro", "vdp"], {("tangent", 512): 9, ("scalar", 256): 3,
+                        ("batch", 64): 3, ("batch", 32): 3}),
+    (["repro", "example1"], {("tangent", 512): 3, ("scalar", 256): 1,
+                             ("batch", 64): 1, ("batch", 32): 1}),
+    (["repro", "example2"], {("tangent", 512): 12, ("scalar", 256): 4,
+                             ("batch", 64): 2, ("batch", 32): 2}),
+    (["repro", "lienard", "--m", "6"], {("tangent", 512): 8, ("scalar", 256): 3,
+                                        ("batch", 64): 1, ("batch", 32): 1}),
+    (["repro", "lienard", "--m", "7"], {("tangent", 512): 10, ("tangent", 1024): 4,
+                                        ("scalar", 128): 1, ("scalar", 256): 5,
+                                        ("scalar", 512): 1, ("batch", 64): 1,
+                                        ("batch", 32): 1}),
+]
+
+
+@pytest.mark.parametrize("argv, work", REPRO_WORK,
+                         ids=[" ".join(argv) for argv, _ in REPRO_WORK])
+def test_repro_work_is_pinned(monkeypatch, capsys, argv, work):
+    counts = _revolutions(monkeypatch)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert counts == work

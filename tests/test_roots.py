@@ -36,6 +36,13 @@ def test_interval_degree_signs():
             check_bracket(bracket)
 
 
+def test_bracket_is_exactly_two_values():
+    for bracket in ((0.5, 2.0, 7.0), (0.5,), (), [0.5, 2.0, 7.0]):
+        with pytest.raises(ValueError, match="two values"):
+            check_bracket(bracket)
+    assert check_bracket(np.array([0.5, 2.0])) == (0.5, 2.0)
+
+
 def test_positive_roots_single():
     h = AveragedFunction((0.5, 1.0), (2.0, -1.0))
     report = positive_roots(h)
