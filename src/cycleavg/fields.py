@@ -249,13 +249,24 @@ def term_to_json(term: SignedPowerTerm) -> dict:
     }
 
 
-def term_from_json(obj) -> SignedPowerTerm:
+def _members(obj, kind: str, keys, arrays=()) -> list:
+    """obj's values under `keys`, in that order, else `SpecError`: obj must
+    be an object holding every key, with a list under each of `arrays`.
+    The one structural check of both wire formats' readers."""
     if not isinstance(obj, dict):
-        raise SpecError(f"term must be an object, got {type(obj).__name__}")
-    missing = {"c", "px", "py", "sx", "sy"} - set(obj)
+        raise SpecError(f"{kind} must be an object, got {type(obj).__name__}")
+    missing = [key for key in keys if key not in obj]
     if missing:
-        raise SpecError(f"term missing keys {sorted(missing)}")
-    return SignedPowerTerm(obj["c"], obj["px"], obj["py"], obj["sx"], obj["sy"])
+        raise SpecError(f"{kind} missing keys {missing}")
+    for key in arrays:
+        if not isinstance(obj[key], list):
+            raise SpecError(f"{kind} {key!r} must be an array, "
+                            f"got {type(obj[key]).__name__}")
+    return [obj[key] for key in keys]
+
+
+def term_from_json(obj) -> SignedPowerTerm:
+    return SignedPowerTerm(*_members(obj, "term", ("c", "px", "py", "sx", "sy")))
 
 
 def field_to_json(field: HomogeneousField) -> dict:
@@ -267,18 +278,10 @@ def field_to_json(field: HomogeneousField) -> dict:
 
 
 def field_from_json(obj) -> HomogeneousField:
-    if not isinstance(obj, dict):
-        raise SpecError(f"field must be an object, got {type(obj).__name__}")
-    for key in ("alpha", "f", "g"):
-        if key not in obj:
-            raise SpecError(f"field missing key {key!r}")
-    if not isinstance(obj["f"], list) or not isinstance(obj["g"], list):
-        raise SpecError("field term lists must be arrays")
-    return HomogeneousField(
-        f_terms=tuple(term_from_json(t) for t in obj["f"]),
-        g_terms=tuple(term_from_json(t) for t in obj["g"]),
-        alpha=_as_fraction(obj["alpha"]),
-    )
+    alpha, f, g = _members(obj, "field", ("alpha", "f", "g"), arrays=("f", "g"))
+    return HomogeneousField(f_terms=tuple(map(term_from_json, f)),
+                            g_terms=tuple(map(term_from_json, g)),
+                            alpha=_as_fraction(alpha))
 
 
 def spec_to_json(spec: PerturbationSpec) -> dict:
@@ -291,19 +294,10 @@ def spec_to_json(spec: PerturbationSpec) -> dict:
 
 
 def spec_from_json(obj) -> PerturbationSpec:
-    if not isinstance(obj, dict):
-        raise SpecError(f"spec must be an object, got {type(obj).__name__}")
-    for key in ("orientation", "epsilon", "b", "fields"):
-        if key not in obj:
-            raise SpecError(f"spec missing key {key!r}")
-    if not isinstance(obj["b"], list) or not isinstance(obj["fields"], list):
-        raise SpecError("spec 'b' and 'fields' must be arrays")
-    return PerturbationSpec(
-        fields=tuple(field_from_json(f) for f in obj["fields"]),
-        b=tuple(obj["b"]),
-        epsilon=obj["epsilon"],
-        orientation=obj["orientation"],
-    )
+    orientation, epsilon, b, fields = _members(
+        obj, "spec", ("orientation", "epsilon", "b", "fields"), arrays=("b", "fields"))
+    return PerturbationSpec(fields=tuple(map(field_from_json, fields)), b=tuple(b),
+                            epsilon=epsilon, orientation=orientation)
 
 
 def load_spec(path) -> PerturbationSpec:

@@ -195,14 +195,15 @@ def _kernel(nf: int, tangent: bool):
     """kernel(r0, h, n, stride, lo, hi, thetas, a_0, e_0, fr_0, tr_0, ...):
     n RK4 steps for `nf` fields with e_j = eps * b_j, of num / den with
     num = sum e_j fr_j r^a_j and den = 1 + sum e_j tr_j r^a_j / r, each sum
-    from 0.0 in field order.  Returns (r1, min speed), or with `tangent`
-    (r1, dr1/dr0) carried through the same stages by the variational
-    equation, df/dr = (sum a_j t_j / r - f sum (a_j - 1) u_j / r^2) / den.
+    in field order from its first term (0.0 with no fields).  Returns
+    (r1, min speed), or with `tangent` (r1, dr1/dr0) carried through the
+    same stages by the variational equation,
+    df/dr = (sum a_j t_j / r - f sum (a_j - 1) u_j / r^2) / den.
     """
     fields = range(nf)
 
     def total(terms):
-        return "(0.0" + "".join(f" + {t}" for t in terms) + ")"
+        return "(" + (" + ".join(terms) or "0.0") + ")"
 
     def stage(k, idx, x, s):
         t = [f"e{j} * fr{j}[{idx}] * p{j}" for j in fields]

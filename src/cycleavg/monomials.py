@@ -14,10 +14,11 @@ cites one of six obstructions:
 
 `classify` runs in two stages.  `normal_form` is the one reduction: it
 merges equal dy/dt monomials, puts a nonzero one first, reverses time
-for a < 0, strips x^s y^u and orders by x-power, and keeps only the
-coefficients' signs.  The branch dispatch is a pure function of that
-form, so it runs once per distinct form; its certificate is kept in a
-module-level table, with the reduction's trace prepended on each call.
+for a < 0, strips x^s y^u, orders by x-power (then, in the first reduced
+form, puts the y-free monomial first), and keeps only the coefficients'
+signs.  The branch dispatch is a pure function of that form, so it runs
+once per distinct form; its certificate, with an empty trace, is kept in
+a module-level table and gets the reduction's trace on each call.
 Every branch re-verifies its preconditions on the form's exponents and
 signs and records them in the certificate; a failing check raises
 `ClassifierError` and is never cached.
@@ -36,6 +37,7 @@ from .fields import (
     PerturbationSpec,
     SignedPowerTerm,
     _finite_float,
+    _members,
     swap_orientation,
 )
 
@@ -86,27 +88,27 @@ class NoCycleCertificate(NamedTuple):
     precondition_checks: tuple[Check, ...]
 
 
-def _cert(prop, label, trace, checks):
+def _cert(prop, label, checks):
     bad = [ch.name for ch in checks if not ch.ok]
     if bad:
         raise ClassifierError(f"branch {label} cited with failing checks {bad}")
-    return NoCycleCertificate(prop, label, tuple(trace), tuple(checks))
+    return NoCycleCertificate(prop, label, (), tuple(checks))
 
 
 def _classify_single_monomial(a, p, q, b, i, j):
     """dy/dt has a single monomial b x^i y^j (b != 0, a != 0)."""
     if p == 0 and j == 0:
-        return _cert("P4", "bc=0-integrable", (), [
+        return _cert("P4", "bc=0-integrable", [
             Check("dx/dt involves only y", p == 0),
             Check("dy/dt involves only x", j == 0),
             Check("separable polynomial first integral", p == 0 and j == 0),
         ])
     if q == 0:
-        return _cert("P3", "bc=0-separable", (), [
+        return _cert("P3", "bc=0-separable", [
             Check("dx/dt involves only x", q == 0),
         ])
     if i == 0:
-        return _cert("P3", "bc=0-separable", (), [
+        return _cert("P3", "bc=0-separable", [
             Check("dy/dt involves only y", i == 0),
         ])
     # q >= 1 and i >= 1 here, and not both p and j vanish, so at least one
@@ -114,7 +116,7 @@ def _classify_single_monomial(a, p, q, b, i, j):
     # critical point an orbit could encircle.
     x_line = p >= 1 and i >= 1
     y_line = q >= 1 and j >= 1
-    return _cert("P2", "bc=0-line", (), [
+    return _cert("P2", "bc=0-line", [
         Check("critical set confined to the axes", q >= 1),
         Check("some axis is an invariant critical line", x_line or y_line),
         Check("critical points on x=0 covered by an invariant line",
@@ -125,51 +127,46 @@ def _classify_single_monomial(a, p, q, b, i, j):
 
 
 def _classify_two_monomials(a, p, q, b, i, j, c, k, l):
-    """Reduced system with abc != 0, a > 0, i <= k before relabeling."""
-    trace = ()
+    """Normal form with abc != 0 and a > 0 (see `normal_form`)."""
     if i >= 1:
         # First reduced form (p = 0): dx/dt = a y^q.
         if p != 0:
             raise ClassifierError("first reduced form expects p = 0")
         if q == 0:
-            return _cert("P1", "(i)", trace, [
+            return _cert("P1", "(i)", [
                 Check("dx/dt = a is never zero", a != 0 and p == 0 and q == 0),
             ])
-        if j > 0 and l > 0:
-            raise ClassifierError("y-reduction left no y-free monomial in dy/dt")
-        if j > 0:
-            # Put the y-free monomial first; its x-power stays >= 1.
-            b, i, j, c, k, l = c, k, l, b, i, j
-            trace = ("swap dy/dt monomials",)
+        if j != 0:
+            raise ClassifierError("first reduced form expects j = 0")
         # Case shape: (a y^q, b x^i + c x^k y^l), q >= 1, i >= 1, j = 0.
         if l == 0:
-            return _cert("P4", "(ii)-integrable", trace, [
+            return _cert("P4", "(ii)-integrable", [
                 Check("dx/dt involves only y", p == 0),
                 Check("dy/dt involves only x", j == 0 and l == 0),
             ])
         unique = Check("origin is the only critical point",
                        q >= 1 and i >= 1 and l >= 1)
         if q % 2 == 0 or i % 2 == 0 or (a > 0) == (b > 0):
-            return _cert("P1", "(ii)-parity", trace, [
+            return _cert("P1", "(ii)-parity", [
                 unique,
                 Check("no-encircling-orbit: axis sign parity blocks rotation",
                       q % 2 == 0 or i % 2 == 0 or (a > 0) == (b > 0)),
             ])
         if l % 2 == 0:
-            return _cert("P6", "(ii)-reversible", trace, [
+            return _cert("P6", "(ii)-reversible", [
                 unique,
                 Check("dx/dt odd in y", q % 2 == 1),
                 Check("dy/dt even in y", j == 0 and l % 2 == 0),
                 Check("mirror (x,-y,-t) preserves the system", True),
             ])
         if k % 2 == 1:
-            return _cert("P6", "(ii)-reversible", trace, [
+            return _cert("P6", "(ii)-reversible", [
                 unique,
                 Check("dx/dt even in x", p == 0),
                 Check("dy/dt odd in x", i % 2 == 1 and k % 2 == 1),
                 Check("mirror (-x,y,-t) preserves the system", True),
             ])
-        return _cert("P5", "(ii)-divergence", trace, [
+        return _cert("P5", "(ii)-divergence", [
             unique,
             Check("div-x-power-even", k % 2 == 0),
             Check("div-y-power-even", (l - 1) % 2 == 0),
@@ -179,26 +176,26 @@ def _classify_two_monomials(a, p, q, b, i, j, c, k, l):
 
     # Second reduced form (i = 0): (a x^p y^q, b y^j + c x^k y^l).
     if q == 0:
-        return _cert("P3", "(iii)", trace, [
+        return _cert("P3", "(iii)", [
             Check("dx/dt involves only x", q == 0),
         ])
     if j == 0:
         # Case (iv): (a x^p y^q, b + c x^k y^l), q >= 1.
         if k == 0:
-            return _cert("P3", "(iv)-separable", trace, [
+            return _cert("P3", "(iv)-separable", [
                 Check("dy/dt involves only y", j == 0 and k == 0),
             ])
         if l == 0:
             if p == 0:
-                return _cert("P4", "(iv)-integrable", trace, [
+                return _cert("P4", "(iv)-integrable", [
                     Check("dx/dt involves only y", p == 0),
                     Check("dy/dt involves only x", j == 0 and l == 0),
                 ])
-            return _cert("P4", "(iv)-line-integrable", trace, [
+            return _cert("P4", "(iv)-line-integrable", [
                 Check("x=0 is invariant", p >= 1),
                 Check("variables separate off the line", j == 0 and l == 0),
             ])
-        return _cert("P1", "(iv)-nocrit", trace, [
+        return _cert("P1", "(iv)-nocrit", [
             Check("dx/dt vanishes only on the axes", q >= 1),
             Check("dy/dt = b != 0 on x=0", b != 0 and k >= 1),
             Check("dy/dt = b != 0 on y=0", b != 0 and l >= 1),
@@ -206,7 +203,7 @@ def _classify_two_monomials(a, p, q, b, i, j, c, k, l):
     if l == 0:
         # Case (v): (a x^p y^q, b y^j + c x^k), q >= 1, j >= 1.
         if k == 0:
-            return _cert("P3", "(v)-separable", trace, [
+            return _cert("P3", "(v)-separable", [
                 Check("dy/dt involves only y", l == 0 and k == 0),
             ])
         if p == 0:
@@ -215,26 +212,26 @@ def _classify_two_monomials(a, p, q, b, i, j, c, k, l):
             unique = Check("origin is the only critical point",
                            q >= 1 and k >= 1 and j >= 1)
             if q % 2 == 0 or k % 2 == 0 or (a > 0) == (c > 0):
-                return _cert("P1", "(v)-parity", trace, [
+                return _cert("P1", "(v)-parity", [
                     unique,
                     Check("no-encircling-orbit: axis sign parity blocks rotation",
                           q % 2 == 0 or k % 2 == 0 or (a > 0) == (c > 0)),
                 ])
             if j % 2 == 0:
-                return _cert("P6", "(v)-reversible", trace, [
+                return _cert("P6", "(v)-reversible", [
                     unique,
                     Check("dx/dt odd in y", q % 2 == 1),
                     Check("dy/dt even in y", j % 2 == 0),
                     Check("mirror (x,-y,-t) preserves the system", True),
                 ])
-            return _cert("P5", "(v)-divergence", trace, [
+            return _cert("P5", "(v)-divergence", [
                 unique,
                 Check("div-x-power-even", True),
                 Check("div-y-power-even", (j - 1) % 2 == 0),
                 Check(f"div = b*j*y^{j - 1} single-signed off the axes",
                       (j - 1) % 2 == 0 and b != 0 and j >= 1),
             ])
-        return _cert("P2", "(v)-line", trace, [
+        return _cert("P2", "(v)-line", [
             Check("x=0 is invariant", p >= 1),
             Check("origin is the only critical point",
                   q >= 1 and j >= 1 and k >= 1),
@@ -258,7 +255,9 @@ def normal_form(sys: MonomialSystem) -> tuple[tuple[int, ...], tuple[str, ...]]:
     monomial's exponents set to 0; `trace` names the reduction steps in
     the order they ran.  a = 0 ends the reduction at `_ZERO_FORM`.  With
     a single nonzero dy/dt monomial the form keeps the sign of a; with two,
-    a > 0 after time reversal and the common factor x^s y^u is stripped.
+    a > 0 after time reversal, the common factor x^s y^u is stripped and
+    i <= k, except in the first reduced form (i >= 1, q >= 1), whose
+    y-free dy/dt monomial comes first (j = 0).
     """
     a, p, q, b, i, j, c, k, l = sys
     if a == 0:
@@ -291,18 +290,23 @@ def normal_form(sys: MonomialSystem) -> tuple[tuple[int, ...], tuple[str, ...]]:
     if i > k:
         b, i, j, c, k, l = c, k, l, b, i, j
         trace = trace + ("order dy/dt monomials by x-power",)
+    if i >= 1 and q >= 1 and j > 0:
+        # First reduced form: put the y-free monomial first (the strip
+        # left l = 0); its x-power stays >= 1.
+        b, i, j, c, k, l = c, k, l, b, i, j
+        trace = trace + ("swap dy/dt monomials",)
     return (1, p, q, _sign(b), i, j, _sign(c), k, l), trace
 
 
 def _dispatch(form) -> NoCycleCertificate:
-    """The certificate of a normal form, with the branch's own trace only."""
+    """The certificate of a normal form, with an empty trace."""
     a, p, q, b, i, j, c, k, l = form
     if a == 0:
-        return _cert("P3", "a=0", (), [
+        return _cert("P3", "a=0", [
             Check("dx/dt is identically zero", a == 0),
         ])
     if b == 0:
-        return _cert("P3", "bc=0-trivial", (), [
+        return _cert("P3", "bc=0-trivial", [
             Check("dy/dt is identically zero", b == 0 and c == 0),
         ])
     if c == 0:
@@ -311,7 +315,7 @@ def _dispatch(form) -> NoCycleCertificate:
 
 
 # Normal form -> its certificate, and each distinct certificate interned
-# (a `--scan 3` meets 4,117 forms but 29 certificates).  Both hold pure
+# (a `--scan 3` meets 4,009 forms but 24 certificates).  Both hold pure
 # functions of their keys, so a warm table cannot change an answer, and
 # both are cleared together at _FORMS_MAX forms, far above any scan.
 _FORMS: dict[tuple[int, ...], NoCycleCertificate] = {}
@@ -337,8 +341,7 @@ def classify(sys: MonomialSystem) -> NoCycleCertificate:
         cert = _FORMS[form] = _CERTS.setdefault(cert, cert)
     if not trace:
         return cert
-    return NoCycleCertificate(cert.property, cert.case_label,
-                              trace + cert.reduction_trace,
+    return NoCycleCertificate(cert.property, cert.case_label, trace,
                               cert.precondition_checks)
 
 
@@ -367,12 +370,7 @@ def monomial_to_json(sys: MonomialSystem) -> dict:
 
 
 def monomial_from_json(obj) -> MonomialSystem:
-    if not isinstance(obj, dict):
-        raise SpecError(f"monomial system must be an object, got {type(obj).__name__}")
-    missing = set(MonomialSystem._fields) - set(obj)
-    if missing:
-        raise SpecError(f"monomial system missing keys {sorted(missing)}")
-    return MonomialSystem(*(obj[name] for name in MonomialSystem._fields))
+    return MonomialSystem(*_members(obj, "monomial system", MonomialSystem._fields))
 
 
 def certificate_to_json(cert: NoCycleCertificate) -> dict:

@@ -9,11 +9,15 @@ import pytest
 from cycleavg import (
     Fraction,
     HomogeneousField,
+    MonomialSystem,
     PerturbationSpec,
     SignedPowerTerm,
     SpecError,
     angular_components,
+    field_from_json,
     monomial,
+    monomial_from_json,
+    monomial_to_json,
     reflect_diagonal,
     spec_from_json,
     spec_to_json,
@@ -231,3 +235,33 @@ def test_json_malformed_rejected():
         spec_from_json({"orientation": "ccw", "epsilon": 0.1, "b": []})
     with pytest.raises(SpecError):
         spec_from_json([1, 2, 3])
+
+
+def _reader_faults():
+    """(reader, bad object, names its message must hold) for each of the
+    four wire readers: not an object, each key missing, each array not a
+    list."""
+    spec = spec_to_json(presets.vdp().spec)
+    readers = (
+        (term_from_json, "term", spec["fields"][0]["f"][0], ()),
+        (field_from_json, "field", spec["fields"][0], ("f", "g")),
+        (spec_from_json, "spec", spec, ("b", "fields")),
+        (monomial_from_json, "monomial system",
+         monomial_to_json(MonomialSystem(1.0, 0, 1, -1.0, 1, 0, 1.0, 2, 1)), ()),
+    )
+    for reader, kind, good, arrays in readers:
+        reader(good)                        # the unbroken object reads
+        yield pytest.param(reader, [good], (kind, "object"), id=f"{kind}-list")
+        for key in good:
+            bad = {k: v for k, v in good.items() if k != key}
+            yield pytest.param(reader, bad, (kind, repr(key)), id=f"{kind}-no-{key}")
+        for key in arrays:
+            yield pytest.param(reader, {**good, key: {"0": 1.0}}, (kind, repr(key)),
+                               id=f"{kind}-{key}-not-list")
+
+
+@pytest.mark.parametrize("reader, bad, names", _reader_faults())
+def test_json_readers_name_kind_and_key(reader, bad, names):
+    with pytest.raises(SpecError) as info:
+        reader(bad)
+    assert all(name in str(info.value) for name in names), str(info.value)

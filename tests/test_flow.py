@@ -837,6 +837,16 @@ def test_kernels_match_their_references_with_forty_fields():
             assert all(k == {"ok"} for k in kinds.values()), (steps, r0)
 
 
+def test_a_spec_without_fields_leaves_every_radius_fixed():
+    # each generated sum is empty here, and must still read 0.0
+    spec = PerturbationSpec((), (), 0.01)
+    sample = return_map(spec, 1.0)
+    assert (sample.r1, sample.min_theta_speed, sample.error_estimate) == (1.0, 1.0, 0.0)
+    assert find_fixed_points(spec, (0.5, 2.0)) == []
+    kinds = _assert_same_bits(spec, 1.0, 64)
+    assert all(k == {"ok"} for k in kinds.values())
+
+
 def test_one_compiled_kernel_per_field_count_and_kind():
     # the generated source holds field indices only, so every spec with
     # the same number of fields shares one kernel of each kind

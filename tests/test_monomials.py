@@ -1,6 +1,7 @@
 """Cycle-free classifier: case coverage, certificate semantics, families."""
 
 import functools
+import hashlib
 import json
 import math
 from itertools import product
@@ -185,6 +186,55 @@ BRANCHES = [
     ((1.0, 1, 1, 1.0, 0, 1, 1.0, 2, 0), "P2", "(v)-line"),
     ((-1.0, 1, 2, 2.0, 3, 1, 1.0, 1, 3), "P1", "(v)-parity"),
 ]
+
+
+#: Two-monomial systems in the first reduced form (i >= 1 after the
+#: strip): the y-free dy/dt monomial is put first only when q >= 1.
+FIRST_FORM = [
+    ((1.0, 0, 1, 1.0, 3, 0, 1.0, 2, 1),
+     ("order dy/dt monomials by x-power", "swap dy/dt monomials"), "P1", "(ii)-parity"),
+    ((1.0, 0, 0, 1.0, 1, 1, 1.0, 2, 0), (), "P1", "(i)"),
+]
+
+
+@pytest.mark.parametrize("args, trace, prop, label", FIRST_FORM)
+def test_first_reduced_form_trace(args, trace, prop, label):
+    cert = classify(MonomialSystem(*args))
+    assert (cert.reduction_trace, cert.property, cert.case_label) == (trace, prop, label)
+    assert all(ch.ok for ch in cert.precondition_checks)
+
+
+def test_first_reduced_form_must_come_complete():
+    # normal_form puts the y-free monomial first; the branch only checks
+    with pytest.raises(ClassifierError, match="j = 0"):
+        monomials._dispatch((1, 0, 1, 1, 1, 1, 1, 2, 0))
+
+
+@functools.cache
+def _cold_scan_3():
+    """sha256 of every `--scan 3` certificate's sorted-key JSON, in scan
+    order, and the form table that scan leaves, starting empty."""
+    monomials._FORMS.clear()
+    monomials._CERTS.clear()
+    digest = hashlib.sha256()
+    for sys in enumerate_systems(3):
+        cert = certificate_to_json(classify(sys))
+        digest.update(json.dumps(cert, sort_keys=True).encode())
+    return digest.hexdigest(), dict(monomials._FORMS), dict(monomials._CERTS)
+
+
+def test_scan_3_certificates_are_pinned():
+    digest, _, _ = _cold_scan_3()
+    assert digest == "cd3245c5ab16b082ec49032415ed2934491a6c67a473fea4b1a2ded04ae451da"
+
+
+def test_form_table_holds_complete_forms():
+    _, forms, certs = _cold_scan_3()
+    assert (len(forms), len(certs)) == (4009, 24)
+    assert all(cert.reduction_trace == () for cert in forms.values())
+    for a, p, q, b, i, j, c, k, l in forms:
+        if a and b and c and i >= 1 and q >= 1:
+            assert j == 0, (a, p, q, b, i, j, c, k, l)
 
 
 def test_branch_coverage():
