@@ -14,10 +14,6 @@ from .averaging import (
     AveragedFunction,
     angular_integral,
     average,
-    melnikov,
-    melnikov_line_integral,
-    wronskian_closed_form,
-    wronskian_numeric,
 )
 from .errors import (
     AngularMonotonicityError,
@@ -77,7 +73,6 @@ from .monomials import (
 )
 from .pipeline import retune_b, run_pipeline
 from .presets import (
-    CBRT_MOMENT,
     SQRT_MOMENT,
     Preset,
     capillary,

@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import SpecError
 from .fields import HomogeneousField, PerturbationSpec, normalize_ccw
-from .quadrature import integrate_circle
 
 
 def _quarter_moment(a, b, c=1.0, scale=1.0) -> float:
@@ -189,107 +188,3 @@ def integrals_to_json(avg: Averaged) -> dict:
     """The integrals, which of them are nonzero, and the bound they give."""
     return {"integrals": list(avg.integrals), "nonzero": list(avg.keep),
             "lower_bound": avg.lower_bound}
-
-
-# ---------------------------------------------------------------------------
-# Displacement function on circles of energy k
-# ---------------------------------------------------------------------------
-
-def _energy_radius(k: float) -> float:
-    if not 0 < k < math.inf:
-        raise ValueError(f"energy level k must be positive and finite, got {k}")
-    return math.sqrt(k)
-
-
-def melnikov(h: AveragedFunction, k: float) -> float:
-    """First-order displacement rate on the circle x^2 + y^2 = k.
-
-    Equals sqrt(k) * h(sqrt(k)); under the normalization documented in
-    melnikov_line_integral the circulation integral is 2*pi times this.
-    """
-    rk = _energy_radius(k)
-    return rk * h(rk)
-
-
-def melnikov_line_integral(spec: PerturbationSpec, k: float) -> float:
-    """Circulation integral of the perturbation along x^2 + y^2 = k.
-
-    Computes the line integral of P dy - Q dx over the circle to rounding,
-    where (P, Q) = sum_j b[j] * fields[j].  Requires a smooth perturbation
-    (all exponents integer) and a ccw spec.
-    Normalization: this equals 2*pi * melnikov(average(spec).h, k); the
-    factor 2*pi is the angular period absorbed into the averaged
-    coefficients.
-    """
-    if spec.orientation != "ccw":
-        raise SpecError("melnikov_line_integral expects a ccw-normalized spec")
-    rk = _energy_radius(k)
-    for field in spec.fields:
-        for term in field.f_terms + field.g_terms:
-            if term.x_exp.denominator != 1 or term.y_exp.denominator != 1:
-                raise SpecError(
-                    "line integral requires integer exponents (smooth perturbation)"
-                )
-
-    def integrand(theta):
-        x = rk * np.cos(theta)
-        y = rk * np.sin(theta)
-        px = np.zeros_like(np.asarray(theta, dtype=float))
-        qy = np.zeros_like(px)
-        for bj, field in zip(spec.b, spec.fields):
-            fv, gv = field.evaluate(x, y)
-            px = px + bj * fv
-            qy = qy + bj * gv
-        return px * rk * np.cos(theta) + qy * rk * np.sin(theta)
-
-    return integrate_circle(integrand, int(max(spec.alphas, default=0)))
-
-
-# ---------------------------------------------------------------------------
-# Wronskians of power functions x**beta
-# ---------------------------------------------------------------------------
-
-def _require_distinct(exponents):
-    exps = [float(e) for e in exponents]
-    if len(exps) < 1:
-        raise ValueError("need at least one exponent")
-    if len(set(exps)) != len(exps):
-        raise ValueError(f"exponents must be distinct, got {exps}")
-    return exps
-
-
-def wronskian_closed_form(exponents, x: float) -> float:
-    """W(x^e0, ..., x^ek) = x^S * prod_{i<j} (e[j] - e[i]), x > 0.
-
-    S = sum(e) - k(k+1)/2.  Nonzero for distinct exponents, which is what
-    makes tuples of power functions an extended Chebyshev system on (0, inf).
-    """
-    exps = _require_distinct(exponents)
-    if x <= 0:
-        raise ValueError("closed form requires x > 0")
-    k = len(exps) - 1
-    s = sum(exps) - k * (k + 1) / 2.0
-    prod = 1.0
-    for i in range(len(exps)):
-        for j in range(i + 1, len(exps)):
-            prod *= exps[j] - exps[i]
-    return x ** s * prod
-
-
-def wronskian_numeric(exponents, x: float) -> float:
-    """Same Wronskian via the derivative matrix and an LU determinant.
-
-    Row i holds d^i/dx^i x^e = e(e-1)...(e-i+1) x^(e-i); kept separate
-    from the closed form so the two serve as mutual oracles.
-    """
-    exps = _require_distinct(exponents)
-    if x <= 0:
-        raise ValueError("numeric Wronskian requires x > 0")
-    n = len(exps)
-    mat = np.empty((n, n))
-    for j, e in enumerate(exps):
-        fall = 1.0
-        for i in range(n):
-            mat[i, j] = fall * x ** (e - i)
-            fall *= e - i
-    return float(np.linalg.det(mat))

@@ -102,6 +102,8 @@ def cmd_synthesize(args):
 
 def cmd_simulate(args):
     spec = _load_input(args)
+    if not 0 < args.tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {args.tol}")
     if args.r0 is not None:
         if args.bracket or (args.eps and len(args.eps) > 1):
             raise SpecError("--r0 samples one radius: it takes no --bracket "

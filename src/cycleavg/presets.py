@@ -27,9 +27,6 @@ from .monomials import lienard_family
 #: signed square root; the full-circle integral of sqrt-sgn(cos)*cos is 4x this.
 SQRT_MOMENT = _quarter_moment(Fraction(3, 2), 0)
 
-#: Same for the signed cube root: int_0^{pi/2} cos^{4/3} = B(7/6, 1/2) / 2.
-CBRT_MOMENT = _quarter_moment(Fraction(4, 3), 0)
-
 
 def constant_field(s1: float, s2: float) -> HomogeneousField:
     """(s1, s2): homogeneous of degree 0, angular integral always 0."""

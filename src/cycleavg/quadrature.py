@@ -1,8 +1,10 @@
 """Fixed composite Gauss-Legendre quadrature over one angular period.
 
-On each quarter turn the Melnikov line integrand of an integer-exponent
-spec is a trigonometric polynomial whose degree grows with the field
-degree; its only kinks, from |x|^n and |y|^n factors, lie on the axes.
+No package path runs it: the tests' line-integral oracle integrates with
+it, and the benchmark's tracer counts `gauss_panel` calls.  On each
+quarter turn the line integrand of an integer-exponent spec is a
+trigonometric polynomial whose degree grows with the field degree; its
+only kinks, from |x|^n and |y|^n factors, lie on the axes.
 Gauss-Legendre converges exponentially on such panels.
 """
 

@@ -1,7 +1,10 @@
 """Shared oracles: closed forms computed independently of the package."""
 
+import itertools
 import math
 from fractions import Fraction
+
+import numpy as np
 
 
 def beta_moment(a: float) -> float:
@@ -26,3 +29,52 @@ def quad_circle(fn, tol: float = 1e-11) -> float:
         val, _ = quad(fn, a, b, epsabs=tol, epsrel=0.0, limit=200)
         total += val
     return total
+
+
+def line_integral(spec, k: float) -> float:
+    """Circulation of P dy - Q dx around x^2 + y^2 = k, (P, Q) = sum_j b[j] fields[j].
+
+    For a ccw spec this is 2*pi * sqrt(k) * h(sqrt(k)): the averaged
+    coefficients absorb the angular period 2*pi.  The fixed panel rule is
+    exact only for smooth integrands, so every exponent is an integer.
+    """
+    from cycleavg.quadrature import integrate_circle
+
+    assert all(e.denominator == 1 for field in spec.fields
+               for t in field.f_terms + field.g_terms for e in (t.x_exp, t.y_exp))
+    rk = math.sqrt(k)
+
+    def integrand(theta):
+        x, y = rk * np.cos(theta), rk * np.sin(theta)
+        px, qy = np.zeros_like(theta), np.zeros_like(theta)
+        for bj, field in zip(spec.b, spec.fields):
+            fv, gv = field.evaluate(x, y)
+            px, qy = px + bj * fv, qy + bj * gv
+        return px * x + qy * y
+
+    return integrate_circle(integrand, int(max(spec.alphas, default=0)))
+
+
+def wronskian_closed_form(exponents, x: float) -> float:
+    """W(x^e0, ..., x^ek) = x^S * prod_{i<j} (e[j] - e[i]), S = sum(e) - k(k+1)/2.
+
+    Nonzero on x > 0 for distinct exponents, which is what makes tuples
+    of power functions an extended Chebyshev system on (0, inf).
+    """
+    exps = [float(e) for e in exponents]
+    k = len(exps) - 1
+    return x ** (sum(exps) - k * (k + 1) / 2.0) * math.prod(
+        ej - ei for ei, ej in itertools.combinations(exps, 2))
+
+
+def wronskian_numeric(exponents, x: float) -> float:
+    """The same Wronskian as an LU determinant of the derivative matrix,
+    whose row i holds d^i/dx^i x^e = e(e-1)...(e-i+1) x^(e-i)."""
+    n = len(exponents)
+    mat = np.empty((n, n))
+    for j, e in enumerate(map(float, exponents)):
+        fall = 1.0
+        for i in range(n):
+            mat[i, j] = fall * x ** (e - i)
+            fall *= e - i
+    return float(np.linalg.det(mat))

@@ -4,7 +4,12 @@ import math
 import time
 
 import numpy as np
-from conftest import beta_moment
+from conftest import (
+    beta_moment,
+    line_integral,
+    wronskian_closed_form,
+    wronskian_numeric,
+)
 
 from cycleavg import (
     AveragedFunction,
@@ -20,15 +25,12 @@ from cycleavg import (
     find_fixed_points,
     lienard,
     linear_field,
-    melnikov_line_integral,
     monomial,
     positive_roots,
     retune_b,
     signed_root_field,
     vdp,
     with_epsilon,
-    wronskian_closed_form,
-    wronskian_numeric,
     Fraction,
     HomogeneousField,
     PerturbationSpec,
@@ -206,7 +208,7 @@ def test_criterion_8_line_integral_matches_average():
         h = average(spec).h
         for k in (0.5, 1.0, 2.0):
             rk = math.sqrt(k)
-            line = melnikov_line_integral(spec, k)
+            line = line_integral(spec, k)
             expected = 2.0 * math.pi * rk * h(rk)
             scale = 2.0 * math.pi * rk * sum(
                 abs(c) * rk ** e for c, e in zip(h.coefficients, h.exponents))

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import beta_moment, quad_circle, wallis_even
+from conftest import (
+    beta_moment,
+    line_integral,
+    quad_circle,
+    wallis_even,
+    wronskian_closed_form,
+    wronskian_numeric,
+)
 from cycleavg import (
     AveragedFunction,
     HomogeneousField,
@@ -18,13 +25,9 @@ from cycleavg import (
     angular_components,
     angular_integral,
     average,
-    melnikov,
-    melnikov_line_integral,
     monomial,
     normalize_ccw,
     with_b,
-    wronskian_closed_form,
-    wronskian_numeric,
 )
 from cycleavg import averaging, quadrature
 from cycleavg.fields import reflect_diagonal
@@ -165,11 +168,11 @@ def test_average_runs_no_quadrature(monkeypatch):
     monkeypatch.setattr(quadrature, "gauss_panel", spy)
     average(example2().spec)
     assert calls == []
-    # the spy sees the quadrature that the Melnikov line integral runs:
+    # the spy sees the quadrature that the line-integral oracle runs:
     # 4 * (1 + degree // 8) panels, for degree 3 and 9
-    melnikov_line_integral(vdp().spec, 1.0)
+    line_integral(vdp().spec, 1.0)
     assert len(calls) == 4
-    melnikov_line_integral(lienard(7).spec, 1.0)
+    line_integral(lienard(7).spec, 1.0)
     assert len(calls) == 4 + 8
 
 
@@ -253,33 +256,13 @@ def test_averaged_function_domain_and_eval():
         AveragedFunction((-0.5, 1.0), (1.0, 1.0))
 
 
-def test_melnikov_scaling_relation():
-    h = average(vdp().spec).h
-    for k in (0.5, 1.0, 2.0, 4.0):
-        assert melnikov(h, k) == pytest.approx(math.sqrt(k) * h(math.sqrt(k)),
-                                               rel=1e-14)
-
-
-@pytest.mark.parametrize("k", [0.0, -1.0, math.nan, math.inf])
-def test_melnikov_refuses_bad_energy_levels(k):
-    spec = vdp().spec
-    with pytest.raises(ValueError):
-        melnikov(average(spec).h, k)
-    with pytest.raises(ValueError):
-        melnikov_line_integral(spec, k)
-
-
 def test_melnikov_line_integral_consistency():
     spec = vdp().spec
     h = average(spec).h
     for k in (0.5, 1.0, 2.0):
-        line = melnikov_line_integral(spec, k)
-        assert line == pytest.approx(2.0 * math.pi * melnikov(h, k), rel=1e-10)
-
-
-def test_melnikov_line_integral_rejects_fractional_exponents():
-    with pytest.raises(SpecError):
-        melnikov_line_integral(example1().spec, 1.0)
+        rk = math.sqrt(k)
+        line = line_integral(spec, k)
+        assert line == pytest.approx(2.0 * math.pi * rk * h(rk), rel=1e-10)
 
 
 def test_wronskian_closed_vs_numeric_small():
@@ -302,11 +285,6 @@ def test_wronskian_positive_for_increasing_exponents():
             continue
         x = float(rng.uniform(0.3, 3.0))
         assert wronskian_closed_form(tuple(exps), x) > 0.0
-
-
-def test_wronskian_rejects_duplicates():
-    with pytest.raises(ValueError):
-        wronskian_closed_form((1.0, 1.0), 2.0)
 
 
 def test_lienard_family_integrals_all_positive():

@@ -105,6 +105,18 @@ def test_failed_calls_leave_the_next_call_as_a_first_call(capsys):
     assert rc == 0 and out == fresh.stdout and fresh.stderr == ""
 
 
+def test_runtime_never_imports_quadrature():
+    # the fixed panel rule serves the tests' line-integral oracle only
+    src = os.path.dirname(os.path.dirname(cycleavg.__file__))
+    fresh = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cycleavg; from cycleavg import cli; "
+         "assert cli.main(['repro', 'vdp']) == 0; "
+         "assert 'cycleavg.quadrature' not in sys.modules"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert fresh.returncode == 0, fresh.stderr
+
+
 def test_roots_example1(capsys):
     rc, out = run(capsys, "roots", "--preset", "example1")
     assert rc == 0
@@ -265,6 +277,7 @@ def test_exit_code_2_on_bad_input(capsys):
     "pipeline --preset vdp --tol nan --steps 512",
     "pipeline --preset vdp --tol inf --steps 512",
     "simulate --preset vdp --tol nan --steps 512",
+    "simulate --preset vdp --r0 1 --tol nan",
     'classify --system {"a":NaN,"p":1,"q":0,"b":1,"i":0,"j":1,"c":1,"k":0,"l":0}',
     'classify --system {"a":1,"p":1,"q":0,"b":Infinity,"i":0,"j":1,"c":1,"k":0,"l":0}',
     'classify --system {"a":"1.5","p":1,"q":0,"b":1,"i":0,"j":1,"c":1,"k":0,"l":0}',

@@ -4,13 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from conftest import line_integral
 
 from cycleavg import (
     HomogeneousField,
     PerturbationSpec,
     SignedPowerTerm,
     angular_integral,
-    melnikov_line_integral,
     monomial,
 )
 from cycleavg.quadrature import gauss_panel, integrate_circle
@@ -38,7 +38,7 @@ def _closed_form_error(spec, k):
     scale = 2.0 * math.pi * sum(
         abs(b * t.coeff) * r ** float(f.alpha + 1)
         for b, f in zip(spec.b, spec.fields) for t in f.f_terms + f.g_terms)
-    return abs(melnikov_line_integral(spec, k) - ref) / scale
+    return abs(line_integral(spec, k) - ref) / scale
 
 
 def test_axis_kinks_of_unsigned_odd_terms():
