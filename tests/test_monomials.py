@@ -4,6 +4,7 @@ import functools
 import hashlib
 import json
 import math
+import random
 from itertools import product
 
 import numpy as np
@@ -226,6 +227,22 @@ def _cold_scan_3():
 def test_scan_3_certificates_are_pinned():
     digest, _, _ = _cold_scan_3()
     assert digest == "cd3245c5ab16b082ec49032415ed2934491a6c67a473fea4b1a2ded04ae451da"
+
+
+def test_random_certificates_are_pinned():
+    # Exponents up to 6 reach branches and check names a `--scan 3` never
+    # meets; odd n repeats the first dy/dt monomial, so merges occur too.
+    rng = random.Random(23)
+    coefficients = (-2.5, -1.0, 0.0, 1e-200, 1.0, 3.0)
+    digest = hashlib.sha256()
+    for n in range(50_000):
+        a, b, c = (rng.choice(coefficients) for _ in range(3))
+        p, q, i, j = (rng.randint(0, 6) for _ in range(4))
+        k, l = (i, j) if n % 2 else (rng.randint(0, 6), rng.randint(0, 6))
+        cert = classify(MonomialSystem(a, p, q, b, i, j, c, k, l))
+        digest.update(json.dumps(certificate_to_json(cert), sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "2b966abdcb947c80770a6d1633eba911f1dfb23e5cf81897bfaa41ba24cfee3d")
 
 
 def test_form_table_holds_complete_forms():
