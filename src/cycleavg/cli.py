@@ -12,7 +12,8 @@ fixed-point count disagrees with the averaged prediction; 1 any other
 computation error.  `simulate`, `pipeline` and `continuation` share one
 `--eps` rule (`flow.sweep`), checked before any search.  `--tol` (on
 `simulate`, `continuation`, `pipeline` and `repro`) is the fixed-point
-residual tolerance and must be finite and positive.
+residual tolerance, finite and positive; `simulate --r0` refuses any
+value but the default, `flow.RESIDUAL_TOL`, its revolution's target.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from collections import Counter
 from . import __version__
 from .averaging import average, integrals_to_json
 from .errors import CountMismatchError, CycleAvgError, SpecError
-from .fields import load_spec, spec_to_json, with_epsilon
+from .fields import _fraction_str, load_spec, spec_to_json, with_epsilon
 from .flow import (
     RESIDUAL_TOL,
     continuation_check,
@@ -68,7 +69,7 @@ def _load_input(args):
 
 def cmd_integrals(args):
     avg = average(_load_input(args))
-    return {"alphas": [f"{a.numerator}/{a.denominator}" for a in avg.spec.alphas],
+    return {"alphas": [_fraction_str(a) for a in avg.spec.alphas],
             **integrals_to_json(avg)}
 
 
@@ -105,9 +106,9 @@ def cmd_simulate(args):
     if not 0 < args.tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {args.tol}")
     if args.r0 is not None:
-        if args.bracket or (args.eps and len(args.eps) > 1):
-            raise SpecError("--r0 samples one radius: it takes no --bracket "
-                            "and at most one --eps value")
+        if args.bracket or args.tol != RESIDUAL_TOL or len(args.eps or ()) > 1:
+            raise SpecError("--r0 samples one radius: it takes no --bracket, "
+                            "no --tol and at most one --eps value")
         eps = args.eps[0] if args.eps else spec.epsilon
         sample = return_map(with_epsilon(spec, eps), args.r0, args.steps)
         return {"sample": sample_to_json(sample)}

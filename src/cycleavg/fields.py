@@ -23,10 +23,10 @@ from .errors import SpecError
 
 
 def _as_fraction(value) -> Fraction:
-    """Coerce an exponent to an exact rational."""
+    """Coerce an exponent to an exact rational; bools are refused."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -281,7 +281,7 @@ def field_from_json(obj) -> HomogeneousField:
     alpha, f, g = _members(obj, "field", ("alpha", "f", "g"), arrays=("f", "g"))
     return HomogeneousField(f_terms=tuple(map(term_from_json, f)),
                             g_terms=tuple(map(term_from_json, g)),
-                            alpha=_as_fraction(alpha))
+                            alpha=alpha)
 
 
 def spec_to_json(spec: PerturbationSpec) -> dict:

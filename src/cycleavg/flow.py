@@ -339,18 +339,19 @@ def _revolve(spec: PerturbationSpec, kernel, r0: float, start: int, tol: float,
     pass (the tables nest, so it equals a revolution pinned at that
     count).  The first half pass is `half`, or a scalar revolution at half
     the first count.  `done(r0, n, pair, half)`, if given, may stop the
-    doubling earlier.  Returns (n, pair, half) of the last level.
+    doubling earlier.  Returns (n, pair, estimate) of the last level.
     """
     n = steps or start
-    tabs = _tables(spec.fields, n)
-    out = kernel(spec, tabs, r0, n)
-    if half is None:
-        half, _ = _integrate_scalar(spec, tabs, r0, n // 2)
-    while (steps is None and n < MAX_STEPS and not abs(out[0] - half) / 15.0 <= tol
-           and not (done and done(r0, n, out, half))):
+    while True:
+        tabs = _tables(spec.fields, n)
+        out = kernel(spec, tabs, r0, n)
+        if half is None:
+            half, _ = _integrate_scalar(spec, tabs, r0, n // 2)
+        estimate = abs(out[0] - half) / 15.0
+        if (steps is not None or n >= MAX_STEPS or estimate <= tol
+                or (done and done(r0, n, out, half))):
+            return n, out, estimate
         n, half = 2 * n, out[0]
-        out = kernel(spec, _tables(spec.fields, n), r0, n)
-    return n, out, half
 
 
 def return_map(spec: PerturbationSpec, r0: float,
@@ -367,10 +368,10 @@ def return_map(spec: PerturbationSpec, r0: float,
     spec = normalize_ccw(spec)
     if not 0 < r0 < math.inf:
         raise ValueError(f"start radius must be positive and finite, got {r0}")
-    n, (r1, min_den), half = _revolve(spec, _integrate_scalar, r0,
-                                      REVOLUTION_STEPS, RESIDUAL_TOL, steps)
+    n, (r1, min_den), estimate = _revolve(spec, _integrate_scalar, r0,
+                                          REVOLUTION_STEPS, RESIDUAL_TOL, steps)
     return ReturnMapSample(r0=float(r0), r1=r1, min_theta_speed=min_den,
-                           steps=n, error_estimate=abs(r1 - half) / 15.0)
+                           steps=n, error_estimate=estimate)
 
 
 def scan_return_map(spec: PerturbationSpec, bracket, scan_points: int = SCAN_POINTS,

@@ -21,7 +21,9 @@ once per distinct form; its certificate, with an empty trace, is kept in
 a module-level table and gets the reduction's trace on each call.
 Every branch re-verifies its preconditions on the form's exponents and
 signs and records them in the certificate; a failing check raises
-`ClassifierError` and is never cached.
+`ClassifierError` and is never cached.  Case (ii) and case (v) with
+p = 0 are one system up to the order of the dy/dt monomials, so they
+share one rotation analysis (`_rotation`); each keeps its own label.
 """
 
 from __future__ import annotations
@@ -126,6 +128,41 @@ def _classify_single_monomial(a, p, q, b, i, j):
     ])
 
 
+def _rotation(case, a, p, q, b, i, j, c, k, l, divergence):
+    """(a y^q, b x^i + c x^k y^l) with q, i, l >= 1: the rotation analysis
+    of case (ii), and of case (v) with p = 0.  `divergence` is how the
+    case writes the divergence c*l*x^k*y^(l-1)."""
+    unique = Check("origin is the only critical point",
+                   q >= 1 and i >= 1 and l >= 1)
+    if q % 2 == 0 or i % 2 == 0 or (a > 0) == (b > 0):
+        return _cert("P1", f"{case}-parity", [
+            unique,
+            Check("no-encircling-orbit: axis sign parity blocks rotation",
+                  q % 2 == 0 or i % 2 == 0 or (a > 0) == (b > 0)),
+        ])
+    if l % 2 == 0:
+        return _cert("P6", f"{case}-reversible", [
+            unique,
+            Check("dx/dt odd in y", q % 2 == 1),
+            Check("dy/dt even in y", j == 0 and l % 2 == 0),
+            Check("mirror (x,-y,-t) preserves the system", True),
+        ])
+    if k % 2 == 1:
+        return _cert("P6", f"{case}-reversible", [
+            unique,
+            Check("dx/dt even in x", p == 0),
+            Check("dy/dt odd in x", i % 2 == 1 and k % 2 == 1),
+            Check("mirror (-x,y,-t) preserves the system", True),
+        ])
+    return _cert("P5", f"{case}-divergence", [
+        unique,
+        Check("div-x-power-even", k % 2 == 0),
+        Check("div-y-power-even", (l - 1) % 2 == 0),
+        Check(f"div = {divergence} single-signed off the axes",
+              k % 2 == 0 and (l - 1) % 2 == 0 and c != 0 and l >= 1),
+    ])
+
+
 def _classify_two_monomials(a, p, q, b, i, j, c, k, l):
     """Normal form with abc != 0 and a > 0 (see `normal_form`)."""
     if i >= 1:
@@ -144,35 +181,8 @@ def _classify_two_monomials(a, p, q, b, i, j, c, k, l):
                 Check("dx/dt involves only y", p == 0),
                 Check("dy/dt involves only x", j == 0 and l == 0),
             ])
-        unique = Check("origin is the only critical point",
-                       q >= 1 and i >= 1 and l >= 1)
-        if q % 2 == 0 or i % 2 == 0 or (a > 0) == (b > 0):
-            return _cert("P1", "(ii)-parity", [
-                unique,
-                Check("no-encircling-orbit: axis sign parity blocks rotation",
-                      q % 2 == 0 or i % 2 == 0 or (a > 0) == (b > 0)),
-            ])
-        if l % 2 == 0:
-            return _cert("P6", "(ii)-reversible", [
-                unique,
-                Check("dx/dt odd in y", q % 2 == 1),
-                Check("dy/dt even in y", j == 0 and l % 2 == 0),
-                Check("mirror (x,-y,-t) preserves the system", True),
-            ])
-        if k % 2 == 1:
-            return _cert("P6", "(ii)-reversible", [
-                unique,
-                Check("dx/dt even in x", p == 0),
-                Check("dy/dt odd in x", i % 2 == 1 and k % 2 == 1),
-                Check("mirror (-x,y,-t) preserves the system", True),
-            ])
-        return _cert("P5", "(ii)-divergence", [
-            unique,
-            Check("div-x-power-even", k % 2 == 0),
-            Check("div-y-power-even", (l - 1) % 2 == 0),
-            Check(f"div = c*l*x^{k}*y^{l - 1} single-signed off the axes",
-                  k % 2 == 0 and (l - 1) % 2 == 0 and c != 0 and l >= 1),
-        ])
+        return _rotation("(ii)", a, p, q, b, i, j, c, k, l,
+                         f"c*l*x^{k}*y^{l - 1}")
 
     # Second reduced form (i = 0): (a x^p y^q, b y^j + c x^k y^l).
     if q == 0:
@@ -207,30 +217,8 @@ def _classify_two_monomials(a, p, q, b, i, j, c, k, l):
                 Check("dy/dt involves only y", l == 0 and k == 0),
             ])
         if p == 0:
-            # Same shape as case (ii) with the y-free monomial c x^k and
-            # the y-carrying monomial b y^j (x-power zero).
-            unique = Check("origin is the only critical point",
-                           q >= 1 and k >= 1 and j >= 1)
-            if q % 2 == 0 or k % 2 == 0 or (a > 0) == (c > 0):
-                return _cert("P1", "(v)-parity", [
-                    unique,
-                    Check("no-encircling-orbit: axis sign parity blocks rotation",
-                          q % 2 == 0 or k % 2 == 0 or (a > 0) == (c > 0)),
-                ])
-            if j % 2 == 0:
-                return _cert("P6", "(v)-reversible", [
-                    unique,
-                    Check("dx/dt odd in y", q % 2 == 1),
-                    Check("dy/dt even in y", j % 2 == 0),
-                    Check("mirror (x,-y,-t) preserves the system", True),
-                ])
-            return _cert("P5", "(v)-divergence", [
-                unique,
-                Check("div-x-power-even", True),
-                Check("div-y-power-even", (j - 1) % 2 == 0),
-                Check(f"div = b*j*y^{j - 1} single-signed off the axes",
-                      (j - 1) % 2 == 0 and b != 0 and j >= 1),
-            ])
+            # Case (ii) with the dy/dt monomials swapped, under its own label.
+            return _rotation("(v)", a, p, q, c, k, l, b, i, j, f"b*j*y^{j - 1}")
         return _cert("P2", "(v)-line", [
             Check("x=0 is invariant", p >= 1),
             Check("origin is the only critical point",

@@ -278,6 +278,7 @@ def test_exit_code_2_on_bad_input(capsys):
     "pipeline --preset vdp --tol inf --steps 512",
     "simulate --preset vdp --tol nan --steps 512",
     "simulate --preset vdp --r0 1 --tol nan",
+    "simulate --preset vdp --r0 1 --tol 1e-6",
     'classify --system {"a":NaN,"p":1,"q":0,"b":1,"i":0,"j":1,"c":1,"k":0,"l":0}',
     'classify --system {"a":1,"p":1,"q":0,"b":Infinity,"i":0,"j":1,"c":1,"k":0,"l":0}',
     'classify --system {"a":"1.5","p":1,"q":0,"b":1,"i":0,"j":1,"c":1,"k":0,"l":0}',
@@ -305,15 +306,18 @@ def _set_number(doc, key, value):
         doc["b"][0] = value
     elif key == "epsilon":
         doc["epsilon"] = value
+    elif key == "alpha":
+        doc["fields"][0]["alpha"] = value
     else:
-        doc["fields"][0]["f"][0]["c"] = value
+        doc["fields"][0]["f"][0][key] = value
 
 
-@pytest.mark.parametrize("key", ["b", "epsilon", "c"])
+@pytest.mark.parametrize("key", ["b", "epsilon", "c", "px", "alpha"])
 @pytest.mark.parametrize("value", [None, [1], True, "2"],
                          ids=["null", "array", "bool", "string"])
 def test_exit_code_2_on_malformed_spec_number(capsys, tmp_path, key, value):
-    # the spec wire format checks its numbers as MonomialSystem does
+    # the spec wire format checks its numbers and exponents as
+    # MonomialSystem does
     doc = spec_to_json(vdp().spec)
     _set_number(doc, key, value)
     path = tmp_path / "spec.json"

@@ -57,6 +57,8 @@ def test_term_constructor_rejections():
         SignedPowerTerm(math.inf, Fraction(1), Fraction(0), True, False)
     with pytest.raises(SpecError):
         SignedPowerTerm(1.0, 0.5, Fraction(0), True, False)  # inexact float
+    with pytest.raises(SpecError, match="exact rational, got True"):
+        SignedPowerTerm(1.0, True, 0)
 
 
 @pytest.mark.parametrize("build", [
