@@ -8,24 +8,32 @@ speed stays positive,
 
 with (F_j, G_j) the radial/transverse circle profiles of field j.  The
 quotient is kept exact (no small-eps truncation).  One revolution of a
-fixed-step RK4 integration yields the return map P; its fixed points
-are the periodic orbits crossing the positive x-axis.
+fixed-step explicit Runge-Kutta integration yields the return map P;
+its fixed points are the periodic orbits crossing the positive x-axis.
+Every revolution runs the stages of one tableau (_A, _B, _C): Dormand
+and Prince's 12-stage method of order p = 8 (DOP853).
 
 The signed fractional powers of the fields lose smoothness on the axes,
-where uniform RK4 drops to order ~2.5.  A spec with such a term
+where a uniform mesh drops to order ~2.5.  A spec with such a term
 therefore runs on a quadrant-graded mesh: each quadrant k is crossed as
 theta = (pi/2)(k + sigma(u)), u in [0, 1], with the quintic
 sigma(u) = u^3 (10 - 15u + 6u^2), whose first two derivatives vanish at
 both ends, and the radial profile carries the factor sigma'(u)
-(Sidi's endpoint transformation, 1993).  RK4 then observes order 4
-again.  Specs made only of ordinary monomials keep the uniform mesh.
+(Sidi's endpoint transformation, 1993).  Each step stays inside one
+quadrant, so no stage straddles an axis.  Near an axis a power
+|sin|^e becomes u^(3e) times sigma' ~ u^2, smooth only where 3e is an
+integer, so such a term bounds the mesh's order q by 3e + 3 (4.5 for a
+square root).  Specs made only of ordinary monomials keep the uniform
+mesh, of order q = p.  The angle tables hold every distinct stage angle
+(step + c_i) h of a revolution (`_tables`).
 
 Without an explicit `steps` every revolution's count is chosen by one
 rule (`_revolve`): run at a start count and, while the Richardson
-estimate |P_N - P_N/2| / 15 exceeds the caller's target, double the
-count, up to MAX_STEPS; each level serves as the next one's half pass.
-A Newton cell of the fixed-point search starts at BASE_STEPS, a scan
-node it settles at twice the scan's count, and a lone revolution
+estimate |P_N - P_N/2| / (2^q - 1) exceeds the caller's target, or a
+pass leaves the guard window or loses angular speed, double the count,
+up to MAX_STEPS; each level serves as the next one's half pass.  A
+Newton cell of the fixed-point search starts at BASE_STEPS, a scan node
+it settles at twice the scan's count, and a lone revolution
 (`return_map`) at REVOLUTION_STEPS, so that most radii need no second
 level and its cost depends little on its radius.  An explicit `steps`
 pins every revolution to that count.
@@ -33,12 +41,12 @@ pins every revolution to that count.
 A lone radius runs in one of two kernels generated per field count
 (`_kernel`): the value kernel, and the tangent kernel that also carries
 dP/dr0 for Newton.  Each is one revolution written out as straight-line
-Python for nf fields and compiled once per process.  The generated
-source holds field indices only; exponents, eps * b_j, the angle tables
-and the guard window are its arguments, so no spec data is compiled,
-and its sums run in field order, as the per-stage form they replace did,
-so results are bit for bit the same.  A scan's radii run together in a
-third kernel, one numpy call per RK4 stage (`_integrate_batch`).
+Python, one block per stage of the tableau, for nf fields and compiled once
+per process.  The generated source holds field indices and the
+tableau's weights only; exponents, eps * b_j, the angle tables and the
+guard window are its arguments, so no spec data is compiled.  A scan's
+radii run together in a third kernel, one numpy call per stage
+(`_integrate_batch`).
 """
 
 from __future__ import annotations
@@ -65,9 +73,9 @@ log = logging.getLogger(__name__)
 
 GUARD = (1e-4, 1e4)
 #: First resolution of a Newton cell whose step count is chosen.
-BASE_STEPS = 512
+BASE_STEPS = 128
 #: First resolution of a lone revolution whose step count is chosen.
-REVOLUTION_STEPS = 4096
+REVOLUTION_STEPS = 256
 #: Largest step count the error estimate may choose.
 MAX_STEPS = 2 ** 16
 #: Default largest |P(r*) - r*| a fixed point may have to be certified.
@@ -122,12 +130,55 @@ class ContinuationRow(NamedTuple):
     gap: float
 
 
+#: The stages of every revolution: Dormand and Prince's 12-stage
+#: eighth-order weights (DOP853; Hairer, Norsett and Wanner, Solving
+#: Ordinary Differential Equations I, II.5), without the embedded
+#: estimators and dense output, which a fixed-step revolution does not use.
+#: Stage i evaluates the right-hand side at angle (step + _C[i]) h and at
+#: x_i = r + h sum_j _A[i][j] k_j; the step adds h sum_i _B[i] k_i.
+_ORDER = 8
+_A = ((),
+      (0.05260015195876773,),
+      (0.0197250569845379, 0.0591751709536137),
+      (0.02958758547680685, 0.0, 0.08876275643042054),
+      (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+      (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+      (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
+       -0.017578125),
+      (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+       -0.015319437748624402, 0.008273789163814023),
+      (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+       27.59209969944671, 20.154067550477894, -43.48988418106996),
+      (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+       21.230051448181193, 15.279233632882423, -33.28821096898486,
+       -0.020331201708508627),
+      (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+       -8.149787010746927, -18.52006565999696, 22.739487099350505,
+       2.4936055526796523, -3.0467644718982196),
+      (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+       -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+       -8.87285693353063, 12.360567175794303, 0.6433927460157636))
+_B = (0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+      1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+      -0.1521609496625161, 0.20136540080403034, 0.04471061572777259)
+_C = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+      0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+      0.6512820512820513, 0.6, 0.8571428571428571, 1.0)
+
+#: The distinct stage angles of a step, in steps from its start; c = 1 is
+#: the next step's first node.
+_NODES = tuple(sorted(set(_C) - {1.0}))
+#: Offset of each stage's angle from its step's first node in the tables.
+_OFFSETS = tuple(_NODES.index(ci) if ci < 1.0 else len(_NODES) for ci in _C)
+
+
 class _Tables(NamedTuple):
     steps: int                     # resolution the grid was built for
     thetas: np.ndarray             # angle of each node, for error messages
     alphas: tuple[float, ...]
-    radial: tuple                  # per field, on the half-step grid
+    radial: tuple                  # per field, at every stage angle
     transverse: tuple
+    richardson: float              # 2^q - 1, with q the mesh's order
 
 
 def _ordinary(term) -> bool:
@@ -139,23 +190,30 @@ def _ordinary(term) -> bool:
 
 @lru_cache(maxsize=64)
 def _tables(fields, steps: int) -> _Tables:
-    # Half-step grid so every RK4 stage angle is a precomputed node.
-    if all(_ordinary(t) for f in fields for t in f.f_terms + f.g_terms):
-        thetas = np.linspace(0.0, 2.0 * math.pi, 2 * steps + 1)
-        weight = 1.0
+    # Node m * step + i sits at the angle of _NODES[i] in that step; the
+    # last node closes the turn, so every stage angle is a precomputed node.
+    m = len(_NODES)
+    step = np.repeat(np.arange(steps + 1), m)[:m * steps + 1]
+    frac = np.tile(_NODES, steps + 1)[:m * steps + 1]
+    terms = [t for f in fields for t in f.f_terms + f.g_terms]
+    if all(_ordinary(t) for t in terms):
+        thetas = (step + frac) * (2.0 * math.pi / steps)
+        weight, order = 1.0, _ORDER
     else:
-        # steps // 2 half steps per quadrant, so the axes are nodes
-        per = steps // 2
-        j = np.arange(2 * steps + 1)
-        k = np.minimum(j // per, 3)
-        u = (j - k * per) / per
+        # steps // 4 steps per quadrant, so no step crosses an axis
+        per = steps // 4
+        k = np.minimum(step // per, 3)
+        u = (step - k * per + frac) / per
         thetas = 0.5 * math.pi * (k + u ** 3 * (10.0 - 15.0 * u + 6.0 * u * u))
         weight = 30.0 * u * u * (1.0 - u) ** 2
+        # a power |sin|^e is a u^(3e + 2) term next to an axis
+        order = min([_ORDER] + [float(3 * e + 3) for t in terms
+                                for e in (t.x_exp, t.y_exp) if (3 * e).denominator > 1])
     # Python floats: scalar arithmetic on numpy scalars is ~2x slower.
-    # Counts above BASE_STEPS other than REVOLUTION_STEPS serve only the
-    # few revolutions a stiff orbit chooses, where packed doubles take a
-    # quarter of the memory.
-    if steps <= BASE_STEPS or steps == REVOLUTION_STEPS:
+    # From BASE_STEPS up, the counts of Newton cells and lone revolutions,
+    # packed doubles take a quarter of the memory for ~1.2x the time per
+    # step; the scans and the settled nodes below it keep tuples.
+    if steps < BASE_STEPS:
         def row(values):
             return tuple(np.asarray(values, dtype=float).tolist())
     else:
@@ -167,7 +225,8 @@ def _tables(fields, steps: int) -> _Tables:
         radial.append(row(fr * weight))
         transverse.append(row(ft))
     alphas = tuple(float(f.alpha) for f in fields)
-    return _Tables(steps, thetas, alphas, tuple(radial), tuple(transverse))
+    return _Tables(steps, thetas, alphas, tuple(radial), tuple(transverse),
+                   2.0 ** order - 1.0)
 
 
 def _check_steps(steps):
@@ -190,12 +249,18 @@ def _speed_exit(den: float, theta: float, r: float):
         f"angular speed {den:.3e} <= 0 at theta={theta:.6g}, r={r:.6g}")
 
 
+def _weighted(weights, names) -> str:
+    """sum_j w_j * name_j in index order, zero weights left out."""
+    return " + ".join(f"{w!r} * {x}" for w, x in zip(weights, names) if w)
+
+
 @lru_cache(maxsize=16)
 def _kernel(nf: int, tangent: bool):
-    """kernel(r0, h, n, stride, lo, hi, thetas, a_0, e_0, fr_0, tr_0, ...):
-    n RK4 steps for `nf` fields with e_j = eps * b_j, of num / den with
+    """kernel(r0, h, n, lo, hi, thetas, a_0, e_0, fr_0, tr_0, ...):
+    n steps of the tableau for `nf` fields with e_j = eps * b_j, of num / den with
     num = sum e_j fr_j r^a_j and den = 1 + sum e_j tr_j r^a_j / r, each sum
-    in field order from its first term (0.0 with no fields).  Returns
+    in field order from its first term (0.0 with no fields); every stage
+    combination sums its nonzero weights in stage order.  Returns
     (r1, min speed), or with `tangent` (r1, dr1/dr0) carried through the
     same stages by the variational equation,
     df/dr = (sum a_j t_j / r - f sum (a_j - 1) u_j / r^2) / den.
@@ -205,49 +270,49 @@ def _kernel(nf: int, tangent: bool):
     def total(terms):
         return "(" + (" + ".join(terms) or "0.0") + ")"
 
-    def stage(k, idx, x, s):
-        t = [f"e{j} * fr{j}[{idx}] * p{j}" for j in fields]
-        u = [f"e{j} * tr{j}[{idx}] * p{j}" for j in fields]
-        yield f"x = {x}"
-        yield f"if not lo < x < hi: _guard_exit(x, lo, hi, thetas[{idx}])"
+    def stage(i, row, offset):
+        t = [f"e{j} * fr{j}[idx] * p{j}" for j in fields]
+        u = [f"e{j} * tr{j}[idx] * p{j}" for j in fields]
+        ks = _weighted(row, (f"k{j}" for j in range(i)))
+        ls = _weighted(row, (f"l{j}" for j in range(i)))
+        yield f"idx = base + {offset}" if offset else "idx = base"
+        yield f"x = r + h * ({ks})" if ks else "x = r"
+        yield "if not lo < x < hi: _guard_exit(x, lo, hi, thetas[idx])"
         yield from (f"p{j} = x ** a{j}" for j in fields)
         if tangent:                 # named, as df/dr uses each term again
             yield from (f"t{j} = {t[j]}; u{j} = {u[j]}" for j in fields)
             t, u = [f"t{j}" for j in fields], [f"u{j}" for j in fields]
         yield f"den = 1.0 + {total(u)} / x"
-        yield f"if den <= 0.0: _speed_exit(den, thetas[{idx}], x)"
-        yield f"k{k} = {total(t)} / den"
+        yield "if den <= 0.0: _speed_exit(den, thetas[idx], x)"
+        yield f"k{i} = {total(t)} / den"
         if tangent:
-            yield (f"l{k} = (({total(f'a{j} * t{j}' for j in fields)} / x - k{k} * "
-                   f"{total(f'm{j} * u{j}' for j in fields)} / (x * x)) / den) * {s}")
+            yield (f"l{i} = (({total(f'a{j} * t{j}' for j in fields)} / x - k{i} * "
+                   f"{total(f'm{j} * u{j}' for j in fields)} / (x * x)) / den) * "
+                   + (f"(s + h * ({ls}))" if ls else "s"))
         else:
             yield "if den < least: least = den"
 
-    stages = ((1, "base", "r", "s"), (2, "mid", "r + hh * k1", "(s + hh * l1)"),
-              (3, "mid", "r + hh * k2", "(s + hh * l2)"),
-              (4, "end", "r + h * k3", "(s + h * l3)"))
+    stages = range(len(_B))
     params = "".join(f", a{j}, e{j}, fr{j}, tr{j}" for j in fields)
     source = "\n".join([
-        f"def kernel(r, h, n, stride, lo, hi, thetas{params}):",
-        "    hh = 0.5 * h",
+        f"def kernel(r, h, n, lo, hi, thetas{params}):",
         *(f"    m{j} = a{j} - 1.0" for j in fields if tangent),
         "    s = 1.0" if tangent else "    least = inf",
-        "    for base in range(0, 2 * stride * n, 2 * stride):",
-        "        mid = base + stride",
-        "        end = mid + stride",
-        *("        " + line for st in stages for line in stage(*st)),
-        "        r += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0",
-        "        s += h * (l1 + 2.0 * l2 + 2.0 * l3 + l4) / 6.0" if tangent else "",
+        f"    for base in range(0, {len(_NODES)} * n, {len(_NODES)}):",
+        *("        " + line for i in stages
+          for line in stage(i, _A[i], _OFFSETS[i])),
+        f"        r += h * ({_weighted(_B, (f'k{i}' for i in stages))})",
+        (f"        s += h * ({_weighted(_B, (f'l{i}' for i in stages))})"
+         if tangent else ""),
         "    return r, s" if tangent else "    return r, least"])
     namespace = {"inf": math.inf, "_guard_exit": _guard_exit, "_speed_exit": _speed_exit}
     exec(compile(source, f"<flow kernel nf={nf} tangent={tangent}>", "exec"), namespace)
     return namespace["kernel"]
 
 
-def _run_kernel(tangent: bool, spec: PerturbationSpec, tabs: _Tables, r0: float,
-                substeps: int) -> tuple[float, float]:
-    args = [float(r0), 2.0 * math.pi / substeps, substeps, tabs.steps // substeps,
-            *GUARD, tabs.thetas]
+def _run_kernel(tangent: bool, spec: PerturbationSpec, tabs: _Tables,
+                r0: float) -> tuple[float, float]:
+    args = [float(r0), 2.0 * math.pi / tabs.steps, tabs.steps, *GUARD, tabs.thetas]
     for a, bj, fr, tr in zip(tabs.alphas, spec.b, tabs.radial, tabs.transverse):
         args += (a, spec.epsilon * bj, fr, tr)
     r, second = _kernel(len(tabs.alphas), tangent)(*args)
@@ -257,28 +322,27 @@ def _run_kernel(tangent: bool, spec: PerturbationSpec, tabs: _Tables, r0: float,
     return r, second
 
 
-def _integrate_scalar(spec: PerturbationSpec, tabs: _Tables, r0: float,
-                      substeps: int) -> tuple[float, float]:
-    """RK4 over one revolution with `substeps` steps; returns (r1, min speed)."""
-    return _run_kernel(False, spec, tabs, r0, substeps)
+def _integrate_scalar(spec: PerturbationSpec, tabs: _Tables,
+                      r0: float) -> tuple[float, float]:
+    """One revolution in `tabs.steps` steps; returns (r1, min speed)."""
+    return _run_kernel(False, spec, tabs, r0)
 
 
-def _integrate_tangent(spec: PerturbationSpec, tabs: _Tables, r0: float,
-                       substeps: int) -> tuple[float, float]:
-    """RK4 over one revolution carrying the tangent s = dr/dr0; returns (r1, s1).
+def _integrate_tangent(spec: PerturbationSpec, tabs: _Tables,
+                       r0: float) -> tuple[float, float]:
+    """One revolution carrying the tangent s = dr/dr0; returns (r1, s1).
 
     Each stage also evaluates df/dr, so s follows the variational equation
-    s' = (df/dr) s through the same RK4 stages.  Differentiating the RK4
-    stages by r0 gives exactly these stages, so s1 is the exact derivative
-    of the discrete map r0 -> r1, and r1 is bit-identical to
-    `_integrate_scalar`'s.  Raises like `_integrate_scalar`.
+    s' = (df/dr) s through the same stages, l_i = (df/dr)_i (s + h sum_j
+    a_ij l_j).  Differentiating the stages by r0 gives exactly these, so
+    s1 is the exact derivative of the discrete map r0 -> r1, and r1 is
+    bit-identical to `_integrate_scalar`'s.  Raises like `_integrate_scalar`.
     """
-    return _run_kernel(True, spec, tabs, r0, substeps)
+    return _run_kernel(True, spec, tabs, r0)
 
 
-def _integrate_batch(spec: PerturbationSpec, tabs: _Tables, r0: np.ndarray,
-                     substeps: int):
-    """Vectorized RK4 over a batch of start radii.
+def _integrate_batch(spec: PerturbationSpec, tabs: _Tables, r0: np.ndarray):
+    """One revolution of a batch of start radii in `tabs.steps` steps.
 
     Returns (r1, status).  A row that leaves the guard window or loses
     angular speed is tagged with its first failure (at one stage a guard
@@ -287,7 +351,7 @@ def _integrate_batch(spec: PerturbationSpec, tabs: _Tables, r0: np.ndarray,
     failures from overwriting the first.
     """
     nf = len(tabs.alphas)
-    nodes = 2 * tabs.steps + 1
+    nodes = len(_NODES) * tabs.steps + 1
     alphas = np.asarray(tabs.alphas)[:, None]
     eb = spec.epsilon * np.asarray(spec.b, dtype=float)[:, None]
     # eps*b folded in once: row idx holds the (2, nf) radial and transverse
@@ -296,13 +360,15 @@ def _integrate_batch(spec: PerturbationSpec, tabs: _Tables, r0: np.ndarray,
         eb * np.reshape(tabs.radial, (nf, nodes)),
         eb * np.reshape(tabs.transverse, (nf, nodes)),
     ]).transpose(2, 0, 1))
-    stride = tabs.steps // substeps
-    h = 2.0 * math.pi / substeps
+    h = 2.0 * math.pi / tabs.steps
     lo, hi = GUARD
 
     r = np.array(r0, dtype=float, copy=True)
     status = np.zeros(r.shape, dtype=int)
     alive = np.ones(r.shape, dtype=bool)
+    k = np.empty((len(_B),) + r.shape)
+    rows = [np.asarray(row) for row in _A]
+    b = np.asarray(_B)
 
     def rhs(idx: int, rr: np.ndarray) -> np.ndarray:
         num, dacc = weights[idx] @ rr ** alphas
@@ -315,13 +381,10 @@ def _integrate_batch(spec: PerturbationSpec, tabs: _Tables, r0: np.ndarray,
         return num / den
 
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        for n in range(substeps):
-            base = 2 * stride * n
-            k1 = rhs(base, r)
-            k2 = rhs(base + stride, r + 0.5 * h * k1)
-            k3 = rhs(base + stride, r + 0.5 * h * k2)
-            k4 = rhs(base + 2 * stride, r + h * k3)
-            r = r + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        for base in range(0, len(_NODES) * tabs.steps, len(_NODES)):
+            for i, (row, offset) in enumerate(zip(rows, _OFFSETS)):
+                k[i] = rhs(base + offset, r + h * (row @ k[:i]) if i else r)
+            r = r + h * (b @ k)
             if not alive.any():    # once per step, not per stage
                 break
         np.copyto(status, _STATUS_GUARD, where=alive & ~((r > lo) & (r < hi)))
@@ -332,22 +395,36 @@ def _revolve(spec: PerturbationSpec, kernel, r0: float, start: int, tol: float,
              steps: int | None = None, *, half: float | None = None, done=None):
     """One revolution of r0 by `kernel`, at `steps` or a count chosen by accuracy.
 
-    `kernel(spec, tables, r0, n)` returns a pair whose first item is P(r0).
+    `kernel(spec, tables, r0)` returns a pair whose first item is P(r0).
     Without `steps` it runs at `start` steps and, while the Richardson
-    estimate |P - half| / 15 is not within tol (a NaN is not), at twice the
-    last count, up to MAX_STEPS; each level's P is the next level's half
-    pass (the tables nest, so it equals a revolution pinned at that
-    count).  The first half pass is `half`, or a scalar revolution at half
-    the first count.  `done(r0, n, pair, half)`, if given, may stop the
-    doubling earlier.  Returns (n, pair, estimate) of the last level.
+    estimate |P - half| / (2^q - 1) is not within tol (a NaN is not), at
+    twice the last count, up to MAX_STEPS; each level's P is the next
+    level's half pass (it equals a revolution pinned at that count).  The
+    first half pass is `half`, or a scalar revolution at half the first
+    count.  With a chosen count a pass that fails (guard or angular
+    speed) raises only at MAX_STEPS: a failed half pass leaves the
+    estimate NaN, and a failed pass doubles the count, with no half pass
+    for the next level.  `done(r0, n, pair, half)`, if given, may stop
+    the doubling earlier.  Returns (n, pair, estimate) of the last level.
     """
     n = steps or start
     while True:
         tabs = _tables(spec.fields, n)
-        out = kernel(spec, tabs, r0, n)
+        try:
+            out = kernel(spec, tabs, r0)
+        except (GuardBoundError, AngularMonotonicityError):
+            if steps is not None or n >= MAX_STEPS:
+                raise
+            n, half = 2 * n, math.nan
+            continue
         if half is None:
-            half, _ = _integrate_scalar(spec, tabs, r0, n // 2)
-        estimate = abs(out[0] - half) / 15.0
+            try:
+                half, _ = _integrate_scalar(spec, _tables(spec.fields, n // 2), r0)
+            except (GuardBoundError, AngularMonotonicityError):
+                if steps is not None:
+                    raise
+                half = math.nan
+        estimate = abs(out[0] - half) / tabs.richardson
         if (steps is not None or n >= MAX_STEPS or estimate <= tol
                 or (done and done(r0, n, out, half))):
             return n, out, estimate
@@ -358,11 +435,12 @@ def return_map(spec: PerturbationSpec, r0: float,
                steps: int | None = None) -> ReturnMapSample:
     """P(r0) after one revolution, with a step-halving error estimate.
 
-    Fixed-step RK4 (panels aligned with the axis angles) plus a
-    half-resolution pass; the fourth-order Richardson estimate
-    |P_full - P_half| / 15 is attached to the sample.  Without `steps`
-    the count starts at REVOLUTION_STEPS and doubles while the estimate
-    exceeds RESIDUAL_TOL (`_revolve`).
+    Fixed steps of the tableau (panels aligned with the axis angles) plus
+    a half-resolution pass; the Richardson estimate |P_full - P_half| /
+    (2^q - 1), q the mesh's order, is attached to the sample.  Without
+    `steps` the count starts at REVOLUTION_STEPS and doubles while the
+    estimate exceeds RESIDUAL_TOL or a pass fails (`_revolve`), so a
+    stiff radius raises only if it fails at MAX_STEPS.
     """
     _check_steps(steps)
     spec = normalize_ccw(spec)
@@ -382,7 +460,7 @@ def scan_return_map(spec: PerturbationSpec, bracket, scan_points: int = SCAN_POI
     lo, hi = check_bracket(bracket)
     grid = np.logspace(math.log10(lo), math.log10(hi), scan_points)
     tabs = _tables(spec.fields, steps)
-    r1, status = _integrate_batch(spec, tabs, grid, steps)
+    r1, status = _integrate_batch(spec, tabs, grid)
     return grid, r1, status
 
 
@@ -463,12 +541,14 @@ def _settle_scan(spec: PerturbationSpec, grid: np.ndarray, r1: np.ndarray,
     runs `_revolve` from 2 * coarse steps with the coarse value as the
     first half pass, against `tol` (a displacement that small is a fixed
     point to the search's accuracy), and stops early once its sign is
-    trusted by the same rule; a node that still fails at BASE_STEPS
-    stays failed.  Returns new (r1, status) arrays.
+    trusted by the same rule or its count reaches REVOLUTION_STEPS, the
+    first level of a lone revolution: a node that still fails there stays
+    failed, and an OK one keeps that value.  Returns new (r1, status)
+    arrays.
     """
-    def node(spec, tabs, r0, n):
+    def node(spec, tabs, r0):
         try:
-            return _integrate_scalar(spec, tabs, r0, n)[0], _STATUS_OK
+            return _integrate_scalar(spec, tabs, r0)[0], _STATUS_OK
         except AngularMonotonicityError:
             return math.nan, _STATUS_SPEED
         except GuardBoundError:
@@ -476,7 +556,7 @@ def _settle_scan(spec: PerturbationSpec, grid: np.ndarray, r1: np.ndarray,
 
     def done(r0, n, out, half):
         r, st = out
-        return abs(r - r0) > abs(r - half) if st == _STATUS_OK else n >= BASE_STEPS
+        return n >= REVOLUTION_STEPS or (st == _STATUS_OK and abs(r - r0) > abs(r - half))
 
     r1, status = r1.copy(), status.copy()
     n = len(grid)
@@ -505,9 +585,9 @@ def find_fixed_points(spec: PerturbationSpec, bracket, tol: float = RESIDUAL_TOL
     """Certified fixed points of the return map inside the bracket.
 
     Scans a log-spaced grid of `SCAN_POINTS` radii for sign changes of
-    P(r) - r and refines each cell by safeguarded Newton on the RK4
+    P(r) - r and refines each cell by safeguarded Newton on the
     variational equation.  The scan only has to place the sign changes,
-    so it runs at about N / 8, with N = `steps` or BASE_STEPS, and a pass
+    so it runs at about N / 16, with N = `steps` or BASE_STEPS, and a pass
     at half that to estimate each node's error; nodes whose sign or
     status that resolution cannot be trusted with are integrated again
     (`_settle_scan`).  `on_scan`, if given, receives the settled scan as
@@ -534,12 +614,11 @@ def find_fixed_points(spec: PerturbationSpec, bracket, tol: float = RESIDUAL_TOL
     if all(bj == 0.0 for bj in spec.b):
         return []
     spec = normalize_ccw(spec)
-    # a multiple of 8 near N / 8, so its half pass keeps the axis-angle
+    # a multiple of 8 near N / 16, so its half pass keeps the axis-angle
     # alignment too
-    coarse = max(8, (steps or BASE_STEPS) // 64 * 8)
+    coarse = max(8, (steps or BASE_STEPS) // 128 * 8)
     grid, r1, status = scan_return_map(spec, bracket, SCAN_POINTS, coarse)
-    r1_half, _ = _integrate_batch(spec, _tables(spec.fields, coarse), grid,
-                                  coarse // 2)
+    r1_half, _ = _integrate_batch(spec, _tables(spec.fields, coarse // 2), grid)
     r1, status = _settle_scan(spec, grid, r1, status, r1_half, coarse, steps, tol)
     if on_scan is not None:
         on_scan((grid, r1, status))
@@ -560,7 +639,7 @@ def find_fixed_points(spec: PerturbationSpec, bracket, tol: float = RESIDUAL_TOL
             if n is None:
                 n, first, _ = _revolve(spec, _integrate_tangent, r, BASE_STEPS, tol)
                 return first
-            return _integrate_tangent(spec, _tables(spec.fields, n), r, n)
+            return _integrate_tangent(spec, _tables(spec.fields, n), r)
 
         return pmap
 

@@ -6,6 +6,7 @@ import logging
 import math
 import re
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -56,11 +57,11 @@ def test_zero_epsilon_is_identity():
 
 def test_step_halving_convergence():
     spec = vdp().spec
-    reference = return_map(spec, 1.0, steps=8192).r1
-    errs = [abs(return_map(spec, 1.0, steps=n).r1 - reference) for n in (32, 64, 128)]
+    reference = return_map(spec, 1.0, steps=1024).r1
+    errs = [abs(return_map(spec, 1.0, steps=n).r1 - reference) for n in (8, 16, 32)]
     assert errs[0] < 1e-8
     assert errs[2] <= errs[0]
-    assert return_map(spec, 1.0, steps=64).error_estimate < 1e-9
+    assert return_map(spec, 1.0, steps=16).error_estimate < 1e-9
 
 
 def test_displacement_sign_matches_averaged_function():
@@ -188,13 +189,13 @@ def _lienard7():
 
 
 def test_batch_status_matches_scalar_exceptions():
-    spec, steps = _lienard7(), 256
+    spec, steps = _lienard7(), 64
     grid, r1, status = scan_return_map(spec, (0.4, 2.2), steps=steps)
     assert {0, 1, 2} <= set(status.tolist())
     tabs = flow._tables(spec.fields, steps)
     for r0, r1_batch, st in zip(grid, r1, status):
         try:
-            single, _ = flow._integrate_scalar(spec, tabs, float(r0), steps)
+            single, _ = flow._integrate_scalar(spec, tabs, float(r0))
         except AngularMonotonicityError:
             assert st == 1, r0
         except GuardBoundError:
@@ -202,7 +203,7 @@ def test_batch_status_matches_scalar_exceptions():
         else:
             assert st == 0, r0
             assert abs(r1_batch - single) <= 1e-12 * single
-            assert flow._integrate_tangent(spec, tabs, float(r0), steps)[0] == single
+            assert flow._integrate_tangent(spec, tabs, float(r0))[0] == single
             assert abs(r1_batch - return_map(spec, float(r0), steps).r1) <= 1e-12 * single
 
 
@@ -230,9 +231,9 @@ def _counting(monkeypatch, name, with_steps=False):
     calls = []
     real = getattr(flow, name)
 
-    def wrapper(*args):
-        calls.append((args[2], args[3]) if with_steps else args[2])
-        return real(*args)
+    def wrapper(spec, tabs, r0):
+        calls.append((r0, tabs.steps) if with_steps else r0)
+        return real(spec, tabs, r0)
 
     monkeypatch.setattr(flow, name, wrapper)
     return calls
@@ -369,14 +370,14 @@ def _assert_full_resolution_cells(cells, spec, bracket, scan_points, steps):
 
 def test_example1_fixed_point_next_to_a_node_is_certified_at_full_resolution(
         monkeypatch):
-    # the search scans example1 at BASE_STEPS / 8 = 64 steps, which is
-    # off by about 3e-8 near the cycle
-    spec, steps, points = example1().spec, 4096, 201
+    # the search scans example1 at BASE_STEPS / 16 = 8 steps, which is
+    # off by about 7e-6 near the cycle
+    spec, steps, points = example1().spec, flow.REVOLUTION_STEPS, 201
     (cert,) = find_fixed_points(spec, (0.4, 3.4))
     node = cert.r_star * (1.0 - 2e-8)
     bracket = (0.5 * node, 2.0 * node)  # the middle scan node sits at `node`
     coarse_grid, coarse_r1, _ = scan_return_map(spec, bracket, points,
-                                                flow.BASE_STEPS // 8)
+                                                flow.BASE_STEPS // 16)
     mid = points // 2
     assert coarse_grid[mid] == pytest.approx(node, rel=1e-14)
     full_disp = return_map(spec, node, steps).r1 - node
@@ -393,24 +394,43 @@ def test_example1_fixed_point_next_to_a_node_is_certified_at_full_resolution(
 
 
 def test_lienard6_stiff_band_cells_match_full_resolution(monkeypatch):
-    # beyond r ~ 4.7 the coarse scan leaves the guard window where the full
+    # beyond r ~ 3.6 the coarse scan leaves the guard window where the full
     # resolution does not, and next to that band its values are off by a few %
     spec = retune_b(lienard(6, epsilon=0.005).spec, [0.8, 1.3, 1.8])[0].spec
-    bracket, steps = (0.24, 5.4), 4096
-    _, _, coarse_status = scan_return_map(spec, bracket, steps=steps // 8)
+    bracket, steps = (0.24, 5.4), 2048
+    _, _, coarse_status = scan_return_map(spec, bracket, steps=steps // 16)
     full_grid, full_r1, full_status = scan_return_map(spec, bracket, steps=steps)
     assert np.count_nonzero((coarse_status == 2) & (full_status == 0)) >= 5
 
     certs, cells = _search_cells(monkeypatch, spec, bracket, steps)
     _assert_full_resolution_cells(cells, spec, bracket, flow.SCAN_POINTS, steps)
     assert len(certs) == 3
-    # a chosen step count settles failures only up to BASE_STEPS, so the
-    # stiff band stays failed, but the cells are those of the full scan
+    # a chosen step count settles failures only up to REVOLUTION_STEPS, and
+    # the band beyond r ~ 3.9 needs up to 2048, so it stays failed, but the
+    # cells are those of the full scan
     chosen, (grid, disp, ok) = _search_cells(monkeypatch, spec, bracket)
     assert _cell_bounds(grid, disp, ok) == _cell_bounds(
         full_grid, full_r1 - full_grid, full_status == 0)
     assert [c.r_star for c in chosen] == pytest.approx(
         [c.r_star for c in certs], rel=1e-9)
+
+
+def test_stiff_band_fails_only_where_the_revolution_count_fails():
+    # a settled node doubles up to REVOLUTION_STEPS at most, so the band
+    # that only coarse steps lose is recovered node by node, and what stays
+    # failed fails at that count too (DOP853 clears this band at 2048)
+    spec = retune_b(lienard(6, epsilon=0.005).spec, [0.8, 1.3, 1.8])[0].spec
+    bracket = (0.24, 5.4)
+    _, _, coarse_status = scan_return_map(spec, bracket, steps=flow.BASE_STEPS // 16)
+    grid, r1, status = scan_return_map(spec, bracket, steps=flow.REVOLUTION_STEPS)
+    assert np.count_nonzero((coarse_status != 0) & (status == 0)) >= 10
+    scans = []
+    certs = find_fixed_points(spec, bracket, on_scan=scans.append)
+    ((_, settled_r1, settled),) = scans
+    assert np.array_equal(settled != 0, status != 0)
+    assert _cell_bounds(grid, settled_r1 - grid, settled == 0) == _cell_bounds(
+        grid, r1 - grid, status == 0)
+    assert len(certs) == 3
 
 
 def test_coarse_failures_next_to_ok_nodes_are_settled(monkeypatch):
@@ -429,7 +449,7 @@ def test_coarse_failures_next_to_ok_nodes_are_settled(monkeypatch):
 
     monkeypatch.setattr(flow, "scan_return_map", failing)
     certs, cells = _search_cells(monkeypatch, spec, bracket)
-    _assert_full_resolution_cells(cells, spec, bracket, 200, 4096)
+    _assert_full_resolution_cells(cells, spec, bracket, 200, flow.REVOLUTION_STEPS)
     assert len(certs) == 1
     assert certs[0].r_star == pytest.approx(cert.r_star, rel=1e-12)
 
@@ -438,9 +458,9 @@ def _batched_substeps(monkeypatch):
     calls = []
     real = flow._integrate_batch
 
-    def counting(spec, tabs, r0, substeps):
-        calls.append(substeps)
-        return real(spec, tabs, r0, substeps)
+    def counting(spec, tabs, r0):
+        calls.append(tabs.steps)
+        return real(spec, tabs, r0)
 
     monkeypatch.setattr(flow, "_integrate_batch", counting)
     return calls
@@ -464,7 +484,7 @@ def test_rotation_only_map_settles_each_node_once(monkeypatch):
                             b=(1.0,), epsilon=0.01, orientation="ccw")
     scalar = _counting(monkeypatch, "_integrate_scalar", with_steps=True)
     assert find_fixed_points(spec, (0.5, 2.0)) == []
-    assert [n for _, n in scalar] == [flow.BASE_STEPS // 4] * flow.SCAN_POINTS
+    assert [n for _, n in scalar] == [flow.BASE_STEPS // 8] * flow.SCAN_POINTS
 
 
 def test_search_scans_at_a_fraction_of_the_steps(monkeypatch):
@@ -472,7 +492,7 @@ def test_search_scans_at_a_fraction_of_the_steps(monkeypatch):
     calls = _batched_substeps(monkeypatch)
     certs = find_fixed_points(with_epsilon(vdp().spec, 0.01), (0.5, 2.0))
     assert len(certs) == 1
-    assert calls and sum(calls) <= 3 * steps // 16
+    assert calls and sum(calls) <= 3 * steps // 32
 
 
 def test_csv_holds_the_settled_scan(monkeypatch, tmp_path):
@@ -487,7 +507,7 @@ def test_csv_holds_the_settled_scan(monkeypatch, tmp_path):
     monkeypatch.setattr(flow, "_settle_scan", spy)
     run_pipeline(vdp().spec, eps_values=(0.02, 0.01), csv_dir=str(tmp_path))
     # per eps only the search's coarse scan and its half pass
-    coarse = flow.BASE_STEPS // 8
+    coarse = flow.BASE_STEPS // 16
     assert calls == [coarse, coarse // 2] * 2
     for idx, (r1, status) in enumerate(settled):
         with open(tmp_path / f"scan_{idx:02d}.csv", newline="") as fh:
@@ -503,46 +523,111 @@ def test_csv_holds_the_settled_scan(monkeypatch, tmp_path):
 def test_failed_scan_nodes_are_summarized_once_per_epsilon(caplog):
     spec = _lienard7()
     eps_values = (0.005, 0.004)
+    scans = []
     with caplog.at_level(logging.WARNING, logger="cycleavg.flow"):
         for eps in eps_values:
-            find_fixed_points(with_epsilon(spec, eps), (0.5, 2.0))
+            find_fixed_points(with_epsilon(spec, eps), (0.5, 2.0), on_scan=scans.append)
     summaries = [r.getMessage() for r in caplog.records
                  if r.name == "cycleavg.flow" and r.getMessage().startswith("scan ")]
     assert len(summaries) == len(eps_values)
     assert len(caplog.records) <= len(eps_values)
-    _, _, status = scan_return_map(with_epsilon(spec, 0.004), (0.5, 2.0))
+    _, _, status = scans[-1]
     assert summaries[-1].endswith(
         f"angular_speed {np.count_nonzero(status == 1)}, "
         f"guard {np.count_nonzero(status == 2)})")
+    # the settled scan fails where a full-resolution one does; a failure
+    # inside a band keeps the kind the coarse scan gave it
+    _, _, full = scan_return_map(with_epsilon(spec, 0.004), (0.5, 2.0))
+    assert np.array_equal(status != 0, full != 0)
 
 
 def _revolution(spec, r0, steps):
     spec = normalize_ccw(spec)
     tabs = flow._tables(spec.fields, steps)
-    return flow._integrate_scalar(spec, tabs, r0, steps)[0]
+    return flow._integrate_scalar(spec, tabs, r0)[0]
+
+
+def test_tableau_satisfies_its_order_conditions():
+    # each stage's angle is its row sum, and the weights integrate
+    # polynomials up to degree p - 1 exactly (Hairer-Norsett-Wanner, II.1)
+    a, b, c, p = flow._A, flow._B, flow._C, flow._ORDER
+    assert len(a) == len(b) == len(c) and c[0] == 0.0
+    assert all(len(row) == i for i, row in enumerate(a))
+    assert all(abs(ci - math.fsum(row)) <= 1e-14 for ci, row in zip(c, a))
+    for k in range(1, p + 1):
+        assert abs(math.fsum(bi * ci ** (k - 1) for bi, ci in zip(b, c)) - 1.0 / k) <= 1e-14
+    assert all(0.0 <= ci <= 1.0 for ci in c)  # every stage inside its step
+
+
+@pytest.mark.parametrize("tangent", [False, True])
+def test_generated_kernel_observes_the_tableau_order(tangent):
+    # constant tables give dr/dtheta = e r^2, so one revolution is
+    # r0 / (1 - 2 pi e r0) with derivative 1 / (1 - 2 pi e r0)^2
+    e, r0 = 0.11, 1.0
+    x = 1.0 - 2.0 * math.pi * e * r0
+    exact = 1.0 / x ** 2 if tangent else r0 / x
+    kernel = flow._kernel(1, tangent)
+
+    def error(n):
+        nodes = len(set(flow._C) - {1.0}) * n + 1
+        out = kernel(r0, 2.0 * math.pi / n, n, *flow.GUARD, np.zeros(nodes),
+                     2.0, e, (1.0,) * nodes, (0.0,) * nodes)
+        return abs(out[1 if tangent else 0] - exact)
+
+    errs = [error(n) for n in (8, 16, 32)]
+    assert errs[-1] > 50 * np.finfo(float).eps * exact  # above the rounding floor
+    for coarse, fine in zip(errs, errs[1:]):
+        assert abs(math.log2(coarse / fine) - flow._ORDER) <= 0.3
 
 
 @pytest.mark.parametrize("case, r0", [("example1", 1.2), ("example2", 2.0)])
 def test_graded_estimate_matches_the_error(case, r0):
-    # the quintic grading restores order 4 across the axes, so the /15
-    # Richardson estimate is the error itself, not a guess at it
+    # a square root on the quintic grading is a u^3.5 term, so the mesh's
+    # order is q = 4.5 and the estimate divides by 2^4.5 - 1
     spec = example1().spec if case == "example1" else example2().spec
-    reference = _revolution(spec, r0, 65536)
-    sample = return_map(spec, r0, steps=512)
-    error = abs(sample.r1 - reference)
-    assert 0.5 * error <= sample.error_estimate <= 2.0 * error
-    p256, p512, p1024 = (_revolution(spec, r0, n) for n in (256, 512, 1024))
-    order = math.log2(abs(p512 - p256) / abs(p1024 - p512))
-    assert 3.8 <= order <= 4.2
+    assert flow._tables(normalize_ccw(spec).fields, 32).richardson == 2 ** 4.5 - 1
+    # from 8 steps (2 per quadrant) to 32 the smooth part of the error
+    # leads, falling 2^8.7-2^8.9 per doubling, and the estimate is 9-20x
+    # the error; beyond 32 the error reaches the rounding floor
+    reference = _revolution(spec, r0, 1024)
+    for steps in (16, 32):
+        sample = return_map(spec, r0, steps=steps)
+        assert abs(sample.r1 - reference) <= sample.error_estimate
+    p8, p16, p32 = (_revolution(spec, r0, n) for n in (8, 16, 32))
+    order = math.log2(abs(p16 - p8) / abs(p32 - p16))
+    assert flow._ORDER - 0.3 <= order <= 9.1
     # BASE_STEPS is enough for a Newton cell here; a lone revolution
     # starts higher and needs no second level
-    assert sample.error_estimate <= flow.RESIDUAL_TOL
+    assert return_map(spec, r0, steps=flow.BASE_STEPS).error_estimate <= flow.RESIDUAL_TOL
     chosen = return_map(spec, r0)
     assert chosen == return_map(spec, r0, steps=flow.REVOLUTION_STEPS)
 
 
+def test_graded_order_is_that_of_the_square_root():
+    # on the benchmark's example2 tuned to roots 1 and 4, at eps 0.02, the
+    # u^3.5 term leads from 64 steps to the rounding floor, so there the
+    # error falls 2^4.5 per doubling and the estimate is the error itself
+    spec = with_epsilon(with_b(example2().spec, (1.0, 8.36037, -10.50887, 2.0)), 0.02)
+    r0 = 0.35
+    reference = _revolution(spec, r0, 4096)
+    errors = {n: abs(_revolution(spec, r0, n) - reference) for n in (64, 128, 256)}
+    for coarse, fine in ((64, 128), (128, 256)):
+        assert abs(math.log2(errors[coarse] / errors[fine]) - 4.5) <= 0.3
+    for steps in (128, 256):
+        sample = return_map(spec, r0, steps=steps)
+        assert 0.5 * errors[steps] <= sample.error_estimate <= 2.0 * errors[steps]
+
+
+def _stage_nodes(steps):
+    """(step, c) of each table node: every distinct stage angle of each
+    step in increasing order, then the node that closes the turn."""
+    fractions = sorted(set(flow._C) - {1.0})
+    return [(n, c) for n in range(steps) for c in fractions] + [(steps, 0.0)]
+
+
 def _uniform_tables(fields, steps):
-    thetas = np.linspace(0.0, 2.0 * math.pi, 2 * steps + 1)
+    h = 2.0 * math.pi / steps
+    thetas = np.array([(n + c) * h for n, c in _stage_nodes(steps)])
     comps = [angular_components(f, thetas) for f in fields]
     return ([tuple(fr.tolist()) for fr, _ in comps],
             [tuple(ft.tolist()) for _, ft in comps], thetas)
@@ -551,8 +636,8 @@ def _uniform_tables(fields, steps):
 @pytest.mark.parametrize("case", ["vdp", "lienard7"])
 def test_polynomial_specs_keep_the_uniform_mesh(case):
     spec = vdp().spec if case == "vdp" else _lienard7()
-    # 1024 steps: beyond BASE_STEPS the rows are packed, with equal values
-    for steps in (512, 1024):
+    # below BASE_STEPS the rows are tuples, from it on packed, with equal values
+    for steps in (flow.BASE_STEPS // 2, flow.BASE_STEPS):
         tabs = flow._tables(spec.fields, steps)
         radial, transverse, thetas = _uniform_tables(spec.fields, steps)
         assert [tuple(row) for row in tabs.radial] == radial
@@ -561,19 +646,26 @@ def test_polynomial_specs_keep_the_uniform_mesh(case):
 
 
 def test_fractional_spec_is_graded_per_quadrant():
-    tabs = flow._tables(example1().spec.fields, 64)
-    quarter = tabs.thetas[::32].tolist()
-    assert quarter == [k * math.pi / 2 for k in range(5)]
+    steps = 64
+    tabs = flow._tables(example1().spec.fields, steps)
+    nodes = _stage_nodes(steps)
+    axes = [nodes.index((k * steps // 4, 0.0)) for k in range(5)]
+    assert tabs.thetas[axes].tolist() == [k * math.pi / 2 for k in range(5)]
     # sigma'(u) = 30 u^2 (1 - u)^2 vanishes on the axes
-    assert all(tabs.radial[j][32 * k] == 0.0 for j in range(3) for k in range(5))
+    assert all(tabs.radial[j][i] == 0.0 for j in range(3) for i in axes)
+    # every stage angle of a step lies in the step's own quadrant
+    for i, (n, _) in enumerate(nodes[:-1]):
+        quadrant = n // (steps // 4)
+        assert quadrant * math.pi / 2 <= tabs.thetas[i] < (quadrant + 1) * math.pi / 2
+    assert np.all(np.diff(tabs.thetas) > 0.0)
 
 
 def test_stiff_revolution_chooses_more_steps():
     # the bench's lienard6 sample spec near the edge of its radius range
     spec = with_epsilon(with_b(lienard(6).spec,
                                (7.00877, -23.01547, 17.824, -3.65714)), 0.0185)
-    reference = _revolution(spec, 2.87, 65536)
-    assert abs(return_map(spec, 2.87, steps=512).r1 - reference) > 1e-6
+    reference = _revolution(spec, 2.87, 8192)
+    assert abs(return_map(spec, 2.87, steps=flow.REVOLUTION_STEPS).r1 - reference) > 1e-6
     sample = return_map(spec, 2.87)
     assert sample.steps > flow.REVOLUTION_STEPS
     assert abs(sample.r1 - reference) <= flow.RESIDUAL_TOL
@@ -583,10 +675,26 @@ def test_stiff_revolution_chooses_more_steps():
     assert return_map(spec, 2.87, steps=sample.steps) == sample
 
 
+def test_stiff_band_revolution_doubles_past_failed_passes():
+    # inside lienard6's stiff band a stage radius leaves the guard window
+    # up to 512 steps at r 4.5, so the chosen count doubles past the
+    # failed passes instead of raising
+    spec = retune_b(lienard(6, epsilon=0.005).spec, [0.8, 1.3, 1.8])[0].spec
+    spec, r0 = normalize_ccw(spec), 4.5
+    for steps in (flow.REVOLUTION_STEPS, 2 * flow.REVOLUTION_STEPS):
+        with pytest.raises(GuardBoundError):
+            return_map(spec, r0, steps=steps)
+    sample = return_map(spec, r0)
+    assert sample.steps > 4 * flow.REVOLUTION_STEPS
+    assert sample.error_estimate <= flow.RESIDUAL_TOL
+    assert abs(sample.r1 - _scipy_revolution(spec, r0)) <= 1e-10 * r0
+
+
 def test_stiff_cell_doubles_to_the_count_it_needs(monkeypatch):
-    # the same stiff radius as a Newton cell's first point: its error falls
-    # ~23x per doubling from 512 steps, faster than order 4 predicts, so a
-    # count predicted from 512 steps would be 16384 where 8192 meet tol
+    # the same stiff radius as a Newton cell's first point: its half pass
+    # at 64 steps leaves the guard window, and from 128 steps its error
+    # falls ~110x, ~300x and ~1500x per doubling, so the cell meets tol
+    # at 1024 steps
     spec = with_epsilon(with_b(lienard(6).spec,
                                (7.00877, -23.01547, 17.824, -3.65714)), 0.0185)
     r0 = 2.87
@@ -595,19 +703,19 @@ def test_stiff_cell_doubles_to_the_count_it_needs(monkeypatch):
     revolutions = []
     real = flow._integrate_tangent
 
-    def spy(spec, tabs, r, steps):
-        revolutions.append((r, steps, real(spec, tabs, r, steps)))
+    def spy(spec, tabs, r):
+        revolutions.append((r, tabs.steps, real(spec, tabs, r)))
         return revolutions[-1][2]
 
     monkeypatch.setattr(flow, "_integrate_tangent", spy)
     find_fixed_points(spec, (2.8, 2.9))
     assert [r for r, _, _ in revolutions] == [r0] * len(revolutions)
     *_, (_, half_steps, half), (_, steps, chosen) = revolutions
-    assert (half_steps, steps) == (4096, 8192)
-    assert abs(chosen[0] - half[0]) / 15.0 <= flow.RESIDUAL_TOL
-    assert abs(chosen[0] - _revolution(spec, r0, 65536)) <= flow.RESIDUAL_TOL
+    assert (half_steps, steps) == (512, 1024)
+    assert abs(chosen[0] - half[0]) / (2 ** flow._ORDER - 1) <= flow.RESIDUAL_TOL
+    assert abs(chosen[0] - _revolution(spec, r0, 8192)) <= flow.RESIDUAL_TOL
     pinned = normalize_ccw(spec)
-    assert chosen == real(pinned, flow._tables(pinned.fields, 8192), r0, 8192)
+    assert chosen == real(pinned, flow._tables(pinned.fields, 1024), r0)
 
 
 def test_explicit_steps_pin_the_revolution(monkeypatch):
@@ -615,6 +723,55 @@ def test_explicit_steps_pin_the_revolution(monkeypatch):
     tangent = _counting(monkeypatch, "_integrate_tangent", with_steps=True)
     find_fixed_points(with_epsilon(vdp().spec, 0.01), (0.5, 2.0), steps=1024)
     assert tangent and {n for _, n in tangent} == {1024}
+
+
+#: The benchmark's single-radius specs with their radius ranges: vdp,
+#: example1, example2 tuned to roots 1 and 4, lienard6 tuned to 0.8, 1.3
+#: and 1.8 (`bench/workloads.py`'s SAMPLE_SPECS).
+SAMPLE_SPECS = {
+    "vdp": (lambda: vdp().spec, (0.4, 3.0)),
+    "example1": (lambda: example1().spec, (0.4, 3.4)),
+    "example2": (lambda: with_b(example2().spec, (1.0, 8.36037, -10.50887, 2.0)),
+                 (0.35, 10.0)),
+    "lienard6": (lambda: with_b(lienard(6).spec, (7.00877, -23.01547, 17.824, -3.65714)),
+                 (0.3, 3.0)),
+}
+
+
+def _scipy_revolution(spec, r0):
+    """One revolution of the same polar ODE by scipy's adaptive DOP853
+    (rtol 1e-13), a quadrant at a time so that no step straddles an axis,
+    with the fields evaluated pointwise rather than from angle tables."""
+    from scipy.integrate import solve_ivp
+
+    def rhs(theta, state):
+        r = state[0]
+        x, y = r * math.cos(theta), r * math.sin(theta)
+        p = q = 0.0
+        for bj, field in zip(spec.b, spec.fields):
+            fv, gv = field.evaluate(x, y)
+            p, q = p + bj * fv, q + bj * gv
+        eps = spec.epsilon
+        return [eps * (x * p + y * q) / r / (1.0 + eps * (x * q - y * p) / (r * r))]
+
+    r = r0
+    for k in range(4):
+        sol = solve_ivp(rhs, (k * math.pi / 2, (k + 1) * math.pi / 2), [r],
+                        method="DOP853", rtol=1e-13, atol=1e-15)
+        assert sol.success, sol.message
+        r = float(sol.y[0, -1])
+    return r
+
+
+@pytest.mark.parametrize("eps", [0.005, 0.02])
+@pytest.mark.parametrize("name", sorted(SAMPLE_SPECS))
+def test_revolutions_match_scipy_on_the_sample_specs(name, eps):
+    make, (lo, hi) = SAMPLE_SPECS[name]
+    spec = normalize_ccw(with_epsilon(make(), eps))
+    for r0 in (lo, math.sqrt(lo * hi), hi):
+        sample = return_map(spec, r0)
+        assert abs(sample.r1 - _scipy_revolution(spec, r0)) <= 1e-10 * max(r0, 1.0), (
+            r0, sample)
 
 
 def test_kernel_errors_print_the_graded_angle():
@@ -636,68 +793,32 @@ def test_kernel_errors_print_the_graded_angle():
     assert speed < -1e-2
 
 
-def _reference_integrate_scalar(spec, tabs, r0, substeps):
-    """The value kernel in its index-per-stage form, kept as the reference
-    that `flow._integrate_scalar`'s generated kernel must match bit for bit."""
-    nf = len(tabs.alphas)
-    al = tabs.alphas
-    eb = [spec.epsilon * bj for bj in spec.b]
-    stride = tabs.steps // substeps           # table intervals per half step
-    h = 2.0 * math.pi / substeps
-    lo, hi = flow.GUARD
-    min_den = math.inf
-    state = [min_den]
-
-    frt, trt = tabs.radial, tabs.transverse
-
-    def rhs(idx: int, r: float) -> float:
-        if not lo < r < hi:
-            raise GuardBoundError(
-                f"radius {r:.6g} left the window ({lo:g}, {hi:g}) near "
-                f"theta={tabs.thetas[idx]:.6g}"
-            )
-        num = 0.0
-        dacc = 0.0
-        for j in range(nf):
-            ra = r ** al[j]
-            num += eb[j] * frt[j][idx] * ra
-            dacc += eb[j] * trt[j][idx] * ra
-        den = 1.0 + dacc / r
-        if den <= 0.0:
-            raise AngularMonotonicityError(
-                f"angular speed {den:.3e} <= 0 at theta="
-                f"{tabs.thetas[idx]:.6g}, r={r:.6g}"
-            )
-        if den < state[0]:
-            state[0] = den
-        return num / den
-
-    r = float(r0)
-    for n in range(substeps):
-        base = 2 * stride * n
-        k1 = rhs(base, r)
-        k2 = rhs(base + stride, r + 0.5 * h * k1)
-        k3 = rhs(base + stride, r + 0.5 * h * k2)
-        k4 = rhs(base + 2 * stride, r + h * k3)
-        r += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-    if not lo < r < hi:
-        raise GuardBoundError(f"final radius {r:.6g} left the window ({lo:g}, {hi:g})")
-    return r, state[0]
+def _first_term_sum(terms):
+    """Left to right from the first term, 0.0 for none, as generated."""
+    total = None
+    for term in terms:
+        total = term if total is None else total + term
+    return 0.0 if total is None else total
 
 
-def _reference_integrate_tangent(spec, tabs, r0, substeps):
-    """The tangent kernel with a per-stage `rhs` closure and a loop over
-    the fields, kept as the reference that `flow._integrate_tangent`'s
-    generated kernel must match bit for bit."""
-    al = tabs.alphas
-    fields = tuple(zip(al, [a - 1.0 for a in al],
+def _reference_revolution(spec, tabs, r0, tangent):
+    """One revolution as a plain loop over the stages of the tableau,
+    with a per-stage `rhs` closure and a loop over the fields: the
+    reference that the generated kernels must match bit for bit.  Returns
+    (r1, min speed), or with `tangent` (r1, dr1/dr0) carried by
+    l_i = (df/dr)_i (s + h sum_j a_ij l_j)."""
+    a, b, c = flow._A, flow._B, flow._C
+    nodes = sorted(set(c) - {1.0})             # stage angles of one step
+    offsets = [nodes.index(ci) if ci < 1.0 else len(nodes) for ci in c]
+    fields = tuple(zip(tabs.alphas, [al - 1.0 for al in tabs.alphas],
                        [spec.epsilon * bj for bj in spec.b],
                        tabs.radial, tabs.transverse))
-    stride = tabs.steps // substeps
-    h = 2.0 * math.pi / substeps
+    h = 2.0 * math.pi / tabs.steps
     lo, hi = flow.GUARD
+    least = math.inf
 
-    def rhs(idx: int, r: float) -> tuple[float, float]:
+    def rhs(idx, r):
+        nonlocal least
         if not lo < r < hi:
             raise GuardBoundError(
                 f"radius {r:.6g} left the window ({lo:g}, {hi:g}) near "
@@ -705,56 +826,49 @@ def _reference_integrate_tangent(spec, tabs, r0, substeps):
             )
         # f = num / den with num = sum t_j, den = 1 + sum u_j / r, so
         # num' = sum a_j t_j / r and den' = sum (a_j - 1) u_j / r^2.
-        num = dacc = dnum = ddacc = 0.0
-        for a, am, e, fr, tr in fields:
-            ra = r ** a
-            t = e * fr[idx] * ra
-            u = e * tr[idx] * ra
-            num += t
-            dacc += u
-            dnum += a * t
-            ddacc += am * u
-        den = 1.0 + dacc / r
+        t = [e * fr[idx] * r ** al for al, _, e, fr, _ in fields]
+        u = [e * tr[idx] * r ** al for al, _, e, _, tr in fields]
+        den = 1.0 + _first_term_sum(u) / r
         if den <= 0.0:
             raise AngularMonotonicityError(
                 f"angular speed {den:.3e} <= 0 at theta="
                 f"{tabs.thetas[idx]:.6g}, r={r:.6g}"
             )
-        f = num / den
-        return f, (dnum / r - f * ddacc / (r * r)) / den
+        least = min(least, den)
+        f = _first_term_sum(t) / den
+        dnum = _first_term_sum(al * tj for (al, *_), tj in zip(fields, t))
+        dden = _first_term_sum(am * uj for (_, am, *_), uj in zip(fields, u))
+        return f, (dnum / r - f * dden / (r * r)) / den
 
-    r = float(r0)
-    s = 1.0
-    for n in range(substeps):
-        base = 2 * stride * n
-        k1, d1 = rhs(base, r)
-        l1 = d1 * s
-        k2, d2 = rhs(base + stride, r + 0.5 * h * k1)
-        l2 = d2 * (s + 0.5 * h * l1)
-        k3, d3 = rhs(base + stride, r + 0.5 * h * k2)
-        l3 = d3 * (s + 0.5 * h * l2)
-        k4, d4 = rhs(base + 2 * stride, r + h * k3)
-        l4 = d4 * (s + h * l3)
-        r += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        s += h * (l1 + 2.0 * l2 + 2.0 * l3 + l4) / 6.0
+    def combined(start, weights, slopes):
+        terms = [w * k for w, k in zip(weights, slopes) if w]
+        return start + h * _first_term_sum(terms) if terms else start
+
+    r, s = float(r0), 1.0
+    for step in range(tabs.steps):
+        ks, ls = [], []
+        for row, offset in zip(a, offsets):
+            k, d = rhs(len(nodes) * step + offset, combined(r, row, ks))
+            ks.append(k)
+            ls.append(d * combined(s, row, ls))
+        r, s = combined(r, b, ks), combined(s, b, ls)
     if not lo < r < hi:
         raise GuardBoundError(f"final radius {r:.6g} left the window ({lo:g}, {hi:g})")
-    return r, s
+    return (r, s) if tangent else (r, least)
 
 
 #: Each generated kernel beside the hand-written form it must match.
-KERNELS = ((flow._integrate_scalar, _reference_integrate_scalar),
-           (flow._integrate_tangent, _reference_integrate_tangent))
+KERNELS = ((flow._integrate_scalar, partial(_reference_revolution, tangent=False)),
+           (flow._integrate_tangent, partial(_reference_revolution, tangent=True)))
 
 
 def _kernel_outcome(kernel, spec, r0, steps):
     """The pair a revolution at `steps` and its half pass return, or the
     type and message of the error each raised."""
-    tabs = flow._tables(spec.fields, steps)
     outcome = []
-    for substeps in (steps, steps // 2):
+    for n in (steps, steps // 2):
         try:
-            outcome.append(kernel(spec, tabs, r0, substeps))
+            outcome.append(kernel(spec, flow._tables(spec.fields, n), r0))
         except (GuardBoundError, AngularMonotonicityError) as exc:
             outcome.append((type(exc), str(exc)))
     return outcome
@@ -777,7 +891,7 @@ def test_kernels_match_their_references_on_every_preset():
     outcomes = {kernel: set() for kernel, _ in KERNELS}
     for name, make in sorted(catalog().items()):
         spec = normalize_ccw(make().spec)
-        for steps in (8, 64, 512, 4096):
+        for steps in (8, 64, 256, 512):
             for r0 in (0.5, 1.2, 3.0):
                 for kernel, kinds in _assert_same_bits(spec, r0, steps).items():
                     outcomes[kernel] |= kinds
@@ -870,9 +984,9 @@ def _revolutions(monkeypatch):
     for name in ("_integrate_tangent", "_integrate_scalar", "_integrate_batch"):
         real = getattr(flow, name)
 
-        def wrapper(*args, real=real, kind=name[len("_integrate_"):]):
-            counts[kind, args[3]] = counts.get((kind, args[3]), 0) + 1
-            return real(*args)
+        def wrapper(spec, tabs, r0, real=real, kind=name[len("_integrate_"):]):
+            counts[kind, tabs.steps] = counts.get((kind, tabs.steps), 0) + 1
+            return real(spec, tabs, r0)
 
         monkeypatch.setattr(flow, name, wrapper)
     return counts
@@ -881,18 +995,19 @@ def _revolutions(monkeypatch):
 #: Revolutions per (kernel, substeps) of each `repro`: deterministic, so a
 #: change of speed cannot hide a change of work.
 REPRO_WORK = [
-    (["repro", "vdp"], {("tangent", 512): 9, ("scalar", 256): 3,
-                        ("batch", 64): 3, ("batch", 32): 3}),
-    (["repro", "example1"], {("tangent", 512): 3, ("scalar", 256): 1,
-                             ("batch", 64): 1, ("batch", 32): 1}),
-    (["repro", "example2"], {("tangent", 512): 12, ("scalar", 256): 4,
-                             ("batch", 64): 2, ("batch", 32): 2}),
-    (["repro", "lienard", "--m", "6"], {("tangent", 512): 8, ("scalar", 256): 3,
-                                        ("batch", 64): 1, ("batch", 32): 1}),
-    (["repro", "lienard", "--m", "7"], {("tangent", 512): 10, ("tangent", 1024): 4,
-                                        ("scalar", 128): 1, ("scalar", 256): 5,
-                                        ("scalar", 512): 1, ("batch", 64): 1,
-                                        ("batch", 32): 1}),
+    (["repro", "vdp"], {("tangent", 128): 9, ("scalar", 64): 3,
+                        ("batch", 8): 3, ("batch", 4): 3}),
+    (["repro", "example1"], {("tangent", 128): 3, ("scalar", 16): 4, ("scalar", 64): 1,
+                             ("batch", 8): 1, ("batch", 4): 1}),
+    (["repro", "example2"], {("tangent", 128): 12, ("scalar", 16): 105,
+                             ("scalar", 64): 4, ("batch", 8): 2, ("batch", 4): 2}),
+    (["repro", "lienard", "--m", "6"], {("tangent", 128): 9, ("scalar", 16): 5,
+                                        ("scalar", 64): 3, ("batch", 8): 1,
+                                        ("batch", 4): 1}),
+    (["repro", "lienard", "--m", "7"], {("tangent", 128): 13, ("scalar", 16): 14,
+                                        ("scalar", 32): 1, ("scalar", 64): 5,
+                                        ("scalar", 128): 1, ("scalar", 256): 1,
+                                        ("batch", 8): 1, ("batch", 4): 1}),
 ]
 
 

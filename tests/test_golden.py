@@ -3,9 +3,9 @@
 `golden_cli.json` holds, for each argv, the exit code and the parsed
 stdout document: `integrals`, `averaged` and `roots` for every preset,
 plus one `synthesize`, two `repro` (example1 and `lienard --m 7`, whose
-five fields run a tangent pass at 1,024 steps), four `simulate` (an
+five fields run the widest generated kernel), four `simulate` (an
 epsilon sweep and `--r0` samples of vdp, of example2 on the graded mesh
-and of lienard6 at 8,192 steps on packed rows), one `continuation`,
+and of lienard6 at 1,024 steps on packed rows), one `continuation`,
 `classify --scan 1` and one
 `classify --system` per canonicalization step (duplicate merge, swap,
 time reversal, x^s strip, y^u strip, x-power ordering).  Exit codes,
