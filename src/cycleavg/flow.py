@@ -43,10 +43,11 @@ A lone radius runs in one of two kernels generated per field count
 dP/dr0 for Newton.  Each is one revolution written out as straight-line
 Python, one block per stage of the tableau, for nf fields and compiled once
 per process.  The generated source holds field indices and the
-tableau's weights only; exponents, eps * b_j, the angle tables and the
-guard window are its arguments, so no spec data is compiled.  A scan's
-radii run together in a third kernel, one numpy call per stage
-(`_integrate_batch`).
+tableau's weights only; exponents, the angle tables (bound once per
+search and step count to e_j = eps * b_j, `_bind`) and the guard window
+are its arguments, so no spec data is compiled.  A scan's radii run
+together in a third kernel, a few numpy calls per stage, with the
+failures read once per step (`_integrate_batch`).
 """
 
 from __future__ import annotations
@@ -176,9 +177,10 @@ class _Tables(NamedTuple):
     steps: int                     # resolution the grid was built for
     thetas: np.ndarray             # angle of each node, for error messages
     alphas: tuple[float, ...]
-    radial: tuple                  # per field, at every stage angle
-    transverse: tuple
+    radial: tuple                  # per field, at every stage angle: F_j
+    transverse: tuple              # and G_j packed, or bound rows (`_bind`)
     richardson: float              # 2^q - 1, with q the mesh's order
+    bound: bool = False            # rows scaled by e_j = eps * b_j (`_bind`)
 
 
 def _ordinary(term) -> bool:
@@ -209,24 +211,40 @@ def _tables(fields, steps: int) -> _Tables:
         # a power |sin|^e is a u^(3e + 2) term next to an axis
         order = min([_ORDER] + [float(3 * e + 3) for t in terms
                                 for e in (t.x_exp, t.y_exp) if (3 * e).denominator > 1])
+    radial, transverse = [], []
+    for field in fields:
+        fr, ft = angular_components(field, thetas)
+        radial.append(array("d", np.asarray(fr * weight, dtype=float).tobytes()))
+        transverse.append(array("d", np.asarray(ft, dtype=float).tobytes()))
+    alphas = tuple(float(f.alpha) for f in fields)
+    return _Tables(steps, thetas, alphas, tuple(radial), tuple(transverse),
+                   2.0 ** order - 1.0)
+
+
+def _bind(spec: PerturbationSpec, tabs: _Tables) -> _Tables:
+    """`tabs` with row j of each profile scaled by e_j = eps * b_j, as the
+    kernels read it; bound tables are returned as they are."""
+    if tabs.bound:
+        return tabs
     # Python floats: scalar arithmetic on numpy scalars is ~2x slower.
     # From BASE_STEPS up, the counts of Newton cells and lone revolutions,
     # packed doubles take a quarter of the memory for ~1.2x the time per
     # step; the scans and the settled nodes below it keep tuples.
-    if steps < BASE_STEPS:
-        def row(values):
-            return tuple(np.asarray(values, dtype=float).tolist())
-    else:
-        def row(values):
-            return array("d", np.asarray(values, dtype=float).tobytes())
-    radial, transverse = [], []
-    for field in fields:
-        fr, ft = angular_components(field, thetas)
-        radial.append(row(fr * weight))
-        transverse.append(row(ft))
-    alphas = tuple(float(f.alpha) for f in fields)
-    return _Tables(steps, thetas, alphas, tuple(radial), tuple(transverse),
-                   2.0 ** order - 1.0)
+    def row(e, values):
+        scaled = e * np.frombuffer(values)
+        if tabs.steps < BASE_STEPS:
+            return tuple(scaled.tolist())
+        return array("d", scaled.tobytes())
+
+    e = [spec.epsilon * bj for bj in spec.b]
+    return tabs._replace(radial=tuple(map(row, e, tabs.radial)),
+                         transverse=tuple(map(row, e, tabs.transverse)), bound=True)
+
+
+def _search_tables(spec: PerturbationSpec):
+    """steps -> `_tables` of the spec's fields bound to its e_j, each count
+    bound once for as long as the caller (one search) keeps the lookup."""
+    return lru_cache(maxsize=None)(lambda steps: _bind(spec, _tables(spec.fields, steps)))
 
 
 def _check_steps(steps):
@@ -256,9 +274,9 @@ def _weighted(weights, names) -> str:
 
 @lru_cache(maxsize=16)
 def _kernel(nf: int, tangent: bool):
-    """kernel(r0, h, n, lo, hi, thetas, a_0, e_0, fr_0, tr_0, ...):
-    n steps of the tableau for `nf` fields with e_j = eps * b_j, of num / den with
-    num = sum e_j fr_j r^a_j and den = 1 + sum e_j tr_j r^a_j / r, each sum
+    """kernel(r0, h, n, lo, hi, thetas, a_0, fr_0, tr_0, ...):
+    n steps of the tableau for `nf` fields with rows bound by `_bind`, of num / den
+    with num = sum fr_j r^a_j and den = 1 + sum tr_j r^a_j / r, each sum
     in field order from its first term (0.0 with no fields); every stage
     combination sums its nonzero weights in stage order.  Returns
     (r1, min speed), or with `tangent` (r1, dr1/dr0) carried through the
@@ -271,8 +289,8 @@ def _kernel(nf: int, tangent: bool):
         return "(" + (" + ".join(terms) or "0.0") + ")"
 
     def stage(i, row, offset):
-        t = [f"e{j} * fr{j}[idx] * p{j}" for j in fields]
-        u = [f"e{j} * tr{j}[idx] * p{j}" for j in fields]
+        t = [f"fr{j}[idx] * p{j}" for j in fields]
+        u = [f"tr{j}[idx] * p{j}" for j in fields]
         ks = _weighted(row, (f"k{j}" for j in range(i)))
         ls = _weighted(row, (f"l{j}" for j in range(i)))
         yield f"idx = base + {offset}" if offset else "idx = base"
@@ -293,7 +311,7 @@ def _kernel(nf: int, tangent: bool):
             yield "if den < least: least = den"
 
     stages = range(len(_B))
-    params = "".join(f", a{j}, e{j}, fr{j}, tr{j}" for j in fields)
+    params = "".join(f", a{j}, fr{j}, tr{j}" for j in fields)
     source = "\n".join([
         f"def kernel(r, h, n, lo, hi, thetas{params}):",
         *(f"    m{j} = a{j} - 1.0" for j in fields if tangent),
@@ -312,9 +330,10 @@ def _kernel(nf: int, tangent: bool):
 
 def _run_kernel(tangent: bool, spec: PerturbationSpec, tabs: _Tables,
                 r0: float) -> tuple[float, float]:
+    tabs = _bind(spec, tabs)
     args = [float(r0), 2.0 * math.pi / tabs.steps, tabs.steps, *GUARD, tabs.thetas]
-    for a, bj, fr, tr in zip(tabs.alphas, spec.b, tabs.radial, tabs.transverse):
-        args += (a, spec.epsilon * bj, fr, tr)
+    for a, fr, tr in zip(tabs.alphas, tabs.radial, tabs.transverse):
+        args += (a, fr, tr)
     r, second = _kernel(len(tabs.alphas), tangent)(*args)
     lo, hi = GUARD
     if not lo < r < hi:
@@ -346,19 +365,20 @@ def _integrate_batch(spec: PerturbationSpec, tabs: _Tables, r0: np.ndarray):
 
     Returns (r1, status).  A row that leaves the guard window or loses
     angular speed is tagged with its first failure (at one stage a guard
-    exit wins over a lost speed) and carries NaN.  Failed rows keep being
-    integrated on garbage; the cumulative `alive` mask keeps their later
-    failures from overwriting the first.
+    exit wins over a lost speed) and carries NaN.  Each stage keeps its
+    radii and angular speeds, and the failures are read once per step.
+    Failed rows keep being integrated on garbage; the cumulative `alive`
+    mask keeps their later failures from overwriting the first.
     """
+    tabs = _bind(spec, tabs)
     nf = len(tabs.alphas)
     nodes = len(_NODES) * tabs.steps + 1
     alphas = np.asarray(tabs.alphas)[:, None]
-    eb = spec.epsilon * np.asarray(spec.b, dtype=float)[:, None]
-    # eps*b folded in once: row idx holds the (2, nf) radial and transverse
-    # weights of stage angle idx, so one product gives num and den.
+    # row idx holds the (2, nf) radial and transverse weights of stage
+    # angle idx, so one product gives num and den.
     weights = np.ascontiguousarray(np.stack([
-        eb * np.reshape(tabs.radial, (nf, nodes)),
-        eb * np.reshape(tabs.transverse, (nf, nodes)),
+        np.reshape(tabs.radial, (nf, nodes)),
+        np.reshape(tabs.transverse, (nf, nodes)),
     ]).transpose(2, 0, 1))
     h = 2.0 * math.pi / tabs.steps
     lo, hi = GUARD
@@ -366,36 +386,41 @@ def _integrate_batch(spec: PerturbationSpec, tabs: _Tables, r0: np.ndarray):
     r = np.array(r0, dtype=float, copy=True)
     status = np.zeros(r.shape, dtype=int)
     alive = np.ones(r.shape, dtype=bool)
-    k = np.empty((len(_B),) + r.shape)
+    k, x, den = (np.empty((len(_B),) + r.shape) for _ in range(3))
     rows = [np.asarray(row) for row in _A]
     b = np.asarray(_B)
-
-    def rhs(idx: int, rr: np.ndarray) -> np.ndarray:
-        num, dacc = weights[idx] @ rr ** alphas
-        den = 1.0 + dacc / rr
-        in_window = (rr > lo) & (rr < hi)
-        ok = in_window & (den > 0.0)
-        # _STATUS_GUARD outside the window, else _STATUS_SPEED (one less)
-        np.copyto(status, _STATUS_GUARD - in_window, where=alive & ~ok)
-        np.logical_and(alive, ok, out=alive)
-        return num / den
 
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         for base in range(0, len(_NODES) * tabs.steps, len(_NODES)):
             for i, (row, offset) in enumerate(zip(rows, _OFFSETS)):
-                k[i] = rhs(base + offset, r + h * (row @ k[:i]) if i else r)
+                x[i] = r + h * (row @ k[:i]) if i else r
+                num, dacc = weights[base + offset] @ x[i] ** alphas
+                np.divide(dacc, x[i], out=den[i])
+                den[i] += 1.0
+                k[i] = num / den[i]
             r = r + h * (b @ k)
-            if not alive.any():    # once per step, not per stage
-                break
+            in_window = (x > lo) & (x < hi)
+            fails = ~(in_window & (den > 0.0))
+            new = alive & fails.any(axis=0)
+            if new.any():
+                # at each row's first failing stage: _STATUS_GUARD outside
+                # the window, else _STATUS_SPEED (one less)
+                first = np.take_along_axis(in_window, fails.argmax(axis=0)[None], 0)[0]
+                np.copyto(status, _STATUS_GUARD - first, where=new)
+                alive &= ~new
+                if not alive.any():
+                    break
         np.copyto(status, _STATUS_GUARD, where=alive & ~((r > lo) & (r < hi)))
     return np.where(status == _STATUS_OK, r, np.nan), status
 
 
-def _revolve(spec: PerturbationSpec, kernel, r0: float, start: int, tol: float,
-             steps: int | None = None, *, half: float | None = None, done=None):
+def _revolve(spec: PerturbationSpec, tables, kernel, r0: float, start: int,
+             tol: float, steps: int | None = None, *, half: float | None = None,
+             done=None):
     """One revolution of r0 by `kernel`, at `steps` or a count chosen by accuracy.
 
-    `kernel(spec, tables, r0)` returns a pair whose first item is P(r0).
+    `kernel(spec, tables(n), r0)` returns a pair whose first item is P(r0),
+    with `tables` a search's lookup (`_search_tables`).
     Without `steps` it runs at `start` steps and, while the Richardson
     estimate |P - half| / (2^q - 1) is not within tol (a NaN is not), at
     twice the last count, up to MAX_STEPS; each level's P is the next
@@ -409,7 +434,7 @@ def _revolve(spec: PerturbationSpec, kernel, r0: float, start: int, tol: float,
     """
     n = steps or start
     while True:
-        tabs = _tables(spec.fields, n)
+        tabs = tables(n)
         try:
             out = kernel(spec, tabs, r0)
         except (GuardBoundError, AngularMonotonicityError):
@@ -419,7 +444,7 @@ def _revolve(spec: PerturbationSpec, kernel, r0: float, start: int, tol: float,
             continue
         if half is None:
             try:
-                half, _ = _integrate_scalar(spec, _tables(spec.fields, n // 2), r0)
+                half, _ = _integrate_scalar(spec, tables(n // 2), r0)
             except (GuardBoundError, AngularMonotonicityError):
                 if steps is not None:
                     raise
@@ -446,8 +471,8 @@ def return_map(spec: PerturbationSpec, r0: float,
     spec = normalize_ccw(spec)
     if not 0 < r0 < math.inf:
         raise ValueError(f"start radius must be positive and finite, got {r0}")
-    n, (r1, min_den), estimate = _revolve(spec, _integrate_scalar, r0,
-                                          REVOLUTION_STEPS, RESIDUAL_TOL, steps)
+    n, (r1, min_den), estimate = _revolve(spec, _search_tables(spec), _integrate_scalar,
+                                          r0, REVOLUTION_STEPS, RESIDUAL_TOL, steps)
     return ReturnMapSample(r0=float(r0), r1=r1, min_theta_speed=min_den,
                            steps=n, error_estimate=estimate)
 
@@ -521,7 +546,7 @@ def _newton_in_cell(pmap, a: float, b: float, ga: float, gb: float):
     return evaluated
 
 
-def _settle_scan(spec: PerturbationSpec, grid: np.ndarray, r1: np.ndarray,
+def _settle_scan(spec: PerturbationSpec, tables, grid: np.ndarray, r1: np.ndarray,
                  status: np.ndarray, r1_half: np.ndarray, coarse: int, steps,
                  tol: float):
     """Finer values and statuses wherever a coarse scan may be wrong.
@@ -543,8 +568,10 @@ def _settle_scan(spec: PerturbationSpec, grid: np.ndarray, r1: np.ndarray,
     point to the search's accuracy), and stops early once its sign is
     trusted by the same rule or its count reaches REVOLUTION_STEPS, the
     first level of a lone revolution: a node that still fails there stays
-    failed, and an OK one keeps that value.  Returns new (r1, status)
-    arrays.
+    failed, and an OK one keeps that value.  A level after a failed one
+    has no half pass to be trusted by, so from a failed level n with
+    4n >= REVOLUTION_STEPS the node goes straight to REVOLUTION_STEPS.
+    Returns new (r1, status) arrays.
     """
     def node(spec, tabs, r0):
         try:
@@ -556,7 +583,9 @@ def _settle_scan(spec: PerturbationSpec, grid: np.ndarray, r1: np.ndarray,
 
     def done(r0, n, out, half):
         r, st = out
-        return n >= REVOLUTION_STEPS or (st == _STATUS_OK and abs(r - r0) > abs(r - half))
+        if st != _STATUS_OK:
+            return 4 * n >= REVOLUTION_STEPS
+        return n >= REVOLUTION_STEPS or abs(r - r0) > abs(r - half)
 
     r1, status = r1.copy(), status.copy()
     n = len(grid)
@@ -571,8 +600,11 @@ def _settle_scan(spec: PerturbationSpec, grid: np.ndarray, r1: np.ndarray,
         if i in settled:
             continue
         settled.add(i)
-        _, (r1[i], status[i]), _ = _revolve(spec, node, float(grid[i]), 2 * coarse,
-                                            tol, steps, half=float(r1[i]), done=done)
+        r0 = float(grid[i])
+        last, (r1[i], status[i]), _ = _revolve(spec, tables, node, r0, 2 * coarse,
+                                               tol, steps, half=float(r1[i]), done=done)
+        if steps is None and last < REVOLUTION_STEPS and status[i] != _STATUS_OK:
+            r1[i], status[i] = node(spec, tables(REVOLUTION_STEPS), r0)
         if status[i] == _STATUS_OK:
             pending += [j for j in (i - 1, i + 1)
                         if 0 <= j < n and status[j] != _STATUS_OK]
@@ -618,8 +650,9 @@ def find_fixed_points(spec: PerturbationSpec, bracket, tol: float = RESIDUAL_TOL
     # alignment too
     coarse = max(8, (steps or BASE_STEPS) // 128 * 8)
     grid, r1, status = scan_return_map(spec, bracket, SCAN_POINTS, coarse)
-    r1_half, _ = _integrate_batch(spec, _tables(spec.fields, coarse // 2), grid)
-    r1, status = _settle_scan(spec, grid, r1, status, r1_half, coarse, steps, tol)
+    tables = _search_tables(spec)
+    r1_half, _ = _integrate_batch(spec, tables(coarse // 2), grid)
+    r1, status = _settle_scan(spec, tables, grid, r1, status, r1_half, coarse, steps, tol)
     if on_scan is not None:
         on_scan((grid, r1, status))
     failed = {name: int(np.count_nonzero(status == code))
@@ -637,9 +670,9 @@ def find_fixed_points(spec: PerturbationSpec, bracket, tol: float = RESIDUAL_TOL
         def pmap(r: float) -> tuple[float, float]:
             nonlocal n
             if n is None:
-                n, first, _ = _revolve(spec, _integrate_tangent, r, BASE_STEPS, tol)
+                n, first, _ = _revolve(spec, tables, _integrate_tangent, r, BASE_STEPS, tol)
                 return first
-            return _integrate_tangent(spec, _tables(spec.fields, n), r)
+            return _integrate_tangent(spec, tables(n), r)
 
         return pmap
 
