@@ -33,7 +33,7 @@ estimate |P_N - P_N/2| / (2^q - 1) exceeds the caller's target, or a
 pass leaves the guard window or loses angular speed, double the count,
 up to MAX_STEPS; each level serves as the next one's half pass.  A
 Newton cell of the fixed-point search starts at BASE_STEPS, a scan node
-it settles at twice the scan's count, and a lone revolution
+it settles at twice the scan's count (`_settle_scan`), and a lone revolution
 (`return_map`) at REVOLUTION_STEPS, so that most radii need no second
 level and its cost depends little on its radius.  An explicit `steps`
 pins every revolution to that count.
@@ -44,10 +44,10 @@ dP/dr0 for Newton.  Each is one revolution written out as straight-line
 Python, one block per stage of the tableau, for nf fields and compiled once
 per process.  The generated source holds field indices and the
 tableau's weights only; exponents, the angle tables (bound once per
-search and step count to e_j = eps * b_j, `_bind`) and the guard window
-are its arguments, so no spec data is compiled.  A scan's radii run
-together in a third kernel, a few numpy calls per stage, with the
-failures read once per step (`_integrate_batch`).
+search and step count to e_j = eps * b_j, `_search_tables`) and the
+guard window are its arguments, so no spec data is compiled.  A scan's
+radii run together in a third kernel, a few numpy calls per stage, with
+the failures read once per step (`_integrate_batch`).
 """
 
 from __future__ import annotations
@@ -178,9 +178,8 @@ class _Tables(NamedTuple):
     thetas: np.ndarray             # angle of each node, for error messages
     alphas: tuple[float, ...]
     radial: tuple                  # per field, at every stage angle: F_j
-    transverse: tuple              # and G_j packed, or bound rows (`_bind`)
+    transverse: tuple              # and G_j, packed (`_search_tables` binds them)
     richardson: float              # 2^q - 1, with q the mesh's order
-    bound: bool = False            # rows scaled by e_j = eps * b_j (`_bind`)
 
 
 def _ordinary(term) -> bool:
@@ -221,39 +220,39 @@ def _tables(fields, steps: int) -> _Tables:
                    2.0 ** order - 1.0)
 
 
-def _bind(spec: PerturbationSpec, tabs: _Tables) -> _Tables:
-    """`tabs` with row j of each profile scaled by e_j = eps * b_j, as the
-    kernels read it; bound tables are returned as they are."""
-    if tabs.bound:
-        return tabs
-    # Python floats: scalar arithmetic on numpy scalars is ~2x slower.
-    # From BASE_STEPS up, the counts of Newton cells and lone revolutions,
-    # packed doubles take a quarter of the memory for ~1.2x the time per
-    # step; the scans and the settled nodes below it keep tuples.
-    def row(e, values):
-        scaled = e * np.frombuffer(values)
-        if tabs.steps < BASE_STEPS:
-            return tuple(scaled.tolist())
-        return array("d", scaled.tobytes())
-
-    e = [spec.epsilon * bj for bj in spec.b]
-    return tabs._replace(radial=tuple(map(row, e, tabs.radial)),
-                         transverse=tuple(map(row, e, tabs.transverse)), bound=True)
-
-
 def _search_tables(spec: PerturbationSpec):
-    """steps -> `_tables` of the spec's fields bound to its e_j, each count
-    bound once for as long as the caller (one search) keeps the lookup."""
-    return lru_cache(maxsize=None)(lambda steps: _bind(spec, _tables(spec.fields, steps)))
+    """steps -> `_tables` of the spec's fields with row j of each profile
+    scaled by e_j = eps * b_j, the only rows the kernels read; each count
+    is bound once for as long as the caller (one search) keeps the lookup."""
+    e = [spec.epsilon * bj for bj in spec.b]
+
+    @lru_cache(maxsize=None)
+    def bound(steps: int) -> _Tables:
+        # Python floats: scalar arithmetic on numpy scalars is ~2x slower.
+        # From BASE_STEPS up, the counts of Newton cells and lone
+        # revolutions, packed doubles take a quarter of the memory for
+        # ~1.2x the time per step; the scans and settled nodes keep tuples.
+        def row(ej, values):
+            scaled = ej * np.frombuffer(values)
+            if steps < BASE_STEPS:
+                return tuple(scaled.tolist())
+            return array("d", scaled.tobytes())
+
+        tabs = _tables(spec.fields, steps)
+        return tabs._replace(radial=tuple(map(row, e, tabs.radial)),
+                             transverse=tuple(map(row, e, tabs.transverse)))
+
+    return bound
 
 
 def _check_steps(steps):
     if steps is None:
         return
-    if isinstance(steps, bool) or not isinstance(steps, int) or steps < 8 or steps % 8:
+    if (isinstance(steps, bool) or not isinstance(steps, int)
+            or not 8 <= steps <= MAX_STEPS or steps % 8):
         raise ValueError(
             f"steps must be an int multiple of 8 (axis-angle panel alignment at "
-            f"both resolutions), got {steps!r}"
+            f"both resolutions) up to {MAX_STEPS}, got {steps!r}"
         )
 
 
@@ -275,9 +274,9 @@ def _weighted(weights, names) -> str:
 @lru_cache(maxsize=16)
 def _kernel(nf: int, tangent: bool):
     """kernel(r0, h, n, lo, hi, thetas, a_0, fr_0, tr_0, ...):
-    n steps of the tableau for `nf` fields with rows bound by `_bind`, of num / den
-    with num = sum fr_j r^a_j and den = 1 + sum tr_j r^a_j / r, each sum
-    in field order from its first term (0.0 with no fields); every stage
+    n steps of the tableau for `nf` fields on bound rows (`_search_tables`),
+    of num / den with num = sum fr_j r^a_j and den = 1 + sum tr_j r^a_j / r,
+    each sum in field order from its first term (0.0 with no fields); every stage
     combination sums its nonzero weights in stage order.  Returns
     (r1, min speed), or with `tangent` (r1, dr1/dr0) carried through the
     same stages by the variational equation,
@@ -328,9 +327,7 @@ def _kernel(nf: int, tangent: bool):
     return namespace["kernel"]
 
 
-def _run_kernel(tangent: bool, spec: PerturbationSpec, tabs: _Tables,
-                r0: float) -> tuple[float, float]:
-    tabs = _bind(spec, tabs)
+def _run_kernel(tangent: bool, tabs: _Tables, r0: float) -> tuple[float, float]:
     args = [float(r0), 2.0 * math.pi / tabs.steps, tabs.steps, *GUARD, tabs.thetas]
     for a, fr, tr in zip(tabs.alphas, tabs.radial, tabs.transverse):
         args += (a, fr, tr)
@@ -341,14 +338,13 @@ def _run_kernel(tangent: bool, spec: PerturbationSpec, tabs: _Tables,
     return r, second
 
 
-def _integrate_scalar(spec: PerturbationSpec, tabs: _Tables,
-                      r0: float) -> tuple[float, float]:
-    """One revolution in `tabs.steps` steps; returns (r1, min speed)."""
-    return _run_kernel(False, spec, tabs, r0)
+def _integrate_scalar(tabs: _Tables, r0: float) -> tuple[float, float]:
+    """One revolution on bound `tabs` in `tabs.steps` steps; returns
+    (r1, min speed)."""
+    return _run_kernel(False, tabs, r0)
 
 
-def _integrate_tangent(spec: PerturbationSpec, tabs: _Tables,
-                       r0: float) -> tuple[float, float]:
+def _integrate_tangent(tabs: _Tables, r0: float) -> tuple[float, float]:
     """One revolution carrying the tangent s = dr/dr0; returns (r1, s1).
 
     Each stage also evaluates df/dr, so s follows the variational equation
@@ -357,11 +353,12 @@ def _integrate_tangent(spec: PerturbationSpec, tabs: _Tables,
     s1 is the exact derivative of the discrete map r0 -> r1, and r1 is
     bit-identical to `_integrate_scalar`'s.  Raises like `_integrate_scalar`.
     """
-    return _run_kernel(True, spec, tabs, r0)
+    return _run_kernel(True, tabs, r0)
 
 
-def _integrate_batch(spec: PerturbationSpec, tabs: _Tables, r0: np.ndarray):
-    """One revolution of a batch of start radii in `tabs.steps` steps.
+def _integrate_batch(tabs: _Tables, r0: np.ndarray):
+    """One revolution of a batch of start radii on bound `tabs` in
+    `tabs.steps` steps.
 
     Returns (r1, status).  A row that leaves the guard window or loses
     angular speed is tagged with its first failure (at one stage a guard
@@ -370,7 +367,6 @@ def _integrate_batch(spec: PerturbationSpec, tabs: _Tables, r0: np.ndarray):
     Failed rows keep being integrated on garbage; the cumulative `alive`
     mask keeps their later failures from overwriting the first.
     """
-    tabs = _bind(spec, tabs)
     nf = len(tabs.alphas)
     nodes = len(_NODES) * tabs.steps + 1
     alphas = np.asarray(tabs.alphas)[:, None]
@@ -414,29 +410,27 @@ def _integrate_batch(spec: PerturbationSpec, tabs: _Tables, r0: np.ndarray):
     return np.where(status == _STATUS_OK, r, np.nan), status
 
 
-def _revolve(spec: PerturbationSpec, tables, kernel, r0: float, start: int,
-             tol: float, steps: int | None = None, *, half: float | None = None,
-             done=None):
+def _revolve(tables, kernel, r0: float, start: int, tol: float,
+             steps: int | None = None):
     """One revolution of r0 by `kernel`, at `steps` or a count chosen by accuracy.
 
-    `kernel(spec, tables(n), r0)` returns a pair whose first item is P(r0),
+    `kernel(tables(n), r0)` returns a pair whose first item is P(r0),
     with `tables` a search's lookup (`_search_tables`).
     Without `steps` it runs at `start` steps and, while the Richardson
     estimate |P - half| / (2^q - 1) is not within tol (a NaN is not), at
     twice the last count, up to MAX_STEPS; each level's P is the next
     level's half pass (it equals a revolution pinned at that count).  The
-    first half pass is `half`, or a scalar revolution at half the first
-    count.  With a chosen count a pass that fails (guard or angular
-    speed) raises only at MAX_STEPS: a failed half pass leaves the
-    estimate NaN, and a failed pass doubles the count, with no half pass
-    for the next level.  `done(r0, n, pair, half)`, if given, may stop
-    the doubling earlier.  Returns (n, pair, estimate) of the last level.
+    first half pass is a scalar revolution at half the first count.  With
+    a chosen count a pass that fails (guard or angular speed) raises only
+    at MAX_STEPS: a failed half pass leaves the estimate NaN, and a failed
+    pass doubles the count, with no half pass for the next level.
+    Returns (n, pair, estimate) of the last level.
     """
-    n = steps or start
+    n, half = steps or start, None
     while True:
         tabs = tables(n)
         try:
-            out = kernel(spec, tabs, r0)
+            out = kernel(tabs, r0)
         except (GuardBoundError, AngularMonotonicityError):
             if steps is not None or n >= MAX_STEPS:
                 raise
@@ -444,14 +438,13 @@ def _revolve(spec: PerturbationSpec, tables, kernel, r0: float, start: int,
             continue
         if half is None:
             try:
-                half, _ = _integrate_scalar(spec, tables(n // 2), r0)
+                half, _ = _integrate_scalar(tables(n // 2), r0)
             except (GuardBoundError, AngularMonotonicityError):
                 if steps is not None:
                     raise
                 half = math.nan
         estimate = abs(out[0] - half) / tabs.richardson
-        if (steps is not None or n >= MAX_STEPS or estimate <= tol
-                or (done and done(r0, n, out, half))):
+        if steps is not None or n >= MAX_STEPS or estimate <= tol:
             return n, out, estimate
         n, half = 2 * n, out[0]
 
@@ -471,7 +464,10 @@ def return_map(spec: PerturbationSpec, r0: float,
     spec = normalize_ccw(spec)
     if not 0 < r0 < math.inf:
         raise ValueError(f"start radius must be positive and finite, got {r0}")
-    n, (r1, min_den), estimate = _revolve(spec, _search_tables(spec), _integrate_scalar,
+    if not GUARD[0] < r0 < GUARD[1]:
+        # the first stage of any count would leave at theta 0
+        _guard_exit(r0, *GUARD, 0.0)
+    n, (r1, min_den), estimate = _revolve(_search_tables(spec), _integrate_scalar,
                                           r0, REVOLUTION_STEPS, RESIDUAL_TOL, steps)
     return ReturnMapSample(r0=float(r0), r1=r1, min_theta_speed=min_den,
                            steps=n, error_estimate=estimate)
@@ -484,8 +480,7 @@ def scan_return_map(spec: PerturbationSpec, bracket, scan_points: int = SCAN_POI
     spec = normalize_ccw(spec)
     lo, hi = check_bracket(bracket)
     grid = np.logspace(math.log10(lo), math.log10(hi), scan_points)
-    tabs = _tables(spec.fields, steps)
-    r1, status = _integrate_batch(spec, tabs, grid)
+    r1, status = _integrate_batch(_search_tables(spec)(steps), grid)
     return grid, r1, status
 
 
@@ -546,9 +541,8 @@ def _newton_in_cell(pmap, a: float, b: float, ga: float, gb: float):
     return evaluated
 
 
-def _settle_scan(spec: PerturbationSpec, tables, grid: np.ndarray, r1: np.ndarray,
-                 status: np.ndarray, r1_half: np.ndarray, coarse: int, steps,
-                 tol: float):
+def _settle_scan(tables, grid: np.ndarray, r1: np.ndarray, status: np.ndarray,
+                 r1_half: np.ndarray, coarse: int, steps, tol: float):
     """Finer values and statuses wherever a coarse scan may be wrong.
 
     `r1`, `status` come from a scan of `grid` at `coarse` steps and
@@ -562,30 +556,34 @@ def _settle_scan(spec: PerturbationSpec, tables, grid: np.ndarray, r1: np.ndarra
       nodes turn out OK, so a band that only the coarse steps lose is
       recovered node by node.
 
-    A pinned `steps` settles each such node at `steps`.  Otherwise it
-    runs `_revolve` from 2 * coarse steps with the coarse value as the
-    first half pass, against `tol` (a displacement that small is a fixed
-    point to the search's accuracy), and stops early once its sign is
-    trusted by the same rule or its count reaches REVOLUTION_STEPS, the
-    first level of a lone revolution: a node that still fails there stays
-    failed, and an OK one keeps that value.  A level after a failed one
-    has no half pass to be trusted by, so from a failed level n with
-    4n >= REVOLUTION_STEPS the node goes straight to REVOLUTION_STEPS.
-    Returns new (r1, status) arrays.
+    A pinned `steps` settles each such node at `steps`.  Otherwise its
+    count doubles from 2 * coarse steps, each level's value the next
+    one's half pass and the coarse value the first, until its Richardson
+    estimate is within `tol` (a displacement that small is a fixed point
+    to the search's accuracy), its sign is trusted by the same rule, or
+    its count reaches REVOLUTION_STEPS, the first level of a lone
+    revolution: a node that still fails there stays failed, and an OK one
+    keeps that value.  A level after a failed one has no half pass to be
+    trusted by, so from a failed level n with 4n >= REVOLUTION_STEPS the
+    node goes straight to REVOLUTION_STEPS.  Returns new (r1, status)
+    arrays.
     """
-    def node(spec, tabs, r0):
-        try:
-            return _integrate_scalar(spec, tabs, r0)[0], _STATUS_OK
-        except AngularMonotonicityError:
-            return math.nan, _STATUS_SPEED
-        except GuardBoundError:
-            return math.nan, _STATUS_GUARD
-
-    def done(r0, n, out, half):
-        r, st = out
-        if st != _STATUS_OK:
-            return 4 * n >= REVOLUTION_STEPS
-        return n >= REVOLUTION_STEPS or abs(r - r0) > abs(r - half)
+    def settle(r0, half):
+        level = steps or 2 * coarse
+        while True:
+            try:
+                r, st = _integrate_scalar(tables(level), r0)[0], _STATUS_OK
+            except AngularMonotonicityError:
+                r, st = math.nan, _STATUS_SPEED
+            except GuardBoundError:
+                r, st = math.nan, _STATUS_GUARD
+            if steps or level >= REVOLUTION_STEPS or (st == _STATUS_OK and (
+                    abs(r - half) / tables(level).richardson <= tol
+                    or abs(r - r0) > abs(r - half))):
+                return r, st
+            # a failed level leaves the next one no half pass to trust it by
+            skip = st != _STATUS_OK and 4 * level >= REVOLUTION_STEPS
+            level, half = REVOLUTION_STEPS if skip else 2 * level, r
 
     r1, status = r1.copy(), status.copy()
     n = len(grid)
@@ -600,11 +598,7 @@ def _settle_scan(spec: PerturbationSpec, tables, grid: np.ndarray, r1: np.ndarra
         if i in settled:
             continue
         settled.add(i)
-        r0 = float(grid[i])
-        last, (r1[i], status[i]), _ = _revolve(spec, tables, node, r0, 2 * coarse,
-                                               tol, steps, half=float(r1[i]), done=done)
-        if steps is None and last < REVOLUTION_STEPS and status[i] != _STATUS_OK:
-            r1[i], status[i] = node(spec, tables(REVOLUTION_STEPS), r0)
+        r1[i], status[i] = settle(float(grid[i]), float(r1[i]))
         if status[i] == _STATUS_OK:
             pending += [j for j in (i - 1, i + 1)
                         if 0 <= j < n and status[j] != _STATUS_OK]
@@ -651,8 +645,8 @@ def find_fixed_points(spec: PerturbationSpec, bracket, tol: float = RESIDUAL_TOL
     coarse = max(8, (steps or BASE_STEPS) // 128 * 8)
     grid, r1, status = scan_return_map(spec, bracket, SCAN_POINTS, coarse)
     tables = _search_tables(spec)
-    r1_half, _ = _integrate_batch(spec, tables(coarse // 2), grid)
-    r1, status = _settle_scan(spec, tables, grid, r1, status, r1_half, coarse, steps, tol)
+    r1_half, _ = _integrate_batch(tables(coarse // 2), grid)
+    r1, status = _settle_scan(tables, grid, r1, status, r1_half, coarse, steps, tol)
     if on_scan is not None:
         on_scan((grid, r1, status))
     failed = {name: int(np.count_nonzero(status == code))
@@ -670,9 +664,9 @@ def find_fixed_points(spec: PerturbationSpec, bracket, tol: float = RESIDUAL_TOL
         def pmap(r: float) -> tuple[float, float]:
             nonlocal n
             if n is None:
-                n, first, _ = _revolve(spec, tables, _integrate_tangent, r, BASE_STEPS, tol)
+                n, first, _ = _revolve(tables, _integrate_tangent, r, BASE_STEPS, tol)
                 return first
-            return _integrate_tangent(spec, tables(n), r)
+            return _integrate_tangent(tables(n), r)
 
         return pmap
 

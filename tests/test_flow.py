@@ -113,8 +113,9 @@ def test_steps_validation():
     for bad in (0, 4, 12, 100):
         with pytest.raises(ValueError):
             return_map(spec, 1.0, steps=bad)
-    # whole-number floats and bools are not step counts
-    for bad in (512.0, 64.0, True):
+    # whole-number floats and bools are not step counts, and no count may
+    # exceed what the error estimate could choose
+    for bad in (512.0, 64.0, True, flow.MAX_STEPS + 8):
         with pytest.raises(ValueError, match="steps must be an int"):
             return_map(spec, 1.0, steps=bad)
         with pytest.raises(ValueError, match="steps must be an int"):
@@ -125,6 +126,23 @@ def test_steps_validation():
         return_map(spec, -1.0)
     with pytest.raises(ValueError):
         scan_return_map(spec, (2.0, 0.5))
+
+
+@pytest.mark.parametrize("r0, message", [
+    (20000.0, "radius 20000 left the window (0.0001, 10000) near theta=0"),
+    (1e-5, "radius 1e-05 left the window (0.0001, 10000) near theta=0"),
+])
+def test_start_radius_outside_the_guard_integrates_nothing(monkeypatch, capsys,
+                                                           r0, message):
+    # the first stage of every count would leave the window at theta 0, so
+    # no doubling of the count is tried
+    scalar = _counting(monkeypatch, "_integrate_scalar")
+    for steps in (None, 64):
+        with pytest.raises(GuardBoundError, match=re.escape(message)):
+            return_map(vdp().spec, r0, steps)
+    assert cli.main(["simulate", "--preset", "vdp", "--r0", repr(r0)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert scalar == []
 
 
 def test_guard_escape_raises_scalar_and_tags_batch():
@@ -193,10 +211,10 @@ def test_batch_status_matches_scalar_exceptions():
     spec, steps = _lienard7(), 64
     grid, r1, status = scan_return_map(spec, (0.4, 2.2), steps=steps)
     assert {0, 1, 2} <= set(status.tolist())
-    tabs = flow._tables(spec.fields, steps)
+    tabs = flow._search_tables(spec)(steps)
     for r0, r1_batch, st in zip(grid, r1, status):
         try:
-            single, _ = flow._integrate_scalar(spec, tabs, float(r0))
+            single, _ = flow._integrate_scalar(tabs, float(r0))
         except AngularMonotonicityError:
             assert st == 1, r0
         except GuardBoundError:
@@ -204,7 +222,7 @@ def test_batch_status_matches_scalar_exceptions():
         else:
             assert st == 0, r0
             assert abs(r1_batch - single) <= 1e-12 * single
-            assert flow._integrate_tangent(spec, tabs, float(r0))[0] == single
+            assert flow._integrate_tangent(tabs, float(r0))[0] == single
             assert abs(r1_batch - return_map(spec, float(r0), steps).r1) <= 1e-12 * single
 
 
@@ -258,9 +276,10 @@ def test_batch_kernel_matches_its_per_stage_reference():
         spec = normalize_ccw(spec)
         grid = np.logspace(math.log10(lo), math.log10(hi), flow.SCAN_POINTS)
         for steps in (4, 8, 64):
-            tabs = flow._tables(spec.fields, steps)
-            new = [a.tolist() for a in flow._integrate_batch(spec, tabs, grid)]
-            ref = [a.tolist() for a in _reference_batch(spec, tabs, grid)]
+            new = [a.tolist() for a in
+                   flow._integrate_batch(flow._search_tables(spec)(steps), grid)]
+            ref = [a.tolist() for a in
+                   _reference_batch(spec, flow._tables(spec.fields, steps), grid)]
             # repr tells -0.0 from 0.0 and compares NaNs; == would do neither
             assert repr(new) == repr(ref), (spec, (lo, hi), steps)
             seen.append(set(new[1]))
@@ -292,16 +311,17 @@ def _counting(monkeypatch, name, with_steps=False):
     calls = []
     real = getattr(flow, name)
 
-    def wrapper(spec, tabs, r0):
+    def wrapper(tabs, r0):
         calls.append((r0, tabs.steps) if with_steps else r0)
-        return real(spec, tabs, r0)
+        return real(tabs, r0)
 
     monkeypatch.setattr(flow, name, wrapper)
     return calls
 
 
-@pytest.mark.parametrize("case", ["vdp", "example2", "lienard6"])
-def test_newton_revolutions_per_cell(monkeypatch, case):
+def _search_case(case):
+    """(spec, targets, bracket) of vdp at eps 0.01, example2 retuned to 1.1
+    and 3.7 at eps 0.01, or lienard6 retuned to 0.8, 1.3 and 1.8."""
     if case == "vdp":
         spec, targets = with_epsilon(vdp().spec, 0.01), [VDP_ROOT]
     elif case == "example2":
@@ -310,7 +330,12 @@ def test_newton_revolutions_per_cell(monkeypatch, case):
     else:
         targets = [0.8, 1.3, 1.8]
         spec = retune_b(lienard(6, epsilon=0.005).spec, targets)[0].spec
-    bracket = (0.3 * min(targets), 3.0 * max(targets))
+    return spec, targets, (0.3 * min(targets), 3.0 * max(targets))
+
+
+@pytest.mark.parametrize("case", ["vdp", "example2", "lienard6"])
+def test_newton_revolutions_per_cell(monkeypatch, case):
+    spec, targets, bracket = _search_case(case)
     tangent = _counting(monkeypatch, "_integrate_tangent")
     value_only = _counting(monkeypatch, "_integrate_scalar", with_steps=True)
     certs = find_fixed_points(spec, bracket)
@@ -322,6 +347,28 @@ def test_newton_revolutions_per_cell(monkeypatch, case):
     off_grid = [n for r, n in value_only if r not in grid]
     assert off_grid == [flow.BASE_STEPS // 2] * len(certs)
     assert len(tangent) <= 4 * len(certs)
+
+
+@pytest.mark.parametrize("case, counts", [
+    ("vdp", [8, 4, 128, 64]),
+    ("example2", [8, 4, 16, 128, 64]),
+    ("lienard6", [8, 4, 16, 32, 64, 128, 256]),
+])
+def test_search_builds_each_step_count_once(monkeypatch, case, counts):
+    # the scan binds its own count; its half pass, the settled nodes and
+    # the Newton cells read the one lookup the search keeps
+    # (`_search_tables`), so no count is asked for twice
+    asked = []
+    real = flow._tables
+
+    def recording(fields, steps):
+        asked.append(steps)
+        return real(fields, steps)
+
+    monkeypatch.setattr(flow, "_tables", recording)
+    spec, targets, bracket = _search_case(case)
+    assert len(find_fixed_points(spec, bracket)) == len(targets)
+    assert asked == counts
 
 
 def test_repro_vdp_tangent_work_per_cell(monkeypatch, capsys):
@@ -519,9 +566,9 @@ def _batched_substeps(monkeypatch):
     calls = []
     real = flow._integrate_batch
 
-    def counting(spec, tabs, r0):
+    def counting(tabs, r0):
         calls.append(tabs.steps)
-        return real(spec, tabs, r0)
+        return real(tabs, r0)
 
     monkeypatch.setattr(flow, "_integrate_batch", counting)
     return calls
@@ -581,20 +628,28 @@ def test_csv_holds_the_settled_scan(monkeypatch, tmp_path):
         assert signs == np.sign((r1 - grid)[status == 0]).tolist()
 
 
-def _reference_settle(spec, tables, grid, r1, status, r1_half, coarse, steps, tol):
+def _reference_settle(tables, grid, r1, status, r1_half, coarse, steps, tol):
     """`_settle_scan` that runs every level: a node that fails doubles its
     count level by level up to REVOLUTION_STEPS."""
-    def node(spec, tabs, r0):
+    def node(n, r0):
         try:
-            return flow._integrate_scalar(spec, tabs, r0)[0], 0
+            return flow._integrate_scalar(tables(n), r0)[0], 0
         except AngularMonotonicityError:
             return math.nan, 1
         except GuardBoundError:
             return math.nan, 2
 
-    def done(r0, n, out, half):
-        r, st = out
-        return n >= flow.REVOLUTION_STEPS or (st == 0 and abs(r - r0) > abs(r - half))
+    def every_level(r0, half):
+        if steps is not None:
+            return node(steps, r0)
+        n = 2 * coarse
+        while True:
+            r, st = node(n, r0)
+            estimate = abs(r - half) / tables(n).richardson
+            if n >= flow.REVOLUTION_STEPS or (
+                    st == 0 and (estimate <= tol or abs(r - r0) > abs(r - half))):
+                return r, st
+            n, half = 2 * n, r
 
     r1, status = r1.copy(), status.copy()
     ok = status == 0
@@ -606,9 +661,7 @@ def _reference_settle(spec, tables, grid, r1, status, r1_half, coarse, steps, to
         i = pending.pop()
         if i not in settled:
             settled.add(i)
-            _, (r1[i], status[i]), _ = flow._revolve(
-                spec, tables, node, float(grid[i]), 2 * coarse, tol, steps,
-                half=float(r1[i]), done=done)
+            r1[i], status[i] = every_level(float(grid[i]), float(r1[i]))
             if status[i] == 0:
                 pending += [j for j in (i - 1, i + 1)
                             if 0 <= j < len(grid) and status[j] != 0]
@@ -627,9 +680,9 @@ def test_settle_skips_only_the_level_it_cannot_use(monkeypatch, capsys, argv, le
     runs = []                              # (r0, steps, passed) per value revolution
     scalar, settle = flow._integrate_scalar, flow._settle_scan
 
-    def counting(spec, tabs, r0):
+    def counting(tabs, r0):
         try:
-            out = scalar(spec, tabs, r0)
+            out = scalar(tabs, r0)
         except (GuardBoundError, AngularMonotonicityError):
             runs.append((r0, tabs.steps, False))
             raise
@@ -681,9 +734,7 @@ def test_failed_scan_nodes_are_summarized_once_per_epsilon(caplog):
 
 
 def _revolution(spec, r0, steps):
-    spec = normalize_ccw(spec)
-    tabs = flow._tables(spec.fields, steps)
-    return flow._integrate_scalar(spec, tabs, r0)[0]
+    return flow._integrate_scalar(flow._search_tables(normalize_ccw(spec))(steps), r0)[0]
 
 
 def test_tableau_satisfies_its_order_conditions():
@@ -784,8 +835,9 @@ def test_polynomial_specs_keep_the_uniform_mesh(case):
         assert [tuple(row) for row in tabs.radial] == radial
         assert [tuple(row) for row in tabs.transverse] == transverse
         assert np.array_equal(tabs.thetas, thetas)
-        bound = flow._bind(spec, tabs)
-        assert flow._bind(spec, bound) is bound
+        tables = flow._search_tables(spec)
+        bound = tables(steps)
+        assert tables(steps) is bound
         for rows, scaled in ((radial, bound.radial), (transverse, bound.transverse)):
             assert all(type(row) is kind for row in scaled)
             assert [list(row) for row in scaled] == [[ej * v for v in row]
@@ -850,8 +902,8 @@ def test_stiff_cell_doubles_to_the_count_it_needs(monkeypatch):
     revolutions = []
     real = flow._integrate_tangent
 
-    def spy(spec, tabs, r):
-        revolutions.append((r, tabs.steps, real(spec, tabs, r)))
+    def spy(tabs, r):
+        revolutions.append((r, tabs.steps, real(tabs, r)))
         return revolutions[-1][2]
 
     monkeypatch.setattr(flow, "_integrate_tangent", spy)
@@ -862,7 +914,7 @@ def test_stiff_cell_doubles_to_the_count_it_needs(monkeypatch):
     assert abs(chosen[0] - half[0]) / (2 ** flow._ORDER - 1) <= flow.RESIDUAL_TOL
     assert abs(chosen[0] - _revolution(spec, r0, 8192)) <= flow.RESIDUAL_TOL
     pinned = normalize_ccw(spec)
-    assert chosen == real(pinned, flow._tables(pinned.fields, 1024), r0)
+    assert chosen == real(flow._search_tables(pinned)(1024), r0)
 
 
 def test_explicit_steps_pin_the_revolution(monkeypatch):
@@ -1009,13 +1061,13 @@ KERNELS = ((flow._integrate_scalar, partial(_reference_revolution, tangent=False
            (flow._integrate_tangent, partial(_reference_revolution, tangent=True)))
 
 
-def _kernel_outcome(kernel, spec, r0, steps):
-    """The pair a revolution at `steps` and its half pass return, or the
-    type and message of the error each raised."""
+def _kernel_outcome(kernel, tables, r0, steps):
+    """The pair `kernel(tables(n), r0)` returns at `steps` and at its half
+    pass, or the type and message of the error each raised."""
     outcome = []
     for n in (steps, steps // 2):
         try:
-            outcome.append(kernel(spec, flow._tables(spec.fields, n), r0))
+            outcome.append(kernel(tables(n), r0))
         except (GuardBoundError, AngularMonotonicityError) as exc:
             outcome.append((type(exc), str(exc)))
     return outcome
@@ -1026,8 +1078,10 @@ def _assert_same_bits(spec, r0, steps):
     kinds of outcome, "ok" or the error type, per kernel."""
     kinds = {}
     for kernel, reference in KERNELS:
-        new = _kernel_outcome(kernel, spec, r0, steps)
-        ref = _kernel_outcome(reference, spec, r0, steps)
+        # the kernel reads bound rows, its reference binds e_j itself
+        new = _kernel_outcome(kernel, flow._search_tables(spec), r0, steps)
+        ref = _kernel_outcome(partial(reference, spec),
+                              partial(flow._tables, spec.fields), r0, steps)
         # repr tells -0.0 from 0.0 and compares NaNs; == would do neither
         assert repr(new) == repr(ref), (kernel.__name__, spec, r0, steps)
         kinds[kernel] = {out[0] if isinstance(out[0], type) else "ok" for out in new}
@@ -1117,10 +1171,11 @@ def test_one_compiled_kernel_per_field_count_and_kind():
         spec = normalize_ccw(make().spec)
         for kind, kernel in ((False, flow._integrate_scalar),
                              (True, flow._integrate_tangent)):
-            _kernel_outcome(kernel, spec, 1.0, 64)
+            _kernel_outcome(kernel, flow._search_tables(spec), 1.0, 64)
             used.add((len(spec.fields), kind))
         for eps in (0.005, 0.02):
-            _kernel_outcome(flow._integrate_scalar, with_epsilon(spec, eps), 1.0, 64)
+            _kernel_outcome(flow._integrate_scalar,
+                            flow._search_tables(with_epsilon(spec, eps)), 1.0, 64)
     assert flow._kernel.cache_info().currsize == len(used)
     assert flow._kernel.cache_info().misses == len(used)
 
@@ -1131,9 +1186,9 @@ def _revolutions(monkeypatch):
     for name in ("_integrate_tangent", "_integrate_scalar", "_integrate_batch"):
         real = getattr(flow, name)
 
-        def wrapper(spec, tabs, r0, real=real, kind=name[len("_integrate_"):]):
+        def wrapper(tabs, r0, real=real, kind=name[len("_integrate_"):]):
             counts[kind, tabs.steps] = counts.get((kind, tabs.steps), 0) + 1
-            return real(spec, tabs, r0)
+            return real(tabs, r0)
 
         monkeypatch.setattr(flow, name, wrapper)
     return counts
