@@ -7,6 +7,10 @@ rule (Jameson, Math. Gazette 90, 2006) isolates the zeros exactly, and
 each carries the topological degree of h over the monotone piece that
 isolated it, which is what survives as a limit-cycle count under
 perturbation.
+
+Each sign comes from h summed left to right in term order, compiled once
+per term count (`_sum`), so no zero depends on whether `sum()` of floats
+is compensated (it is from Python 3.12).
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,6 +26,7 @@ from .averaging import AveragedFunction
 from .errors import RootError, SynthesisError
 
 DEFAULT_BRACKET = (1e-6, 1e3)
+_DOUBLE, _BITS = struct.Struct("<d"), struct.Struct("<q")
 
 
 def check_bracket(bracket) -> tuple[float, float]:
@@ -57,14 +63,25 @@ class RootReport:
         return len(self.roots)
 
 
-def _evaluate(terms, z: float) -> float:
-    """sum c z^e, or only its sign where the plain sum overflows.
+@lru_cache(maxsize=16)
+def _sum(n: int):
+    """bind(e0, c0, e1, c1, ...) -> h(z) = c0 + c1 * z ** e1 + ..., added
+    left to right; c0 is bare, as `_odd_zeros` shifts e0 to 0.0 (and
+    c * z ** 0.0 == c).  Terms are arguments: no spec data is compiled."""
+    args = ", ".join(f"e{j}, c{j}" for j in range(n))
+    total = " + ".join(["c0", *(f"c{j} * z ** e{j}" for j in range(1, n))])
+    return eval(compile(f"lambda {args}: lambda z: {total}",
+                        f"<roots sum n={n}>", "eval"), {})
+
+
+def _evaluate(h, terms, z: float) -> float:
+    """h(z), h bound to terms by `_sum`, or only its sign where it overflows.
 
     There the terms are scaled by the largest one in log space, which
     keeps their sum's sign but not its size; the callers need only signs.
     """
     try:
-        value = sum(c * z ** e for e, c in terms)
+        value = h(z)
     except OverflowError:
         value = math.inf
     if math.isfinite(value):
@@ -78,8 +95,8 @@ def _evaluate(terms, z: float) -> float:
     return value
 
 
-def _bisect(terms, a: float, b: float, rising: bool) -> float:
-    """Zero of sum c z^e on a monotone piece (a, b), bisected to adjacent floats.
+def _bisect(h, terms, a: float, b: float, rising: bool) -> float:
+    """Zero of h on a monotone piece (a, b), bisected to adjacent floats.
 
     Positive floats are ordered like their bit patterns, and each probe is
     the pattern in between with the most trailing zero bits.  The probes
@@ -87,13 +104,13 @@ def _bisect(terms, a: float, b: float, rising: bool) -> float:
     which rounding blurs the sign of the sum ends at the same float: the
     zero does not depend on the bracket.
     """
-    lo, hi = (struct.unpack("<q", struct.pack("<d", x))[0] for x in (a, b))
+    lo, hi = (_BITS.unpack(_DOUBLE.pack(x))[0] for x in (a, b))
     root = a
     while hi - lo > 1:
         shift = (lo ^ (hi - 1)).bit_length() - 1
         mid = (hi - 1) >> shift << shift
-        z = struct.unpack("<d", struct.pack("<q", mid))[0]
-        value = _evaluate(terms, z)
+        z = _DOUBLE.unpack(_BITS.pack(mid))[0]
+        value = _evaluate(h, terms, z)
         if value == 0.0:
             return z
         if (value > 0) == rising:
@@ -118,12 +135,13 @@ def _odd_zeros(terms, lo: float, hi: float) -> list[PositiveRoot]:
     terms = [(e - e0, c) for e, c in terms]
     slope = [(e - 1.0, c * e) for e, c in terms[1:]]
     cuts = [lo] + [r.z for r in _odd_zeros(slope, lo, hi)] + [hi]
-    values = [_evaluate(terms, z) for z in cuts]
+    h = _sum(len(terms))(*(x for term in terms for x in term))
+    values = [_evaluate(h, terms, z) for z in cuts]
     roots = []
     for a, b, fa, fb in zip(cuts, cuts[1:], values, values[1:]):
         if fa < 0 < fb or fb < 0 < fa:
             degree = 1 if fb > 0 else -1
-            roots.append(PositiveRoot(_bisect(terms, a, b, fb > 0), degree,
+            roots.append(PositiveRoot(_bisect(h, terms, a, b, fb > 0), degree,
                                       degree))
     return roots
 

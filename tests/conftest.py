@@ -1,10 +1,14 @@
-"""Shared oracles: closed forms computed independently of the package."""
+"""Shared oracles: closed forms computed independently of the package,
+and the reference walk that root isolation must reproduce bit for bit."""
 
 import itertools
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
+
+from cycleavg import PositiveRoot, RootError
 
 
 def beta_moment(a: float) -> float:
@@ -78,3 +82,62 @@ def wronskian_numeric(exponents, x: float) -> float:
             mat[i, j] = fall * x ** (e - i)
             fall *= e - i
     return float(np.linalg.det(mat))
+
+
+def reference_evaluate(terms, z: float) -> float:
+    """sum c z^e added term by term, as `sum()` of floats did before Python
+    3.12, or only its sign where the plain sum overflows: the terms scaled
+    by the largest one in log space."""
+    try:
+        value = 0.0
+        for e, c in terms:
+            value += c * z ** e
+    except OverflowError:
+        value = math.inf
+    if math.isfinite(value):
+        return value
+    logs = [math.log(abs(c)) + e * math.log(z) for e, c in terms]
+    top = max(logs)
+    value = sum(math.copysign(math.exp(v - top), c)
+                for v, (_, c) in zip(logs, terms))
+    if not math.isfinite(value):
+        raise RootError(f"h is not finite at z={z:.9g}")
+    return value
+
+
+def reference_bisect(terms, a: float, b: float, rising: bool) -> float:
+    """The fixed float tree of `roots._bisect`, each probe evaluated by
+    `reference_evaluate`."""
+    lo, hi = (struct.unpack("<q", struct.pack("<d", x))[0] for x in (a, b))
+    root = a
+    while hi - lo > 1:
+        shift = (lo ^ (hi - 1)).bit_length() - 1
+        mid = (hi - 1) >> shift << shift
+        z = struct.unpack("<d", struct.pack("<q", mid))[0]
+        value = reference_evaluate(terms, z)
+        if value == 0.0:
+            return z
+        if (value > 0) == rising:
+            hi = mid
+        else:
+            lo, root = mid, z
+    return root
+
+
+def reference_odd_zeros(terms, lo: float, hi: float) -> list:
+    """The Rolle recursion of `roots._odd_zeros` on the reference walk."""
+    terms = [(e, c) for e, c in terms if c != 0.0]
+    if len(terms) < 2:
+        return []
+    e0 = terms[0][0]
+    terms = [(e - e0, c) for e, c in terms]
+    slope = [(e - 1.0, c * e) for e, c in terms[1:]]
+    cuts = [lo] + [r.z for r in reference_odd_zeros(slope, lo, hi)] + [hi]
+    values = [reference_evaluate(terms, z) for z in cuts]
+    roots = []
+    for a, b, fa, fb in zip(cuts, cuts[1:], values, values[1:]):
+        if fa < 0 < fb or fb < 0 < fa:
+            degree = 1 if fb > 0 else -1
+            roots.append(PositiveRoot(reference_bisect(terms, a, b, fb > 0),
+                                      degree, degree))
+    return roots

@@ -1,20 +1,24 @@
 """Rolle-recursion root isolation, interval degree, and coefficient synthesis."""
 
 import math
+from unittest import mock
 
+import conftest
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cycleavg import (
     AveragedFunction,
     RootError,
     SynthesisError,
+    cli,
     descartes_bound,
     positive_roots,
+    roots,
     synthesize_coefficients,
 )
-from cycleavg.roots import check_bracket
+from cycleavg.roots import DEFAULT_BRACKET, check_bracket
 
 
 def test_descartes_bound_counts_sign_changes():
@@ -204,3 +208,81 @@ def test_zero_does_not_depend_on_the_bracket():
     assert len(wide) == 3
     for bracket in ((0.1, 10.0), (0.5, 1.5), (0.99, 1.03)):
         assert [r.z for r in positive_roots(h, bracket).roots] == wide
+
+
+def _report(h, bracket):
+    """positive_roots(h, bracket), each z by repr, or its RootError message."""
+    try:
+        report = positive_roots(h, bracket)
+    except RootError as exc:
+        return str(exc)
+    return ([(repr(r.z), r.derivative_sign, r.interval_degree)
+             for r in report.roots], report.descartes_bound, report.bracket)
+
+
+@st.composite
+def polynomials(draw):
+    """2-6 distinct exponents in [0, 8], often thirds or quarters; |c| in
+    1e-8..1e8 with either sign; a bracket inside (1e-6, 1e3)."""
+    fractions = st.sampled_from([k / d for d in (3, 4) for k in range(8 * d + 1)])
+    exps = sorted(draw(st.sets(st.one_of(fractions, st.floats(0.0, 8.0)),
+                               min_size=2, max_size=6)))
+    coeffs = [draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** draw(st.floats(-8.0, 8.0))
+              for _ in exps]
+    ends = st.floats(math.log(1e-6), math.log(1e3), exclude_min=True, exclude_max=True)
+    lo, hi = sorted(math.exp(draw(ends)) for _ in range(2))
+    assume(lo < hi)
+    return AveragedFunction(tuple(exps), tuple(coeffs)), (lo, hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polynomials())
+@example((AveragedFunction((0.0, 110.0), (1.0, -1.0)), DEFAULT_BRACKET))
+@example((AveragedFunction((1.0, 200.0), (1.0, -1.0)), DEFAULT_BRACKET))
+@example((AveragedFunction((0.0, 1.0), (1.0, math.nan)), DEFAULT_BRACKET))
+@example((AveragedFunction((1.0, 3.0), (0.5, -0.375)), DEFAULT_BRACKET))
+def test_compiled_sum_walks_the_reference_tree(case):
+    # the compiled sum gives every probe the reference walk's value (and
+    # its log-space sign where the sum overflows), so every zero is the
+    # same float and every refusal the same message
+    h, bracket = case
+    with mock.patch.object(roots, "_odd_zeros", conftest.reference_odd_zeros):
+        want = _report(h, bracket)
+    assert _report(h, bracket) == want
+
+
+def test_compiled_sum_adds_left_to_right():
+    # sum([1e16, 1.0, -1e16]) is 1.0 from Python 3.12 (compensated), 0.0
+    # before; the roots keep their bits only if the order is pinned
+    terms = [(0.0, 1e16), (1.0, 1.0), (2.0, -1e16)]
+    h = roots._sum(3)(*(x for term in terms for x in term))
+    assert h(1.0) == 0.0
+    assert roots._evaluate(h, terms, 1.0) == 0.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["roots", "--preset", "example2"],
+    ["synthesize", "--preset", "example2", "--targets", "1", "4"],
+])
+def test_walk_evaluates_as_often_as_the_reference(monkeypatch, capsys, argv):
+    # each cut value and probe is one call of a sum bound by `roots._sum`,
+    # where the reference walk made one `reference_evaluate` call
+    calls = {"sum": 0, "reference": 0}
+    real_sum, real_evaluate = roots._sum, conftest.reference_evaluate
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(roots, "_sum", lambda n: lambda *terms: counted(
+        "sum", real_sum(n)(*terms)))
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    monkeypatch.setattr(roots, "_odd_zeros", conftest.reference_odd_zeros)
+    monkeypatch.setattr(conftest, "reference_evaluate",
+                        counted("reference", real_evaluate))
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == out
+    assert calls["sum"] == calls["reference"] > 0
