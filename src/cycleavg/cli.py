@@ -218,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--tol", type=float, default=RESIDUAL_TOL,
                            help="fixed-point residual tolerance")
             p.add_argument("--steps", type=int,
-                           help="DOP853 steps per revolution (default: chosen "
-                                "from the error estimate; N pins it)")
+                           help="at least N DOP853 steps per revolution (the count "
+                                "is chosen from the error estimate)")
         if csv:
             p.add_argument("--csv", help="directory for return-map scan CSV files")
 

@@ -27,16 +27,16 @@ square root).  Specs made only of ordinary monomials keep the uniform
 mesh, of order q = p.  The angle tables hold every distinct stage angle
 (step + c_i) h of a revolution (`_tables`).
 
-Without an explicit `steps` every revolution's count is chosen by one
-rule (`_revolve`): run at a start count and, while the Richardson
-estimate |P_N - P_N/2| / (2^q - 1) exceeds the caller's target, or a
-pass leaves the guard window or loses angular speed, double the count,
-up to MAX_STEPS; each level serves as the next one's half pass.  A
-Newton cell of the fixed-point search starts at BASE_STEPS, a scan node
-it settles at twice the scan's count (`_settle_scan`), and a lone revolution
-(`return_map`) at REVOLUTION_STEPS, so that most radii need no second
-level and its cost depends little on its radius.  An explicit `steps`
-pins every revolution to that count.
+Every revolution's count is chosen by one rule (`_revolve`): run at a
+start count and, while the Richardson estimate |P_N - P_N/2| / (2^q - 1)
+exceeds the caller's target, or a pass leaves the guard window or loses
+angular speed, double the count, up to MAX_STEPS; each level serves as
+the next one's half pass.  A Newton cell of the fixed-point search
+starts at BASE_STEPS, a scan node it settles at twice the scan's count
+(`_settle_scan`), and a lone revolution (`return_map`) at
+REVOLUTION_STEPS, so that most radii need no second level and its cost
+depends little on its radius.  An explicit `steps` is the lowest count
+each may start from; only `scan_return_map` runs an exact count.
 
 A lone radius runs in one of two kernels generated per field count
 (`_kernel`): the value kernel, and the tangent kernel that also carries
@@ -410,29 +410,27 @@ def _integrate_batch(tabs: _Tables, r0: np.ndarray):
     return np.where(status == _STATUS_OK, r, np.nan), status
 
 
-def _revolve(tables, kernel, r0: float, start: int, tol: float,
-             steps: int | None = None):
-    """One revolution of r0 by `kernel`, at `steps` or a count chosen by accuracy.
+def _revolve(tables, kernel, r0: float, start: int, tol: float):
+    """One revolution of r0 by `kernel`, at a step count chosen by accuracy.
 
     `kernel(tables(n), r0)` returns a pair whose first item is P(r0),
-    with `tables` a search's lookup (`_search_tables`).
-    Without `steps` it runs at `start` steps and, while the Richardson
-    estimate |P - half| / (2^q - 1) is not within tol (a NaN is not), at
-    twice the last count, up to MAX_STEPS; each level's P is the next
-    level's half pass (it equals a revolution pinned at that count).  The
-    first half pass is a scalar revolution at half the first count.  With
-    a chosen count a pass that fails (guard or angular speed) raises only
-    at MAX_STEPS: a failed half pass leaves the estimate NaN, and a failed
-    pass doubles the count, with no half pass for the next level.
-    Returns (n, pair, estimate) of the last level.
+    with `tables` a search's lookup (`_search_tables`).  It runs at
+    `start` steps and, while the Richardson estimate |P - half| / (2^q - 1)
+    is not within tol (a NaN is not), at twice the last count, up to
+    MAX_STEPS; each level's P is the next level's half pass.  The first
+    half pass is a scalar revolution at half the first count.  A pass
+    that fails (guard or angular speed) raises only at MAX_STEPS: a failed
+    half pass leaves the estimate NaN, and a failed pass doubles the
+    count, with no half pass for the next level.  Returns (n, pair,
+    estimate) of the last level.
     """
-    n, half = steps or start, None
+    n, half = start, None
     while True:
         tabs = tables(n)
         try:
             out = kernel(tabs, r0)
         except (GuardBoundError, AngularMonotonicityError):
-            if steps is not None or n >= MAX_STEPS:
+            if n >= MAX_STEPS:
                 raise
             n, half = 2 * n, math.nan
             continue
@@ -440,11 +438,9 @@ def _revolve(tables, kernel, r0: float, start: int, tol: float,
             try:
                 half, _ = _integrate_scalar(tables(n // 2), r0)
             except (GuardBoundError, AngularMonotonicityError):
-                if steps is not None:
-                    raise
                 half = math.nan
         estimate = abs(out[0] - half) / tabs.richardson
-        if steps is not None or n >= MAX_STEPS or estimate <= tol:
+        if n >= MAX_STEPS or estimate <= tol:
             return n, out, estimate
         n, half = 2 * n, out[0]
 
@@ -455,10 +451,10 @@ def return_map(spec: PerturbationSpec, r0: float,
 
     Fixed steps of the tableau (panels aligned with the axis angles) plus
     a half-resolution pass; the Richardson estimate |P_full - P_half| /
-    (2^q - 1), q the mesh's order, is attached to the sample.  Without
-    `steps` the count starts at REVOLUTION_STEPS and doubles while the
-    estimate exceeds RESIDUAL_TOL or a pass fails (`_revolve`), so a
-    stiff radius raises only if it fails at MAX_STEPS.
+    (2^q - 1), q the mesh's order, is attached to the sample.  The count
+    starts at REVOLUTION_STEPS, or at `steps` if that is more, and doubles
+    while the estimate exceeds RESIDUAL_TOL or a pass fails (`_revolve`),
+    so a stiff radius raises only if it fails at MAX_STEPS.
     """
     _check_steps(steps)
     spec = normalize_ccw(spec)
@@ -467,15 +463,16 @@ def return_map(spec: PerturbationSpec, r0: float,
     if not GUARD[0] < r0 < GUARD[1]:
         # the first stage of any count would leave at theta 0
         _guard_exit(r0, *GUARD, 0.0)
-    n, (r1, min_den), estimate = _revolve(_search_tables(spec), _integrate_scalar,
-                                          r0, REVOLUTION_STEPS, RESIDUAL_TOL, steps)
+    n, (r1, min_den), estimate = _revolve(_search_tables(spec), _integrate_scalar, r0,
+                                          max(REVOLUTION_STEPS, steps or 0), RESIDUAL_TOL)
     return ReturnMapSample(r0=float(r0), r1=r1, min_theta_speed=min_den,
                            steps=n, error_estimate=estimate)
 
 
 def scan_return_map(spec: PerturbationSpec, bracket, scan_points: int = SCAN_POINTS,
                     steps: int = BASE_STEPS):
-    """Evaluate the return map on a log-spaced grid; returns (r0, r1, status)."""
+    """Evaluate the return map on a log-spaced grid at exactly `steps` steps;
+    returns the raw (r0, r1, status), with no error estimate or settling."""
     _check_steps(steps)
     spec = normalize_ccw(spec)
     lo, hi = check_bracket(bracket)
@@ -542,11 +539,11 @@ def _newton_in_cell(pmap, a: float, b: float, ga: float, gb: float):
 
 
 def _settle_scan(tables, grid: np.ndarray, r1: np.ndarray, status: np.ndarray,
-                 r1_half: np.ndarray, coarse: int, steps, tol: float):
+                 r1_half: np.ndarray, start: int, tol: float):
     """Finer values and statuses wherever a coarse scan may be wrong.
 
-    `r1`, `status` come from a scan of `grid` at `coarse` steps and
-    `r1_half` from the same scan at half of them.  Two kinds of node are
+    `r1`, `status` come from a coarse scan of `grid` and `r1_half` from
+    the same scan at half its steps.  Two kinds of node are
     integrated again with the scalar kernel:
 
     - an OK node whose displacement |r1 - r0| does not exceed its own
@@ -556,20 +553,18 @@ def _settle_scan(tables, grid: np.ndarray, r1: np.ndarray, status: np.ndarray,
       nodes turn out OK, so a band that only the coarse steps lose is
       recovered node by node.
 
-    A pinned `steps` settles each such node at `steps`.  Otherwise its
-    count doubles from 2 * coarse steps, each level's value the next
-    one's half pass and the coarse value the first, until its Richardson
-    estimate is within `tol` (a displacement that small is a fixed point
-    to the search's accuracy), its sign is trusted by the same rule, or
-    its count reaches REVOLUTION_STEPS, the first level of a lone
-    revolution: a node that still fails there stays failed, and an OK one
-    keeps that value.  A level after a failed one has no half pass to be
-    trusted by, so from a failed level n with 4n >= REVOLUTION_STEPS the
-    node goes straight to REVOLUTION_STEPS.  Returns new (r1, status)
-    arrays.
+    Each such node's count doubles from `start`, each level's value the
+    next one's half pass and the coarse value the first, until its
+    Richardson estimate is within `tol` (a displacement that small is a
+    fixed point to the search's accuracy), its sign is trusted by the
+    same rule, or its count reaches REVOLUTION_STEPS, the first level of
+    a lone revolution: a node that still fails there stays failed, and an
+    OK one keeps that value.  A level after a failed one has no half pass
+    to be trusted by, so from a failed level n with 4n >= REVOLUTION_STEPS
+    the node goes straight to REVOLUTION_STEPS.  Returns new (r1, status).
     """
     def settle(r0, half):
-        level = steps or 2 * coarse
+        level = start
         while True:
             try:
                 r, st = _integrate_scalar(tables(level), r0)[0], _STATUS_OK
@@ -577,7 +572,7 @@ def _settle_scan(tables, grid: np.ndarray, r1: np.ndarray, status: np.ndarray,
                 r, st = math.nan, _STATUS_SPEED
             except GuardBoundError:
                 r, st = math.nan, _STATUS_GUARD
-            if steps or level >= REVOLUTION_STEPS or (st == _STATUS_OK and (
+            if level >= REVOLUTION_STEPS or (st == _STATUS_OK and (
                     abs(r - half) / tables(level).richardson <= tol
                     or abs(r - r0) > abs(r - half))):
                 return r, st
@@ -619,8 +614,8 @@ def find_fixed_points(spec: PerturbationSpec, bracket, tol: float = RESIDUAL_TOL
     (`_settle_scan`).  `on_scan`, if given, receives the settled scan as
     (grid, r1, status).
 
-    Newton runs at `steps`; without it, each cell's count is chosen once,
-    at its secant start point, by `_revolve` from BASE_STEPS against
+    Each cell's count is chosen once, at its secant start point, by
+    `_revolve` from BASE_STEPS (or from `steps` if that is more) against
     `tol`, and that revolution is also Newton's first evaluation.  The
     coarse scan moves only Newton's start point: the certificate's residual and map
     derivative come from the last Newton revolution, and the derivative
@@ -633,7 +628,7 @@ def find_fixed_points(spec: PerturbationSpec, bracket, tol: float = RESIDUAL_TOL
     """
     if spec.epsilon == 0.0:
         raise SpecError("fixed-point search requires epsilon != 0")
-    if not 0 < tol < math.inf:
+    if isinstance(tol, bool) or not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
     _check_steps(steps)
     check_bracket(bracket)
@@ -646,7 +641,11 @@ def find_fixed_points(spec: PerturbationSpec, bracket, tol: float = RESIDUAL_TOL
     grid, r1, status = scan_return_map(spec, bracket, SCAN_POINTS, coarse)
     tables = _search_tables(spec)
     r1_half, _ = _integrate_batch(tables(coarse // 2), grid)
-    r1, status = _settle_scan(tables, grid, r1, status, r1_half, coarse, steps, tol)
+    # settled nodes start at twice the scan's count and cells at
+    # BASE_STEPS, or both at `steps` if that is more
+    r1, status = _settle_scan(tables, grid, r1, status, r1_half,
+                              max(2 * coarse, steps or 0), tol)
+    start = max(BASE_STEPS, steps or 0)
     if on_scan is not None:
         on_scan((grid, r1, status))
     failed = {name: int(np.count_nonzero(status == code))
@@ -657,14 +656,14 @@ def find_fixed_points(spec: PerturbationSpec, bracket, tol: float = RESIDUAL_TOL
                     ", ".join(f"{name} {count}" for name, count in failed.items()))
 
     def cell_map():
-        """P and P' for one cell, at `steps` or at the count `_revolve`
-        chooses at the cell's first point, which is Newton's first."""
-        n = steps
+        """P and P' for one cell, at the count `_revolve` chooses at the
+        cell's first point, which is Newton's first."""
+        n = None
 
         def pmap(r: float) -> tuple[float, float]:
             nonlocal n
             if n is None:
-                n, first, _ = _revolve(tables, _integrate_tangent, r, BASE_STEPS, tol)
+                n, first, _ = _revolve(tables, _integrate_tangent, r, start, tol)
                 return first
             return _integrate_tangent(tables(n), r)
 

@@ -1,5 +1,6 @@
 """CLI: JSON document shape, determinism, exit-code mapping."""
 
+import hashlib
 import json
 import math
 import os
@@ -15,12 +16,14 @@ from cycleavg import (
     PerturbationSpec,
     SignedPowerTerm,
     example1,
+    lienard,
     linear_field,
     monomial,
+    retune_b,
     spec_to_json,
     vdp,
 )
-from cycleavg import cli, monomials
+from cycleavg import cli, flow, monomials
 from cycleavg.cli import build_parser, main
 
 
@@ -153,6 +156,47 @@ def test_simulate_fixed_points(capsys):
     runs = json.loads(out)["result"]["runs"]
     (fp,) = runs[0]["fixed_points"]
     assert fp["r_star"] == pytest.approx(2.0 / math.sqrt(3.0), abs=0.02)
+
+
+EXAMPLE2_PIPELINE = ("pipeline", "--preset", "example2", "--targets", "1", "4",
+                     "--eps", "0.01")
+
+
+def test_steps_below_every_start_count_change_nothing(capsys):
+    # a Newton cell run at exactly 8 steps certified r* 0.982357449 with a
+    # residual of 4e-16, 1e-3 from the cycle at 0.981334485; as the lowest
+    # count a revolution may start from, 8 is below every start
+    rc, plain = run(capsys, *EXAMPLE2_PIPELINE)
+    assert rc == 0
+    assert run(capsys, *EXAMPLE2_PIPELINE, "--steps", "8") == (0, plain)
+    sample = ("simulate", "--preset", "example2", "--r0", "2.0")
+    rc, plain = run(capsys, *sample)
+    assert rc == 0
+    assert run(capsys, *sample, "--steps", "8") == (0, plain)
+    assert json.loads(plain)["result"]["sample"]["steps"] == flow.REVOLUTION_STEPS
+
+
+def test_steps_whose_count_meets_tol_keep_their_output(capsys):
+    # every revolution of this search meets tol at the count it starts
+    # from, so the document is the one an exact 128-step count printed
+    rc, out = run(capsys, *EXAMPLE2_PIPELINE, "--steps", "128")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f7f8093572733c6cd915315ba3e6246fc72a1354dce279e3c24121cc62d96f77")
+
+
+def test_steps_floor_certifies_the_stiff_repelling_cycle(capsys, tmp_path):
+    # lienard6 retuned to 0.8, 1.3 and 1.8 at eps 0.2: the scan settled and
+    # the cell started at 1024 steps certify the middle cycle
+    spec = retune_b(lienard(6, epsilon=0.2).spec, [0.8, 1.3, 1.8])[0].spec
+    path = tmp_path / "lienard6.json"
+    path.write_text(json.dumps(spec_to_json(spec)), encoding="utf-8")
+    rc, out = run(capsys, "simulate", "--spec", str(path), "--bracket", "0.9", "1.6",
+                  "--steps", "1024")
+    assert rc == 0
+    (fp,) = json.loads(out)["result"]["runs"][0]["fixed_points"]
+    assert fp["r_star"] == pytest.approx(1.2666236917624805, rel=1e-12, abs=0.0)
+    assert fp["residual"] <= 1e-10
 
 
 def test_classify_inline_system(capsys):

@@ -58,11 +58,11 @@ def test_zero_epsilon_is_identity():
 
 def test_step_halving_convergence():
     spec = vdp().spec
-    reference = return_map(spec, 1.0, steps=1024).r1
-    errs = [abs(return_map(spec, 1.0, steps=n).r1 - reference) for n in (8, 16, 32)]
+    reference = _revolution(spec, 1.0, 1024)
+    errs = [abs(_revolution(spec, 1.0, n) - reference) for n in (8, 16, 32)]
     assert errs[0] < 1e-8
     assert errs[2] <= errs[0]
-    assert return_map(spec, 1.0, steps=16).error_estimate < 1e-9
+    assert _pinned_estimate(spec, 1.0, 16) < 1e-9
 
 
 def test_displacement_sign_matches_averaged_function():
@@ -174,7 +174,7 @@ def test_fixed_point_search_validation(monkeypatch):
     # a bad tol is refused before the scan integrates anything
     monkeypatch.setattr(flow, "scan_return_map",
                         lambda *args: pytest.fail("scan ran"))
-    for tol in (-1e-9, 0.0, math.nan, math.inf):
+    for tol in (-1e-9, 0.0, math.nan, math.inf, True):
         with pytest.raises(ValueError):
             find_fixed_points(spec, (0.5, 2.0), tol=tol)
 
@@ -223,7 +223,7 @@ def test_batch_status_matches_scalar_exceptions():
             assert st == 0, r0
             assert abs(r1_batch - single) <= 1e-12 * single
             assert flow._integrate_tangent(tabs, float(r0))[0] == single
-            assert abs(r1_batch - return_map(spec, float(r0), steps).r1) <= 1e-12 * single
+            assert abs(r1_batch - _revolution(spec, float(r0), steps)) <= 1e-12 * single
 
 
 def _reference_batch(spec, tabs, r0):
@@ -628,7 +628,7 @@ def test_csv_holds_the_settled_scan(monkeypatch, tmp_path):
         assert signs == np.sign((r1 - grid)[status == 0]).tolist()
 
 
-def _reference_settle(tables, grid, r1, status, r1_half, coarse, steps, tol):
+def _reference_settle(tables, grid, r1, status, r1_half, start, tol):
     """`_settle_scan` that runs every level: a node that fails doubles its
     count level by level up to REVOLUTION_STEPS."""
     def node(n, r0):
@@ -640,9 +640,7 @@ def _reference_settle(tables, grid, r1, status, r1_half, coarse, steps, tol):
             return math.nan, 2
 
     def every_level(r0, half):
-        if steps is not None:
-            return node(steps, r0)
-        n = 2 * coarse
+        n = start
         while True:
             r, st = node(n, r0)
             estimate = abs(r - half) / tables(n).richardson
@@ -737,6 +735,12 @@ def _revolution(spec, r0, steps):
     return flow._integrate_scalar(flow._search_tables(normalize_ccw(spec))(steps), r0)[0]
 
 
+def _pinned_estimate(spec, r0, steps):
+    """The Richardson estimate |P_n - P_n/2| / (2^q - 1) at exactly n = `steps`."""
+    richardson = flow._tables(normalize_ccw(spec).fields, steps).richardson
+    return abs(_revolution(spec, r0, steps) - _revolution(spec, r0, steps // 2)) / richardson
+
+
 def test_tableau_satisfies_its_order_conditions():
     # each stage's angle is its row sum, and the weights integrate
     # polynomials up to degree p - 1 exactly (Hairer-Norsett-Wanner, II.1)
@@ -781,16 +785,19 @@ def test_graded_estimate_matches_the_error(case, r0):
     # the error; beyond 32 the error reaches the rounding floor
     reference = _revolution(spec, r0, 1024)
     for steps in (16, 32):
-        sample = return_map(spec, r0, steps=steps)
-        assert abs(sample.r1 - reference) <= sample.error_estimate
+        assert abs(_revolution(spec, r0, steps) - reference) <= _pinned_estimate(
+            spec, r0, steps)
     p8, p16, p32 = (_revolution(spec, r0, n) for n in (8, 16, 32))
     order = math.log2(abs(p16 - p8) / abs(p32 - p16))
     assert flow._ORDER - 0.3 <= order <= 9.1
     # BASE_STEPS is enough for a Newton cell here; a lone revolution
     # starts higher and needs no second level
-    assert return_map(spec, r0, steps=flow.BASE_STEPS).error_estimate <= flow.RESIDUAL_TOL
+    assert _pinned_estimate(spec, r0, flow.BASE_STEPS) <= flow.RESIDUAL_TOL
     chosen = return_map(spec, r0)
-    assert chosen == return_map(spec, r0, steps=flow.REVOLUTION_STEPS)
+    assert chosen.steps == flow.REVOLUTION_STEPS
+    assert (chosen.r1, chosen.error_estimate) == (
+        _revolution(spec, r0, flow.REVOLUTION_STEPS),
+        _pinned_estimate(spec, r0, flow.REVOLUTION_STEPS))
 
 
 def test_graded_order_is_that_of_the_square_root():
@@ -804,8 +811,8 @@ def test_graded_order_is_that_of_the_square_root():
     for coarse, fine in ((64, 128), (128, 256)):
         assert abs(math.log2(errors[coarse] / errors[fine]) - 4.5) <= 0.3
     for steps in (128, 256):
-        sample = return_map(spec, r0, steps=steps)
-        assert 0.5 * errors[steps] <= sample.error_estimate <= 2.0 * errors[steps]
+        estimate = _pinned_estimate(spec, r0, steps)
+        assert 0.5 * errors[steps] <= estimate <= 2.0 * errors[steps]
 
 
 def _stage_nodes(steps):
@@ -864,14 +871,15 @@ def test_stiff_revolution_chooses_more_steps():
     spec = with_epsilon(with_b(lienard(6).spec,
                                (7.00877, -23.01547, 17.824, -3.65714)), 0.0185)
     reference = _revolution(spec, 2.87, 8192)
-    assert abs(return_map(spec, 2.87, steps=flow.REVOLUTION_STEPS).r1 - reference) > 1e-6
+    assert abs(_revolution(spec, 2.87, flow.REVOLUTION_STEPS) - reference) > 1e-6
     sample = return_map(spec, 2.87)
     assert sample.steps > flow.REVOLUTION_STEPS
     assert abs(sample.r1 - reference) <= flow.RESIDUAL_TOL
     assert sample.error_estimate <= flow.RESIDUAL_TOL
     # each doubling reuses the last revolution as its half pass, which
-    # the nested tables make the same value a pinned count computes
-    assert return_map(spec, 2.87, steps=sample.steps) == sample
+    # the nested tables make the same value an exact count computes
+    assert (sample.r1, sample.error_estimate) == (
+        _revolution(spec, 2.87, sample.steps), _pinned_estimate(spec, 2.87, sample.steps))
 
 
 def test_stiff_band_revolution_doubles_past_failed_passes():
@@ -882,7 +890,7 @@ def test_stiff_band_revolution_doubles_past_failed_passes():
     spec, r0 = normalize_ccw(spec), 4.5
     for steps in (flow.REVOLUTION_STEPS, 2 * flow.REVOLUTION_STEPS):
         with pytest.raises(GuardBoundError):
-            return_map(spec, r0, steps=steps)
+            _revolution(spec, r0, steps)
     sample = return_map(spec, r0)
     assert sample.steps > 4 * flow.REVOLUTION_STEPS
     assert sample.error_estimate <= flow.RESIDUAL_TOL
@@ -917,8 +925,18 @@ def test_stiff_cell_doubles_to_the_count_it_needs(monkeypatch):
     assert chosen == real(flow._search_tables(pinned)(1024), r0)
 
 
-def test_explicit_steps_pin_the_revolution(monkeypatch):
-    assert return_map(example2().spec, 2.0, steps=64).steps == 64
+def test_explicit_steps_are_the_lowest_count(monkeypatch):
+    # a count below the rule's start changes nothing, one above it is
+    # where the rule starts, and one that misses the target doubles
+    spec = example2().spec
+    below = return_map(spec, 2.0, steps=64)
+    assert below == return_map(spec, 2.0) and below.steps == flow.REVOLUTION_STEPS
+    assert return_map(spec, 2.0, steps=512).steps == 512
+    stiff = with_epsilon(with_b(lienard(6).spec,
+                                (7.00877, -23.01547, 17.824, -3.65714)), 0.0185)
+    chosen = return_map(stiff, 2.87)
+    assert chosen.steps > 2 * flow.REVOLUTION_STEPS
+    assert return_map(stiff, 2.87, steps=2 * flow.REVOLUTION_STEPS) == chosen
     tangent = _counting(monkeypatch, "_integrate_tangent", with_steps=True)
     find_fixed_points(with_epsilon(vdp().spec, 0.01), (0.5, 2.0), steps=1024)
     assert tangent and {n for _, n in tangent} == {1024}
@@ -978,7 +996,7 @@ def test_kernel_errors_print_the_graded_angle():
     # and radius must be where the angular speed is really lost
     spec = normalize_ccw(capillary().spec)
     with pytest.raises(AngularMonotonicityError) as info:
-        return_map(spec, 1.0, steps=64)
+        _revolution(spec, 1.0, 64)
     match = re.search(r"angular speed (\S+) <= 0 at theta=(\S+), r=(\S+)",
                       str(info.value))
     speed, theta, r = map(float, match.groups())
