@@ -16,10 +16,21 @@ import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import SpecError
+
+
+@lru_cache(maxsize=1024)
+def _parse_fraction(text: str) -> Fraction:
+    """An exponent string parsed once; a malformed one raises each time,
+    as a call that raises is not cached."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SpecError(f"cannot parse exponent {text!r}") from exc
 
 
 def _as_fraction(value) -> Fraction:
@@ -29,10 +40,7 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SpecError(f"cannot parse exponent {value!r}") from exc
+        return _parse_fraction(value)
     if isinstance(value, float) and value.is_integer():
         return Fraction(int(value))
     raise SpecError(f"exponent must be an exact rational, got {value!r}")

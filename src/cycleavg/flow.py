@@ -24,8 +24,10 @@ quadrant, so no stage straddles an axis.  Near an axis a power
 |sin|^e becomes u^(3e) times sigma' ~ u^2, smooth only where 3e is an
 integer, so such a term bounds the mesh's order q by 3e + 3 (4.5 for a
 square root).  Specs made only of ordinary monomials keep the uniform
-mesh, of order q = p.  The angle tables hold every distinct stage angle
-(step + c_i) h of a revolution (`_tables`).
+mesh, of order q = p.  The tables hold one row per step (`_tables`):
+row n holds, for each of the 12 stages in order, F_j and then G_j of
+every field at the stage angle (n + c_i) h, so a stage at c = 1 repeats
+the next row's first values.
 
 Every revolution's count is chosen by one rule (`_revolve`): run at a
 start count and, while the Richardson estimate |P_N - P_N/2| / (2^q - 1)
@@ -42,18 +44,23 @@ A lone radius runs in one of two kernels generated per field count
 (`_kernel`): the value kernel, and the tangent kernel that also carries
 dP/dr0 for Newton.  Each is one revolution written out as straight-line
 Python, one block per stage of the tableau, for nf fields and compiled once
-per process.  The generated source holds field indices and the
-tableau's weights only; exponents, the angle tables (bound once per
-search and step count to e_j = eps * b_j, `_search_tables`) and the
-guard window are its arguments, so no spec data is compiled.  A scan's
-radii run together in a third kernel, a few numpy calls per stage, with
-the failures read once per step (`_integrate_batch`).
+per process; it unpacks a row into locals as its step starts.  The
+generated source holds field indices and the tableau's weights only;
+exponents, the rows (bound once per search and step count to
+e_j = eps * b_j, `_search_tables`) and the guard window are its
+arguments, so no spec data is compiled.  Below BASE_STEPS the bound rows
+are tuples; from it on their doubles stay packed, a quarter of the
+memory, and each row is unpacked from the buffer as its step starts.  A
+scan's radii run together in a third kernel, a few numpy calls per stage
+on the same rows viewed as (steps, 12, 2, nf), with the failures read
+once per step (`_integrate_batch`).
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import struct
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
@@ -166,19 +173,13 @@ _C = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
       0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
       0.6512820512820513, 0.6, 0.8571428571428571, 1.0)
 
-#: The distinct stage angles of a step, in steps from its start; c = 1 is
-#: the next step's first node.
-_NODES = tuple(sorted(set(_C) - {1.0}))
-#: Offset of each stage's angle from its step's first node in the tables.
-_OFFSETS = tuple(_NODES.index(ci) if ci < 1.0 else len(_NODES) for ci in _C)
-
 
 class _Tables(NamedTuple):
     steps: int                     # resolution the grid was built for
-    thetas: np.ndarray             # angle of each node, for error messages
+    thetas: np.ndarray             # at 12 n + i, the angle of stage i of step n
     alphas: tuple[float, ...]
-    radial: tuple                  # per field, at every stage angle: F_j
-    transverse: tuple              # and G_j, packed (`_search_tables` binds them)
+    rows: object                   # (steps, 12, 2, nf): F_j, then G_j, per stage;
+                                   # bound, a tuple per step or packed doubles
     richardson: float              # 2^q - 1, with q the mesh's order
 
 
@@ -191,11 +192,10 @@ def _ordinary(term) -> bool:
 
 @lru_cache(maxsize=64)
 def _tables(fields, steps: int) -> _Tables:
-    # Node m * step + i sits at the angle of _NODES[i] in that step; the
-    # last node closes the turn, so every stage angle is a precomputed node.
-    m = len(_NODES)
-    step = np.repeat(np.arange(steps + 1), m)[:m * steps + 1]
-    frac = np.tile(_NODES, steps + 1)[:m * steps + 1]
+    # Row n holds every stage of step n in tableau order, so a stage at
+    # c = 1 repeats the next row's first angle.
+    step = np.arange(steps)[:, None]
+    frac = np.asarray(_C)
     terms = [t for f in fields for t in f.f_terms + f.g_terms]
     if all(_ordinary(t) for t in terms):
         thetas = (step + frac) * (2.0 * math.pi / steps)
@@ -210,37 +210,36 @@ def _tables(fields, steps: int) -> _Tables:
         # a power |sin|^e is a u^(3e + 2) term next to an axis
         order = min([_ORDER] + [float(3 * e + 3) for t in terms
                                 for e in (t.x_exp, t.y_exp) if (3 * e).denominator > 1])
-    radial, transverse = [], []
-    for field in fields:
+    rows = np.empty((steps, len(_C), 2, len(fields)))
+    for j, field in enumerate(fields):
         fr, ft = angular_components(field, thetas)
-        radial.append(array("d", np.asarray(fr * weight, dtype=float).tobytes()))
-        transverse.append(array("d", np.asarray(ft, dtype=float).tobytes()))
+        np.multiply(fr, weight, out=rows[:, :, 0, j])
+        rows[:, :, 1, j] = ft
     alphas = tuple(float(f.alpha) for f in fields)
-    return _Tables(steps, thetas, alphas, tuple(radial), tuple(transverse),
-                   2.0 ** order - 1.0)
+    return _Tables(steps, thetas.ravel(), alphas, rows, 2.0 ** order - 1.0)
 
 
 def _search_tables(spec: PerturbationSpec):
-    """steps -> `_tables` of the spec's fields with row j of each profile
-    scaled by e_j = eps * b_j, the only rows the kernels read; each count
-    is bound once for as long as the caller (one search) keeps the lookup."""
-    e = [spec.epsilon * bj for bj in spec.b]
+    """steps -> `_tables` of the spec's fields with field j's values scaled
+    by e_j = eps * b_j, the only rows the kernels read; each count is
+    bound once for as long as the caller (one search) keeps the lookup."""
+    e = np.array([spec.epsilon * bj for bj in spec.b], dtype=float)
 
     @lru_cache(maxsize=None)
     def bound(steps: int) -> _Tables:
         # Python floats: scalar arithmetic on numpy scalars is ~2x slower.
-        # From BASE_STEPS up, the counts of Newton cells and lone
-        # revolutions, packed doubles take a quarter of the memory for
-        # ~1.2x the time per step; the scans and settled nodes keep tuples.
-        def row(ej, values):
-            scaled = ej * np.frombuffer(values)
-            if steps < BASE_STEPS:
-                return tuple(scaled.tolist())
-            return array("d", scaled.tobytes())
-
+        # Below BASE_STEPS, the counts of scans and settled nodes, each row
+        # is a tuple; from it on, the counts of Newton cells and lone
+        # revolutions, the doubles stay packed in a quarter of the memory
+        # and a kernel unpacks each row as its step starts (`struct`
+        # cannot unpack the empty rows of a spec without fields).
         tabs = _tables(spec.fields, steps)
-        return tabs._replace(radial=tuple(map(row, e, tabs.radial)),
-                             transverse=tuple(map(row, e, tabs.transverse)))
+        if steps < BASE_STEPS or not spec.fields:
+            rows = tuple(map(tuple, (tabs.rows * e).reshape(steps, -1).tolist()))
+        else:
+            rows = array("d", [0.0]) * tabs.rows.size
+            np.multiply(tabs.rows, e, out=np.frombuffer(rows).reshape(tabs.rows.shape))
+        return tabs._replace(rows=rows)
 
     return bound
 
@@ -273,34 +272,36 @@ def _weighted(weights, names) -> str:
 
 @lru_cache(maxsize=16)
 def _kernel(nf: int, tangent: bool):
-    """kernel(r0, h, n, lo, hi, thetas, a_0, fr_0, tr_0, ...):
-    n steps of the tableau for `nf` fields on bound rows (`_search_tables`),
-    of num / den with num = sum fr_j r^a_j and den = 1 + sum tr_j r^a_j / r,
-    each sum in field order from its first term (0.0 with no fields); every stage
+    """kernel(r0, h, lo, hi, thetas, rows, a_0, a_1, ...):
+    one step of the tableau per bound row (`_search_tables`) for `nf`
+    fields, the row unpacked as its step starts into f{i}_{j}, g{i}_{j},
+    the e_j F_j and e_j G_j of stage i, of num / den with
+    num = sum f_j r^a_j and den = 1 + sum g_j r^a_j / r, each sum in field
+    order from its first term (0.0 with no fields); every stage
     combination sums its nonzero weights in stage order.  Returns
     (r1, min speed), or with `tangent` (r1, dr1/dr0) carried through the
     same stages by the variational equation,
     df/dr = (sum a_j t_j / r - f sum (a_j - 1) u_j / r^2) / den.
     """
-    fields = range(nf)
+    fields, stages = range(nf), range(len(_B))
 
     def total(terms):
         return "(" + (" + ".join(terms) or "0.0") + ")"
 
-    def stage(i, row, offset):
-        t = [f"fr{j}[idx] * p{j}" for j in fields]
-        u = [f"tr{j}[idx] * p{j}" for j in fields]
+    def stage(i, row):
+        t = [f"f{i}_{j} * p{j}" for j in fields]
+        u = [f"g{i}_{j} * p{j}" for j in fields]
         ks = _weighted(row, (f"k{j}" for j in range(i)))
         ls = _weighted(row, (f"l{j}" for j in range(i)))
-        yield f"idx = base + {offset}" if offset else "idx = base"
+        theta = f"thetas[{len(_B)} * n + {i}]"
         yield f"x = r + h * ({ks})" if ks else "x = r"
-        yield "if not lo < x < hi: _guard_exit(x, lo, hi, thetas[idx])"
+        yield f"if not lo < x < hi: _guard_exit(x, lo, hi, {theta})"
         yield from (f"p{j} = x ** a{j}" for j in fields)
         if tangent:                 # named, as df/dr uses each term again
             yield from (f"t{j} = {t[j]}; u{j} = {u[j]}" for j in fields)
             t, u = [f"t{j}" for j in fields], [f"u{j}" for j in fields]
         yield f"den = 1.0 + {total(u)} / x"
-        yield "if den <= 0.0: _speed_exit(den, thetas[idx], x)"
+        yield f"if den <= 0.0: _speed_exit(den, {theta}, x)"
         yield f"k{i} = {total(t)} / den"
         if tangent:
             yield (f"l{i} = (({total(f'a{j} * t{j}' for j in fields)} / x - k{i} * "
@@ -309,15 +310,13 @@ def _kernel(nf: int, tangent: bool):
         else:
             yield "if den < least: least = den"
 
-    stages = range(len(_B))
-    params = "".join(f", a{j}, fr{j}, tr{j}" for j in fields)
+    row = ", ".join(f"{fg}{i}_{j}" for i in stages for fg in "fg" for j in fields)
     source = "\n".join([
-        f"def kernel(r, h, n, lo, hi, thetas{params}):",
+        f"def kernel(r, h, lo, hi, thetas, rows{''.join(f', a{j}' for j in fields)}):",
         *(f"    m{j} = a{j} - 1.0" for j in fields if tangent),
         "    s = 1.0" if tangent else "    least = inf",
-        f"    for base in range(0, {len(_NODES)} * n, {len(_NODES)}):",
-        *("        " + line for i in stages
-          for line in stage(i, _A[i], _OFFSETS[i])),
+        f"    for n, [{row}] in enumerate(rows):",
+        *("        " + line for i in stages for line in stage(i, _A[i])),
         f"        r += h * ({_weighted(_B, (f'k{i}' for i in stages))})",
         (f"        s += h * ({_weighted(_B, (f'l{i}' for i in stages))})"
          if tangent else ""),
@@ -328,10 +327,11 @@ def _kernel(nf: int, tangent: bool):
 
 
 def _run_kernel(tangent: bool, tabs: _Tables, r0: float) -> tuple[float, float]:
-    args = [float(r0), 2.0 * math.pi / tabs.steps, tabs.steps, *GUARD, tabs.thetas]
-    for a, fr, tr in zip(tabs.alphas, tabs.radial, tabs.transverse):
-        args += (a, fr, tr)
-    r, second = _kernel(len(tabs.alphas), tangent)(*args)
+    rows = tabs.rows
+    if not isinstance(rows, tuple):
+        rows = struct.iter_unpack(f"{len(rows) // tabs.steps}d", rows)
+    r, second = _kernel(len(tabs.alphas), tangent)(
+        float(r0), 2.0 * math.pi / tabs.steps, *GUARD, tabs.thetas, rows, *tabs.alphas)
     lo, hi = GUARD
     if not lo < r < hi:
         raise GuardBoundError(f"final radius {r:.6g} left the window ({lo:g}, {hi:g})")
@@ -367,15 +367,11 @@ def _integrate_batch(tabs: _Tables, r0: np.ndarray):
     Failed rows keep being integrated on garbage; the cumulative `alive`
     mask keeps their later failures from overwriting the first.
     """
-    nf = len(tabs.alphas)
-    nodes = len(_NODES) * tabs.steps + 1
+    # step n's rows as (12, 2, nf): each stage's e_j F_j and e_j G_j, so
+    # one product gives num and den
+    weights = np.asarray(tabs.rows, dtype=float).reshape(
+        tabs.steps, len(_B), 2, len(tabs.alphas))
     alphas = np.asarray(tabs.alphas)[:, None]
-    # row idx holds the (2, nf) radial and transverse weights of stage
-    # angle idx, so one product gives num and den.
-    weights = np.ascontiguousarray(np.stack([
-        np.reshape(tabs.radial, (nf, nodes)),
-        np.reshape(tabs.transverse, (nf, nodes)),
-    ]).transpose(2, 0, 1))
     h = 2.0 * math.pi / tabs.steps
     lo, hi = GUARD
 
@@ -387,10 +383,10 @@ def _integrate_batch(tabs: _Tables, r0: np.ndarray):
     b = np.asarray(_B)
 
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        for base in range(0, len(_NODES) * tabs.steps, len(_NODES)):
-            for i, (row, offset) in enumerate(zip(rows, _OFFSETS)):
+        for step in weights:
+            for i, (row, w) in enumerate(zip(rows, step)):
                 x[i] = r + h * (row @ k[:i]) if i else r
-                num, dacc = weights[base + offset] @ x[i] ** alphas
+                num, dacc = w @ x[i] ** alphas
                 np.divide(dacc, x[i], out=den[i])
                 den[i] += 1.0
                 k[i] = num / den[i]
@@ -612,7 +608,9 @@ def find_fixed_points(spec: PerturbationSpec, bracket, tol: float = RESIDUAL_TOL
     at half that to estimate each node's error; nodes whose sign or
     status that resolution cannot be trusted with are integrated again
     (`_settle_scan`).  `on_scan`, if given, receives the settled scan as
-    (grid, r1, status).
+    (grid, r1, status), whose r1 is trusted for the sign of r1 - r0 and
+    for its status, not for its value: a node may stop as soon as its
+    sign is trusted.
 
     Each cell's count is chosen once, at its secant start point, by
     `_revolve` from BASE_STEPS (or from `steps` if that is more) against

@@ -72,7 +72,8 @@ def run_pipeline(spec: PerturbationSpec, targets=None, eps_values=None,
     simulate; the spec's own epsilon is used when omitted.  `bracket`
     bounds the fixed-point search, defaulting to (0.3 min, 3 max) around
     the predicted roots.  With `csv_dir` each epsilon's settled scan
-    is written to scan_NN.csv there.
+    is written to scan_NN.csv there; its r1 is trusted for its sign and
+    status, not its value (`flow.find_fixed_points`).
     """
     if targets is not None:
         avg, synthesized = retune_b(spec, targets)

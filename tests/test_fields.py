@@ -228,6 +228,24 @@ def test_json_exponents_survive_as_exact_rationals():
     assert back == t
 
 
+def test_exponent_strings_are_parsed_once():
+    from cycleavg.fields import _parse_fraction
+
+    text = "7/24"
+    first = term_from_json({"c": 1.0, "px": text, "py": "0", "sx": True, "sy": False})
+    again = term_from_json({"c": 2.0, "px": text, "py": "0", "sx": True, "sy": False})
+    assert first.x_exp == Fraction(7, 24) and again.x_exp is first.x_exp
+    # a malformed string raises each time and is never cached
+    before = _parse_fraction.cache_info()
+    for _ in range(2):
+        with pytest.raises(SpecError, match=r"cannot parse exponent '1/0'"):
+            SignedPowerTerm(1.0, "1/0", "1")
+    after = _parse_fraction.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses + 2)
+    with pytest.raises(SpecError, match="exact rational"):
+        SignedPowerTerm(1.0, True, 0)
+
+
 def test_json_malformed_rejected():
     with pytest.raises(SpecError):
         term_from_json({"c": 1.0, "px": "1/2", "py": "0"})

@@ -6,8 +6,10 @@ import logging
 import math
 import re
 from array import array
+from dataclasses import replace
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -226,19 +228,62 @@ def test_batch_status_matches_scalar_exceptions():
             assert abs(r1_batch - _revolution(spec, float(r0), steps)) <= 1e-12 * single
 
 
+class _Profiles(NamedTuple):
+    """Each field's profiles at every stage angle, as lists [j][n][i]."""
+    steps: int
+    thetas: list                  # [n][i]: angle of stage i of step n
+    alphas: tuple
+    radial: list
+    transverse: list
+
+
+def _graded(fields):
+    """A fractional power, or a sign flag other than its integer
+    exponent's parity, anywhere in the fields."""
+    return any(e.denominator > 1 or signed != bool(e.numerator % 2)
+               for f in fields for t in f.f_terms + f.g_terms
+               for e, signed in ((t.x_exp, t.x_signed), (t.y_exp, t.y_signed)))
+
+
+@lru_cache(maxsize=16)
+def _stage_profiles(fields, steps):
+    """Every field's radial and transverse profile at each stage angle of
+    each step, by `angular_components` and without the flow tables:
+    (n + c_i) h on the uniform mesh, or on a graded spec the quintic image
+    pi/2 (k + sigma(u)) of quadrant k, u = (n - k steps/4 + c_i) / (steps/4),
+    with the radial profile times sigma'(u)."""
+    h, per = 2.0 * math.pi / steps, steps // 4
+    stages = [(n, c) for n in range(steps) for c in flow._C]
+    if _graded(fields):
+        k = np.array([min(n // per, 3) for n, _ in stages])
+        u = np.array([(n - min(n // per, 3) * per + c) / per for n, c in stages])
+        thetas = 0.5 * math.pi * (k + u ** 3 * (10.0 - 15.0 * u + 6.0 * u * u))
+        weight = 30.0 * u * u * (1.0 - u) ** 2
+    else:
+        thetas, weight = np.array([(n + c) * h for n, c in stages]), 1.0
+    comps = [angular_components(f, thetas) for f in fields]
+
+    def by_step(values):
+        return np.reshape(values, (steps, len(flow._C))).tolist()
+
+    return _Profiles(steps, by_step(thetas), tuple(float(f.alpha) for f in fields),
+                     [by_step(fr * weight) for fr, _ in comps],
+                     [by_step(ft) for _, ft in comps])
+
+
 def _reference_batch(spec, tabs, r0):
-    """One revolution of a batch of radii that folds eps * b_j into the
-    tables itself and tags each row's failure at the stage it happens:
-    the reference for the batch kernel, which reads bound rows and checks
-    failures once per step."""
+    """One revolution of a batch of radii on `_stage_profiles` that folds
+    eps * b_j into them itself and tags each row's failure at the stage it
+    happens: the reference for the batch kernel, which reads bound rows
+    and checks failures once per step."""
     nf = len(tabs.alphas)
-    nodes = len(flow._NODES) * tabs.steps + 1
     alphas = np.asarray(tabs.alphas)[:, None]
-    eb = spec.epsilon * np.asarray(spec.b, dtype=float)[:, None]
+    eb = spec.epsilon * np.asarray(spec.b, dtype=float)[:, None, None]
+    shape = (nf, tabs.steps, len(flow._C))
     weights = np.ascontiguousarray(np.stack([
-        eb * np.reshape(tabs.radial, (nf, nodes)),
-        eb * np.reshape(tabs.transverse, (nf, nodes)),
-    ]).transpose(2, 0, 1))
+        eb * np.reshape(tabs.radial, shape),
+        eb * np.reshape(tabs.transverse, shape),
+    ]).transpose(2, 3, 0, 1))
     h = 2.0 * math.pi / tabs.steps
     lo, hi = flow.GUARD
     r = np.array(r0, dtype=float, copy=True)
@@ -247,8 +292,8 @@ def _reference_batch(spec, tabs, r0):
     k = np.empty((len(flow._B),) + r.shape)
     rows = [np.asarray(row) for row in flow._A]
 
-    def rhs(idx, rr):
-        num, dacc = weights[idx] @ rr ** alphas
+    def rhs(w, rr):
+        num, dacc = w @ rr ** alphas
         den = 1.0 + dacc / rr
         in_window = (rr > lo) & (rr < hi)
         ok = in_window & (den > 0.0)
@@ -257,9 +302,9 @@ def _reference_batch(spec, tabs, r0):
         return num / den
 
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        for base in range(0, len(flow._NODES) * tabs.steps, len(flow._NODES)):
-            for i, (row, offset) in enumerate(zip(rows, flow._OFFSETS)):
-                k[i] = rhs(base + offset, r + h * (row @ k[:i]) if i else r)
+        for step in range(tabs.steps):
+            for i, row in enumerate(rows):
+                k[i] = rhs(weights[step, i], r + h * (row @ k[:i]) if i else r)
             r = r + h * (np.asarray(flow._B) @ k)
         np.copyto(status, 2, where=alive & ~((r > lo) & (r < hi)))
     return np.where(status == 0, r, np.nan), status
@@ -275,11 +320,12 @@ def test_batch_kernel_matches_its_per_stage_reference():
     for spec, (lo, hi) in cases:
         spec = normalize_ccw(spec)
         grid = np.logspace(math.log10(lo), math.log10(hi), flow.SCAN_POINTS)
-        for steps in (4, 8, 64):
+        # BASE_STEPS reads packed rows, the lower counts tuples
+        for steps in (flow.BASE_STEPS, 4, 8, 64):
             new = [a.tolist() for a in
                    flow._integrate_batch(flow._search_tables(spec)(steps), grid)]
             ref = [a.tolist() for a in
-                   _reference_batch(spec, flow._tables(spec.fields, steps), grid)]
+                   _reference_batch(spec, _stage_profiles(spec.fields, steps), grid)]
             # repr tells -0.0 from 0.0 and compares NaNs; == would do neither
             assert repr(new) == repr(ref), (spec, (lo, hi), steps)
             seen.append(set(new[1]))
@@ -347,6 +393,41 @@ def test_newton_revolutions_per_cell(monkeypatch, case):
     off_grid = [n for r, n in value_only if r not in grid]
     assert off_grid == [flow.BASE_STEPS // 2] * len(certs)
     assert len(tangent) <= 4 * len(certs)
+
+
+def _scaled_against_b(spec, j, kappa):
+    """Field j's coefficients times kappa and b_j over kappa: the same
+    system, so a metamorphic relation of the whole chain."""
+    def scaled(terms):
+        return tuple(replace(t, coeff=t.coeff * kappa) for t in terms)
+
+    fields, b = list(spec.fields), list(spec.b)
+    fields[j] = HomogeneousField(scaled(fields[j].f_terms), scaled(fields[j].g_terms),
+                                 fields[j].alpha)
+    b[j] /= kappa
+    return replace(spec, fields=tuple(fields), b=tuple(b))
+
+
+@pytest.mark.parametrize("kappa", [1e-2, 1e2])
+@pytest.mark.parametrize("case", ["vdp", "example2", "lienard7"])
+def test_scaling_a_field_against_its_b_keeps_the_certificates(case, kappa):
+    # every field's column e_j F_j, e_j G_j of the rows is the same to
+    # rounding, so each search certifies the same cycles
+    if case == "lienard7":
+        spec, bracket = _lienard7(), (0.4, 2.2)
+    elif case == "vdp":
+        spec, bracket = with_epsilon(vdp().spec, 0.01), (0.5, 2.0)
+    else:
+        spec, _, bracket = _search_case("example2")
+    base = find_fixed_points(spec, bracket)
+    assert base
+    for j in range(len(spec.fields)):
+        certs = find_fixed_points(_scaled_against_b(spec, j, kappa), bracket)
+        assert len(certs) == len(base), j
+        for cert, want in zip(certs, base):
+            tol = 1e-9 * want.r_star
+            assert abs(cert.r_star - want.r_star) <= tol, (j, cert, want)
+            assert abs(cert.map_derivative - want.map_derivative) <= tol, (j, cert, want)
 
 
 @pytest.mark.parametrize("case, counts", [
@@ -763,9 +844,9 @@ def test_generated_kernel_observes_the_tableau_order(tangent):
     kernel = flow._kernel(1, tangent)
 
     def error(n):
-        nodes = len(set(flow._C) - {1.0}) * n + 1
-        out = kernel(r0, 2.0 * math.pi / n, n, *flow.GUARD, np.zeros(nodes),
-                     2.0, (e,) * nodes, (0.0,) * nodes)
+        stages = len(flow._C)
+        out = kernel(r0, 2.0 * math.pi / n, *flow.GUARD, np.zeros(stages * n),
+                     ((e, 0.0) * stages,) * n, 2.0)
         return abs(out[1 if tangent else 0] - exact)
 
     errs = [error(n) for n in (8, 16, 32)]
@@ -815,55 +896,89 @@ def test_graded_order_is_that_of_the_square_root():
         assert 0.5 * errors[steps] <= estimate <= 2.0 * errors[steps]
 
 
-def _stage_nodes(steps):
-    """(step, c) of each table node: every distinct stage angle of each
-    step in increasing order, then the node that closes the turn."""
-    fractions = sorted(set(flow._C) - {1.0})
-    return [(n, c) for n in range(steps) for c in fractions] + [(steps, 0.0)]
-
-
-def _uniform_tables(fields, steps):
-    h = 2.0 * math.pi / steps
-    thetas = np.array([(n + c) * h for n, c in _stage_nodes(steps)])
-    comps = [angular_components(f, thetas) for f in fields]
-    return ([tuple(fr.tolist()) for fr, _ in comps],
-            [tuple(ft.tolist()) for _, ft in comps], thetas)
-
-
 @pytest.mark.parametrize("case", ["vdp", "lienard7"])
 def test_polynomial_specs_keep_the_uniform_mesh(case):
     spec = vdp().spec if case == "vdp" else _lienard7()
-    # a search binds row j to e_j = eps * b_j: below BASE_STEPS as tuples,
-    # from it on packed, with the values of e_j times each entry
+    assert not _graded(spec.fields)
+    # a search binds field j to e_j = eps * b_j: below BASE_STEPS as a
+    # tuple per step, from it on packed, with the values of e_j times each
+    # entry
     e = [spec.epsilon * bj for bj in spec.b]
     for steps, kind in ((flow.BASE_STEPS // 2, tuple), (flow.BASE_STEPS, array)):
         tabs = flow._tables(spec.fields, steps)
-        radial, transverse, thetas = _uniform_tables(spec.fields, steps)
-        assert [tuple(row) for row in tabs.radial] == radial
-        assert [tuple(row) for row in tabs.transverse] == transverse
-        assert np.array_equal(tabs.thetas, thetas)
+        profiles = _stage_profiles(spec.fields, steps)
+        assert tabs.rows[:, :, 0].transpose(2, 0, 1).tolist() == profiles.radial
+        assert tabs.rows[:, :, 1].transpose(2, 0, 1).tolist() == profiles.transverse
+        h = 2.0 * math.pi / steps
+        assert tabs.thetas.tolist() == [(n + c) * h for n in range(steps) for c in flow._C]
         tables = flow._search_tables(spec)
         bound = tables(steps)
         assert tables(steps) is bound
-        for rows, scaled in ((radial, bound.radial), (transverse, bound.transverse)):
-            assert all(type(row) is kind for row in scaled)
-            assert [list(row) for row in scaled] == [[ej * v for v in row]
-                                                     for ej, row in zip(e, rows)]
+        assert type(bound.rows) is kind
+        scaled = np.reshape(bound.rows, tabs.rows.shape)
+        for profile, side in ((profiles.radial, 0), (profiles.transverse, 1)):
+            assert scaled[:, :, side].transpose(2, 0, 1).tolist() == [
+                [[ej * v for v in stage] for stage in field]
+                for ej, field in zip(e, profile)]
+
+
+@pytest.mark.parametrize("steps", [8, 64, 256])
+@pytest.mark.parametrize("case", ["vdp", "lienard7", "example1"])
+def test_rows_hold_every_stage_profile_of_their_step(case, steps):
+    # row n: for each stage i in tableau order, F_j then G_j of every field
+    # at stage angle i of step n, raw in `_tables` and times e_j once bound
+    spec = {"vdp": vdp().spec, "lienard7": _lienard7(),
+            "example1": normalize_ccw(example1().spec)}[case]
+    assert _graded(spec.fields) == (case == "example1")
+    profiles = _stage_profiles(spec.fields, steps)
+    e = [spec.epsilon * bj for bj in spec.b]
+    raw, want = [], []
+    for n, row in enumerate(flow._tables(spec.fields, steps).rows.tolist()):
+        raw.append([v for stage in row for side in stage for v in side])
+        want.append([v for i in range(len(flow._C))
+                     for profile in (profiles.radial, profiles.transverse)
+                     for v in (field[n][i] for field in profile)])
+    assert repr(raw) == repr(want)
+    assert repr(flow._tables(spec.fields, steps).thetas.tolist()) == repr(
+        [theta for row in profiles.thetas for theta in row])
+    bound = flow._search_tables(spec)(steps).rows
+    rows = (list(map(list, bound)) if isinstance(bound, tuple)
+            else np.reshape(bound, (steps, -1)).tolist())
+    nf = len(spec.fields)
+    assert repr(rows) == repr([[e[m % nf] * v for m, v in enumerate(row)] for row in want])
+    # the c = 1 stage of a step repeats the first stage of the next
+    assert all(row[-2 * nf:] == later[:2 * nf] for row, later in zip(want, want[1:]))
+
+
+def test_a_spec_without_fields_gets_empty_rows():
+    for steps in (8, 64, 256):
+        assert flow._tables((), steps).rows.shape == (steps, len(flow._C), 2, 0)
+        bound = flow._search_tables(PerturbationSpec((), (), 0.01))(steps)
+        assert bound.rows == ((),) * steps
 
 
 def test_fractional_spec_is_graded_per_quadrant():
     steps = 64
     tabs = flow._tables(example1().spec.fields, steps)
-    nodes = _stage_nodes(steps)
-    axes = [nodes.index((k * steps // 4, 0.0)) for k in range(5)]
-    assert tabs.thetas[axes].tolist() == [k * math.pi / 2 for k in range(5)]
+    thetas = tabs.thetas.reshape(steps, len(flow._C))
+    quarter = steps // 4
+    axes = [thetas[k * quarter, 0] for k in range(4)] + [thetas[-1, -1]]
+    assert axes == [k * math.pi / 2 for k in range(5)]
     # sigma'(u) = 30 u^2 (1 - u)^2 vanishes on the axes
-    assert all(tabs.radial[j][i] == 0.0 for j in range(3) for i in axes)
-    # every stage angle of a step lies in the step's own quadrant
-    for i, (n, _) in enumerate(nodes[:-1]):
-        quadrant = n // (steps // 4)
-        assert quadrant * math.pi / 2 <= tabs.thetas[i] < (quadrant + 1) * math.pi / 2
-    assert np.all(np.diff(tabs.thetas) > 0.0)
+    for n, i in [(k * quarter, 0) for k in range(4)] + [(steps - 1, -1)]:
+        assert all(v == 0.0 for v in tabs.rows[n, i, 0])
+    # every stage angle of a step lies in the step's own quadrant, a stage
+    # at c = 1 on its far edge
+    for n, row in enumerate(thetas):
+        quadrant = n // quarter
+        for c, theta in zip(flow._C, row):
+            assert quadrant * math.pi / 2 <= theta <= (quadrant + 1) * math.pi / 2
+            assert theta < (quadrant + 1) * math.pi / 2 or c == 1.0
+    # the grading keeps the order of the stage angles (n + c_i) h
+    key = (np.arange(steps)[:, None] + np.asarray(flow._C)).ravel()
+    order = np.argsort(key, kind="stable")
+    assert np.array_equal(np.diff(tabs.thetas[order]) > 0.0, np.diff(key[order]) > 0.0)
+    assert np.all(np.diff(tabs.thetas[order]) >= 0.0)
 
 
 def test_stiff_revolution_chooses_more_steps():
@@ -1019,14 +1134,13 @@ def _first_term_sum(terms):
 
 
 def _reference_revolution(spec, tabs, r0, tangent):
-    """One revolution as a plain loop over the stages of the tableau,
-    with a per-stage `rhs` closure and a loop over the fields: the
-    reference that the generated kernels must match bit for bit.  Returns
+    """One revolution on `_stage_profiles` as a plain loop over the stages
+    of the tableau, with a per-stage `rhs` closure and a loop over the
+    fields: the reference that the generated kernels must match bit for
+    bit.  Returns
     (r1, min speed), or with `tangent` (r1, dr1/dr0) carried by
     l_i = (df/dr)_i (s + h sum_j a_ij l_j)."""
-    a, b, c = flow._A, flow._B, flow._C
-    nodes = sorted(set(c) - {1.0})             # stage angles of one step
-    offsets = [nodes.index(ci) if ci < 1.0 else len(nodes) for ci in c]
+    a, b = flow._A, flow._B
     fields = tuple(zip(tabs.alphas, [al - 1.0 for al in tabs.alphas],
                        [spec.epsilon * bj for bj in spec.b],
                        tabs.radial, tabs.transverse))
@@ -1034,22 +1148,22 @@ def _reference_revolution(spec, tabs, r0, tangent):
     lo, hi = flow.GUARD
     least = math.inf
 
-    def rhs(idx, r):
+    def rhs(step, i, r):
         nonlocal least
         if not lo < r < hi:
             raise GuardBoundError(
                 f"radius {r:.6g} left the window ({lo:g}, {hi:g}) near "
-                f"theta={tabs.thetas[idx]:.6g}"
+                f"theta={tabs.thetas[step][i]:.6g}"
             )
         # f = num / den with num = sum t_j, den = 1 + sum u_j / r, so
         # num' = sum a_j t_j / r and den' = sum (a_j - 1) u_j / r^2.
-        t = [e * fr[idx] * r ** al for al, _, e, fr, _ in fields]
-        u = [e * tr[idx] * r ** al for al, _, e, _, tr in fields]
+        t = [e * fr[step][i] * r ** al for al, _, e, fr, _ in fields]
+        u = [e * tr[step][i] * r ** al for al, _, e, _, tr in fields]
         den = 1.0 + _first_term_sum(u) / r
         if den <= 0.0:
             raise AngularMonotonicityError(
                 f"angular speed {den:.3e} <= 0 at theta="
-                f"{tabs.thetas[idx]:.6g}, r={r:.6g}"
+                f"{tabs.thetas[step][i]:.6g}, r={r:.6g}"
             )
         least = min(least, den)
         f = _first_term_sum(t) / den
@@ -1064,8 +1178,8 @@ def _reference_revolution(spec, tabs, r0, tangent):
     r, s = float(r0), 1.0
     for step in range(tabs.steps):
         ks, ls = [], []
-        for row, offset in zip(a, offsets):
-            k, d = rhs(len(nodes) * step + offset, combined(r, row, ks))
+        for i, row in enumerate(a):
+            k, d = rhs(step, i, combined(r, row, ks))
             ks.append(k)
             ls.append(d * combined(s, row, ls))
         r, s = combined(r, b, ks), combined(s, b, ls)
@@ -1096,10 +1210,11 @@ def _assert_same_bits(spec, r0, steps):
     kinds of outcome, "ok" or the error type, per kernel."""
     kinds = {}
     for kernel, reference in KERNELS:
-        # the kernel reads bound rows, its reference binds e_j itself
+        # the kernel reads bound rows, its reference binds e_j to its own
+        # profiles
         new = _kernel_outcome(kernel, flow._search_tables(spec), r0, steps)
         ref = _kernel_outcome(partial(reference, spec),
-                              partial(flow._tables, spec.fields), r0, steps)
+                              partial(_stage_profiles, spec.fields), r0, steps)
         # repr tells -0.0 from 0.0 and compares NaNs; == would do neither
         assert repr(new) == repr(ref), (kernel.__name__, spec, r0, steps)
         kinds[kernel] = {out[0] if isinstance(out[0], type) else "ok" for out in new}
