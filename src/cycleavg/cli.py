@@ -10,7 +10,9 @@ non-finite numeric argument (ValueError), or a path that cannot be read
 or written (OSError: --out, --csv, a --system file); 4 simulated
 fixed-point count disagrees with the averaged prediction; 1 any other
 computation error.  `simulate`, `pipeline` and `continuation` share one
-`--eps` rule (`flow.sweep`), checked before any search.  `--tol` (on
+`--eps` rule (`flow.check_eps_values`: finite, positive and strictly
+decreasing), checked before any search; `simulate --r0` checks its one
+epsilon, from `--eps` or else from the spec, by the same rule.  `--tol` (on
 `simulate`, `continuation`, `pipeline` and `repro`) is the fixed-point
 residual tolerance, finite and positive; `simulate --r0` refuses any
 value but the default, `flow.RESIDUAL_TOL`, its revolution's target.
@@ -32,6 +34,7 @@ from .errors import CountMismatchError, CycleAvgError, SpecError
 from .fields import _fraction_str, load_spec, spec_to_json, with_epsilon
 from .flow import (
     RESIDUAL_TOL,
+    check_eps_values,
     continuation_check,
     continuation_to_json,
     return_map,
@@ -109,7 +112,7 @@ def cmd_simulate(args):
         if args.bracket or args.tol != RESIDUAL_TOL or len(args.eps or ()) > 1:
             raise SpecError("--r0 samples one radius: it takes no --bracket, "
                             "no --tol and at most one --eps value")
-        eps = args.eps[0] if args.eps else spec.epsilon
+        [eps] = check_eps_values(args.eps or [spec.epsilon])
         sample = return_map(with_epsilon(spec, eps), args.r0, args.steps)
         return {"sample": sample_to_json(sample)}
     if args.bracket:

@@ -40,14 +40,18 @@ REVOLUTION_STEPS, so that most radii need no second level and its cost
 depends little on its radius.  An explicit `steps` is the lowest count
 each may start from; only `scan_return_map` runs an exact count.
 
-A lone radius runs in one of two kernels generated per field count
-(`_kernel`): the value kernel, and the tangent kernel that also carries
-dP/dr0 for Newton.  Each is one revolution written out as straight-line
-Python, one block per stage of the tableau, for nf fields and compiled once
-per process; it unpacks a row into locals as its step starts.  The
-generated source holds field indices and the tableau's weights only;
-exponents, the rows (bound once per search and step count to
-e_j = eps * b_j, `_search_tables`) and the guard window are its
+A lone radius runs in one of two kernels generated per exponent pattern
+(`_kernel`, keyed by `_pattern`): the value kernel, and the tangent
+kernel that also carries dP/dr0 for Newton.  Each is one revolution
+written out as straight-line Python, one block per stage of the tableau,
+and compiled once per process; it unpacks a row into locals as its step
+starts.  The pattern classes each field's exponent as 0, 1 or any other,
+and only the others cost a power: r ** 0.0 == 1.0 and r ** 1.0 == r
+exactly, so a field of exponent 0 reads its row values as they are and
+one of exponent 1 multiplies them by r, with the same bits.  The
+generated source holds field indices, those classes and the tableau's
+weights only; the exponents, the rows (bound once per search and step
+count to e_j = eps * b_j, `_search_tables`) and the guard window are its
 arguments, so no spec data is compiled.  Below BASE_STEPS the bound rows
 are tuples; from it on their doubles stay packed, a quarter of the
 memory, and each row is unpacked from the buffer as its step starts.  A
@@ -223,7 +227,9 @@ def _search_tables(spec: PerturbationSpec):
     """steps -> `_tables` of the spec's fields with field j's values scaled
     by e_j = eps * b_j, the only rows the kernels read; each count is
     bound once for as long as the caller (one search) keeps the lookup."""
-    e = np.array([spec.epsilon * bj for bj in spec.b], dtype=float)
+    # e_j at every place of field j in a row: 12 stages of F_j, then G_j
+    e = np.tile(np.array([spec.epsilon * bj for bj in spec.b], dtype=float),
+                2 * len(_C))
 
     @lru_cache(maxsize=None)
     def bound(steps: int) -> _Tables:
@@ -234,11 +240,12 @@ def _search_tables(spec: PerturbationSpec):
         # and a kernel unpacks each row as its step starts (`struct`
         # cannot unpack the empty rows of a spec without fields).
         tabs = _tables(spec.fields, steps)
+        raw = tabs.rows.reshape(steps, -1)
         if steps < BASE_STEPS or not spec.fields:
-            rows = tuple(map(tuple, (tabs.rows * e).reshape(steps, -1).tolist()))
+            rows = tuple(map(tuple, (raw * e).tolist()))
         else:
-            rows = array("d", [0.0]) * tabs.rows.size
-            np.multiply(tabs.rows, e, out=np.frombuffer(rows).reshape(tabs.rows.shape))
+            rows = array("d", [0.0]) * raw.size
+            np.multiply(raw, e, out=np.frombuffer(rows).reshape(raw.shape))
         return tabs._replace(rows=rows)
 
     return bound
@@ -270,42 +277,66 @@ def _weighted(weights, names) -> str:
     return " + ".join(f"{w!r} * {x}" for w, x in zip(weights, names) if w)
 
 
-@lru_cache(maxsize=16)
-def _kernel(nf: int, tangent: bool):
+def _pattern(alphas) -> str:
+    """The kernels' key: per field "0" or "1" for an exponent of that
+    value, "a" for any other."""
+    return "".join("0" if a == 0.0 else "1" if a == 1.0 else "a" for a in alphas)
+
+
+@lru_cache(maxsize=64)
+def _kernel(pattern: str, tangent: bool):
     """kernel(r0, h, lo, hi, thetas, rows, a_0, a_1, ...):
-    one step of the tableau per bound row (`_search_tables`) for `nf`
-    fields, the row unpacked as its step starts into f{i}_{j}, g{i}_{j},
-    the e_j F_j and e_j G_j of stage i, of num / den with
-    num = sum f_j r^a_j and den = 1 + sum g_j r^a_j / r, each sum in field
-    order from its first term (0.0 with no fields); every stage
-    combination sums its nonzero weights in stage order.  Returns
-    (r1, min speed), or with `tangent` (r1, dr1/dr0) carried through the
-    same stages by the variational equation,
-    df/dr = (sum a_j t_j / r - f sum (a_j - 1) u_j / r^2) / den.
+    one step of the tableau per bound row (`_search_tables`) for fields
+    whose exponents follow `pattern` (`_pattern`), the row unpacked as its
+    step starts into f{i}_{j}, g{i}_{j}, the e_j F_j and e_j G_j of stage
+    i, of num / den with num = sum f_j r^a_j and
+    den = 1 + sum g_j r^a_j / r, each sum in field order from its first
+    term (0.0 with no fields); every stage combination sums its nonzero
+    weights in stage order.  Returns (r1, min speed), or with `tangent`
+    (r1, dr1/dr0) carried through the same stages by the variational
+    equation, df/dr = (sum a_j t_j / r - f sum (a_j - 1) u_j / r^2) / den.
+
+    Only an "a" field computes r ** a_j: a "0" field reads f_j and g_j
+    as they are and a "1" field multiplies them by r, since r ** 0.0 ==
+    1.0, f * 1.0 == f and r ** 1.0 == r hold exactly.  In df/dr, a_j t_j
+    is t_j at a_j = 1 and (a_j - 1) u_j is -u_j at a_j = 0, both exact;
+    the terms 0 * t_j (a_j = 0) and 0 * u_j (a_j = 1) are left out.  For
+    finite rows they are +-0, which leaves a sum unchanged but for the
+    sign of a zero sum, and such a zero reaches s only added to a
+    nonzero value, so every result is that of r ** a_j throughout.
     """
-    fields, stages = range(nf), range(len(_B))
+    fields, stages = range(len(pattern)), range(len(_B))
+    general = [j for j in fields if pattern[j] == "a"]
+
+    def power(j, value):
+        """value r^a_j as field j's class computes it."""
+        return {"0": value, "1": f"{value} * x"}.get(pattern[j], f"{value} * p{j}")
 
     def total(terms):
-        return "(" + (" + ".join(terms) or "0.0") + ")"
+        return "(" + (" + ".join(term for term in terms if term) or "0.0") + ")"
 
     def stage(i, row):
-        t = [f"f{i}_{j} * p{j}" for j in fields]
-        u = [f"g{i}_{j} * p{j}" for j in fields]
+        t = [power(j, f"f{i}_{j}") for j in fields]
+        u = [power(j, f"g{i}_{j}") for j in fields]
         ks = _weighted(row, (f"k{j}" for j in range(i)))
         ls = _weighted(row, (f"l{j}" for j in range(i)))
         theta = f"thetas[{len(_B)} * n + {i}]"
         yield f"x = r + h * ({ks})" if ks else "x = r"
         yield f"if not lo < x < hi: _guard_exit(x, lo, hi, {theta})"
-        yield from (f"p{j} = x ** a{j}" for j in fields)
-        if tangent:                 # named, as df/dr uses each term again
-            yield from (f"t{j} = {t[j]}; u{j} = {u[j]}" for j in fields)
-            t, u = [f"t{j}" for j in fields], [f"u{j}" for j in fields]
+        yield from (f"p{j} = x ** a{j}" for j in general)
+        if tangent:                 # products named, as df/dr uses each term again
+            for j in fields:
+                if pattern[j] != "0":
+                    yield f"t{j} = {t[j]}; u{j} = {u[j]}"
+                    t[j], u[j] = f"t{j}", f"u{j}"
         yield f"den = 1.0 + {total(u)} / x"
         yield f"if den <= 0.0: _speed_exit(den, {theta}, x)"
         yield f"k{i} = {total(t)} / den"
-        if tangent:
-            yield (f"l{i} = (({total(f'a{j} * t{j}' for j in fields)} / x - k{i} * "
-                   f"{total(f'm{j} * u{j}' for j in fields)} / (x * x)) / den) * "
+        if tangent:                 # a_j t_j and (a_j - 1) u_j, with 0 * t or u left out
+            dnum = ({"0": "", "1": t[j]}.get(pattern[j], f"a{j} * {t[j]}") for j in fields)
+            dden = ({"0": f"-{u[j]}", "1": ""}.get(pattern[j], f"m{j} * {u[j]}")
+                    for j in fields)
+            yield (f"l{i} = (({total(dnum)} / x - k{i} * {total(dden)} / (x * x)) / den) * "
                    + (f"(s + h * ({ls}))" if ls else "s"))
         else:
             yield "if den < least: least = den"
@@ -313,7 +344,7 @@ def _kernel(nf: int, tangent: bool):
     row = ", ".join(f"{fg}{i}_{j}" for i in stages for fg in "fg" for j in fields)
     source = "\n".join([
         f"def kernel(r, h, lo, hi, thetas, rows{''.join(f', a{j}' for j in fields)}):",
-        *(f"    m{j} = a{j} - 1.0" for j in fields if tangent),
+        *(f"    m{j} = a{j} - 1.0" for j in general if tangent),
         "    s = 1.0" if tangent else "    least = inf",
         f"    for n, [{row}] in enumerate(rows):",
         *("        " + line for i in stages for line in stage(i, _A[i])),
@@ -322,7 +353,7 @@ def _kernel(nf: int, tangent: bool):
          if tangent else ""),
         "    return r, s" if tangent else "    return r, least"])
     namespace = {"inf": math.inf, "_guard_exit": _guard_exit, "_speed_exit": _speed_exit}
-    exec(compile(source, f"<flow kernel nf={nf} tangent={tangent}>", "exec"), namespace)
+    exec(compile(source, f"<flow kernel {pattern!r} tangent={tangent}>", "exec"), namespace)
     return namespace["kernel"]
 
 
@@ -330,7 +361,7 @@ def _run_kernel(tangent: bool, tabs: _Tables, r0: float) -> tuple[float, float]:
     rows = tabs.rows
     if not isinstance(rows, tuple):
         rows = struct.iter_unpack(f"{len(rows) // tabs.steps}d", rows)
-    r, second = _kernel(len(tabs.alphas), tangent)(
+    r, second = _kernel(_pattern(tabs.alphas), tangent)(
         float(r0), 2.0 * math.pi / tabs.steps, *GUARD, tabs.thetas, rows, *tabs.alphas)
     lo, hi = GUARD
     if not lo < r < hi:
@@ -689,21 +720,28 @@ def find_fixed_points(spec: PerturbationSpec, bracket, tol: float = RESIDUAL_TOL
     return certificates
 
 
-def sweep(spec: PerturbationSpec, eps_values, bracket, tol: float = RESIDUAL_TOL,
-          steps: int | None = None, *, on_scan=None):
-    """Certified fixed points at each epsilon, as lazy (eps, certificates).
-
-    The epsilon list is checked here, before any search: it must be
-    non-empty, every value finite and positive, and the list strictly
-    decreasing.  The searches run only as the result is iterated, so a
-    consumer that stops at the first failing epsilon searches no further.
-    `on_scan` is passed to each `find_fixed_points`.
-    """
+def check_eps_values(eps_values) -> list[float]:
+    """The epsilon values as floats: a non-empty list, every value finite
+    and positive, strictly decreasing; else ValueError."""
     eps_list = [float(e) for e in eps_values]
     if not eps_list or not all(0 < e < math.inf for e in eps_list):
         raise ValueError(f"epsilon values must be finite and positive, got {eps_list}")
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ValueError(f"epsilon values must strictly decrease, got {eps_list}")
+    return eps_list
+
+
+def sweep(spec: PerturbationSpec, eps_values, bracket, tol: float = RESIDUAL_TOL,
+          steps: int | None = None, *, on_scan=None):
+    """Certified fixed points at each epsilon, as lazy (eps, certificates).
+
+    The epsilon list is checked here, before any search
+    (`check_eps_values`).  The searches run only as the result is
+    iterated, so a consumer that stops at the first failing epsilon
+    searches no further.
+    `on_scan` is passed to each `find_fixed_points`.
+    """
+    eps_list = check_eps_values(eps_values)
     return ((eps, find_fixed_points(with_epsilon(spec, eps), bracket, tol, steps,
                                     on_scan=on_scan))
             for eps in eps_list)

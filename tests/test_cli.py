@@ -22,6 +22,7 @@ from cycleavg import (
     retune_b,
     spec_to_json,
     vdp,
+    with_epsilon,
 )
 from cycleavg import cli, flow, monomials
 from cycleavg.cli import build_parser, main
@@ -310,6 +311,8 @@ def test_exit_code_2_on_bad_input(capsys):
     "simulate --preset vdp --r0 nan",
     "simulate --preset vdp --r0 inf",
     "simulate --preset vdp --r0 1 --eps 0.01 0.5",
+    "simulate --preset vdp --r0 1 --eps 0",
+    "simulate --preset vdp --r0 1 --eps -0.01",
     "simulate --preset vdp --r0 1 --bracket 0.5 2",
     "repro vdp --m 5",
     "pipeline --preset vdp --eps nan --steps 512",
@@ -334,6 +337,21 @@ def test_exit_code_2_on_bad_numeric_argument(capsys, argv):
     assert rc == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_r0_checks_its_epsilon_by_the_eps_rule(capsys, tmp_path):
+    # from --eps or else from the spec, one epsilon must be finite and
+    # positive, as every other --eps value is; return_map itself accepts 0
+    # and negative values
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(spec_to_json(with_epsilon(vdp().spec, 0.0))))
+    for argv in (["--preset", "vdp", "--eps", "0"],
+                 ["--preset", "vdp", "--eps", "-0.01"],
+                 ["--spec", str(path)]):
+        assert main(["simulate", *argv, "--r0", "1.0"]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: epsilon values must be finite and positive")
+    assert flow.return_map(with_epsilon(vdp().spec, 0.0), 1.0).r1 == 1.0
 
 
 def test_exit_code_2_on_non_finite_spec(capsys, tmp_path):

@@ -28,6 +28,7 @@ from cycleavg import (
     average,
     capillary,
     catalog,
+    constant_field,
     continuation_check,
     example1,
     example2,
@@ -40,6 +41,7 @@ from cycleavg import (
     return_map,
     run_pipeline,
     scan_return_map,
+    signed_root_field,
     vdp,
     with_b,
     with_epsilon,
@@ -841,7 +843,7 @@ def test_generated_kernel_observes_the_tableau_order(tangent):
     e, r0 = 0.11, 1.0
     x = 1.0 - 2.0 * math.pi * e * r0
     exact = 1.0 / x ** 2 if tangent else r0 / x
-    kernel = flow._kernel(1, tangent)
+    kernel = flow._kernel("a", tangent)
 
     def error(n):
         stages = len(flow._C)
@@ -1295,9 +1297,10 @@ def test_a_spec_without_fields_leaves_every_radius_fixed():
     assert all(k == {"ok"} for k in kinds.values())
 
 
-def test_one_compiled_kernel_per_field_count_and_kind():
-    # the generated source holds field indices only, so every spec with
-    # the same number of fields shares one kernel of each kind
+def test_one_compiled_kernel_per_exponent_pattern_and_kind():
+    # the generated source holds field indices and each exponent's class
+    # only, so every spec with the same pattern shares one kernel of each
+    # kind (herd and lienard5 share "1aa")
     flow._kernel.cache_clear()
     used = set()
     for name, make in sorted(catalog().items()):
@@ -1305,12 +1308,76 @@ def test_one_compiled_kernel_per_field_count_and_kind():
         for kind, kernel in ((False, flow._integrate_scalar),
                              (True, flow._integrate_tangent)):
             _kernel_outcome(kernel, flow._search_tables(spec), 1.0, 64)
-            used.add((len(spec.fields), kind))
+            used.add((flow._pattern(spec.alphas), kind))
         for eps in (0.005, 0.02):
             _kernel_outcome(flow._integrate_scalar,
                             flow._search_tables(with_epsilon(spec, eps)), 1.0, 64)
-    assert flow._kernel.cache_info().currsize == len(used)
-    assert flow._kernel.cache_info().misses == len(used)
+    assert len(used) == 14
+    info = flow._kernel.cache_info()
+    assert info.maxsize >= 2 * len(used)   # the catalog never evicts a kernel
+    assert info.currsize == info.misses == len(used)
+
+
+def _kernel_source(monkeypatch, pattern, tangent):
+    """The source `flow._kernel` generates for (pattern, tangent)."""
+    sources = []
+    monkeypatch.setattr(flow, "compile", lambda source, *rest: (
+        sources.append(source) or compile(source, *rest)), raising=False)
+    flow._kernel.__wrapped__(pattern, tangent)
+    return sources[0]
+
+
+#: Powers x ** a_j per stage of either generated kernel: one per field
+#: whose exponent is neither 0 nor 1, where every field took one before.
+POWERS_PER_STAGE = {"vdp": 1, "example1": 1, "example2": 2, "lienard5": 2,
+                    "lienard6": 3, "lienard7": 4}
+
+
+@pytest.mark.parametrize("name, powers", sorted(POWERS_PER_STAGE.items()))
+def test_powers_per_stage_are_pinned(monkeypatch, name, powers):
+    spec = catalog()[name]().spec
+    pattern = flow._pattern(spec.alphas)
+    for tangent in (False, True):
+        source = _kernel_source(monkeypatch, pattern, tangent)
+        assert source.count("**") == powers * len(flow._C), (pattern, tangent)
+
+
+def _no_power_spec(eps):
+    """Fields of exponents 0 and 1 only: pattern "01"."""
+    return PerturbationSpec((constant_field(1.0, -0.5),
+                             linear_field(0.3, -1.0, 0.7, 0.2)), (1.0, 1.0), eps)
+
+
+def _mixed_pattern_spec(eps):
+    """Exponents 0, 1/3, 1, 3/2 and 2: pattern "0a1aa", three general
+    exponents, one of them an integer, on the graded mesh."""
+    return PerturbationSpec(
+        (constant_field(1.0, -0.5),
+         signed_root_field(0.4, 0.0, 0.0, 0.6, Fraction(1, 3)),
+         linear_field(0.3, -1.0, 0.7, 0.2),
+         signed_root_field(-0.2, 0.5, 0.1, -0.3, Fraction(3, 2)),
+         signed_root_field(0.1, 0.0, 0.0, -0.4, 2)), (1.0,) * 5, eps)
+
+
+@pytest.mark.parametrize("make, pattern, powers", [
+    (_no_power_spec, "01", 0), (_mixed_pattern_spec, "0a1aa", 3)])
+def test_pattern_kernels_match_their_references_at_both_exits(
+        monkeypatch, make, pattern, powers):
+    # finished revolutions, guard exits (a large radius at eps 2) and lost
+    # angular speed (the constant field near r = 0): repr-identical to the
+    # reference that computes r ** a_j for every field
+    spec = make(0.01)
+    assert flow._pattern(spec.alphas) == pattern
+    for tangent in (False, True):
+        source = _kernel_source(monkeypatch, pattern, tangent)
+        assert source.count("**") == powers * len(flow._C)
+    outcomes = {kernel: set() for kernel, _ in KERNELS}
+    for eps, r0 in ((0.01, 1.0), (0.01, 2e-4), (2.0, 5e3)):
+        for steps in (8, 64, 256):
+            for kernel, kinds in _assert_same_bits(make(eps), r0, steps).items():
+                outcomes[kernel] |= kinds
+    for kinds in outcomes.values():
+        assert kinds == {"ok", GuardBoundError, AngularMonotonicityError}
 
 
 def _revolutions(monkeypatch):
