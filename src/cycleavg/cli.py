@@ -9,10 +9,12 @@ inconsistent flags, an unreadable --spec: SpecError), an out-of-range or
 non-finite numeric argument (ValueError), or a path that cannot be read
 or written (OSError: --out, --csv, a --system file); 4 simulated
 fixed-point count disagrees with the averaged prediction; 1 any other
-computation error.  `simulate`, `pipeline` and `continuation` share one
-`--eps` rule (`flow.check_eps_values`: finite, positive and strictly
-decreasing), checked before any search; `simulate --r0` checks its one
-epsilon, from `--eps` or else from the spec, by the same rule.  `--tol` (on
+computation error, a result that holds a NaN or an infinity included:
+stdout is strict JSON or empty.  `simulate`, `pipeline` and
+`continuation` share one `--eps` rule (`flow.check_eps_values`: finite,
+positive and strictly decreasing), checked before any search;
+`simulate --r0` checks its one epsilon, from `--eps` or else from the
+spec, by the same rule.  `--tol` (on
 `simulate`, `continuation`, `pipeline` and `repro`) is the fixed-point
 residual tolerance, finite and positive; `simulate --r0` refuses any
 value but the default, `flow.RESIDUAL_TOL`, its revolution's target.
@@ -272,7 +274,13 @@ def _emit(payload: dict, out_path) -> None:
         "header": {"tool": "cycleavg", "version": __version__},
         "result": payload,
     }
-    text = json.dumps(document, sort_keys=True, indent=2) + "\n"
+    try:
+        text = json.dumps(document, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        # a computed NaN or infinity, which strict JSON cannot carry: the
+        # computation's failure, not the input's (exit 1, not 2)
+        raise CycleAvgError("the result holds a non-finite number, which JSON "
+                            "cannot represent") from exc
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)

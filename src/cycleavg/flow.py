@@ -29,16 +29,24 @@ row n holds, for each of the 12 stages in order, F_j and then G_j of
 every field at the stage angle (n + c_i) h, so a stage at c = 1 repeats
 the next row's first values.
 
-Every revolution's count is chosen by one rule (`_revolve`): run at a
+A lone-radius revolution runs on a per-quadrant mesh (n_0, n_1, n_2,
+n_3) (`_run_mesh`): quadrant k takes its n_k steps from the tables of
+4 n_k steps, with h = 2 pi / (4 n_k), and hands r (and the tangent's s,
+and the least angular speed) on to the next quadrant.  A uniform mesh, 4 n
+steps in all, is one kernel call over whole tables.  Every revolution's
+mesh is chosen by one rule (`_revolve`): start on the uniform mesh of a
 start count and, while the Richardson estimate |P_N - P_N/2| / (2^q - 1)
-exceeds the caller's target, or a pass leaves the guard window or loses
-angular speed, double the count, up to MAX_STEPS; each level serves as
-the next one's half pass.  A Newton cell of the fixed-point search
-starts at BASE_STEPS, a scan node it settles at twice the scan's count
-(`_settle_scan`), and a lone revolution (`return_map`) at
-REVOLUTION_STEPS, so that most radii need no second level and its cost
-depends little on its radius.  An explicit `steps` is the lowest count
-each may start from; only `scan_return_map` runs an exact count.
+exceeds the caller's target, double every quadrant's count, each level
+serving as the next one's half pass, up to MAX_STEPS / 4 per quadrant.
+A pass that leaves the guard window or loses angular speed in quadrant k
+doubles quadrants 0..k only: the orbit of a stiff radius may fall onto
+its cycle within one quadrant, and the quadrants after the failure never
+ran.  A Newton cell of the fixed-point search starts at BASE_STEPS, a
+scan node it settles at twice the scan's count (`_settle_scan`), and a
+lone revolution (`return_map`) at REVOLUTION_STEPS, so that most radii
+need no second level and its cost depends little on its radius.  An
+explicit `steps` is the lowest count each may start from; only
+`scan_return_map` runs an exact count.
 
 A lone radius runs in one of two kernels generated per exponent pattern
 (`_kernel`, keyed by `_pattern`): the value kernel, and the tangent
@@ -68,6 +76,7 @@ import struct
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -108,7 +117,7 @@ class ReturnMapSample:
     r0: float
     r1: float
     min_theta_speed: float
-    steps: int
+    steps: int                     # over the turn's mesh, all quadrants
     error_estimate: float
 
 
@@ -262,14 +271,24 @@ def _check_steps(steps):
         )
 
 
-def _guard_exit(r: float, lo: float, hi: float, theta: float):
-    raise GuardBoundError(
-        f"radius {r:.6g} left the window ({lo:g}, {hi:g}) near theta={theta:.6g}")
+def _tagged(exc, **where):
+    """`exc` with the attributes `where`: the step, counted from a kernel
+    call's first row, or the quadrant in which a revolution failed.  It is
+    raised as returned, never held in a local, which would tie the
+    exception, its traceback and every frame on it into a cycle that keeps
+    a whole search's tables alive until the collector runs."""
+    vars(exc).update(where)
+    return exc
 
 
-def _speed_exit(den: float, theta: float, r: float):
-    raise AngularMonotonicityError(
-        f"angular speed {den:.3e} <= 0 at theta={theta:.6g}, r={r:.6g}")
+def _guard_exit(r: float, lo: float, hi: float, theta: float, step: int = 0):
+    raise _tagged(GuardBoundError(
+        f"radius {r:.6g} left the window ({lo:g}, {hi:g}) near theta={theta:.6g}"), step=step)
+
+
+def _speed_exit(den: float, theta: float, r: float, step: int):
+    raise _tagged(AngularMonotonicityError(
+        f"angular speed {den:.3e} <= 0 at theta={theta:.6g}, r={r:.6g}"), step=step)
 
 
 def _weighted(weights, names) -> str:
@@ -285,7 +304,7 @@ def _pattern(alphas) -> str:
 
 @lru_cache(maxsize=64)
 def _kernel(pattern: str, tangent: bool):
-    """kernel(r0, h, lo, hi, thetas, rows, a_0, a_1, ...):
+    """kernel(r0, h, lo, hi, thetas, rows, a_0, a_1, ..., second):
     one step of the tableau per bound row (`_search_tables`) for fields
     whose exponents follow `pattern` (`_pattern`), the row unpacked as its
     step starts into f{i}_{j}, g{i}_{j}, the e_j F_j and e_j G_j of stage
@@ -295,6 +314,10 @@ def _kernel(pattern: str, tangent: bool):
     weights in stage order.  Returns (r1, min speed), or with `tangent`
     (r1, dr1/dr0) carried through the same stages by the variational
     equation, df/dr = (sum a_j t_j / r - f sum (a_j - 1) u_j / r^2) / den.
+    `second` is the value the second item starts from (s = 1.0, or the
+    least speed inf), so a revolution split over several calls carries it
+    on.  A failure exits through `_guard_exit` or `_speed_exit` with the
+    step, counted from the call's first row.
 
     Only an "a" field computes r ** a_j: a "0" field reads f_j and g_j
     as they are and a "1" field multiplies them by r, since r ** 0.0 ==
@@ -322,7 +345,7 @@ def _kernel(pattern: str, tangent: bool):
         ls = _weighted(row, (f"l{j}" for j in range(i)))
         theta = f"thetas[{len(_B)} * n + {i}]"
         yield f"x = r + h * ({ks})" if ks else "x = r"
-        yield f"if not lo < x < hi: _guard_exit(x, lo, hi, {theta})"
+        yield f"if not lo < x < hi: _guard_exit(x, lo, hi, {theta}, n)"
         yield from (f"p{j} = x ** a{j}" for j in general)
         if tangent:                 # products named, as df/dr uses each term again
             for j in fields:
@@ -330,7 +353,7 @@ def _kernel(pattern: str, tangent: bool):
                     yield f"t{j} = {t[j]}; u{j} = {u[j]}"
                     t[j], u[j] = f"t{j}", f"u{j}"
         yield f"den = 1.0 + {total(u)} / x"
-        yield f"if den <= 0.0: _speed_exit(den, {theta}, x)"
+        yield f"if den <= 0.0: _speed_exit(den, {theta}, x, n)"
         yield f"k{i} = {total(t)} / den"
         if tangent:                 # a_j t_j and (a_j - 1) u_j, with 0 * t or u left out
             dnum = ({"0": "", "1": t[j]}.get(pattern[j], f"a{j} * {t[j]}") for j in fields)
@@ -343,39 +366,73 @@ def _kernel(pattern: str, tangent: bool):
 
     row = ", ".join(f"{fg}{i}_{j}" for i in stages for fg in "fg" for j in fields)
     source = "\n".join([
-        f"def kernel(r, h, lo, hi, thetas, rows{''.join(f', a{j}' for j in fields)}):",
+        f"def kernel(r, h, lo, hi, thetas, rows{''.join(f', a{j}' for j in fields)}, "
+        + ("s):" if tangent else "least):"),
         *(f"    m{j} = a{j} - 1.0" for j in general if tangent),
-        "    s = 1.0" if tangent else "    least = inf",
         f"    for n, [{row}] in enumerate(rows):",
         *("        " + line for i in stages for line in stage(i, _A[i])),
         f"        r += h * ({_weighted(_B, (f'k{i}' for i in stages))})",
         (f"        s += h * ({_weighted(_B, (f'l{i}' for i in stages))})"
          if tangent else ""),
         "    return r, s" if tangent else "    return r, least"])
-    namespace = {"inf": math.inf, "_guard_exit": _guard_exit, "_speed_exit": _speed_exit}
+    namespace = {"_guard_exit": _guard_exit, "_speed_exit": _speed_exit}
     exec(compile(source, f"<flow kernel {pattern!r} tangent={tangent}>", "exec"), namespace)
     return namespace["kernel"]
 
 
-def _run_kernel(tangent: bool, tabs: _Tables, r0: float) -> tuple[float, float]:
-    rows = tabs.rows
-    if not isinstance(rows, tuple):
-        rows = struct.iter_unpack(f"{len(rows) // tabs.steps}d", rows)
-    r, second = _kernel(_pattern(tabs.alphas), tangent)(
-        float(r0), 2.0 * math.pi / tabs.steps, *GUARD, tabs.thetas, rows, *tabs.alphas)
+def _run_quadrants(tangent: bool, tabs: _Tables, first: int, last: int,
+                   r: float, second: float) -> tuple[float, float]:
+    """Quadrants first..last - 1 of a revolution on bound `tabs`, in
+    tabs.steps / 4 steps each, from the radius r and the kernel's second
+    value (the tangent s, or the least angular speed so far); returns the
+    pair at the end of quadrant last - 1.  A failure is raised with its
+    `quadrant`."""
+    per = tabs.steps // 4
+    rows, thetas = tabs.rows, tabs.thetas
+    packed = not isinstance(rows, tuple)
+    width = len(rows) // tabs.steps if packed else 1    # items per step
+    if (first, last) != (0, 4):
+        # an array slice is a copy; the rows stay unpacked one step at a time
+        rows = rows[width * per * first:width * per * last]
+        thetas = thetas[len(_C) * per * first:]
+    if packed:
+        rows = struct.iter_unpack(f"{width}d", rows)
+    try:
+        return _kernel(_pattern(tabs.alphas), tangent)(
+            r, 2.0 * math.pi / tabs.steps, *GUARD, thetas, rows, *tabs.alphas, second)
+    except (GuardBoundError, AngularMonotonicityError) as exc:
+        exc.quadrant = first + exc.step // per
+        raise
+
+
+def _run_mesh(tangent: bool, tables, mesh, r0: float) -> tuple[float, float]:
+    """One revolution of r0 on the per-quadrant mesh (n_0, n_1, n_2, n_3):
+    quadrant k in its n_k steps of `tables(4 n_k)`, with tables a search's
+    lookup (`_search_tables`).  Quadrants of one count run as one kernel
+    call, so a uniform mesh is one call over whole tables."""
+    r, second, first = float(r0), 1.0 if tangent else math.inf, 0
+    for n, run in groupby(mesh):
+        last = first + len(tuple(run))
+        r, second = _run_quadrants(tangent, tables(4 * n), first, last, r, second)
+        first = last
     lo, hi = GUARD
     if not lo < r < hi:
-        raise GuardBoundError(f"final radius {r:.6g} left the window ({lo:g}, {hi:g})")
+        raise _tagged(GuardBoundError(
+            f"final radius {r:.6g} left the window ({lo:g}, {hi:g})"), quadrant=3)
     return r, second
 
 
-def _integrate_scalar(tabs: _Tables, r0: float) -> tuple[float, float]:
-    """One revolution on bound `tabs` in `tabs.steps` steps; returns
-    (r1, min speed)."""
-    return _run_kernel(False, tabs, r0)
+def _uniform(steps: int) -> tuple[int, ...]:
+    """The mesh of `steps` steps in all, steps / 4 per quadrant."""
+    return (steps // 4,) * 4
 
 
-def _integrate_tangent(tabs: _Tables, r0: float) -> tuple[float, float]:
+def _integrate_scalar(tables, mesh, r0: float) -> tuple[float, float]:
+    """One revolution on `mesh` (`_run_mesh`); returns (r1, min speed)."""
+    return _run_mesh(False, tables, mesh, r0)
+
+
+def _integrate_tangent(tables, mesh, r0: float) -> tuple[float, float]:
     """One revolution carrying the tangent s = dr/dr0; returns (r1, s1).
 
     Each stage also evaluates df/dr, so s follows the variational equation
@@ -384,7 +441,7 @@ def _integrate_tangent(tabs: _Tables, r0: float) -> tuple[float, float]:
     s1 is the exact derivative of the discrete map r0 -> r1, and r1 is
     bit-identical to `_integrate_scalar`'s.  Raises like `_integrate_scalar`.
     """
-    return _run_kernel(True, tabs, r0)
+    return _run_mesh(True, tables, mesh, r0)
 
 
 def _integrate_batch(tabs: _Tables, r0: np.ndarray):
@@ -437,39 +494,51 @@ def _integrate_batch(tabs: _Tables, r0: np.ndarray):
     return np.where(status == _STATUS_OK, r, np.nan), status
 
 
-def _revolve(tables, kernel, r0: float, start: int, tol: float):
-    """One revolution of r0 by `kernel`, at a step count chosen by accuracy.
+def _refined(mesh, q: int, finer):
+    """`mesh` with the step count of each quadrant 0..q replaced by
+    finer(count): a level that failed in quadrant q runs again finer up to
+    its failure, since the quadrants after it never ran."""
+    return tuple(map(finer, mesh[:q + 1])) + mesh[q + 1:]
 
-    `kernel(tables(n), r0)` returns a pair whose first item is P(r0),
-    with `tables` a search's lookup (`_search_tables`).  It runs at
+
+def _revolve(tables, kernel, r0: float, start: int, tol: float):
+    """One revolution of r0 by `kernel`, on a mesh chosen by accuracy.
+
+    `kernel(tables, mesh, r0)` returns a pair whose first item is P(r0),
+    with `tables` a search's lookup (`_search_tables`) and `mesh` the
+    steps per quadrant (`_run_mesh`).  It runs on the uniform mesh of
     `start` steps and, while the Richardson estimate |P - half| / (2^q - 1)
-    is not within tol (a NaN is not), at twice the last count, up to
-    MAX_STEPS; each level's P is the next level's half pass.  The first
-    half pass is a scalar revolution at half the first count.  A pass
-    that fails (guard or angular speed) raises only at MAX_STEPS: a failed
-    half pass leaves the estimate NaN, and a failed pass doubles the
-    count, with no half pass for the next level.  Returns (n, pair,
-    estimate) of the last level.
+    is not within tol (a NaN is not), on the mesh with every quadrant's
+    count doubled, until quadrant 0 reaches MAX_STEPS / 4; each level's P
+    is the next level's half pass, so every pair is a true halving.  The
+    first half pass is a scalar revolution at half the first count.  A
+    pass that fails (guard or angular speed) in quadrant k doubles the
+    counts of quadrants 0..k only, up to MAX_STEPS / 4, and raises once
+    quadrant k is there: the quadrants up to k then run as the uniform
+    MAX_STEPS mesh does, so it fails as that mesh fails.  A failed half
+    pass leaves the estimate NaN, and a failed pass leaves the next level
+    no half pass.  Returns (mesh, pair, estimate) of the last level.
     """
-    n, half = start, None
+    cap = MAX_STEPS // 4
+    mesh, half = _uniform(start), None
     while True:
-        tabs = tables(n)
         try:
-            out = kernel(tabs, r0)
-        except (GuardBoundError, AngularMonotonicityError):
-            if n >= MAX_STEPS:
+            out = kernel(tables, mesh, r0)
+        except (GuardBoundError, AngularMonotonicityError) as exc:
+            if mesh[exc.quadrant] >= cap:
                 raise
-            n, half = 2 * n, math.nan
+            mesh = _refined(mesh, exc.quadrant, lambda n: min(2 * n, cap))
+            half = math.nan
             continue
         if half is None:
             try:
-                half, _ = _integrate_scalar(tables(n // 2), r0)
+                half, _ = _integrate_scalar(tables, _uniform(start // 2), r0)
             except (GuardBoundError, AngularMonotonicityError):
                 half = math.nan
-        estimate = abs(out[0] - half) / tabs.richardson
-        if n >= MAX_STEPS or estimate <= tol:
-            return n, out, estimate
-        n, half = 2 * n, out[0]
+        estimate = abs(out[0] - half) / tables(4 * mesh[0]).richardson
+        if mesh[0] >= cap or estimate <= tol:
+            return mesh, out, estimate
+        mesh, half = tuple(2 * n for n in mesh), out[0]
 
 
 def return_map(spec: PerturbationSpec, r0: float,
@@ -490,10 +559,11 @@ def return_map(spec: PerturbationSpec, r0: float,
     if not GUARD[0] < r0 < GUARD[1]:
         # the first stage of any count would leave at theta 0
         _guard_exit(r0, *GUARD, 0.0)
-    n, (r1, min_den), estimate = _revolve(_search_tables(spec), _integrate_scalar, r0,
-                                          max(REVOLUTION_STEPS, steps or 0), RESIDUAL_TOL)
+    mesh, (r1, min_den), estimate = _revolve(
+        _search_tables(spec), _integrate_scalar, r0, max(REVOLUTION_STEPS, steps or 0),
+        RESIDUAL_TOL)
     return ReturnMapSample(r0=float(r0), r1=r1, min_theta_speed=min_den,
-                           steps=n, error_estimate=estimate)
+                           steps=sum(mesh), error_estimate=estimate)
 
 
 def scan_return_map(spec: PerturbationSpec, bracket, scan_points: int = SCAN_POINTS,
@@ -580,32 +650,42 @@ def _settle_scan(tables, grid: np.ndarray, r1: np.ndarray, status: np.ndarray,
       nodes turn out OK, so a band that only the coarse steps lose is
       recovered node by node.
 
-    Each such node's count doubles from `start`, each level's value the
-    next one's half pass and the coarse value the first, until its
-    Richardson estimate is within `tol` (a displacement that small is a
-    fixed point to the search's accuracy), its sign is trusted by the
-    same rule, or its count reaches REVOLUTION_STEPS, the first level of
-    a lone revolution: a node that still fails there stays failed, and an
-    OK one keeps that value.  A level after a failed one has no half pass
-    to be trusted by, so from a failed level n with 4n >= REVOLUTION_STEPS
-    the node goes straight to REVOLUTION_STEPS.  Returns new (r1, status).
+    Each such node runs `_revolve`'s rule from the uniform mesh of `start`
+    steps, each level's value the next one's half pass and the coarse
+    value the first, with REVOLUTION_STEPS / 4 steps per quadrant, the
+    first level of a lone revolution, as its cap: every quadrant doubles
+    until the Richardson estimate is within `tol` (a displacement that
+    small is a fixed point to the search's accuracy), the sign is trusted
+    by the same rule, or quadrant 0 reaches the cap, and a level that
+    fails in quadrant k doubles quadrants 0..k only.  A node that fails in
+    a quadrant at the cap stays failed, as the uniform REVOLUTION_STEPS
+    mesh fails it, and an OK one keeps its value.  A level after a failed
+    one has no half pass to be trusted by, so a failed quadrant of n steps
+    with 4n >= REVOLUTION_STEPS / 4 goes straight to the cap.  Returns new
+    (r1, status).
     """
+    cap = REVOLUTION_STEPS // 4
+
+    def finer(n):
+        # a failed level leaves the next one no half pass to trust it by
+        return cap if 4 * n >= cap else 2 * n
+
     def settle(r0, half):
-        level = start
+        mesh = _uniform(start)
         while True:
             try:
-                r, st = _integrate_scalar(tables(level), r0)[0], _STATUS_OK
-            except AngularMonotonicityError:
-                r, st = math.nan, _STATUS_SPEED
-            except GuardBoundError:
-                r, st = math.nan, _STATUS_GUARD
-            if level >= REVOLUTION_STEPS or (st == _STATUS_OK and (
-                    abs(r - half) / tables(level).richardson <= tol
-                    or abs(r - r0) > abs(r - half))):
-                return r, st
-            # a failed level leaves the next one no half pass to trust it by
-            skip = st != _STATUS_OK and 4 * level >= REVOLUTION_STEPS
-            level, half = REVOLUTION_STEPS if skip else 2 * level, r
+                r = _integrate_scalar(tables, mesh, r0)[0]
+            except (GuardBoundError, AngularMonotonicityError) as exc:
+                if mesh[exc.quadrant] >= cap:
+                    return math.nan, (_STATUS_GUARD if isinstance(exc, GuardBoundError)
+                                      else _STATUS_SPEED)
+                mesh, half = _refined(mesh, exc.quadrant, finer), math.nan
+                continue
+            if mesh[0] >= cap or (
+                    abs(r - half) / tables(4 * mesh[0]).richardson <= tol
+                    or abs(r - r0) > abs(r - half)):
+                return r, _STATUS_OK
+            mesh, half = tuple(2 * n for n in mesh), r
 
     r1, status = r1.copy(), status.copy()
     n = len(grid)
@@ -685,16 +765,16 @@ def find_fixed_points(spec: PerturbationSpec, bracket, tol: float = RESIDUAL_TOL
                     ", ".join(f"{name} {count}" for name, count in failed.items()))
 
     def cell_map():
-        """P and P' for one cell, at the count `_revolve` chooses at the
+        """P and P' for one cell, on the mesh `_revolve` chooses at the
         cell's first point, which is Newton's first."""
-        n = None
+        mesh = None
 
         def pmap(r: float) -> tuple[float, float]:
-            nonlocal n
-            if n is None:
-                n, first, _ = _revolve(tables, _integrate_tangent, r, start, tol)
+            nonlocal mesh
+            if mesh is None:
+                mesh, first, _ = _revolve(tables, _integrate_tangent, r, start, tol)
                 return first
-            return _integrate_tangent(tables(n), r)
+            return _integrate_tangent(tables, mesh, r)
 
         return pmap
 

@@ -363,6 +363,30 @@ def test_exit_code_2_on_non_finite_spec(capsys, tmp_path):
     assert rc == 2 and out == ""
 
 
+#: One field of exponent 1 whose f terms are two x monomials of
+#: coefficient 1e308: finite input whose angular integral overflows.
+OVERFLOW_SPEC = {"orientation": "ccw", "epsilon": 0.01, "b": [1.0], "fields": [
+    {"alpha": "1", "f": [{"c": 1e308, "px": "1", "py": "0", "sx": True, "sy": False}] * 2,
+     "g": []}]}
+
+
+@pytest.mark.parametrize("command", ["integrals", "averaged", "roots"])
+def test_exit_code_1_on_a_non_finite_result(capsys, tmp_path, command):
+    # stdout is strict JSON or empty: a result that holds an infinity is a
+    # computation error (exit 1), not malformed input, and prints nothing
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(OVERFLOW_SPEC), encoding="utf-8")
+    out_path = tmp_path / "out.json"
+    for argv in ([command, "--spec", str(path)],
+                 ["--out", str(out_path), command, "--spec", str(path)]):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == ("error: the result holds a non-finite number, "
+                                "which JSON cannot represent\n")
+    assert not out_path.exists()
+
+
 def _set_number(doc, key, value):
     if key == "b":
         doc["b"][0] = value

@@ -215,10 +215,10 @@ def test_batch_status_matches_scalar_exceptions():
     spec, steps = _lienard7(), 64
     grid, r1, status = scan_return_map(spec, (0.4, 2.2), steps=steps)
     assert {0, 1, 2} <= set(status.tolist())
-    tabs = flow._search_tables(spec)(steps)
+    tables, mesh = flow._search_tables(spec), flow._uniform(steps)
     for r0, r1_batch, st in zip(grid, r1, status):
         try:
-            single, _ = flow._integrate_scalar(tabs, float(r0))
+            single, _ = flow._integrate_scalar(tables, mesh, float(r0))
         except AngularMonotonicityError:
             assert st == 1, r0
         except GuardBoundError:
@@ -226,7 +226,7 @@ def test_batch_status_matches_scalar_exceptions():
         else:
             assert st == 0, r0
             assert abs(r1_batch - single) <= 1e-12 * single
-            assert flow._integrate_tangent(tabs, float(r0))[0] == single
+            assert flow._integrate_tangent(tables, mesh, float(r0))[0] == single
             assert abs(r1_batch - _revolution(spec, float(r0), steps)) <= 1e-12 * single
 
 
@@ -354,14 +354,14 @@ def test_map_derivative_matches_richardson_differences(case):
     assert abs(cert.map_derivative - _richardson_derivative(spec, cert.r_star)) <= 1e-8
 
 
-def _counting(monkeypatch, name, with_steps=False):
-    """Record each call's start radius, or (radius, steps) with_steps."""
+def _counting(monkeypatch, name, with_mesh=False):
+    """Record each call's start radius, or (radius, mesh) with_mesh."""
     calls = []
     real = getattr(flow, name)
 
-    def wrapper(tabs, r0):
-        calls.append((r0, tabs.steps) if with_steps else r0)
-        return real(tabs, r0)
+    def wrapper(tables, mesh, r0):
+        calls.append((r0, mesh) if with_mesh else r0)
+        return real(tables, mesh, r0)
 
     monkeypatch.setattr(flow, name, wrapper)
     return calls
@@ -385,15 +385,15 @@ def _search_case(case):
 def test_newton_revolutions_per_cell(monkeypatch, case):
     spec, targets, bracket = _search_case(case)
     tangent = _counting(monkeypatch, "_integrate_tangent")
-    value_only = _counting(monkeypatch, "_integrate_scalar", with_steps=True)
+    value_only = _counting(monkeypatch, "_integrate_scalar", with_mesh=True)
     certs = find_fixed_points(spec, bracket)
     assert len(certs) == len(targets)
     # value-only revolutions settle scan nodes; refinement adds one per
     # cell, the half-resolution pass that chooses the cell's step count
     grid = set(np.logspace(math.log10(bracket[0]), math.log10(bracket[1]),
                            200).tolist())
-    off_grid = [n for r, n in value_only if r not in grid]
-    assert off_grid == [flow.BASE_STEPS // 2] * len(certs)
+    off_grid = [mesh for r, mesh in value_only if r not in grid]
+    assert off_grid == [flow._uniform(flow.BASE_STEPS // 2)] * len(certs)
     assert len(tangent) <= 4 * len(certs)
 
 
@@ -455,12 +455,12 @@ def test_search_builds_each_step_count_once(monkeypatch, case, counts):
 
 
 def test_repro_vdp_tangent_work_per_cell(monkeypatch, capsys):
-    tangent = _counting(monkeypatch, "_integrate_tangent", with_steps=True)
+    tangent = _counting(monkeypatch, "_integrate_tangent", with_mesh=True)
     assert cli.main(["repro", "vdp"]) == 0
     runs = json.loads(capsys.readouterr().out)["result"]["runs"]
     certs = sum(len(run["fixed_points"]) for run in runs)
     assert certs == 3
-    assert sum(n for _, n in tangent) <= 4 * flow.BASE_STEPS * certs
+    assert sum(sum(mesh) for _, mesh in tangent) <= 4 * flow.BASE_STEPS * certs
 
 
 def test_zero_displacement_node_is_certified_once(monkeypatch):
@@ -673,9 +673,10 @@ def test_rotation_only_map_settles_each_node_once(monkeypatch):
     # trusted; each is settled once, as its estimate 0 is within tol
     spec = PerturbationSpec(fields=(linear_field(0.0, -1.0, 1.0, 0.0),),
                             b=(1.0,), epsilon=0.01, orientation="ccw")
-    scalar = _counting(monkeypatch, "_integrate_scalar", with_steps=True)
+    scalar = _counting(monkeypatch, "_integrate_scalar", with_mesh=True)
     assert find_fixed_points(spec, (0.5, 2.0)) == []
-    assert [n for _, n in scalar] == [flow.BASE_STEPS // 8] * flow.SCAN_POINTS
+    assert [mesh for _, mesh in scalar] == [flow._uniform(flow.BASE_STEPS // 8)] * (
+        flow.SCAN_POINTS)
 
 
 def test_search_scans_at_a_fraction_of_the_steps(monkeypatch):
@@ -712,11 +713,12 @@ def test_csv_holds_the_settled_scan(monkeypatch, tmp_path):
 
 
 def _reference_settle(tables, grid, r1, status, r1_half, start, tol):
-    """`_settle_scan` that runs every level: a node that fails doubles its
-    count level by level up to REVOLUTION_STEPS."""
+    """`_settle_scan` on the uniform ladder, running every level: a node
+    that fails doubles its whole count level by level up to
+    REVOLUTION_STEPS."""
     def node(n, r0):
         try:
-            return flow._integrate_scalar(tables(n), r0)[0], 0
+            return flow._integrate_scalar(tables, flow._uniform(n), r0)[0], 0
         except AngularMonotonicityError:
             return math.nan, 1
         except GuardBoundError:
@@ -749,25 +751,38 @@ def _reference_settle(tables, grid, r1, status, r1_half, start, tol):
     return r1, status
 
 
+def _next_settle_mesh(mesh, failed):
+    """The mesh a settled node runs after `mesh`, which failed in quadrant
+    `failed` or, with None, passed untrusted."""
+    cap = flow.REVOLUTION_STEPS // 4
+    if failed is None:
+        return tuple(2 * n for n in mesh)
+    return tuple(cap if 4 * n >= cap else 2 * n for n in mesh[:failed + 1]) + mesh[failed + 1:]
+
+
 @pytest.mark.parametrize("argv, levels", [
     (["pipeline", "--preset", "lienard6", "--targets", "0.8", "1.3", "1.8",
-      "--eps", "0.005"], (20, 6)),
-    (["repro", "lienard", "--m", "7"], (1, 0)),
+      "--eps", "0.005"], (9424, 3504)),
+    (["repro", "lienard", "--m", "7"], (704, 500)),
 ])
 def test_settle_skips_only_the_level_it_cannot_use(monkeypatch, capsys, argv, levels):
-    # a level after a failed one has no half pass to be trusted against,
-    # so a failed 64-step level goes straight to REVOLUTION_STEPS; the
-    # settled scan is the one every level gives
-    runs = []                              # (r0, steps, passed) per value revolution
+    # a level that fails in quadrant q runs again with quadrants 0..q
+    # doubled, and a level after a failed one has no half pass to be
+    # trusted against, so a quadrant that failed at 16 steps goes straight
+    # to REVOLUTION_STEPS / 4; a level that passes untrusted doubles every
+    # quadrant.  The settled scan has the statuses and signs of the
+    # uniform ladder that runs every level, and the value of every node
+    # that never failed.
+    runs = []                   # (r0, mesh, failing quadrant or None) per value revolution
     scalar, settle = flow._integrate_scalar, flow._settle_scan
 
-    def counting(tabs, r0):
+    def counting(tables, mesh, r0):
         try:
-            out = scalar(tabs, r0)
-        except (GuardBoundError, AngularMonotonicityError):
-            runs.append((r0, tabs.steps, False))
+            out = scalar(tables, mesh, r0)
+        except (GuardBoundError, AngularMonotonicityError) as exc:
+            runs.append((r0, mesh, exc.quadrant))
             raise
-        runs.append((r0, tabs.steps, True))
+        runs.append((r0, mesh, None))
         return out
 
     settles = []
@@ -776,7 +791,7 @@ def test_settle_skips_only_the_level_it_cannot_use(monkeypatch, capsys, argv, le
         runs.clear()
         new, new_runs = settle(*args), list(runs)
         runs.clear()
-        settles.append((new, new_runs, _reference_settle(*args), list(runs)))
+        settles.append((args, new, new_runs, _reference_settle(*args), list(runs)))
         return new
 
     monkeypatch.setattr(flow, "_integrate_scalar", counting)
@@ -784,13 +799,25 @@ def test_settle_skips_only_the_level_it_cannot_use(monkeypatch, capsys, argv, le
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert settles
-    for new, new_runs, ref, _ in settles:
-        assert repr([a.tolist() for a in new]) == repr([a.tolist() for a in ref])
-        failed = {r for r, n, passed in new_runs if n == 64 and not passed}
-        assert not [r for r, n, _ in new_runs if n == 128 and r in failed]
-    # 128-step value revolutions: (every level, skipping)
-    assert tuple(sum(n == 128 for s in settles for _, n, _ in s[which])
-                 for which in (3, 1)) == levels
+    for args, (r1, status), new_runs, (ref_r1, ref_status), _ in settles:
+        grid, start = args[1], args[5]
+        assert status.tolist() == ref_status.tolist()
+        ok = status == 0
+        assert np.sign(r1 - grid)[ok].tolist() == np.sign(ref_r1 - grid)[ok].tolist()
+        ladders = {}
+        for r0, mesh, failed in new_runs:
+            ladders.setdefault(r0, []).append((mesh, failed))
+        for r0, ladder in ladders.items():
+            assert ladder[0][0] == flow._uniform(start)
+            for (mesh, failed), (later, _) in zip(ladder, ladder[1:]):
+                assert later == _next_settle_mesh(mesh, failed), (r0, ladder)
+            i = int(np.searchsorted(grid, r0))
+            if all(failed is None for _, failed in ladder):
+                assert repr(r1[i]) == repr(ref_r1[i]), (r0, ladder)
+    # value steps of the settles: (the uniform ladder that runs every
+    # level, this one)
+    assert tuple(sum(sum(mesh) for s in settles for _, mesh, _ in s[which])
+                 for which in (4, 2)) == levels
 
 
 def test_failed_scan_nodes_are_summarized_once_per_epsilon(caplog):
@@ -815,7 +842,8 @@ def test_failed_scan_nodes_are_summarized_once_per_epsilon(caplog):
 
 
 def _revolution(spec, r0, steps):
-    return flow._integrate_scalar(flow._search_tables(normalize_ccw(spec))(steps), r0)[0]
+    return flow._integrate_scalar(flow._search_tables(normalize_ccw(spec)),
+                                  flow._uniform(steps), r0)[0]
 
 
 def _pinned_estimate(spec, r0, steps):
@@ -848,7 +876,7 @@ def test_generated_kernel_observes_the_tableau_order(tangent):
     def error(n):
         stages = len(flow._C)
         out = kernel(r0, 2.0 * math.pi / n, *flow.GUARD, np.zeros(stages * n),
-                     ((e, 0.0) * stages,) * n, 2.0)
+                     ((e, 0.0) * stages,) * n, 2.0, 1.0 if tangent else math.inf)
         return abs(out[1 if tangent else 0] - exact)
 
     errs = [error(n) for n in (8, 16, 32)]
@@ -1001,7 +1029,7 @@ def test_stiff_revolution_chooses_more_steps():
 
 def test_stiff_band_revolution_doubles_past_failed_passes():
     # inside lienard6's stiff band a stage radius leaves the guard window
-    # up to 512 steps at r 4.5, so the chosen count doubles past the
+    # up to 512 steps at r 4.5, so the chosen mesh refines past the
     # failed passes instead of raising
     spec = retune_b(lienard(6, epsilon=0.005).spec, [0.8, 1.3, 1.8])[0].spec
     spec, r0 = normalize_ccw(spec), 4.5
@@ -1027,19 +1055,19 @@ def test_stiff_cell_doubles_to_the_count_it_needs(monkeypatch):
     revolutions = []
     real = flow._integrate_tangent
 
-    def spy(tabs, r):
-        revolutions.append((r, tabs.steps, real(tabs, r)))
+    def spy(tables, mesh, r):
+        revolutions.append((r, mesh, real(tables, mesh, r)))
         return revolutions[-1][2]
 
     monkeypatch.setattr(flow, "_integrate_tangent", spy)
     find_fixed_points(spec, (2.8, 2.9))
     assert [r for r, _, _ in revolutions] == [r0] * len(revolutions)
-    *_, (_, half_steps, half), (_, steps, chosen) = revolutions
-    assert (half_steps, steps) == (512, 1024)
+    *_, (_, half_mesh, half), (_, mesh, chosen) = revolutions
+    assert (half_mesh, mesh) == (flow._uniform(512), flow._uniform(1024))
     assert abs(chosen[0] - half[0]) / (2 ** flow._ORDER - 1) <= flow.RESIDUAL_TOL
     assert abs(chosen[0] - _revolution(spec, r0, 8192)) <= flow.RESIDUAL_TOL
     pinned = normalize_ccw(spec)
-    assert chosen == real(flow._search_tables(pinned)(1024), r0)
+    assert chosen == real(flow._search_tables(pinned), flow._uniform(1024), r0)
 
 
 def test_explicit_steps_are_the_lowest_count(monkeypatch):
@@ -1054,9 +1082,115 @@ def test_explicit_steps_are_the_lowest_count(monkeypatch):
     chosen = return_map(stiff, 2.87)
     assert chosen.steps > 2 * flow.REVOLUTION_STEPS
     assert return_map(stiff, 2.87, steps=2 * flow.REVOLUTION_STEPS) == chosen
-    tangent = _counting(monkeypatch, "_integrate_tangent", with_steps=True)
+    tangent = _counting(monkeypatch, "_integrate_tangent", with_mesh=True)
     find_fixed_points(with_epsilon(vdp().spec, 0.01), (0.5, 2.0), steps=1024)
-    assert tangent and {n for _, n in tangent} == {1024}
+    assert tangent and {mesh for _, mesh in tangent} == {flow._uniform(1024)}
+
+
+def _drift_spec():
+    """Pure outward drift dr/dtheta = r: from r 100 it leaves the guard
+    window in quadrant 2 at every step count."""
+    return PerturbationSpec(fields=(linear_field(1.0, 0.0, 0.0, 1.0),),
+                            b=(1.0,), epsilon=1.0, orientation="ccw")
+
+
+def _outcome(run):
+    """run()'s pair, or the type, message and quadrant of its error."""
+    try:
+        return run()
+    except (GuardBoundError, AngularMonotonicityError) as exc:
+        return type(exc), str(exc), exc.quadrant
+
+
+@pytest.mark.parametrize("tangent", [False, True])
+def test_quadrants_run_one_by_one_as_one_call_does(tangent):
+    # carrying r and the tangent's s or the least speed from quadrant to
+    # quadrant runs the operations of one call over the whole tables, so a
+    # uniform mesh gives the same bits however it is split: vdp on the
+    # uniform mesh and example1 on the graded one, tuple rows at 64 steps
+    # and packed ones at 256, and failing runs of the guard (the drift)
+    # and of the angular speed (capillary), with message and quadrant
+    cases = [(vdp().spec, 1.0, {"ok"}), (example1().spec, 1.2, {"ok"}),
+             (_drift_spec(), 100.0, {GuardBoundError}),
+             (capillary().spec, 1.0, {AngularMonotonicityError})]
+    start = 1.0 if tangent else math.inf
+    for spec, r0, kinds in cases:
+        tables = flow._search_tables(normalize_ccw(spec))
+        for steps in (64, 256):
+            tabs = tables(steps)
+
+            def split(cuts):
+                r, second = r0, start
+                for first, last in zip(cuts, cuts[1:]):
+                    r, second = flow._run_quadrants(tangent, tabs, first, last, r, second)
+                return r, second
+
+            whole = _outcome(lambda: split((0, 4)))
+            assert {whole[0] if isinstance(whole[0], type) else "ok"} == kinds
+            for cuts in ((0, 1, 2, 3, 4), (0, 2, 4), (0, 3, 4)):
+                assert repr(_outcome(lambda: split(cuts))) == repr(whole), (spec, steps, cuts)
+            mesh = _outcome(lambda: flow._run_mesh(tangent, tables, flow._uniform(steps), r0))
+            assert repr(mesh) == repr(whole)
+
+
+@pytest.mark.parametrize("name, r0", [("vdp", 1.2), ("example1", 0.5), ("example2", 2.0),
+                                      ("lienard7", 1.2), ("capillary", 1.0)])
+def test_graded_meshes_match_the_stitched_reference(name, r0):
+    # quadrant k reads its slice of the rows at 4 n_k steps, packed from
+    # BASE_STEPS on and tuples below, with h = 2 pi / (4 n_k), so each
+    # kernel matches its reference stitched from those profiles bit for
+    # bit, errors included
+    spec = normalize_ccw(_lienard7() if name == "lienard7" else catalog()[name]().spec)
+    meshes = [(64, 16, 2, 2), (32, 32, 32, 4), (8, 4, 4, 2), (64, 64, 64, 16)]
+    kinds = _assert_same_bits(spec, r0, 8, meshes)
+    # capillary at r 1.0 fails on every mesh, by both exits
+    want = {GuardBoundError, AngularMonotonicityError} if name == "capillary" else {"ok"}
+    assert all(k == want for k in kinds.values())
+
+
+@pytest.mark.parametrize("case, quadrant", [("capillary", 1), ("drift", 2)])
+def test_a_failure_at_the_cap_is_the_uniform_caps_failure(monkeypatch, case, quadrant):
+    # a revolution that fails in quadrant q at every level refines
+    # quadrants 0..q only, until q reaches MAX_STEPS / 4; those quadrants
+    # then run as the uniform MAX_STEPS mesh runs them, so it raises that
+    # mesh's error, message included, without running the later quadrants
+    # at the cap
+    spec, r0 = (capillary().spec, 1.0) if case == "capillary" else (_drift_spec(), 100.0)
+    cap = flow.MAX_STEPS // 4
+    meshes = _counting(monkeypatch, "_integrate_scalar", with_mesh=True)
+    with pytest.raises((GuardBoundError, AngularMonotonicityError)) as chosen:
+        return_map(spec, r0)
+    last = meshes[-1][1]
+    assert last[:quadrant + 1] == (cap,) * (quadrant + 1) and max(last[quadrant + 1:]) < cap
+    uniform = _outcome(lambda: flow._integrate_scalar(
+        flow._search_tables(normalize_ccw(spec)), flow._uniform(flow.MAX_STEPS), r0))
+    assert (type(chosen.value), str(chosen.value), chosen.value.quadrant) == uniform
+    assert uniform[2] == quadrant
+
+
+@pytest.mark.parametrize("r0, steps, uniform_steps", [
+    (4.0, 2560, 4096), (4.5, 3584, 8192), (5.0, 5632, 16384)])
+def test_stiff_band_revolution_refines_only_up_to_its_failure(r0, steps, uniform_steps):
+    # from the outer band of the retuned lienard6 the orbit falls onto its
+    # cycle within quadrant 0, so only the first quadrants fail and refine;
+    # the uniform ladder doubled all four to `uniform_steps`
+    spec = normalize_ccw(retune_b(lienard(6, epsilon=0.005).spec, [0.8, 1.3, 1.8])[0].spec)
+    sample = return_map(spec, r0)
+    assert sample.steps == steps < uniform_steps
+    assert sample.error_estimate <= flow.RESIDUAL_TOL
+    assert abs(sample.r1 - _scipy_revolution(spec, r0)) <= sample.error_estimate + 1e-12 * r0
+
+
+def test_lienard6_pipeline_value_steps_are_pinned(monkeypatch, capsys):
+    # value-kernel steps over the settled scan nodes and the cells' half
+    # passes: 7,824 on the uniform ladder, and the tangent work unchanged
+    value = _counting(monkeypatch, "_integrate_scalar", with_mesh=True)
+    tangent = _counting(monkeypatch, "_integrate_tangent", with_mesh=True)
+    assert cli.main(["pipeline", "--preset", "lienard6", "--targets", "0.8", "1.3", "1.8",
+                     "--eps", "0.005"]) == 0
+    capsys.readouterr()
+    assert (len(value), sum(sum(mesh) for _, mesh in value)) == (119, 3696)
+    assert (len(tangent), sum(sum(mesh) for _, mesh in tangent)) == (9, 1152)
 
 
 #: The benchmark's single-radius specs with their radius ranges: vdp,
@@ -1135,88 +1269,102 @@ def _first_term_sum(terms):
     return 0.0 if total is None else total
 
 
-def _reference_revolution(spec, tabs, r0, tangent):
+def _reference_revolution(spec, mesh, r0, tangent):
     """One revolution on `_stage_profiles` as a plain loop over the stages
     of the tableau, with a per-stage `rhs` closure and a loop over the
     fields: the reference that the generated kernels must match bit for
-    bit.  Returns
+    bit.  Quadrant k of `mesh` runs steps k n_k .. (k + 1) n_k - 1 of the
+    profiles at 4 n_k steps, with h = 2 pi / (4 n_k), from the r, s and
+    least speed the quadrant before it left.  Returns
     (r1, min speed), or with `tangent` (r1, dr1/dr0) carried by
     l_i = (df/dr)_i (s + h sum_j a_ij l_j)."""
     a, b = flow._A, flow._B
-    fields = tuple(zip(tabs.alphas, [al - 1.0 for al in tabs.alphas],
-                       [spec.epsilon * bj for bj in spec.b],
-                       tabs.radial, tabs.transverse))
-    h = 2.0 * math.pi / tabs.steps
     lo, hi = flow.GUARD
-    least = math.inf
+    r, s, least = float(r0), 1.0, math.inf
+    for quadrant, per in enumerate(mesh):
+        tabs = _stage_profiles(spec.fields, 4 * per)
+        fields = tuple(zip(tabs.alphas, [al - 1.0 for al in tabs.alphas],
+                           [spec.epsilon * bj for bj in spec.b],
+                           tabs.radial, tabs.transverse))
+        h = 2.0 * math.pi / tabs.steps
 
-    def rhs(step, i, r):
-        nonlocal least
-        if not lo < r < hi:
-            raise GuardBoundError(
-                f"radius {r:.6g} left the window ({lo:g}, {hi:g}) near "
-                f"theta={tabs.thetas[step][i]:.6g}"
-            )
-        # f = num / den with num = sum t_j, den = 1 + sum u_j / r, so
-        # num' = sum a_j t_j / r and den' = sum (a_j - 1) u_j / r^2.
-        t = [e * fr[step][i] * r ** al for al, _, e, fr, _ in fields]
-        u = [e * tr[step][i] * r ** al for al, _, e, _, tr in fields]
-        den = 1.0 + _first_term_sum(u) / r
-        if den <= 0.0:
-            raise AngularMonotonicityError(
-                f"angular speed {den:.3e} <= 0 at theta="
-                f"{tabs.thetas[step][i]:.6g}, r={r:.6g}"
-            )
-        least = min(least, den)
-        f = _first_term_sum(t) / den
-        dnum = _first_term_sum(al * tj for (al, *_), tj in zip(fields, t))
-        dden = _first_term_sum(am * uj for (_, am, *_), uj in zip(fields, u))
-        return f, (dnum / r - f * dden / (r * r)) / den
+        def rhs(step, i, r):
+            nonlocal least
+            if not lo < r < hi:
+                raise GuardBoundError(
+                    f"radius {r:.6g} left the window ({lo:g}, {hi:g}) near "
+                    f"theta={tabs.thetas[step][i]:.6g}"
+                )
+            # f = num / den with num = sum t_j, den = 1 + sum u_j / r, so
+            # num' = sum a_j t_j / r and den' = sum (a_j - 1) u_j / r^2.
+            t = [e * fr[step][i] * r ** al for al, _, e, fr, _ in fields]
+            u = [e * tr[step][i] * r ** al for al, _, e, _, tr in fields]
+            den = 1.0 + _first_term_sum(u) / r
+            if den <= 0.0:
+                raise AngularMonotonicityError(
+                    f"angular speed {den:.3e} <= 0 at theta="
+                    f"{tabs.thetas[step][i]:.6g}, r={r:.6g}"
+                )
+            least = min(least, den)
+            f = _first_term_sum(t) / den
+            dnum = _first_term_sum(al * tj for (al, *_), tj in zip(fields, t))
+            dden = _first_term_sum(am * uj for (_, am, *_), uj in zip(fields, u))
+            return f, (dnum / r - f * dden / (r * r)) / den
 
-    def combined(start, weights, slopes):
-        terms = [w * k for w, k in zip(weights, slopes) if w]
-        return start + h * _first_term_sum(terms) if terms else start
+        def combined(start, weights, slopes):
+            terms = [w * k for w, k in zip(weights, slopes) if w]
+            return start + h * _first_term_sum(terms) if terms else start
 
-    r, s = float(r0), 1.0
-    for step in range(tabs.steps):
-        ks, ls = [], []
-        for i, row in enumerate(a):
-            k, d = rhs(step, i, combined(r, row, ks))
-            ks.append(k)
-            ls.append(d * combined(s, row, ls))
-        r, s = combined(r, b, ks), combined(s, b, ls)
+        for step in range(quadrant * per, (quadrant + 1) * per):
+            ks, ls = [], []
+            for i, row in enumerate(a):
+                k, d = rhs(step, i, combined(r, row, ks))
+                ks.append(k)
+                ls.append(d * combined(s, row, ls))
+            r, s = combined(r, b, ks), combined(s, b, ls)
     if not lo < r < hi:
         raise GuardBoundError(f"final radius {r:.6g} left the window ({lo:g}, {hi:g})")
     return (r, s) if tangent else (r, least)
 
 
+def _mesh_runner(kernel):
+    """`kernel` (`_integrate_scalar` or `_integrate_tangent`) called as its
+    reference is, with (spec, mesh, r0)."""
+    def run(spec, mesh, r0):
+        return kernel(flow._search_tables(spec), mesh, r0)
+
+    run.__name__ = kernel.__name__
+    return run
+
+
 #: Each generated kernel beside the hand-written form it must match.
-KERNELS = ((flow._integrate_scalar, partial(_reference_revolution, tangent=False)),
-           (flow._integrate_tangent, partial(_reference_revolution, tangent=True)))
+KERNELS = ((_mesh_runner(flow._integrate_scalar), partial(_reference_revolution, tangent=False)),
+           (_mesh_runner(flow._integrate_tangent), partial(_reference_revolution, tangent=True)))
 
 
-def _kernel_outcome(kernel, tables, r0, steps):
-    """The pair `kernel(tables(n), r0)` returns at `steps` and at its half
-    pass, or the type and message of the error each raised."""
+def _kernel_outcome(kernel, spec, r0, meshes):
+    """The pair `kernel(spec, mesh, r0)` returns on each mesh, or the type
+    and message of the error it raised."""
     outcome = []
-    for n in (steps, steps // 2):
+    for mesh in meshes:
         try:
-            outcome.append(kernel(tables(n), r0))
+            outcome.append(kernel(spec, mesh, r0))
         except (GuardBoundError, AngularMonotonicityError) as exc:
             outcome.append((type(exc), str(exc)))
     return outcome
 
 
-def _assert_same_bits(spec, r0, steps):
-    """Each kernel's outcome, checked against its reference; returns the
-    kinds of outcome, "ok" or the error type, per kernel."""
+def _assert_same_bits(spec, r0, steps, meshes=()):
+    """Each kernel's outcome at `steps`, at its half pass and on `meshes`,
+    checked against its reference; returns the kinds of outcome, "ok" or
+    the error type, per kernel."""
+    meshes = (flow._uniform(steps), flow._uniform(steps // 2), *meshes)
     kinds = {}
     for kernel, reference in KERNELS:
         # the kernel reads bound rows, its reference binds e_j to its own
         # profiles
-        new = _kernel_outcome(kernel, flow._search_tables(spec), r0, steps)
-        ref = _kernel_outcome(partial(reference, spec),
-                              partial(_stage_profiles, spec.fields), r0, steps)
+        new = _kernel_outcome(kernel, spec, r0, meshes)
+        ref = _kernel_outcome(reference, spec, r0, meshes)
         # repr tells -0.0 from 0.0 and compares NaNs; == would do neither
         assert repr(new) == repr(ref), (kernel.__name__, spec, r0, steps)
         kinds[kernel] = {out[0] if isinstance(out[0], type) else "ok" for out in new}
@@ -1305,13 +1453,12 @@ def test_one_compiled_kernel_per_exponent_pattern_and_kind():
     used = set()
     for name, make in sorted(catalog().items()):
         spec = normalize_ccw(make().spec)
-        for kind, kernel in ((False, flow._integrate_scalar),
-                             (True, flow._integrate_tangent)):
-            _kernel_outcome(kernel, flow._search_tables(spec), 1.0, 64)
+        for kind, (kernel, _) in zip((False, True), KERNELS):
+            _kernel_outcome(kernel, spec, 1.0, [flow._uniform(64)])
             used.add((flow._pattern(spec.alphas), kind))
         for eps in (0.005, 0.02):
-            _kernel_outcome(flow._integrate_scalar,
-                            flow._search_tables(with_epsilon(spec, eps)), 1.0, 64)
+            _kernel_outcome(KERNELS[0][0], with_epsilon(spec, eps), 1.0,
+                            [flow._uniform(64)])
     assert len(used) == 14
     info = flow._kernel.cache_info()
     assert info.maxsize >= 2 * len(used)   # the catalog never evicts a kernel
@@ -1381,34 +1528,52 @@ def test_pattern_kernels_match_their_references_at_both_exits(
 
 
 def _revolutions(monkeypatch):
-    """Count each kernel's revolutions by (kernel, substeps)."""
+    """Count each kernel's revolutions: by (kernel, mesh) for the lone-radius
+    kernels, by (kernel, steps) for the batch kernel."""
     counts = {}
-    for name in ("_integrate_tangent", "_integrate_scalar", "_integrate_batch"):
+
+    def count(key):
+        counts[key] = counts.get(key, 0) + 1
+
+    for name in ("_integrate_tangent", "_integrate_scalar"):
         real = getattr(flow, name)
 
-        def wrapper(tabs, r0, real=real, kind=name[len("_integrate_"):]):
-            counts[kind, tabs.steps] = counts.get((kind, tabs.steps), 0) + 1
-            return real(tabs, r0)
+        def wrapper(tables, mesh, r0, real=real, kind=name[len("_integrate_"):]):
+            count((kind, mesh))
+            return real(tables, mesh, r0)
 
         monkeypatch.setattr(flow, name, wrapper)
+    batch = flow._integrate_batch
+
+    def batch_wrapper(tabs, r0):
+        count(("batch", tabs.steps))
+        return batch(tabs, r0)
+
+    monkeypatch.setattr(flow, "_integrate_batch", batch_wrapper)
     return counts
 
 
-#: Revolutions per (kernel, substeps) of each `repro`: deterministic, so a
-#: change of speed cannot hide a change of work.
+#: Revolutions per (kernel, mesh) of each `repro`, and per (batch,
+#: steps): deterministic, so a change of speed cannot hide a change of
+#: work.
 REPRO_WORK = [
-    (["repro", "vdp"], {("tangent", 128): 9, ("scalar", 64): 3,
+    (["repro", "vdp"], {("tangent", (32,) * 4): 9, ("scalar", (16,) * 4): 3,
                         ("batch", 8): 3, ("batch", 4): 3}),
-    (["repro", "example1"], {("tangent", 128): 3, ("scalar", 16): 4, ("scalar", 64): 1,
-                             ("batch", 8): 1, ("batch", 4): 1}),
-    (["repro", "example2"], {("tangent", 128): 12, ("scalar", 16): 105,
-                             ("scalar", 64): 4, ("batch", 8): 2, ("batch", 4): 2}),
-    (["repro", "lienard", "--m", "6"], {("tangent", 128): 9, ("scalar", 16): 5,
-                                        ("scalar", 64): 3, ("batch", 8): 1,
+    (["repro", "example1"], {("tangent", (32,) * 4): 3, ("scalar", (4,) * 4): 4,
+                             ("scalar", (16,) * 4): 1, ("batch", 8): 1, ("batch", 4): 1}),
+    (["repro", "example2"], {("tangent", (32,) * 4): 12, ("scalar", (4,) * 4): 105,
+                             ("scalar", (16,) * 4): 4, ("batch", 8): 2, ("batch", 4): 2}),
+    (["repro", "lienard", "--m", "6"], {("tangent", (32,) * 4): 9, ("scalar", (4,) * 4): 5,
+                                        ("scalar", (16,) * 4): 3, ("batch", 8): 1,
                                         ("batch", 4): 1}),
-    (["repro", "lienard", "--m", "7"], {("tangent", 128): 13, ("scalar", 16): 14,
-                                        ("scalar", 32): 1, ("scalar", 64): 5,
-                                        ("scalar", 256): 1,
+    # one settled node (r 1.854) fails in quadrant 2 at every level, so
+    # only quadrants 0-2 refine, and it stays failed at (64, 64, 64, 4) as
+    # the uniform 256 steps fail it
+    (["repro", "lienard", "--m", "7"], {("tangent", (32,) * 4): 13, ("scalar", (4,) * 4): 14,
+                                        ("scalar", (8, 8, 8, 4)): 1,
+                                        ("scalar", (16, 16, 16, 4)): 1,
+                                        ("scalar", (16,) * 4): 4,
+                                        ("scalar", (64, 64, 64, 4)): 1,
                                         ("batch", 8): 1, ("batch", 4): 1}),
 ]
 
