@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SpecError
+from .errors import CycleAvgError, SpecError
 from .fields import HomogeneousField, PerturbationSpec, normalize_ccw
 
 
@@ -179,9 +179,15 @@ class Averaged:
 
 
 def average(spec: PerturbationSpec) -> Averaged:
-    """Angular integrals of the ccw-normalized spec."""
+    """Angular integrals of the ccw-normalized spec.  An integral that
+    overflows raises CycleAvgError naming its field, since no root or
+    search can use it."""
     work = normalize_ccw(spec)
-    return Averaged(work, tuple(angular_integral(f) for f in work.fields))
+    integrals = tuple(angular_integral(f) for f in work.fields)
+    for j, value in enumerate(integrals):
+        if not math.isfinite(value):
+            raise CycleAvgError(f"the angular integral of field {j} is not finite ({value})")
+    return Averaged(work, integrals)
 
 
 def integrals_to_json(avg: Averaged) -> dict:

@@ -27,13 +27,13 @@ square root).  Specs made only of ordinary monomials keep the uniform
 mesh, of order q = p.  The tables hold one row per step (`_tables`):
 row n holds, for each of the 12 stages in order, F_j and then G_j of
 every field at the stage angle (n + c_i) h, so a stage at c = 1 repeats
-the next row's first values.
+the next row's first values.  A bound row is led by its own step h.
 
 A lone-radius revolution runs on a per-quadrant mesh (n_0, n_1, n_2,
 n_3) (`_run_mesh`): quadrant k takes its n_k steps from the tables of
-4 n_k steps, with h = 2 pi / (4 n_k), and hands r (and the tangent's s,
-and the least angular speed) on to the next quadrant.  A uniform mesh, 4 n
-steps in all, is one kernel call over whole tables.  Every revolution's
+4 n_k steps, whose rows carry h = 2 pi / (4 n_k), so the quadrants'
+rows chain into one sequence and every revolution is one kernel call;
+a uniform mesh, 4 n steps in all, reads whole tables.  Every revolution's
 mesh is chosen by one rule (`_revolve`): start on the uniform mesh of a
 start count and, while the Richardson estimate |P_N - P_N/2| / (2^q - 1)
 exceeds the caller's target, double every quadrant's count, each level
@@ -59,13 +59,13 @@ exactly, so a field of exponent 0 reads its row values as they are and
 one of exponent 1 multiplies them by r, with the same bits.  The
 generated source holds field indices, those classes and the tableau's
 weights only; the exponents, the rows (bound once per search and step
-count to e_j = eps * b_j, `_search_tables`) and the guard window are its
-arguments, so no spec data is compiled.  Below BASE_STEPS the bound rows
-are tuples; from it on their doubles stay packed, a quarter of the
-memory, and each row is unpacked from the buffer as its step starts.  A
-scan's radii run together in a third kernel, a few numpy calls per stage
-on the same rows viewed as (steps, 12, 2, nf), with the failures read
-once per step (`_integrate_batch`).
+count to h and e_j = eps * b_j, `_search_tables`) and the guard window
+are its arguments, so no spec data is compiled.  Below BASE_STEPS the
+bound rows are tuples; from it on their doubles stay packed, a quarter
+of the memory, and each row is unpacked from the buffer as its step
+starts.  A scan's radii run together in a third kernel, a few numpy
+calls per stage on the same rows past h viewed as (steps, 12, 2, nf),
+with the failures read once per step (`_integrate_batch`).
 """
 
 from __future__ import annotations
@@ -74,9 +74,10 @@ import logging
 import math
 import struct
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
+from itertools import accumulate, chain, groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -192,7 +193,8 @@ class _Tables(NamedTuple):
     thetas: np.ndarray             # at 12 n + i, the angle of stage i of step n
     alphas: tuple[float, ...]
     rows: object                   # (steps, 12, 2, nf): F_j, then G_j, per stage;
-                                   # bound, a tuple per step or packed doubles
+                                   # bound, h and then these, a tuple per
+                                   # step or packed doubles
     richardson: float              # 2^q - 1, with q the mesh's order
 
 
@@ -233,9 +235,10 @@ def _tables(fields, steps: int) -> _Tables:
 
 
 def _search_tables(spec: PerturbationSpec):
-    """steps -> `_tables` of the spec's fields with field j's values scaled
-    by e_j = eps * b_j, the only rows the kernels read; each count is
-    bound once for as long as the caller (one search) keeps the lookup."""
+    """steps -> `_tables` of the spec's fields with each row led by its
+    step h = 2 pi / steps and field j's values scaled by e_j = eps * b_j,
+    the only rows the kernels read; each count is bound once for as long
+    as the caller (one search) keeps the lookup."""
     # e_j at every place of field j in a row: 12 stages of F_j, then G_j
     e = np.tile(np.array([spec.epsilon * bj for bj in spec.b], dtype=float),
                 2 * len(_C))
@@ -246,16 +249,16 @@ def _search_tables(spec: PerturbationSpec):
         # Below BASE_STEPS, the counts of scans and settled nodes, each row
         # is a tuple; from it on, the counts of Newton cells and lone
         # revolutions, the doubles stay packed in a quarter of the memory
-        # and a kernel unpacks each row as its step starts (`struct`
-        # cannot unpack the empty rows of a spec without fields).
+        # and a kernel unpacks each row as its step starts.
         tabs = _tables(spec.fields, steps)
         raw = tabs.rows.reshape(steps, -1)
-        if steps < BASE_STEPS or not spec.fields:
-            rows = tuple(map(tuple, (raw * e).tolist()))
-        else:
-            rows = array("d", [0.0]) * raw.size
-            np.multiply(raw, e, out=np.frombuffer(rows).reshape(raw.shape))
-        return tabs._replace(rows=rows)
+        packed = array("d", [0.0]) * (steps + raw.size)
+        rows = np.frombuffer(packed).reshape(steps, -1)
+        rows[:, 0] = 2.0 * math.pi / steps
+        np.multiply(raw, e, out=rows[:, 1:])
+        if steps < BASE_STEPS:
+            return tabs._replace(rows=tuple(map(tuple, rows.tolist())))
+        return tabs._replace(rows=packed)
 
     return bound
 
@@ -272,8 +275,8 @@ def _check_steps(steps):
 
 
 def _tagged(exc, **where):
-    """`exc` with the attributes `where`: the step, counted from a kernel
-    call's first row, or the quadrant in which a revolution failed.  It is
+    """`exc` with the attributes `where`: the step, counted from a
+    revolution's first row, or the quadrant in which it failed.  It is
     raised as returned, never held in a local, which would tie the
     exception, its traceback and every frame on it into a cycle that keeps
     a whole search's tables alive until the collector runs."""
@@ -304,20 +307,19 @@ def _pattern(alphas) -> str:
 
 @lru_cache(maxsize=64)
 def _kernel(pattern: str, tangent: bool):
-    """kernel(r0, h, lo, hi, thetas, rows, a_0, a_1, ..., second):
-    one step of the tableau per bound row (`_search_tables`) for fields
-    whose exponents follow `pattern` (`_pattern`), the row unpacked as its
-    step starts into f{i}_{j}, g{i}_{j}, the e_j F_j and e_j G_j of stage
-    i, of num / den with num = sum f_j r^a_j and
+    """kernel(r0, lo, hi, thetas, rows, a_0, a_1, ...): one step of the
+    tableau per bound row (`_search_tables`) for fields whose exponents
+    follow `pattern` (`_pattern`), the row unpacked as its step starts
+    into its step h and f{i}_{j}, g{i}_{j}, the e_j F_j and e_j G_j of
+    stage i, of num / den with num = sum f_j r^a_j and
     den = 1 + sum g_j r^a_j / r, each sum in field order from its first
     term (0.0 with no fields); every stage combination sums its nonzero
     weights in stage order.  Returns (r1, min speed), or with `tangent`
     (r1, dr1/dr0) carried through the same stages by the variational
-    equation, df/dr = (sum a_j t_j / r - f sum (a_j - 1) u_j / r^2) / den.
-    `second` is the value the second item starts from (s = 1.0, or the
-    least speed inf), so a revolution split over several calls carries it
-    on.  A failure exits through `_guard_exit` or `_speed_exit` with the
-    step, counted from the call's first row.
+    equation, df/dr = (sum a_j t_j / r - f sum (a_j - 1) u_j / r^2) / den,
+    from s = 1.0 (or the least speed from inf).  `thetas[12 n + i]` is the
+    angle of stage i of row n, read only for an error message.  A failure
+    exits through `_guard_exit` or `_speed_exit` with the step n.
 
     Only an "a" field computes r ** a_j: a "0" field reads f_j and g_j
     as they are and a "1" field multiplies them by r, since r ** 0.0 ==
@@ -364,10 +366,10 @@ def _kernel(pattern: str, tangent: bool):
         else:
             yield "if den < least: least = den"
 
-    row = ", ".join(f"{fg}{i}_{j}" for i in stages for fg in "fg" for j in fields)
+    row = ", ".join(["h"] + [f"{fg}{i}_{j}" for i in stages for fg in "fg" for j in fields])
     source = "\n".join([
-        f"def kernel(r, h, lo, hi, thetas, rows{''.join(f', a{j}' for j in fields)}, "
-        + ("s):" if tangent else "least):"),
+        f"def kernel(r, lo, hi, thetas, rows{''.join(f', a{j}' for j in fields)}):",
+        "    s = 1.0" if tangent else "    least = inf",
         *(f"    m{j} = a{j} - 1.0" for j in general if tangent),
         f"    for n, [{row}] in enumerate(rows):",
         *("        " + line for i in stages for line in stage(i, _A[i])),
@@ -375,46 +377,39 @@ def _kernel(pattern: str, tangent: bool):
         (f"        s += h * ({_weighted(_B, (f'l{i}' for i in stages))})"
          if tangent else ""),
         "    return r, s" if tangent else "    return r, least"])
-    namespace = {"_guard_exit": _guard_exit, "_speed_exit": _speed_exit}
+    namespace = {"_guard_exit": _guard_exit, "_speed_exit": _speed_exit, "inf": math.inf}
     exec(compile(source, f"<flow kernel {pattern!r} tangent={tangent}>", "exec"), namespace)
     return namespace["kernel"]
 
 
-def _run_quadrants(tangent: bool, tabs: _Tables, first: int, last: int,
-                   r: float, second: float) -> tuple[float, float]:
-    """Quadrants first..last - 1 of a revolution on bound `tabs`, in
-    tabs.steps / 4 steps each, from the radius r and the kernel's second
-    value (the tangent s, or the least angular speed so far); returns the
-    pair at the end of quadrant last - 1.  A failure is raised with its
-    `quadrant`."""
-    per = tabs.steps // 4
-    rows, thetas = tabs.rows, tabs.thetas
-    packed = not isinstance(rows, tuple)
-    width = len(rows) // tabs.steps if packed else 1    # items per step
-    if (first, last) != (0, 4):
-        # an array slice is a copy; the rows stay unpacked one step at a time
-        rows = rows[width * per * first:width * per * last]
-        thetas = thetas[len(_C) * per * first:]
-    if packed:
-        rows = struct.iter_unpack(f"{width}d", rows)
-    try:
-        return _kernel(_pattern(tabs.alphas), tangent)(
-            r, 2.0 * math.pi / tabs.steps, *GUARD, thetas, rows, *tabs.alphas, second)
-    except (GuardBoundError, AngularMonotonicityError) as exc:
-        exc.quadrant = first + exc.step // per
-        raise
-
-
 def _run_mesh(tangent: bool, tables, mesh, r0: float) -> tuple[float, float]:
-    """One revolution of r0 on the per-quadrant mesh (n_0, n_1, n_2, n_3):
-    quadrant k in its n_k steps of `tables(4 n_k)`, with tables a search's
-    lookup (`_search_tables`).  Quadrants of one count run as one kernel
-    call, so a uniform mesh is one call over whole tables."""
-    r, second, first = float(r0), 1.0 if tangent else math.inf, 0
+    """One revolution of r0 on the per-quadrant mesh (n_0, n_1, n_2, n_3)
+    in one kernel call: quadrant k in its n_k steps of `tables(4 n_k)`,
+    with tables a search's lookup (`_search_tables`).  The rows of each
+    run of equal counts, and their stage angles, are chained into one
+    sequence; a uniform mesh reads whole tables.  A failure is raised
+    with its `quadrant`."""
+    rows, thetas, first = [], [], 0
     for n, run in groupby(mesh):
-        last = first + len(tuple(run))
-        r, second = _run_quadrants(tangent, tables(4 * n), first, last, r, second)
+        tabs, last = tables(4 * n), first + len(tuple(run))
+        start, stop = n * first, n * last              # the run's steps
+        if isinstance(tabs.rows, tuple):
+            rows.append(tabs.rows[start:stop])
+        else:
+            # a memoryview slice, as an array slice is a copy
+            width = len(tabs.rows) // tabs.steps       # doubles per row
+            rows.append(struct.iter_unpack(
+                f"{width}d", memoryview(tabs.rows)[width * start:width * stop]))
+        thetas.append(tabs.thetas[len(_C) * start:len(_C) * stop])
         first = last
+    if len(rows) > 1:
+        rows, thetas = [chain.from_iterable(rows)], [np.concatenate(thetas)]
+    try:
+        r, second = _kernel(_pattern(tabs.alphas), tangent)(
+            float(r0), *GUARD, thetas[0], rows[0], *tabs.alphas)
+    except (GuardBoundError, AngularMonotonicityError) as exc:
+        exc.quadrant = bisect_right(list(accumulate(mesh)), exc.step)
+        raise
     lo, hi = GUARD
     if not lo < r < hi:
         raise _tagged(GuardBoundError(
@@ -455,12 +450,12 @@ def _integrate_batch(tabs: _Tables, r0: np.ndarray):
     Failed rows keep being integrated on garbage; the cumulative `alive`
     mask keeps their later failures from overwriting the first.
     """
-    # step n's rows as (12, 2, nf): each stage's e_j F_j and e_j G_j, so
-    # one product gives num and den
-    weights = np.asarray(tabs.rows, dtype=float).reshape(
-        tabs.steps, len(_B), 2, len(tabs.alphas))
+    # step n's row past its h as (12, 2, nf): each stage's e_j F_j and
+    # e_j G_j, so one product gives num and den
+    rows = np.asarray(tabs.rows, dtype=float).reshape(tabs.steps, -1)
+    weights = rows[:, 1:].reshape(tabs.steps, len(_B), 2, len(tabs.alphas))
     alphas = np.asarray(tabs.alphas)[:, None]
-    h = 2.0 * math.pi / tabs.steps
+    h = float(rows[0, 0])
     lo, hi = GUARD
 
     r = np.array(r0, dtype=float, copy=True)

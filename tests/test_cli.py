@@ -370,10 +370,12 @@ OVERFLOW_SPEC = {"orientation": "ccw", "epsilon": 0.01, "b": [1.0], "fields": [
      "g": []}]}
 
 
-@pytest.mark.parametrize("command", ["integrals", "averaged", "roots"])
+@pytest.mark.parametrize("command", ["integrals", "averaged", "roots", "pipeline"])
 def test_exit_code_1_on_a_non_finite_result(capsys, tmp_path, command):
     # stdout is strict JSON or empty: a result that holds an infinity is a
-    # computation error (exit 1), not malformed input, and prints nothing
+    # computation error (exit 1), not malformed input, and prints nothing.
+    # The overflowing integral is refused where it is computed, naming its
+    # field, so the pipeline neither warns nor searches on infinite rows.
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(OVERFLOW_SPEC), encoding="utf-8")
     out_path = tmp_path / "out.json"
@@ -382,8 +384,20 @@ def test_exit_code_1_on_a_non_finite_result(capsys, tmp_path, command):
         rc = main(argv)
         captured = capsys.readouterr()
         assert rc == 1 and captured.out == ""
-        assert captured.err == ("error: the result holds a non-finite number, "
-                                "which JSON cannot represent\n")
+        assert captured.err == "error: the angular integral of field 0 is not finite (inf)\n"
+    assert not out_path.exists()
+
+
+def test_a_non_finite_number_never_reaches_stdout(capsys, tmp_path, monkeypatch):
+    # the last guard, behind the typed errors where values are computed
+    monkeypatch.setattr(cli, "cmd_integrals", lambda args: {"value": math.nan})
+    out_path = tmp_path / "out.json"
+    for argv in (["integrals", "--preset", "vdp"],
+                 ["--out", str(out_path), "integrals", "--preset", "vdp"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            "error: the result holds a non-finite number, which JSON cannot represent\n")
     assert not out_path.exists()
 
 

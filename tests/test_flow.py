@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import re
+import struct
 from array import array
 from dataclasses import replace
 from fractions import Fraction
@@ -875,8 +876,8 @@ def test_generated_kernel_observes_the_tableau_order(tangent):
 
     def error(n):
         stages = len(flow._C)
-        out = kernel(r0, 2.0 * math.pi / n, *flow.GUARD, np.zeros(stages * n),
-                     ((e, 0.0) * stages,) * n, 2.0, 1.0 if tangent else math.inf)
+        out = kernel(r0, *flow.GUARD, np.zeros(stages * n),
+                     ((2.0 * math.pi / n,) + (e, 0.0) * stages,) * n, 2.0)
         return abs(out[1 if tangent else 0] - exact)
 
     errs = [error(n) for n in (8, 16, 32)]
@@ -931,8 +932,8 @@ def test_polynomial_specs_keep_the_uniform_mesh(case):
     spec = vdp().spec if case == "vdp" else _lienard7()
     assert not _graded(spec.fields)
     # a search binds field j to e_j = eps * b_j: below BASE_STEPS as a
-    # tuple per step, from it on packed, with the values of e_j times each
-    # entry
+    # tuple per step, from it on packed, each row h and then e_j times
+    # each entry
     e = [spec.epsilon * bj for bj in spec.b]
     for steps, kind in ((flow.BASE_STEPS // 2, tuple), (flow.BASE_STEPS, array)):
         tabs = flow._tables(spec.fields, steps)
@@ -945,18 +946,29 @@ def test_polynomial_specs_keep_the_uniform_mesh(case):
         bound = tables(steps)
         assert tables(steps) is bound
         assert type(bound.rows) is kind
-        scaled = np.reshape(bound.rows, tabs.rows.shape)
+        scaled = np.reshape(bound.rows, (steps, -1))
+        assert scaled[:, 0].tolist() == [h] * steps
+        scaled = scaled[:, 1:].reshape(tabs.rows.shape)
         for profile, side in ((profiles.radial, 0), (profiles.transverse, 1)):
             assert scaled[:, :, side].transpose(2, 0, 1).tolist() == [
                 [[ej * v for v in stage] for stage in field]
                 for ej, field in zip(e, profile)]
 
 
+def _assert_rows_repr_equal(got, want):
+    """Row by row by `repr`, so that a failure reports one row: a diff
+    of the whole tables' repr takes pytest minutes."""
+    assert len(got) == len(want)
+    for n, (row, expected) in enumerate(zip(got, want)):
+        assert repr(row) == repr(expected), n
+
+
 @pytest.mark.parametrize("steps", [8, 64, 256])
 @pytest.mark.parametrize("case", ["vdp", "lienard7", "example1"])
 def test_rows_hold_every_stage_profile_of_their_step(case, steps):
     # row n: for each stage i in tableau order, F_j then G_j of every field
-    # at stage angle i of step n, raw in `_tables` and times e_j once bound
+    # at stage angle i of step n, raw in `_tables`, and once bound led by
+    # the step h and times e_j
     spec = {"vdp": vdp().spec, "lienard7": _lienard7(),
             "example1": normalize_ccw(example1().spec)}[case]
     assert _graded(spec.fields) == (case == "example1")
@@ -968,23 +980,28 @@ def test_rows_hold_every_stage_profile_of_their_step(case, steps):
         want.append([v for i in range(len(flow._C))
                      for profile in (profiles.radial, profiles.transverse)
                      for v in (field[n][i] for field in profile)])
-    assert repr(raw) == repr(want)
-    assert repr(flow._tables(spec.fields, steps).thetas.tolist()) == repr(
-        [theta for row in profiles.thetas for theta in row])
+    _assert_rows_repr_equal(raw, want)
+    _assert_rows_repr_equal(
+        flow._tables(spec.fields, steps).thetas.reshape(steps, -1).tolist(), profiles.thetas)
     bound = flow._search_tables(spec)(steps).rows
     rows = (list(map(list, bound)) if isinstance(bound, tuple)
             else np.reshape(bound, (steps, -1)).tolist())
-    nf = len(spec.fields)
-    assert repr(rows) == repr([[e[m % nf] * v for m, v in enumerate(row)] for row in want])
+    nf, h = len(spec.fields), 2.0 * math.pi / steps
+    _assert_rows_repr_equal(rows, [[h] + [e[m % nf] * v for m, v in enumerate(row)]
+                                   for row in want])
     # the c = 1 stage of a step repeats the first stage of the next
     assert all(row[-2 * nf:] == later[:2 * nf] for row, later in zip(want, want[1:]))
 
 
 def test_a_spec_without_fields_gets_empty_rows():
+    # bound, each row holds its step h only: tuples below BASE_STEPS,
+    # packed from it on, as for any spec
     for steps in (8, 64, 256):
         assert flow._tables((), steps).rows.shape == (steps, len(flow._C), 2, 0)
         bound = flow._search_tables(PerturbationSpec((), (), 0.01))(steps)
-        assert bound.rows == ((),) * steps
+        rows = bound.rows if steps < flow.BASE_STEPS else tuple(
+            struct.iter_unpack("d", bound.rows))
+        assert rows == ((2.0 * math.pi / steps,),) * steps
 
 
 def test_fractional_spec_is_graded_per_quadrant():
@@ -1102,44 +1119,100 @@ def _outcome(run):
         return type(exc), str(exc), exc.quadrant
 
 
+def _kernel_calls(monkeypatch):
+    """Record each call of a generated kernel as its kind, True for the
+    tangent kernel."""
+    calls, real = [], flow._kernel
+
+    def kernel(pattern, tangent):
+        compiled = real(pattern, tangent)
+
+        def counted(*args):
+            calls.append(tangent)
+            return compiled(*args)
+
+        return counted
+
+    monkeypatch.setattr(flow, "_kernel", kernel)
+    return calls
+
+
 @pytest.mark.parametrize("tangent", [False, True])
-def test_quadrants_run_one_by_one_as_one_call_does(tangent):
-    # carrying r and the tangent's s or the least speed from quadrant to
-    # quadrant runs the operations of one call over the whole tables, so a
-    # uniform mesh gives the same bits however it is split: vdp on the
-    # uniform mesh and example1 on the graded one, tuple rows at 64 steps
-    # and packed ones at 256, and failing runs of the guard (the drift)
-    # and of the angular speed (capillary), with message and quadrant
+def test_every_revolution_is_one_kernel_call(monkeypatch, tangent):
+    # uniform and mixed meshes, tuple rows below BASE_STEPS and packed
+    # ones from it on, finished revolutions and failing ones of the guard
+    # (the drift) and of the angular speed (capillary): each is one call
+    # of the generated kernel, and a failure names the quadrant whose
+    # angles hold the one its message prints
+    calls = _kernel_calls(monkeypatch)
+    integrate = flow._integrate_tangent if tangent else flow._integrate_scalar
     cases = [(vdp().spec, 1.0, {"ok"}), (example1().spec, 1.2, {"ok"}),
              (_drift_spec(), 100.0, {GuardBoundError}),
-             (capillary().spec, 1.0, {AngularMonotonicityError})]
-    start = 1.0 if tangent else math.inf
+             (capillary().spec, 1.0, {GuardBoundError, AngularMonotonicityError})]
+    meshes = [flow._uniform(64), flow._uniform(256), (64, 16, 2, 2), (2, 2, 16, 64),
+              (32, 32, 32, 4)]
     for spec, r0, kinds in cases:
         tables = flow._search_tables(normalize_ccw(spec))
-        for steps in (64, 256):
-            tabs = tables(steps)
+        outcomes = set()
+        for mesh in meshes:
+            calls.clear()
+            outcome = _outcome(lambda: integrate(tables, mesh, r0))
+            assert calls == [tangent], (spec, mesh)
+            if isinstance(outcome[0], type):
+                _, message, quadrant = outcome
+                theta = float(re.search(r"theta=([^,\s]+)", message).group(1))
+                assert quadrant * math.pi / 2 - 1e-5 <= theta <= (
+                    quadrant + 1) * math.pi / 2 + 1e-5, (spec, mesh, message, quadrant)
+                outcomes.add(outcome[0])
+            else:
+                outcomes.add("ok")
+        assert outcomes == kinds, spec
 
-            def split(cuts):
-                r, second = r0, start
-                for first, last in zip(cuts, cuts[1:]):
-                    r, second = flow._run_quadrants(tangent, tabs, first, last, r, second)
-                return r, second
 
-            whole = _outcome(lambda: split((0, 4)))
-            assert {whole[0] if isinstance(whole[0], type) else "ok"} == kinds
-            for cuts in ((0, 1, 2, 3, 4), (0, 2, 4), (0, 3, 4)):
-                assert repr(_outcome(lambda: split(cuts))) == repr(whole), (spec, steps, cuts)
-            mesh = _outcome(lambda: flow._run_mesh(tangent, tables, flow._uniform(steps), r0))
-            assert repr(mesh) == repr(whole)
+def test_repro_revolutions_are_one_kernel_call_each(monkeypatch, capsys):
+    # lienard7's settles run the mixed meshes (8, 8, 8, 4), (16, 16, 16, 4)
+    # and (64, 64, 64, 4) beside uniform ones (`REPRO_WORK`)
+    calls = _kernel_calls(monkeypatch)
+    counts = _revolutions(monkeypatch)
+    assert cli.main(["repro", "lienard", "--m", "7"]) == 0
+    capsys.readouterr()
+    for kind, tangent in (("scalar", False), ("tangent", True)):
+        revolutions = sum(n for (k, _), n in counts.items() if k == kind)
+        assert calls.count(tangent) == revolutions > 0
+
+
+def test_the_kernel_honours_each_rows_own_step():
+    # rows that step backward, each with h negated and stage i of step n
+    # at the angle theta_(n+1) - c_i |h|, run a revolution in reverse:
+    # from P(r0) they return r0 within that revolution's estimate, and
+    # their dr0/dr1 inverts dP/dr0.  At eps -0.2 vdp's cycle repels, so
+    # the backward revolution does not amplify the forward one's error.
+    spec, r0 = normalize_ccw(with_epsilon(vdp().spec, -0.2)), 1.0
+    tables = flow._search_tables(spec)
+    for steps in (16, 32, 64):
+        h = 2.0 * math.pi / steps
+        forward, slope = flow._integrate_tangent(tables, flow._uniform(steps), r0)
+        estimate = _pinned_estimate(spec, r0, steps)
+        thetas = np.array([(n + 1 - c) * h for n in reversed(range(steps)) for c in flow._C])
+        # at each stage, e_j F_j and then e_j G_j of every field j
+        values = np.stack([np.stack(angular_components(field, thetas)) * (spec.epsilon * bj)
+                           for field, bj in zip(spec.fields, spec.b)], axis=-1)
+        rows = [(-h, *row) for row in values.transpose(1, 0, 2).reshape(steps, -1).tolist()]
+        for tangent in (False, True):
+            back, second = flow._kernel(flow._pattern(spec.alphas), tangent)(
+                forward, *flow.GUARD, thetas, rows, *spec.alphas)
+            assert abs(back - r0) <= estimate < 1e-3 * abs(forward - r0), (steps, back)
+            if tangent:
+                assert abs(second * slope - 1.0) <= 10.0 * estimate, (steps, second * slope)
 
 
 @pytest.mark.parametrize("name, r0", [("vdp", 1.2), ("example1", 0.5), ("example2", 2.0),
                                       ("lienard7", 1.2), ("capillary", 1.0)])
 def test_graded_meshes_match_the_stitched_reference(name, r0):
     # quadrant k reads its slice of the rows at 4 n_k steps, packed from
-    # BASE_STEPS on and tuples below, with h = 2 pi / (4 n_k), so each
-    # kernel matches its reference stitched from those profiles bit for
-    # bit, errors included
+    # BASE_STEPS on and tuples below, each row with its h = 2 pi / (4 n_k),
+    # so each kernel matches its reference stitched from those profiles
+    # bit for bit, errors included
     spec = normalize_ccw(_lienard7() if name == "lienard7" else catalog()[name]().spec)
     meshes = [(64, 16, 2, 2), (32, 32, 32, 4), (8, 4, 4, 2), (64, 64, 64, 16)]
     kinds = _assert_same_bits(spec, r0, 8, meshes)
