@@ -160,13 +160,19 @@ class Averaged:
 
     @property
     def h(self) -> AveragedFunction:
-        """h without the terms whose integral is structurally zero or b == 0."""
-        terms = [(float(f.alpha), bj * ij / (2.0 * math.pi))
-                 for f, bj, ij, nz in zip(self.spec.fields, self.spec.b,
-                                          self.integrals, self.keep)
+        """h without the terms whose integral is structurally zero or b == 0.
+        A coefficient b_j I_j / 2 pi that overflows raises CycleAvgError
+        naming its field, as no root can be isolated with it."""
+        terms = [(j, float(f.alpha), bj * ij / (2.0 * math.pi))
+                 for j, (f, bj, ij, nz) in enumerate(zip(self.spec.fields, self.spec.b,
+                                                         self.integrals, self.keep))
                  if nz and bj != 0.0]
-        return AveragedFunction(tuple(e for e, _ in terms),
-                                tuple(c for _, c in terms))
+        for j, _, c in terms:
+            if not math.isfinite(c):
+                raise CycleAvgError(f"the coefficient b_{j} I_{j} / 2 pi of field {j} "
+                                    f"in h is not finite ({c})")
+        return AveragedFunction(tuple(e for _, e, _ in terms),
+                                tuple(c for _, _, c in terms))
 
     @property
     def lower_bound(self) -> int:

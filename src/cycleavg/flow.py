@@ -30,14 +30,16 @@ every field at the stage angle (n + c_i) h, so a stage at c = 1 repeats
 the next row's first values.  A bound row is led by its own step h.
 
 A lone-radius revolution runs on a per-quadrant mesh (n_0, n_1, n_2,
-n_3) (`_run_mesh`): quadrant k takes its n_k steps from the tables of
-4 n_k steps, whose rows carry h = 2 pi / (4 n_k), so the quadrants'
-rows chain into one sequence and every revolution is one kernel call;
-a uniform mesh, 4 n steps in all, reads whole tables.  Every revolution's
-mesh is chosen by one rule (`_revolve`): start on the uniform mesh of a
-start count and, while the Richardson estimate |P_N - P_N/2| / (2^q - 1)
-exceeds the caller's target, double every quadrant's count, each level
-serving as the next one's half pass, up to MAX_STEPS / 4 per quadrant.
+n_3) through one entry, `_run_mesh`: quadrant k takes its n_k steps from
+the tables of 4 n_k steps, whose rows carry h = 2 pi / (4 n_k), so the
+quadrants' rows chain into one sequence and every revolution is one
+kernel call; a uniform mesh, 4 n steps in all, reads whole tables.  A
+kernel that stops is located and worded there (`_failure`).  Every
+revolution's mesh is chosen by one rule (`_revolve`): start on the
+uniform mesh of a start count and, while the Richardson estimate
+|P_N - P_N/2| / (2^q - 1) exceeds the caller's target, double every
+quadrant's count, each level serving as the next one's half pass, up to
+MAX_STEPS / 4 per quadrant.
 A pass that leaves the guard window or loses angular speed in quadrant k
 doubles quadrants 0..k only: the orbit of a stiff radius may fall onto
 its cycle within one quadrant, and the quadrants after the failure never
@@ -60,12 +62,13 @@ one of exponent 1 multiplies them by r, with the same bits.  The
 generated source holds field indices, those classes and the tableau's
 weights only; the exponents, the rows (bound once per search and step
 count to h and e_j = eps * b_j, `_search_tables`) and the guard window
-are its arguments, so no spec data is compiled.  Below BASE_STEPS the
-bound rows are tuples; from it on their doubles stay packed, a quarter
-of the memory, and each row is unpacked from the buffer as its step
-starts.  A scan's radii run together in a third kernel, a few numpy
-calls per stage on the same rows past h viewed as (steps, 12, 2, nf),
-with the failures read once per step (`_integrate_batch`).
+are its arguments, the rows its only per-step input, so no spec data
+is compiled.  Below BASE_STEPS the bound rows are tuples; from it on
+their doubles stay packed, a quarter of the memory, and each row is
+unpacked from the buffer as its step starts.  A scan's radii run
+together in a third kernel, a few numpy calls per stage on the same rows
+past h viewed as (steps, 12, 2, nf), with the failures read once per
+step (`_integrate_batch`).
 """
 
 from __future__ import annotations
@@ -255,7 +258,8 @@ def _search_tables(spec: PerturbationSpec):
         packed = array("d", [0.0]) * (steps + raw.size)
         rows = np.frombuffer(packed).reshape(steps, -1)
         rows[:, 0] = 2.0 * math.pi / steps
-        np.multiply(raw, e, out=rows[:, 1:])
+        with np.errstate(over="ignore"):  # an infinite row fails the guard
+            np.multiply(raw, e, out=rows[:, 1:])
         if steps < BASE_STEPS:
             return tabs._replace(rows=tuple(map(tuple, rows.tolist())))
         return tabs._replace(rows=packed)
@@ -274,24 +278,29 @@ def _check_steps(steps):
         )
 
 
-def _tagged(exc, **where):
-    """`exc` with the attributes `where`: the step, counted from a
-    revolution's first row, or the quadrant in which it failed.  It is
-    raised as returned, never held in a local, which would tie the
-    exception, its traceback and every frame on it into a cycle that keeps
-    a whole search's tables alive until the collector runs."""
-    vars(exc).update(where)
+class _Stop(Exception):
+    """A generated kernel's exit at stage i of row n, args (n, i, x, den):
+    the stage radius x left the guard window (den None) or den <= 0."""
+
+
+def _failure(r: float, theta, quadrant: int, den=None):
+    """The error of a revolution that failed in `quadrant`, tagged with it:
+    r left the guard window near the stage angle theta (at the turn's end
+    if theta is None), or the angular speed den <= 0 there.  It is raised
+    as returned, never held in a local, which would tie the exception, its
+    traceback and every frame on it into a cycle that keeps a whole
+    search's tables alive until the collector runs."""
+    lo, hi = GUARD
+    if den is not None:
+        exc = AngularMonotonicityError(
+            f"angular speed {den:.3e} <= 0 at theta={theta:.6g}, r={r:.6g}")
+    elif theta is None:
+        exc = GuardBoundError(f"final radius {r:.6g} left the window ({lo:g}, {hi:g})")
+    else:
+        exc = GuardBoundError(
+            f"radius {r:.6g} left the window ({lo:g}, {hi:g}) near theta={theta:.6g}")
+    exc.quadrant = quadrant
     return exc
-
-
-def _guard_exit(r: float, lo: float, hi: float, theta: float, step: int = 0):
-    raise _tagged(GuardBoundError(
-        f"radius {r:.6g} left the window ({lo:g}, {hi:g}) near theta={theta:.6g}"), step=step)
-
-
-def _speed_exit(den: float, theta: float, r: float, step: int):
-    raise _tagged(AngularMonotonicityError(
-        f"angular speed {den:.3e} <= 0 at theta={theta:.6g}, r={r:.6g}"), step=step)
 
 
 def _weighted(weights, names) -> str:
@@ -307,19 +316,24 @@ def _pattern(alphas) -> str:
 
 @lru_cache(maxsize=64)
 def _kernel(pattern: str, tangent: bool):
-    """kernel(r0, lo, hi, thetas, rows, a_0, a_1, ...): one step of the
-    tableau per bound row (`_search_tables`) for fields whose exponents
-    follow `pattern` (`_pattern`), the row unpacked as its step starts
-    into its step h and f{i}_{j}, g{i}_{j}, the e_j F_j and e_j G_j of
-    stage i, of num / den with num = sum f_j r^a_j and
-    den = 1 + sum g_j r^a_j / r, each sum in field order from its first
-    term (0.0 with no fields); every stage combination sums its nonzero
-    weights in stage order.  Returns (r1, min speed), or with `tangent`
-    (r1, dr1/dr0) carried through the same stages by the variational
-    equation, df/dr = (sum a_j t_j / r - f sum (a_j - 1) u_j / r^2) / den,
-    from s = 1.0 (or the least speed from inf).  `thetas[12 n + i]` is the
-    angle of stage i of row n, read only for an error message.  A failure
-    exits through `_guard_exit` or `_speed_exit` with the step n.
+    """kernel(r0, lo, hi, rows, a_0, a_1, ...): one step of the tableau
+    per bound row (`_search_tables`), the rows its only per-step input,
+    for fields whose exponents follow `pattern` (`_pattern`), the row
+    unpacked as its step starts into its step h and f{i}_{j}, g{i}_{j},
+    the e_j F_j and e_j G_j of stage i, of num / den with
+    num = sum f_j r^a_j and den = 1 + sum g_j r^a_j / r, each sum in field
+    order from its first term (0.0 with no fields); every stage
+    combination sums its nonzero weights in stage order.  Returns
+    (r1, min speed), the least speed from inf, or with `tangent` (r1, s1),
+    s = dr/dr0 from 1.0.  A failure raises _Stop(n, i, x, den) at stage i
+    of row n (den None for the guard), which `_run_mesh` words.
+
+    The tangent kernel also evaluates df/dr at each stage,
+    df/dr = (sum a_j t_j / r - f sum (a_j - 1) u_j / r^2) / den, so s
+    follows the variational equation s' = (df/dr) s through the same
+    stages, l_i = (df/dr)_i (s + h sum_j a_ij l_j).  Differentiating the
+    stages by r0 gives exactly these, so s1 is the exact derivative of the
+    discrete map r0 -> r1, and r1 is bit-identical to the value kernel's.
 
     Only an "a" field computes r ** a_j: a "0" field reads f_j and g_j
     as they are and a "1" field multiplies them by r, since r ** 0.0 ==
@@ -345,9 +359,8 @@ def _kernel(pattern: str, tangent: bool):
         u = [power(j, f"g{i}_{j}") for j in fields]
         ks = _weighted(row, (f"k{j}" for j in range(i)))
         ls = _weighted(row, (f"l{j}" for j in range(i)))
-        theta = f"thetas[{len(_B)} * n + {i}]"
         yield f"x = r + h * ({ks})" if ks else "x = r"
-        yield f"if not lo < x < hi: _guard_exit(x, lo, hi, {theta}, n)"
+        yield f"if not lo < x < hi: raise _Stop(n, {i}, x, None)"
         yield from (f"p{j} = x ** a{j}" for j in general)
         if tangent:                 # products named, as df/dr uses each term again
             for j in fields:
@@ -355,7 +368,7 @@ def _kernel(pattern: str, tangent: bool):
                     yield f"t{j} = {t[j]}; u{j} = {u[j]}"
                     t[j], u[j] = f"t{j}", f"u{j}"
         yield f"den = 1.0 + {total(u)} / x"
-        yield f"if den <= 0.0: _speed_exit(den, {theta}, x, n)"
+        yield f"if den <= 0.0: raise _Stop(n, {i}, x, den)"
         yield f"k{i} = {total(t)} / den"
         if tangent:                 # a_j t_j and (a_j - 1) u_j, with 0 * t or u left out
             dnum = ({"0": "", "1": t[j]}.get(pattern[j], f"a{j} * {t[j]}") for j in fields)
@@ -368,7 +381,7 @@ def _kernel(pattern: str, tangent: bool):
 
     row = ", ".join(["h"] + [f"{fg}{i}_{j}" for i in stages for fg in "fg" for j in fields])
     source = "\n".join([
-        f"def kernel(r, lo, hi, thetas, rows{''.join(f', a{j}' for j in fields)}):",
+        f"def kernel(r, lo, hi, rows{''.join(f', a{j}' for j in fields)}):",
         "    s = 1.0" if tangent else "    least = inf",
         *(f"    m{j} = a{j} - 1.0" for j in general if tangent),
         f"    for n, [{row}] in enumerate(rows):",
@@ -377,19 +390,22 @@ def _kernel(pattern: str, tangent: bool):
         (f"        s += h * ({_weighted(_B, (f'l{i}' for i in stages))})"
          if tangent else ""),
         "    return r, s" if tangent else "    return r, least"])
-    namespace = {"_guard_exit": _guard_exit, "_speed_exit": _speed_exit, "inf": math.inf}
+    namespace = {"_Stop": _Stop, "inf": math.inf}
     exec(compile(source, f"<flow kernel {pattern!r} tangent={tangent}>", "exec"), namespace)
     return namespace["kernel"]
 
 
 def _run_mesh(tangent: bool, tables, mesh, r0: float) -> tuple[float, float]:
     """One revolution of r0 on the per-quadrant mesh (n_0, n_1, n_2, n_3)
-    in one kernel call: quadrant k in its n_k steps of `tables(4 n_k)`,
-    with tables a search's lookup (`_search_tables`).  The rows of each
-    run of equal counts, and their stage angles, are chained into one
-    sequence; a uniform mesh reads whole tables.  A failure is raised
-    with its `quadrant`."""
-    rows, thetas, first = [], [], 0
+    in one call of the value kernel, or with `tangent` the tangent kernel:
+    quadrant k in its n_k steps of `tables(4 n_k)`, with tables a search's
+    lookup (`_search_tables`), the rows of each run of equal counts
+    chained into one sequence.  Returns (r1, min speed), or (r1, s1).
+    The one entry of every lone-radius revolution, and the one place that
+    types, words and locates its failure (`_failure`): a kernel's stop at
+    step n lies in the quadrant q whose running sum of counts first
+    exceeds n, at row n - sum(mesh[:q]) + q n_q of `tables(4 n_q)`."""
+    rows, first = [], 0
     for n, run in groupby(mesh):
         tabs, last = tables(4 * n), first + len(tuple(run))
         start, stop = n * first, n * last              # the run's steps
@@ -400,43 +416,25 @@ def _run_mesh(tangent: bool, tables, mesh, r0: float) -> tuple[float, float]:
             width = len(tabs.rows) // tabs.steps       # doubles per row
             rows.append(struct.iter_unpack(
                 f"{width}d", memoryview(tabs.rows)[width * start:width * stop]))
-        thetas.append(tabs.thetas[len(_C) * start:len(_C) * stop])
         first = last
-    if len(rows) > 1:
-        rows, thetas = [chain.from_iterable(rows)], [np.concatenate(thetas)]
     try:
         r, second = _kernel(_pattern(tabs.alphas), tangent)(
-            float(r0), *GUARD, thetas[0], rows[0], *tabs.alphas)
-    except (GuardBoundError, AngularMonotonicityError) as exc:
-        exc.quadrant = bisect_right(list(accumulate(mesh)), exc.step)
-        raise
-    lo, hi = GUARD
-    if not lo < r < hi:
-        raise _tagged(GuardBoundError(
-            f"final radius {r:.6g} left the window ({lo:g}, {hi:g})"), quadrant=3)
+            float(r0), *GUARD, chain.from_iterable(rows) if len(rows) > 1 else rows[0],
+            *tabs.alphas)
+    except _Stop as stop:
+        n, i, x, den = stop.args
+        ends = list(accumulate(mesh))
+        q = bisect_right(ends, n)
+        row = n - (ends[q] - mesh[q]) + q * mesh[q]
+        raise _failure(x, tables(4 * mesh[q]).thetas[len(_C) * row + i], q, den) from None
+    if not GUARD[0] < r < GUARD[1]:
+        raise _failure(r, None, 3)
     return r, second
 
 
 def _uniform(steps: int) -> tuple[int, ...]:
     """The mesh of `steps` steps in all, steps / 4 per quadrant."""
     return (steps // 4,) * 4
-
-
-def _integrate_scalar(tables, mesh, r0: float) -> tuple[float, float]:
-    """One revolution on `mesh` (`_run_mesh`); returns (r1, min speed)."""
-    return _run_mesh(False, tables, mesh, r0)
-
-
-def _integrate_tangent(tables, mesh, r0: float) -> tuple[float, float]:
-    """One revolution carrying the tangent s = dr/dr0; returns (r1, s1).
-
-    Each stage also evaluates df/dr, so s follows the variational equation
-    s' = (df/dr) s through the same stages, l_i = (df/dr)_i (s + h sum_j
-    a_ij l_j).  Differentiating the stages by r0 gives exactly these, so
-    s1 is the exact derivative of the discrete map r0 -> r1, and r1 is
-    bit-identical to `_integrate_scalar`'s.  Raises like `_integrate_scalar`.
-    """
-    return _run_mesh(True, tables, mesh, r0)
 
 
 def _integrate_batch(tabs: _Tables, r0: np.ndarray):
@@ -496,29 +494,28 @@ def _refined(mesh, q: int, finer):
     return tuple(map(finer, mesh[:q + 1])) + mesh[q + 1:]
 
 
-def _revolve(tables, kernel, r0: float, start: int, tol: float):
-    """One revolution of r0 by `kernel`, on a mesh chosen by accuracy.
-
-    `kernel(tables, mesh, r0)` returns a pair whose first item is P(r0),
-    with `tables` a search's lookup (`_search_tables`) and `mesh` the
-    steps per quadrant (`_run_mesh`).  It runs on the uniform mesh of
-    `start` steps and, while the Richardson estimate |P - half| / (2^q - 1)
-    is not within tol (a NaN is not), on the mesh with every quadrant's
-    count doubled, until quadrant 0 reaches MAX_STEPS / 4; each level's P
-    is the next level's half pass, so every pair is a true halving.  The
-    first half pass is a scalar revolution at half the first count.  A
-    pass that fails (guard or angular speed) in quadrant k doubles the
-    counts of quadrants 0..k only, up to MAX_STEPS / 4, and raises once
-    quadrant k is there: the quadrants up to k then run as the uniform
-    MAX_STEPS mesh does, so it fails as that mesh fails.  A failed half
-    pass leaves the estimate NaN, and a failed pass leaves the next level
-    no half pass.  Returns (mesh, pair, estimate) of the last level.
+def _revolve(tables, tangent: bool, r0: float, start: int, tol: float):
+    """One revolution of r0 by `_run_mesh(tangent, tables, mesh, r0)`, on a
+    mesh chosen by accuracy: `tables` is a search's lookup
+    (`_search_tables`), `mesh` the steps per quadrant and the pair's first
+    item P(r0).  It runs on the uniform mesh of `start` steps and, while
+    the Richardson estimate |P - half| / (2^q - 1) is not within tol (a
+    NaN is not), on the mesh with every quadrant's count doubled, until
+    quadrant 0 reaches MAX_STEPS / 4; each level's P is the next level's
+    half pass, so every pair is a true halving.  The first half pass is a
+    value revolution at half the first count.  A pass that fails (guard or
+    angular speed) in quadrant k doubles the counts of quadrants 0..k
+    only, up to MAX_STEPS / 4, and raises once quadrant k is there: the
+    quadrants up to k then run as the uniform MAX_STEPS mesh does, so it
+    fails as that mesh fails.  A failed half pass leaves the estimate NaN,
+    and a failed pass leaves the next level no half pass.  Returns (mesh,
+    pair, estimate) of the last level.
     """
     cap = MAX_STEPS // 4
     mesh, half = _uniform(start), None
     while True:
         try:
-            out = kernel(tables, mesh, r0)
+            out = _run_mesh(tangent, tables, mesh, r0)
         except (GuardBoundError, AngularMonotonicityError) as exc:
             if mesh[exc.quadrant] >= cap:
                 raise
@@ -527,7 +524,7 @@ def _revolve(tables, kernel, r0: float, start: int, tol: float):
             continue
         if half is None:
             try:
-                half, _ = _integrate_scalar(tables, _uniform(start // 2), r0)
+                half, _ = _run_mesh(False, tables, _uniform(start // 2), r0)
             except (GuardBoundError, AngularMonotonicityError):
                 half = math.nan
         estimate = abs(out[0] - half) / tables(4 * mesh[0]).richardson
@@ -553,9 +550,9 @@ def return_map(spec: PerturbationSpec, r0: float,
         raise ValueError(f"start radius must be positive and finite, got {r0}")
     if not GUARD[0] < r0 < GUARD[1]:
         # the first stage of any count would leave at theta 0
-        _guard_exit(r0, *GUARD, 0.0)
+        raise _failure(r0, 0.0, 0)
     mesh, (r1, min_den), estimate = _revolve(
-        _search_tables(spec), _integrate_scalar, r0, max(REVOLUTION_STEPS, steps or 0),
+        _search_tables(spec), False, r0, max(REVOLUTION_STEPS, steps or 0),
         RESIDUAL_TOL)
     return ReturnMapSample(r0=float(r0), r1=r1, min_theta_speed=min_den,
                            steps=sum(mesh), error_estimate=estimate)
@@ -636,7 +633,7 @@ def _settle_scan(tables, grid: np.ndarray, r1: np.ndarray, status: np.ndarray,
 
     `r1`, `status` come from a coarse scan of `grid` and `r1_half` from
     the same scan at half its steps.  Two kinds of node are
-    integrated again with the scalar kernel:
+    integrated again with the value kernel:
 
     - an OK node whose displacement |r1 - r0| does not exceed its own
       coarse-versus-half difference (a failed half pass gives no difference,
@@ -669,7 +666,7 @@ def _settle_scan(tables, grid: np.ndarray, r1: np.ndarray, status: np.ndarray,
         mesh = _uniform(start)
         while True:
             try:
-                r = _integrate_scalar(tables, mesh, r0)[0]
+                r = _run_mesh(False, tables, mesh, r0)[0]
             except (GuardBoundError, AngularMonotonicityError) as exc:
                 if mesh[exc.quadrant] >= cap:
                     return math.nan, (_STATUS_GUARD if isinstance(exc, GuardBoundError)
@@ -767,9 +764,9 @@ def find_fixed_points(spec: PerturbationSpec, bracket, tol: float = RESIDUAL_TOL
         def pmap(r: float) -> tuple[float, float]:
             nonlocal mesh
             if mesh is None:
-                mesh, first, _ = _revolve(tables, _integrate_tangent, r, start, tol)
+                mesh, first, _ = _revolve(tables, True, r, start, tol)
                 return first
-            return _integrate_tangent(tables, mesh, r)
+            return _run_mesh(True, tables, mesh, r)
 
         return pmap
 

@@ -12,7 +12,7 @@ import os
 from dataclasses import replace
 
 from .averaging import Averaged, average, integrals_to_json
-from .errors import CountMismatchError, SpecError
+from .errors import CountMismatchError, CycleAvgError, SpecError
 from .fields import PerturbationSpec, spec_to_json, with_b
 from .flow import (
     RESIDUAL_TOL,
@@ -33,7 +33,8 @@ def retune_b(spec: PerturbationSpec, targets) -> tuple[Averaged, tuple]:
     b_j = 2*pi*c_j / I_j; fields with structurally zero integrals keep
     their input b, since no choice of b can make them contribute.
     Returns the retuned spec's averaging stage, reusing the input's
-    integrals (they do not depend on b), and the coefficients.
+    integrals (they do not depend on b), and the coefficients.  A b_j
+    that overflows (a tiny I_j) raises CycleAvgError naming its field.
     """
     avg = average(spec)
     exponents = [float(f.alpha) for f, nz in zip(avg.spec.fields, avg.keep)
@@ -48,6 +49,11 @@ def retune_b(spec: PerturbationSpec, targets) -> tuple[Averaged, tuple]:
     it = iter(coeffs)
     new_b = [2.0 * math.pi * next(it) / ij if nz else bj
              for bj, ij, nz in zip(avg.spec.b, avg.integrals, avg.keep)]
+    for j, bj in enumerate(new_b):
+        if not math.isfinite(bj):
+            # a computed value, not the input's: exit 1, not 2 (`with_b`)
+            raise CycleAvgError(f"the retuned b_{j} = 2 pi c / I_{j} of field {j} "
+                                f"is not finite ({bj})")
     return replace(avg, spec=with_b(avg.spec, new_b)), coeffs
 
 

@@ -1,13 +1,18 @@
 """CLI: JSON document shape, determinism, exit-code mapping."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import cycleavg
 
@@ -370,22 +375,156 @@ OVERFLOW_SPEC = {"orientation": "ccw", "epsilon": 0.01, "b": [1.0], "fields": [
      "g": []}]}
 
 
+def _signed_x_power_spec(b, c1, c3):
+    """Fields c1 sgn(x) |x| and c3 sgn(x) |x|^3 in f, of exponents 1 and 3."""
+    return {"orientation": "ccw", "epsilon": 0.01, "b": b, "fields": [
+        {"alpha": str(a), "f": [{"c": c, "px": str(a), "py": "0", "sx": True, "sy": False}],
+         "g": []} for a, c in ((1, c1), (3, c3))]}
+
+
+#: b_0 1e308 on a field whose integral is 10 pi: finite integrals, but the
+#: coefficient b_0 I_0 / 2 pi of h overflows.
+H_OVERFLOW_SPEC = _signed_x_power_spec([1e308, 1.0], 10.0, -1.0)
+
+#: I_0 = 3.14e-315, so the b_0 = 2 pi c_0 / I_0 that retunes h's root to
+#: 1.0 overflows, though the input is valid.
+B_OVERFLOW_SPEC = _signed_x_power_spec([1.0, 1.0], 1e-315, -1e10)
+
+#: A constant field 1e30 under eps b = 6.25e298: the bound rows e_j F_j
+#: overflow, and the first stage leaves the guard window.
+ROW_OVERFLOW_SPEC = {"orientation": "ccw", "epsilon": 0.0625, "b": [1e300], "fields": [
+    {"alpha": "0", "f": [{"c": 1e30, "px": "0", "py": "0", "sx": False, "sy": False}],
+     "g": []}]}
+
+
 @pytest.mark.parametrize("command", ["integrals", "averaged", "roots", "pipeline"])
 def test_exit_code_1_on_a_non_finite_result(capsys, tmp_path, command):
     # stdout is strict JSON or empty: a result that holds an infinity is a
     # computation error (exit 1), not malformed input, and prints nothing.
-    # The overflowing integral is refused where it is computed, naming its
-    # field, so the pipeline neither warns nor searches on infinite rows.
+    # The overflowing integral, or coefficient of h, is refused where it is
+    # computed, naming its field, so the pipeline neither warns nor
+    # searches on infinite rows.
+    cases = [(OVERFLOW_SPEC, "the angular integral of field 0 is not finite (inf)")]
+    if command != "integrals":                # which computes no h
+        cases.append((H_OVERFLOW_SPEC,
+                      "the coefficient b_0 I_0 / 2 pi of field 0 in h is not finite (inf)"))
+    path, out_path = tmp_path / "spec.json", tmp_path / "out.json"
+    for spec, message in cases:
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        for argv in ([command, "--spec", str(path)],
+                     ["--out", str(out_path), command, "--spec", str(path)]):
+            rc = main(argv)
+            captured = capsys.readouterr()
+            assert rc == 1 and captured.out == ""
+            assert captured.err == f"error: {message}\n"
+        assert not out_path.exists()
+
+
+def test_exit_code_1_on_an_overflowing_retuned_b(capsys, tmp_path):
+    # the input is valid, its integral tiny; the b that synthesis computes
+    # from it overflows, which is the computation's failure (exit 1), not
+    # the input's (exit 2)
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(OVERFLOW_SPEC), encoding="utf-8")
-    out_path = tmp_path / "out.json"
-    for argv in ([command, "--spec", str(path)],
-                 ["--out", str(out_path), command, "--spec", str(path)]):
-        rc = main(argv)
+    path.write_text(json.dumps(B_OVERFLOW_SPEC), encoding="utf-8")
+    rc, out = run(capsys, "integrals", "--spec", str(path))
+    assert rc == 0 and json.loads(out)["result"]["integrals"][0] == pytest.approx(
+        math.pi * 1e-315, rel=1e-6)
+    for command in ("synthesize", "pipeline"):
+        rc = main([command, "--spec", str(path), "--targets", "1.0"])
         captured = capsys.readouterr()
         assert rc == 1 and captured.out == ""
-        assert captured.err == "error: the angular integral of field 0 is not finite (inf)\n"
-    assert not out_path.exists()
+        assert captured.err == ("error: the retuned b_0 = 2 pi c / I_0 of field 0 "
+                                "is not finite (inf)\n")
+
+
+@st.composite
+def contract_specs(draw):
+    """Spec documents of one to three fields with exponents among 0, 1/2,
+    1, 3/2, 2 and 3, coefficients and b entries up to 10^+-300, in either
+    orientation."""
+    def number():
+        scale = draw(st.sampled_from((0, 0, 0, -300, -30, 30, 300)))
+        return draw(st.floats(-3.0, 3.0)) * 10.0 ** scale
+
+    def term(alpha):
+        x = Fraction(draw(st.integers(0, int(2 * alpha))), 2)
+        return {"c": number(), "px": str(x), "py": str(alpha - x),
+                "sx": x > 0 and draw(st.booleans()),
+                "sy": alpha > x and draw(st.booleans())}
+
+    alphas = sorted(draw(st.sets(st.sampled_from((0, Fraction(1, 2), 1, Fraction(3, 2), 2, 3)),
+                                 min_size=1, max_size=3)))
+    fields = [{"alpha": str(Fraction(a)),
+               "f": [term(a) for _ in range(draw(st.integers(0, 2)))],
+               "g": [term(a) for _ in range(draw(st.integers(0, 2)))]} for a in alphas]
+    return {"orientation": draw(st.sampled_from(("ccw", "cw"))),
+            "epsilon": draw(st.floats(1e-3, 0.1)), "b": [number() for _ in fields],
+            "fields": fields}
+
+
+def _contract_argv(command, path, r, nfields):
+    """The argv of `command` on the spec at `path`, with r the start radius
+    of `simulate --r0`, the lower end of a narrow bracket, or the first of
+    one target per field but one."""
+    if command == "synthesize":
+        targets = [repr(r * 1.5 ** k) for k in range(max(1, nfields - 1))]
+        return ["synthesize", "--spec", path, "--targets", *targets]
+    if command == "simulate --r0":
+        return ["simulate", "--spec", path, "--r0", repr(r)]
+    if command == "simulate --bracket":
+        return ["simulate", "--spec", path, "--bracket", repr(r), repr(1.05 * r)]
+    return [command, "--spec", path]
+
+
+def _captured_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+# a warning would print on stderr once per process, so the same argv run
+# twice would not print the same bytes: here it escapes `main`
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(contract_specs(),
+       st.sampled_from(("integrals", "averaged", "roots", "synthesize", "simulate --r0",
+                        "simulate --bracket")),
+       st.floats(0.3, 3.0))
+@example(OVERFLOW_SPEC, "roots", 1.0)
+@example(H_OVERFLOW_SPEC, "averaged", 1.0)
+@example(H_OVERFLOW_SPEC, "roots", 1.0)
+@example(B_OVERFLOW_SPEC, "synthesize", 1.0)
+@example(ROW_OVERFLOW_SPEC, "simulate --r0", 1.0)
+def test_the_cli_contract_holds_on_generated_specs(spec, command, r):
+    # whatever the spec, main returns a documented exit code; stdout is one
+    # strict JSON document or empty, stderr one error line on failure, and
+    # --out writes what stdout would print
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out_path = os.path.join(tmp, "spec.json"), os.path.join(tmp, "out.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(spec, fh)
+        argv = _contract_argv(command, path, r, len(spec["fields"]))
+        rc, out, err = _captured_main(argv)
+        assert rc in (0, 1, 2, 4), (argv, err)
+        assert "Traceback" not in err
+        if rc == 0:
+            json.loads(out, parse_constant=_refuse_constant)
+        else:
+            assert out == ""
+            assert [line for line in err.splitlines() if line.startswith("error:")] == [
+                err.splitlines()[-1]], err
+        assert _captured_main(argv) == (rc, out, err)
+        assert _captured_main(["--out", out_path, *argv]) == (rc, "", err)
+        if rc == 0:
+            with open(out_path, encoding="utf-8") as fh:
+                assert fh.read() == out
+        else:
+            assert not os.path.exists(out_path)
 
 
 def test_a_non_finite_number_never_reaches_stdout(capsys, tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ import math
 import re
 import struct
 from array import array
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -141,13 +142,13 @@ def test_start_radius_outside_the_guard_integrates_nothing(monkeypatch, capsys,
                                                            r0, message):
     # the first stage of every count would leave the window at theta 0, so
     # no doubling of the count is tried
-    scalar = _counting(monkeypatch, "_integrate_scalar")
+    runs = _runs(monkeypatch)
     for steps in (None, 64):
         with pytest.raises(GuardBoundError, match=re.escape(message)):
             return_map(vdp().spec, r0, steps)
     assert cli.main(["simulate", "--preset", "vdp", "--r0", repr(r0)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert scalar == []
+    assert runs == {False: [], True: []}
 
 
 def test_guard_escape_raises_scalar_and_tags_batch():
@@ -219,7 +220,7 @@ def test_batch_status_matches_scalar_exceptions():
     tables, mesh = flow._search_tables(spec), flow._uniform(steps)
     for r0, r1_batch, st in zip(grid, r1, status):
         try:
-            single, _ = flow._integrate_scalar(tables, mesh, float(r0))
+            single, _ = flow._run_mesh(False, tables, mesh, float(r0))
         except AngularMonotonicityError:
             assert st == 1, r0
         except GuardBoundError:
@@ -227,7 +228,7 @@ def test_batch_status_matches_scalar_exceptions():
         else:
             assert st == 0, r0
             assert abs(r1_batch - single) <= 1e-12 * single
-            assert flow._integrate_tangent(tables, mesh, float(r0))[0] == single
+            assert flow._run_mesh(True, tables, mesh, float(r0))[0] == single
             assert abs(r1_batch - _revolution(spec, float(r0), steps)) <= 1e-12 * single
 
 
@@ -355,17 +356,32 @@ def test_map_derivative_matches_richardson_differences(case):
     assert abs(cert.map_derivative - _richardson_derivative(spec, cert.r_star)) <= 1e-8
 
 
-def _counting(monkeypatch, name, with_mesh=False):
-    """Record each call's start radius, or (radius, mesh) with_mesh."""
-    calls = []
-    real = getattr(flow, name)
+class _Run(NamedTuple):
+    """One lone-radius revolution that `flow._run_mesh` ran."""
+    r0: float
+    mesh: tuple
+    out: tuple | None             # the pair it returned, None if it failed
+    failed: int | None            # the quadrant it failed in, or None
 
-    def wrapper(tables, mesh, r0):
-        calls.append((r0, mesh) if with_mesh else r0)
-        return real(tables, mesh, r0)
 
-    monkeypatch.setattr(flow, name, wrapper)
-    return calls
+def _runs(monkeypatch):
+    """Spy on `flow._run_mesh`, the one entry of every lone-radius
+    revolution: each as a `_Run`, listed under its `tangent` (False for
+    the value kernel, True for the tangent kernel)."""
+    runs = {False: [], True: []}
+    real = flow._run_mesh
+
+    def spy(tangent, tables, mesh, r0):
+        try:
+            out = real(tangent, tables, mesh, r0)
+        except (GuardBoundError, AngularMonotonicityError) as exc:
+            runs[tangent].append(_Run(r0, mesh, None, exc.quadrant))
+            raise
+        runs[tangent].append(_Run(r0, mesh, out, None))
+        return out
+
+    monkeypatch.setattr(flow, "_run_mesh", spy)
+    return runs
 
 
 def _search_case(case):
@@ -385,17 +401,16 @@ def _search_case(case):
 @pytest.mark.parametrize("case", ["vdp", "example2", "lienard6"])
 def test_newton_revolutions_per_cell(monkeypatch, case):
     spec, targets, bracket = _search_case(case)
-    tangent = _counting(monkeypatch, "_integrate_tangent")
-    value_only = _counting(monkeypatch, "_integrate_scalar", with_mesh=True)
+    runs = _runs(monkeypatch)
     certs = find_fixed_points(spec, bracket)
     assert len(certs) == len(targets)
     # value-only revolutions settle scan nodes; refinement adds one per
     # cell, the half-resolution pass that chooses the cell's step count
     grid = set(np.logspace(math.log10(bracket[0]), math.log10(bracket[1]),
                            200).tolist())
-    off_grid = [mesh for r, mesh in value_only if r not in grid]
+    off_grid = [run.mesh for run in runs[False] if run.r0 not in grid]
     assert off_grid == [flow._uniform(flow.BASE_STEPS // 2)] * len(certs)
-    assert len(tangent) <= 4 * len(certs)
+    assert len(runs[True]) <= 4 * len(certs)
 
 
 def _scaled_against_b(spec, j, kappa):
@@ -456,12 +471,12 @@ def test_search_builds_each_step_count_once(monkeypatch, case, counts):
 
 
 def test_repro_vdp_tangent_work_per_cell(monkeypatch, capsys):
-    tangent = _counting(monkeypatch, "_integrate_tangent", with_mesh=True)
+    tangent = _runs(monkeypatch)[True]
     assert cli.main(["repro", "vdp"]) == 0
     runs = json.loads(capsys.readouterr().out)["result"]["runs"]
     certs = sum(len(run["fixed_points"]) for run in runs)
     assert certs == 3
-    assert sum(sum(mesh) for _, mesh in tangent) <= 4 * flow.BASE_STEPS * certs
+    assert sum(sum(run.mesh) for run in tangent) <= 4 * flow.BASE_STEPS * certs
 
 
 def test_zero_displacement_node_is_certified_once(monkeypatch):
@@ -661,10 +676,10 @@ def _batched_substeps(monkeypatch):
 def test_identity_map_integrates_nothing(monkeypatch):
     # every b_j == 0: dr/dtheta is exactly zero, so no cell can exist
     spec = with_b(vdp().spec, (0.0, 0.0))
-    scalar = _counting(monkeypatch, "_integrate_scalar")
+    runs = _runs(monkeypatch)
     batch = _batched_substeps(monkeypatch)
     assert find_fixed_points(spec, (0.5, 2.0)) == []
-    assert scalar == [] and batch == []
+    assert runs == {False: [], True: []} and batch == []
     with pytest.raises(ValueError):
         find_fixed_points(spec, (2.0, 0.5))
 
@@ -674,9 +689,9 @@ def test_rotation_only_map_settles_each_node_once(monkeypatch):
     # trusted; each is settled once, as its estimate 0 is within tol
     spec = PerturbationSpec(fields=(linear_field(0.0, -1.0, 1.0, 0.0),),
                             b=(1.0,), epsilon=0.01, orientation="ccw")
-    scalar = _counting(monkeypatch, "_integrate_scalar", with_mesh=True)
+    value = _runs(monkeypatch)[False]
     assert find_fixed_points(spec, (0.5, 2.0)) == []
-    assert [mesh for _, mesh in scalar] == [flow._uniform(flow.BASE_STEPS // 8)] * (
+    assert [run.mesh for run in value] == [flow._uniform(flow.BASE_STEPS // 8)] * (
         flow.SCAN_POINTS)
 
 
@@ -719,7 +734,7 @@ def _reference_settle(tables, grid, r1, status, r1_half, start, tol):
     REVOLUTION_STEPS."""
     def node(n, r0):
         try:
-            return flow._integrate_scalar(tables, flow._uniform(n), r0)[0], 0
+            return flow._run_mesh(False, tables, flow._uniform(n), r0)[0], 0
         except AngularMonotonicityError:
             return math.nan, 1
         except GuardBoundError:
@@ -774,19 +789,8 @@ def test_settle_skips_only_the_level_it_cannot_use(monkeypatch, capsys, argv, le
     # quadrant.  The settled scan has the statuses and signs of the
     # uniform ladder that runs every level, and the value of every node
     # that never failed.
-    runs = []                   # (r0, mesh, failing quadrant or None) per value revolution
-    scalar, settle = flow._integrate_scalar, flow._settle_scan
-
-    def counting(tables, mesh, r0):
-        try:
-            out = scalar(tables, mesh, r0)
-        except (GuardBoundError, AngularMonotonicityError) as exc:
-            runs.append((r0, mesh, exc.quadrant))
-            raise
-        runs.append((r0, mesh, None))
-        return out
-
-    settles = []
+    runs = _runs(monkeypatch)[False]
+    settle, settles = flow._settle_scan, []
 
     def compared(*args):
         runs.clear()
@@ -795,7 +799,6 @@ def test_settle_skips_only_the_level_it_cannot_use(monkeypatch, capsys, argv, le
         settles.append((args, new, new_runs, _reference_settle(*args), list(runs)))
         return new
 
-    monkeypatch.setattr(flow, "_integrate_scalar", counting)
     monkeypatch.setattr(flow, "_settle_scan", compared)
     assert cli.main(argv) == 0
     capsys.readouterr()
@@ -806,8 +809,8 @@ def test_settle_skips_only_the_level_it_cannot_use(monkeypatch, capsys, argv, le
         ok = status == 0
         assert np.sign(r1 - grid)[ok].tolist() == np.sign(ref_r1 - grid)[ok].tolist()
         ladders = {}
-        for r0, mesh, failed in new_runs:
-            ladders.setdefault(r0, []).append((mesh, failed))
+        for run in new_runs:
+            ladders.setdefault(run.r0, []).append((run.mesh, run.failed))
         for r0, ladder in ladders.items():
             assert ladder[0][0] == flow._uniform(start)
             for (mesh, failed), (later, _) in zip(ladder, ladder[1:]):
@@ -817,7 +820,7 @@ def test_settle_skips_only_the_level_it_cannot_use(monkeypatch, capsys, argv, le
                 assert repr(r1[i]) == repr(ref_r1[i]), (r0, ladder)
     # value steps of the settles: (the uniform ladder that runs every
     # level, this one)
-    assert tuple(sum(sum(mesh) for s in settles for _, mesh, _ in s[which])
+    assert tuple(sum(sum(run.mesh) for s in settles for run in s[which])
                  for which in (4, 2)) == levels
 
 
@@ -843,8 +846,8 @@ def test_failed_scan_nodes_are_summarized_once_per_epsilon(caplog):
 
 
 def _revolution(spec, r0, steps):
-    return flow._integrate_scalar(flow._search_tables(normalize_ccw(spec)),
-                                  flow._uniform(steps), r0)[0]
+    return flow._run_mesh(False, flow._search_tables(normalize_ccw(spec)),
+                          flow._uniform(steps), r0)[0]
 
 
 def _pinned_estimate(spec, r0, steps):
@@ -875,9 +878,8 @@ def test_generated_kernel_observes_the_tableau_order(tangent):
     kernel = flow._kernel("a", tangent)
 
     def error(n):
-        stages = len(flow._C)
-        out = kernel(r0, *flow.GUARD, np.zeros(stages * n),
-                     ((2.0 * math.pi / n,) + (e, 0.0) * stages,) * n, 2.0)
+        out = kernel(r0, *flow.GUARD, ((2.0 * math.pi / n,) + (e, 0.0) * len(flow._C),) * n,
+                     2.0)
         return abs(out[1 if tangent else 0] - exact)
 
     errs = [error(n) for n in (8, 16, 32)]
@@ -1069,22 +1071,15 @@ def test_stiff_cell_doubles_to_the_count_it_needs(monkeypatch):
     r0 = 2.87
     monkeypatch.setattr(flow, "_sign_change_cells",
                         lambda grid, disp, ok: iter([(r0, r0, 0.0, 0.0)]))
-    revolutions = []
-    real = flow._integrate_tangent
-
-    def spy(tables, mesh, r):
-        revolutions.append((r, mesh, real(tables, mesh, r)))
-        return revolutions[-1][2]
-
-    monkeypatch.setattr(flow, "_integrate_tangent", spy)
+    revolutions = _runs(monkeypatch)[True]
     find_fixed_points(spec, (2.8, 2.9))
-    assert [r for r, _, _ in revolutions] == [r0] * len(revolutions)
-    *_, (_, half_mesh, half), (_, mesh, chosen) = revolutions
-    assert (half_mesh, mesh) == (flow._uniform(512), flow._uniform(1024))
-    assert abs(chosen[0] - half[0]) / (2 ** flow._ORDER - 1) <= flow.RESIDUAL_TOL
-    assert abs(chosen[0] - _revolution(spec, r0, 8192)) <= flow.RESIDUAL_TOL
+    assert [run.r0 for run in revolutions] == [r0] * len(revolutions)
+    *_, half, chosen = revolutions
+    assert (half.mesh, chosen.mesh) == (flow._uniform(512), flow._uniform(1024))
+    assert abs(chosen.out[0] - half.out[0]) / (2 ** flow._ORDER - 1) <= flow.RESIDUAL_TOL
+    assert abs(chosen.out[0] - _revolution(spec, r0, 8192)) <= flow.RESIDUAL_TOL
     pinned = normalize_ccw(spec)
-    assert chosen == real(flow._search_tables(pinned), flow._uniform(1024), r0)
+    assert chosen.out == flow._run_mesh(True, flow._search_tables(pinned), flow._uniform(1024), r0)
 
 
 def test_explicit_steps_are_the_lowest_count(monkeypatch):
@@ -1099,9 +1094,9 @@ def test_explicit_steps_are_the_lowest_count(monkeypatch):
     chosen = return_map(stiff, 2.87)
     assert chosen.steps > 2 * flow.REVOLUTION_STEPS
     assert return_map(stiff, 2.87, steps=2 * flow.REVOLUTION_STEPS) == chosen
-    tangent = _counting(monkeypatch, "_integrate_tangent", with_mesh=True)
+    tangent = _runs(monkeypatch)[True]
     find_fixed_points(with_epsilon(vdp().spec, 0.01), (0.5, 2.0), steps=1024)
-    assert tangent and {mesh for _, mesh in tangent} == {flow._uniform(1024)}
+    assert tangent and {run.mesh for run in tangent} == {flow._uniform(1024)}
 
 
 def _drift_spec():
@@ -1145,7 +1140,6 @@ def test_every_revolution_is_one_kernel_call(monkeypatch, tangent):
     # of the generated kernel, and a failure names the quadrant whose
     # angles hold the one its message prints
     calls = _kernel_calls(monkeypatch)
-    integrate = flow._integrate_tangent if tangent else flow._integrate_scalar
     cases = [(vdp().spec, 1.0, {"ok"}), (example1().spec, 1.2, {"ok"}),
              (_drift_spec(), 100.0, {GuardBoundError}),
              (capillary().spec, 1.0, {GuardBoundError, AngularMonotonicityError})]
@@ -1156,7 +1150,7 @@ def test_every_revolution_is_one_kernel_call(monkeypatch, tangent):
         outcomes = set()
         for mesh in meshes:
             calls.clear()
-            outcome = _outcome(lambda: integrate(tables, mesh, r0))
+            outcome = _outcome(lambda: flow._run_mesh(tangent, tables, mesh, r0))
             assert calls == [tangent], (spec, mesh)
             if isinstance(outcome[0], type):
                 _, message, quadrant = outcome
@@ -1173,12 +1167,11 @@ def test_repro_revolutions_are_one_kernel_call_each(monkeypatch, capsys):
     # lienard7's settles run the mixed meshes (8, 8, 8, 4), (16, 16, 16, 4)
     # and (64, 64, 64, 4) beside uniform ones (`REPRO_WORK`)
     calls = _kernel_calls(monkeypatch)
-    counts = _revolutions(monkeypatch)
+    runs = _runs(monkeypatch)
     assert cli.main(["repro", "lienard", "--m", "7"]) == 0
     capsys.readouterr()
-    for kind, tangent in (("scalar", False), ("tangent", True)):
-        revolutions = sum(n for (k, _), n in counts.items() if k == kind)
-        assert calls.count(tangent) == revolutions > 0
+    for tangent in (False, True):
+        assert calls.count(tangent) == len(runs[tangent]) > 0
 
 
 def test_the_kernel_honours_each_rows_own_step():
@@ -1191,7 +1184,7 @@ def test_the_kernel_honours_each_rows_own_step():
     tables = flow._search_tables(spec)
     for steps in (16, 32, 64):
         h = 2.0 * math.pi / steps
-        forward, slope = flow._integrate_tangent(tables, flow._uniform(steps), r0)
+        forward, slope = flow._run_mesh(True, tables, flow._uniform(steps), r0)
         estimate = _pinned_estimate(spec, r0, steps)
         thetas = np.array([(n + 1 - c) * h for n in reversed(range(steps)) for c in flow._C])
         # at each stage, e_j F_j and then e_j G_j of every field j
@@ -1200,7 +1193,7 @@ def test_the_kernel_honours_each_rows_own_step():
         rows = [(-h, *row) for row in values.transpose(1, 0, 2).reshape(steps, -1).tolist()]
         for tangent in (False, True):
             back, second = flow._kernel(flow._pattern(spec.alphas), tangent)(
-                forward, *flow.GUARD, thetas, rows, *spec.alphas)
+                forward, *flow.GUARD, rows, *spec.alphas)
             assert abs(back - r0) <= estimate < 1e-3 * abs(forward - r0), (steps, back)
             if tangent:
                 assert abs(second * slope - 1.0) <= 10.0 * estimate, (steps, second * slope)
@@ -1230,13 +1223,13 @@ def test_a_failure_at_the_cap_is_the_uniform_caps_failure(monkeypatch, case, qua
     # at the cap
     spec, r0 = (capillary().spec, 1.0) if case == "capillary" else (_drift_spec(), 100.0)
     cap = flow.MAX_STEPS // 4
-    meshes = _counting(monkeypatch, "_integrate_scalar", with_mesh=True)
+    value = _runs(monkeypatch)[False]
     with pytest.raises((GuardBoundError, AngularMonotonicityError)) as chosen:
         return_map(spec, r0)
-    last = meshes[-1][1]
+    last = value[-1].mesh
     assert last[:quadrant + 1] == (cap,) * (quadrant + 1) and max(last[quadrant + 1:]) < cap
-    uniform = _outcome(lambda: flow._integrate_scalar(
-        flow._search_tables(normalize_ccw(spec)), flow._uniform(flow.MAX_STEPS), r0))
+    uniform = _outcome(lambda: flow._run_mesh(
+        False, flow._search_tables(normalize_ccw(spec)), flow._uniform(flow.MAX_STEPS), r0))
     assert (type(chosen.value), str(chosen.value), chosen.value.quadrant) == uniform
     assert uniform[2] == quadrant
 
@@ -1257,13 +1250,13 @@ def test_stiff_band_revolution_refines_only_up_to_its_failure(r0, steps, uniform
 def test_lienard6_pipeline_value_steps_are_pinned(monkeypatch, capsys):
     # value-kernel steps over the settled scan nodes and the cells' half
     # passes: 7,824 on the uniform ladder, and the tangent work unchanged
-    value = _counting(monkeypatch, "_integrate_scalar", with_mesh=True)
-    tangent = _counting(monkeypatch, "_integrate_tangent", with_mesh=True)
+    runs = _runs(monkeypatch)
     assert cli.main(["pipeline", "--preset", "lienard6", "--targets", "0.8", "1.3", "1.8",
                      "--eps", "0.005"]) == 0
     capsys.readouterr()
-    assert (len(value), sum(sum(mesh) for _, mesh in value)) == (119, 3696)
-    assert (len(tangent), sum(sum(mesh) for _, mesh in tangent)) == (9, 1152)
+    value, tangent = runs[False], runs[True]
+    assert (len(value), sum(sum(run.mesh) for run in value)) == (119, 3696)
+    assert (len(tangent), sum(sum(run.mesh) for run in tangent)) == (9, 1152)
 
 
 #: The benchmark's single-radius specs with their radius ranges: vdp,
@@ -1400,19 +1393,20 @@ def _reference_revolution(spec, mesh, r0, tangent):
     return (r, s) if tangent else (r, least)
 
 
-def _mesh_runner(kernel):
-    """`kernel` (`_integrate_scalar` or `_integrate_tangent`) called as its
-    reference is, with (spec, mesh, r0)."""
+def _mesh_runner(tangent):
+    """`flow._run_mesh` with `tangent`, called as its reference is, with
+    (spec, mesh, r0)."""
     def run(spec, mesh, r0):
-        return kernel(flow._search_tables(spec), mesh, r0)
+        return flow._run_mesh(tangent, flow._search_tables(spec), mesh, r0)
 
-    run.__name__ = kernel.__name__
+    run.__name__ = "tangent" if tangent else "value"
     return run
 
 
-#: Each generated kernel beside the hand-written form it must match.
-KERNELS = ((_mesh_runner(flow._integrate_scalar), partial(_reference_revolution, tangent=False)),
-           (_mesh_runner(flow._integrate_tangent), partial(_reference_revolution, tangent=True)))
+#: Each generated kernel, run by `_run_mesh`, beside the hand-written form
+#: it must match.
+KERNELS = tuple((_mesh_runner(tangent), partial(_reference_revolution, tangent=tangent))
+                for tangent in (False, True))
 
 
 def _kernel_outcome(kernel, spec, r0, meshes):
@@ -1600,30 +1594,13 @@ def test_pattern_kernels_match_their_references_at_both_exits(
         assert kinds == {"ok", GuardBoundError, AngularMonotonicityError}
 
 
-def _revolutions(monkeypatch):
-    """Count each kernel's revolutions: by (kernel, mesh) for the lone-radius
-    kernels, by (kernel, steps) for the batch kernel."""
-    counts = {}
-
-    def count(key):
-        counts[key] = counts.get(key, 0) + 1
-
-    for name in ("_integrate_tangent", "_integrate_scalar"):
-        real = getattr(flow, name)
-
-        def wrapper(tables, mesh, r0, real=real, kind=name[len("_integrate_"):]):
-            count((kind, mesh))
-            return real(tables, mesh, r0)
-
-        monkeypatch.setattr(flow, name, wrapper)
-    batch = flow._integrate_batch
-
-    def batch_wrapper(tabs, r0):
-        count(("batch", tabs.steps))
-        return batch(tabs, r0)
-
-    monkeypatch.setattr(flow, "_integrate_batch", batch_wrapper)
-    return counts
+def _revolutions(runs, batches):
+    """Revolutions per (kernel, mesh) of the lone-radius kernels and per
+    (batch, steps) of the batch kernel, from the spies `_runs` and
+    `_batched_substeps`."""
+    return Counter([("tangent" if tangent else "scalar", run.mesh)
+                    for tangent, kind in runs.items() for run in kind]
+                   + [("batch", steps) for steps in batches])
 
 
 #: Revolutions per (kernel, mesh) of each `repro`, and per (batch,
@@ -1654,7 +1631,7 @@ REPRO_WORK = [
 @pytest.mark.parametrize("argv, work", REPRO_WORK,
                          ids=[" ".join(argv) for argv, _ in REPRO_WORK])
 def test_repro_work_is_pinned(monkeypatch, capsys, argv, work):
-    counts = _revolutions(monkeypatch)
+    runs, batches = _runs(monkeypatch), _batched_substeps(monkeypatch)
     assert cli.main(argv) == 0
     capsys.readouterr()
-    assert counts == work
+    assert _revolutions(runs, batches) == work
