@@ -48,7 +48,11 @@ scan node it settles at twice the scan's count (`_settle_scan`), and a
 lone revolution (`return_map`) at REVOLUTION_STEPS, so that most radii
 need no second level and its cost depends little on its radius.  An
 explicit `steps` is the lowest count each may start from; only
-`scan_return_map` runs an exact count.
+`scan_return_map` runs an exact count.  A Newton cell first closes in
+on its cycle with value revolutions on the uniform mesh of half its
+first count (`_approach`), the mesh of that level's half pass, so its
+last one serves as the half pass and Newton's tangent revolutions start
+within ~1e-8 r of the cycle.
 
 A lone radius runs in one of two kernels generated per exponent pattern
 (`_kernel`, keyed by `_pattern`): the value kernel, and the tangent
@@ -107,6 +111,8 @@ MAX_STEPS = 2 ** 16
 RESIDUAL_TOL = 1e-10
 #: Radii in the log-spaced scan of a fixed-point search.
 SCAN_POINTS = 200
+#: Unit roundoff of a double.
+_ROUNDOFF = 2.0 ** -53
 
 _STATUS_OK = 0
 _STATUS_SPEED = 1
@@ -494,7 +500,8 @@ def _refined(mesh, q: int, finer):
     return tuple(map(finer, mesh[:q + 1])) + mesh[q + 1:]
 
 
-def _revolve(tables, tangent: bool, r0: float, start: int, tol: float):
+def _revolve(tables, tangent: bool, r0: float, start: int, tol: float,
+             half: float | None = None):
     """One revolution of r0 by `_run_mesh(tangent, tables, mesh, r0)`, on a
     mesh chosen by accuracy: `tables` is a search's lookup
     (`_search_tables`), `mesh` the steps per quadrant and the pair's first
@@ -502,17 +509,18 @@ def _revolve(tables, tangent: bool, r0: float, start: int, tol: float):
     the Richardson estimate |P - half| / (2^q - 1) is not within tol (a
     NaN is not), on the mesh with every quadrant's count doubled, until
     quadrant 0 reaches MAX_STEPS / 4; each level's P is the next level's
-    half pass, so every pair is a true halving.  The first half pass is a
-    value revolution at half the first count.  A pass that fails (guard or
-    angular speed) in quadrant k doubles the counts of quadrants 0..k
-    only, up to MAX_STEPS / 4, and raises once quadrant k is there: the
-    quadrants up to k then run as the uniform MAX_STEPS mesh does, so it
-    fails as that mesh fails.  A failed half pass leaves the estimate NaN,
-    and a failed pass leaves the next level no half pass.  Returns (mesh,
-    pair, estimate) of the last level.
+    half pass, so every pair is a true halving.  The first half pass is
+    `half`, the value P(r0) on the uniform mesh of start // 2 steps that
+    a caller has already run, or else a value revolution on that mesh.
+    A pass that fails (guard or angular speed) in quadrant k doubles the
+    counts of quadrants 0..k only, up to MAX_STEPS / 4, and raises once
+    quadrant k is there: the quadrants up to k then run as the uniform
+    MAX_STEPS mesh does, so it fails as that mesh fails.  A failed half
+    pass leaves the estimate NaN, and a failed pass leaves the next level
+    no half pass.  Returns (mesh, pair, estimate) of the last level.
     """
     cap = MAX_STEPS // 4
-    mesh, half = _uniform(start), None
+    mesh = _uniform(start)
     while True:
         try:
             out = _run_mesh(tangent, tables, mesh, r0)
@@ -597,34 +605,73 @@ def _sign_change_cells(grid: np.ndarray, disp: np.ndarray, ok: np.ndarray):
                 yield float(grid[i]), float(grid[i + 1]), da, db
 
 
-def _newton_in_cell(pmap, a: float, b: float, ga: float, gb: float):
+def _newton_in_cell(pmap, a: float, b: float, ga: float, gb: float,
+                    x: float | None = None, rel: float = 1e-12):
     """Safeguarded Newton on g(r) = P(r) - r inside a sign-change cell [a, b].
 
-    `pmap(r)` returns (P(r), P'(r)).  Starts at the secant point of the
-    endpoint values, keeps the bracket, and bisects whenever a Newton step
-    leaves it or is not finite.  Stops once the next step is at most
-    1e-12 r and returns (r, g(r), P'(r)) of the last evaluated point.
-    A degenerate cell (a == b, a zero-displacement node) is evaluated once.
+    `pmap(r)` returns (P(r), P'(r)), or (P(r), None) for a map without a
+    tangent, whose slope is then the secant through the last two points,
+    or the cell's chord on the first step.  Starts at `x`, by default the
+    secant point of the endpoint values, keeps the bracket, and bisects
+    whenever a step leaves it or is not finite.  Stops once the next step
+    is at most rel r, with a tangent at most max(rel r / max(1, |P' - 1|),
+    4 u r), u the unit roundoff: the residual is about |P' - 1| |r - r*|,
+    so a strongly repelling cell steps on until its residual is as small
+    as an ordinary cell's.  Returns (r, P(r), P'(r)) of the last evaluated
+    point.  A degenerate cell (a == b, a zero-displacement node) is
+    evaluated once.
     """
-    x = (a * gb - b * ga) / (gb - ga) if a < b else a
+    chord = (gb - ga) / (b - a) if a < b else math.nan
+    if x is None:
+        x = (a * gb - b * ga) / (gb - ga) if a < b else a
     if not a <= x <= b:
         x = 0.5 * (a + b)
+    last = None
     for _ in range(100):
         p, dp = pmap(x)
         g = p - x
-        evaluated = (x, g, dp)
+        evaluated = (x, p, dp)
         if (g > 0.0) == (ga > 0.0):
             a, ga = x, g
         else:
             b, gb = x, g
-        slope = dp - 1.0
+        if dp is None:
+            slope = chord if last is None else (g - last[1]) / (x - last[0])
+            close = rel * x
+        else:
+            slope = dp - 1.0
+            close = max(rel * x / max(1.0, abs(slope)), 4.0 * _ROUNDOFF * x)
+        last = x, g
         x_new = x - g / slope if slope != 0.0 else math.nan
         if not a <= x_new <= b:
             x_new = 0.5 * (a + b)
-        if abs(x_new - x) <= 1e-12 * x:
+        if abs(x_new - x) <= close:
             break
         x = x_new
     return evaluated
+
+
+def _approach(tables, start: int, a: float, b: float, ga: float, gb: float):
+    """Newton's start in the sign-change cell [a, b] and its value at half
+    the cell's first count: `_newton_in_cell` on the value kernel over the
+    uniform mesh of start // 2 steps, the half pass `_revolve` runs at the
+    cell's first level, stopped once a step is at most 1e-8 r.  Returns
+    (r, P_half(r)) of the last evaluated radius, or (None, None) for a
+    degenerate cell (a == b) or if a revolution fails (guard or angular
+    speed): the cell then starts where it would without the approach, at
+    the secant point of (a, b)."""
+    if a == b:
+        return None, None
+    mesh = _uniform(start // 2)
+
+    def pmap(r: float):
+        return _run_mesh(False, tables, mesh, r)[0], None
+
+    try:
+        x, half, _ = _newton_in_cell(pmap, a, b, ga, gb, rel=1e-8)
+    except (GuardBoundError, AngularMonotonicityError):
+        return None, None
+    return x, half
 
 
 def _settle_scan(tables, grid: np.ndarray, r1: np.ndarray, status: np.ndarray,
@@ -706,26 +753,31 @@ def find_fixed_points(spec: PerturbationSpec, bracket, tol: float = RESIDUAL_TOL
 
     Scans a log-spaced grid of `SCAN_POINTS` radii for sign changes of
     P(r) - r and refines each cell by safeguarded Newton on the
-    variational equation.  The scan only has to place the sign changes,
-    so it runs at about N / 16, with N = `steps` or BASE_STEPS, and a pass
-    at half that to estimate each node's error; nodes whose sign or
-    status that resolution cannot be trusted with are integrated again
+    variational equation (`_newton_in_cell`), in the scan cell's own
+    bracket, from the radius where a secant on the value kernel at half
+    the cell's first count stopped (`_approach`), or from the secant
+    point of the cell if that approach fails or the cell is degenerate.
+    The scan only has to place the sign changes, so it runs at about
+    N / 16, with N = `steps` or BASE_STEPS, and a pass at half that to
+    estimate each node's error; nodes whose sign or status that
+    resolution cannot be trusted with are integrated again
     (`_settle_scan`).  `on_scan`, if given, receives the settled scan as
     (grid, r1, status), whose r1 is trusted for the sign of r1 - r0 and
     for its status, not for its value: a node may stop as soon as its
     sign is trusted.
 
-    Each cell's count is chosen once, at its secant start point, by
+    Each cell's count is chosen once, at Newton's start point, by
     `_revolve` from BASE_STEPS (or from `steps` if that is more) against
-    `tol`, and that revolution is also Newton's first evaluation.  The
-    coarse scan moves only Newton's start point: the certificate's residual and map
-    derivative come from the last Newton revolution, and the derivative
-    is the exact derivative of the discrete map.  Failing scan nodes are
-    summarized in one warning per scan; failing cells (guard exits, lost
-    angular monotonicity, residual above tol) are logged and skipped; an
-    empty list is a legitimate outcome.  With every b_j zero the map is
-    the identity, which has no isolated fixed point, so nothing is
-    integrated.
+    `tol`, with the approach's last value as its first half pass, and
+    that revolution is also Newton's first evaluation.  The coarse scan
+    and the approach move only Newton's start point: the certificate's
+    residual and map derivative come from the last Newton revolution,
+    and the derivative is the exact derivative of the discrete map.
+    Failing scan nodes are summarized in one warning per scan; failing
+    cells (guard exits, lost angular monotonicity, residual above tol)
+    are logged and skipped; an empty list is a legitimate outcome.  With
+    every b_j zero the map is the identity, which has no isolated fixed
+    point, so nothing is integrated.
     """
     if spec.epsilon == 0.0:
         raise SpecError("fixed-point search requires epsilon != 0")
@@ -756,15 +808,16 @@ def find_fixed_points(spec: PerturbationSpec, bracket, tol: float = RESIDUAL_TOL
                     len(grid), grid[0], grid[-1], sum(failed.values()),
                     ", ".join(f"{name} {count}" for name, count in failed.items()))
 
-    def cell_map():
+    def cell_map(half):
         """P and P' for one cell, on the mesh `_revolve` chooses at the
-        cell's first point, which is Newton's first."""
+        cell's first point, which is Newton's first, with `half` its value
+        at half the first count if the approach has it."""
         mesh = None
 
         def pmap(r: float) -> tuple[float, float]:
             nonlocal mesh
             if mesh is None:
-                mesh, first, _ = _revolve(tables, True, r, start, tol)
+                mesh, first, _ = _revolve(tables, True, r, start, tol, half)
                 return first
             return _run_mesh(True, tables, mesh, r)
 
@@ -772,12 +825,13 @@ def find_fixed_points(spec: PerturbationSpec, bracket, tol: float = RESIDUAL_TOL
 
     certificates = []
     for a, b, ga, gb in _sign_change_cells(grid, r1 - grid, status == _STATUS_OK):
+        x, half = _approach(tables, start, a, b, ga, gb)
         try:
-            r_star, g, deriv = _newton_in_cell(cell_map(), a, b, ga, gb)
+            r_star, p, deriv = _newton_in_cell(cell_map(half), a, b, ga, gb, x)
         except (GuardBoundError, AngularMonotonicityError) as exc:
             log.warning("cell [%.6g, %.6g]: %s", a, b, exc)
             continue
-        residual = abs(g)
+        residual = abs(p - r_star)
         if residual > tol:
             log.warning("cell [%.6g, %.6g]: residual %.3e > tol %.1e, skipped",
                         a, b, residual, tol)

@@ -1,5 +1,6 @@
 """Shared oracles: closed forms computed independently of the package,
-and the reference walk that root isolation must reproduce bit for bit."""
+the reference walk that root isolation must reproduce bit for bit, and
+the Newton cell that the fixed-point search's approach must agree with."""
 
 import itertools
 import math
@@ -141,3 +142,32 @@ def reference_odd_zeros(terms, lo: float, hi: float) -> list:
             roots.append(PositiveRoot(reference_bisect(terms, a, b, fb > 0),
                                       degree, degree))
     return roots
+
+
+def reference_newton_in_cell(pmap, a: float, b: float, ga: float, gb: float,
+                             x=None, rel=None):
+    """The Newton cell without an approach: safeguarded Newton on
+    P(r) - r from the secant point of the cell's endpoint values, with
+    `pmap(r)` giving (P(r), P'(r)), bisecting whenever a step leaves the
+    bracket or is not finite, until a step is at most 1e-12 r.  Returns
+    (r, P(r), P'(r)) of the last evaluated point; a degenerate cell
+    (a == b) is evaluated once.  `x` and `rel` are ignored."""
+    x = (a * gb - b * ga) / (gb - ga) if a < b else a
+    if not a <= x <= b:
+        x = 0.5 * (a + b)
+    for _ in range(100):
+        p, dp = pmap(x)
+        g = p - x
+        evaluated = (x, p, dp)
+        if (g > 0.0) == (ga > 0.0):
+            a, ga = x, g
+        else:
+            b, gb = x, g
+        slope = dp - 1.0
+        x_new = x - g / slope if slope != 0.0 else math.nan
+        if not a <= x_new <= b:
+            x_new = 0.5 * (a + b)
+        if abs(x_new - x) <= 1e-12 * x:
+            break
+        x = x_new
+    return evaluated

@@ -188,7 +188,7 @@ def test_steps_whose_count_meets_tol_keep_their_output(capsys):
     rc, out = run(capsys, *EXAMPLE2_PIPELINE, "--steps", "128")
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "f7f8093572733c6cd915315ba3e6246fc72a1354dce279e3c24121cc62d96f77")
+        "5424f2bc0102fcec28ad08f2d584108accdf65c523cf5b2c0f3fb18e9a1ec00f")
 
 
 def test_steps_floor_certifies_the_stiff_repelling_cycle(capsys, tmp_path):
@@ -203,6 +203,21 @@ def test_steps_floor_certifies_the_stiff_repelling_cycle(capsys, tmp_path):
     (fp,) = json.loads(out)["result"]["runs"][0]["fixed_points"]
     assert fp["r_star"] == pytest.approx(1.2666236917624805, rel=1e-12, abs=0.0)
     assert fp["residual"] <= 1e-10
+
+
+def test_strongly_repelling_cycle_is_certified_at_the_default_counts(capsys, tmp_path):
+    # the same cycle, P' ~ 2,974: its residual is about |P' - 1| |r - r*|,
+    # so Newton steps on below 1e-12 r until the residual meets tol, where
+    # a fixed 1e-12 r step rule stopped at residual 8.6e-10 and skipped it
+    spec = retune_b(lienard(6, epsilon=0.2).spec, [0.8, 1.3, 1.8])[0].spec
+    path = tmp_path / "lienard6.json"
+    path.write_text(json.dumps(spec_to_json(spec)), encoding="utf-8")
+    rc, out = run(capsys, "simulate", "--spec", str(path), "--bracket", "0.9", "1.6")
+    assert rc == 0
+    (fp,) = json.loads(out)["result"]["runs"][0]["fixed_points"]
+    assert fp["r_star"] == pytest.approx(1.2666236917624805, rel=1e-12, abs=0.0)
+    assert fp["residual"] <= 1e-10
+    assert fp["map_derivative"] > 1000.0
 
 
 def test_classify_inline_system(capsys):

@@ -11,12 +11,14 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import reference_newton_in_cell
 from cycleavg import cli, flow
 from cycleavg import (
     AngularMonotonicityError,
@@ -404,13 +406,18 @@ def test_newton_revolutions_per_cell(monkeypatch, case):
     runs = _runs(monkeypatch)
     certs = find_fixed_points(spec, bracket)
     assert len(certs) == len(targets)
-    # value-only revolutions settle scan nodes; refinement adds one per
-    # cell, the half-resolution pass that chooses the cell's step count
+    # value-only revolutions settle scan nodes; each cell adds those of its
+    # approach at half the cell's first count, each at a radius of its own,
+    # and the last is the half pass that chooses the cell's step count, so
+    # Newton's first radius runs no value revolution of its own
     grid = set(np.logspace(math.log10(bracket[0]), math.log10(bracket[1]),
                            200).tolist())
-    off_grid = [run.mesh for run in runs[False] if run.r0 not in grid]
-    assert off_grid == [flow._uniform(flow.BASE_STEPS // 2)] * len(certs)
-    assert len(runs[True]) <= 4 * len(certs)
+    off_grid = [run for run in runs[False] if run.r0 not in grid]
+    assert {run.mesh for run in off_grid} == {flow._uniform(flow.BASE_STEPS // 2)}
+    radii = [run.r0 for run in off_grid]
+    assert len(set(radii)) == len(radii) >= len(certs)
+    assert len(runs[True]) <= 2 * len(certs)
+    assert len({run.r0 for run in runs[True]} & set(radii)) == len(certs)
 
 
 def _scaled_against_b(spec, j, kappa):
@@ -449,8 +456,8 @@ def test_scaling_a_field_against_its_b_keeps_the_certificates(case, kappa):
 
 
 @pytest.mark.parametrize("case, counts", [
-    ("vdp", [8, 4, 128, 64]),
-    ("example2", [8, 4, 16, 128, 64]),
+    ("vdp", [8, 4, 64, 128]),
+    ("example2", [8, 4, 16, 64, 128]),
     ("lienard6", [8, 4, 16, 32, 64, 128, 256]),
 ])
 def test_search_builds_each_step_count_once(monkeypatch, case, counts):
@@ -476,7 +483,104 @@ def test_repro_vdp_tangent_work_per_cell(monkeypatch, capsys):
     runs = json.loads(capsys.readouterr().out)["result"]["runs"]
     certs = sum(len(run["fixed_points"]) for run in runs)
     assert certs == 3
-    assert sum(sum(run.mesh) for run in tangent) <= 4 * flow.BASE_STEPS * certs
+    assert sum(sum(run.mesh) for run in tangent) <= 2 * flow.BASE_STEPS * certs
+
+
+#: The `repro` searches: every preset with cycles, lienard 5-7.
+REPRO_SEARCHES = [["repro", "vdp"], ["repro", "example1"], ["repro", "example2"],
+                  *(["repro", "lienard", "--m", str(m)] for m in (5, 6, 7))]
+
+
+def _repro_fixed_points(capsys, argv):
+    """Each run's certificates of one `repro` search."""
+    assert cli.main(argv) == 0
+    return [run["fixed_points"] for run in json.loads(capsys.readouterr().out)["result"]["runs"]]
+
+
+@pytest.mark.parametrize("argv", REPRO_SEARCHES, ids=" ".join)
+def test_approach_keeps_the_certificates_of_the_secant_start(monkeypatch, capsys, argv):
+    # against Newton from the secant point of each scan cell with no
+    # approach (`conftest`): the same counts and hyperbolic flags, r*
+    # within 2e-12 r and P' within 1e-9 of its value
+    got = _repro_fixed_points(capsys, argv)
+    with monkeypatch.context() as patch:
+        patch.setattr(flow, "_approach", lambda *args: (None, None))
+        patch.setattr(flow, "_newton_in_cell", reference_newton_in_cell)
+        want = _repro_fixed_points(capsys, argv)
+    assert [len(run) for run in got] == [len(run) for run in want]
+    for cert, ref in zip(chain(*got), chain(*want)):
+        assert cert["hyperbolic"] == ref["hyperbolic"], (cert, ref)
+        assert abs(cert["r_star"] - ref["r_star"]) <= 2e-12 * ref["r_star"], (cert, ref)
+        assert abs(cert["map_derivative"] - ref["map_derivative"]) <= (
+            1e-9 * abs(ref["map_derivative"])), (cert, ref)
+
+
+@pytest.mark.parametrize("case", ["vdp", "example2", "lienard6"])
+def test_a_failed_approach_falls_back_to_the_secant_start(monkeypatch, caplog, case):
+    # the first value revolution at each radius off the scan grid is an
+    # approach's first: each leaves the guard window once, so every cell
+    # starts where it would without an approach and certifies the same
+    spec, targets, bracket = _search_case(case)
+    with monkeypatch.context() as patch:
+        patch.setattr(flow, "_approach", lambda *args: (None, None))
+        want = find_fixed_points(spec, bracket)
+    assert len(want) == len(targets)
+    grid = set(np.logspace(math.log10(bracket[0]), math.log10(bracket[1]),
+                           200).tolist())
+    seen, real = set(), flow._run_mesh
+
+    def leaving(tangent, tables, mesh, r0):
+        if not tangent and r0 not in grid | seen:
+            seen.add(r0)
+            raise flow._failure(1e5, 0.0, 0)
+        return real(tangent, tables, mesh, r0)
+
+    monkeypatch.setattr(flow, "_run_mesh", leaving)
+    with caplog.at_level(logging.WARNING, logger="cycleavg.flow"):
+        assert find_fixed_points(spec, bracket) == want
+    assert len(seen) == len(want)
+    assert not [rec for rec in caplog.records if rec.getMessage().startswith("cell")]
+
+
+def _slope_misses(doc, scale=1.0, c=math.inf):
+    """The certificates (eps, r*, ratio) of a search document whose
+    P' - 1 disagrees with 2 pi eps h'(z*), h' at the predicted root
+    nearest r* and h scaled by `scale`: a sign that differs, or a ratio
+    (P' - 1) / (2 pi eps h'(z*)) farther than c eps from 1."""
+    result = doc["result"]
+    terms = list(zip(result["averaged"]["exponents"], result["averaged"]["coefficients"]))
+    roots = [root["z"] for root in result["predicted_roots"]]
+    misses = []
+    for run in result["runs"]:
+        eps = run["epsilon"]
+        for cert in run["fixed_points"]:
+            z = min(roots, key=lambda root: abs(root - cert["r_star"]))
+            slope = 2.0 * math.pi * eps * scale * sum(
+                co * e * z ** (e - 1.0) for e, co in terms)
+            ratio = (cert["map_derivative"] - 1.0) / slope
+            if ratio <= 0.0 or abs(ratio - 1.0) > c * eps:
+                misses.append((eps, cert["r_star"], ratio))
+    return misses
+
+
+def test_map_derivative_follows_the_averaged_slope(capsys):
+    # averaging gives P'(r*) - 1 = 2 pi eps h'(z*) + O(eps^2); on vdp the
+    # ratio reads -6.0e-2, -3.1e-2 and -1.6e-2 from 1 at eps 0.02, 0.01
+    # and 0.005, within 3.5 eps, and mutants of h that double it or flip
+    # its sign are caught
+    docs = []
+    for argv in REPRO_SEARCHES:
+        assert cli.main(argv) == 0
+        docs.append(json.loads(capsys.readouterr().out))
+    assert sum(len(run["fixed_points"]) for doc in docs
+               for run in doc["result"]["runs"]) == 17
+    assert all(_slope_misses(doc) == [] for doc in docs)
+    vdp_doc = docs[0]
+    assert _slope_misses(vdp_doc, c=3.5) == []
+    assert len(_slope_misses(vdp_doc, scale=2.0, c=3.5)) == 3
+    for doc in docs:
+        assert len(_slope_misses(doc, scale=-1.0)) == sum(
+            len(run["fixed_points"]) for run in doc["result"]["runs"])
 
 
 def test_zero_displacement_node_is_certified_once(monkeypatch):
@@ -1248,15 +1352,17 @@ def test_stiff_band_revolution_refines_only_up_to_its_failure(r0, steps, uniform
 
 
 def test_lienard6_pipeline_value_steps_are_pinned(monkeypatch, capsys):
-    # value-kernel steps over the settled scan nodes and the cells' half
-    # passes: 7,824 on the uniform ladder, and the tangent work unchanged
+    # value-kernel steps over the settled scan nodes and the cells'
+    # approaches, whose last revolution is each cell's half pass: 7,824 on
+    # the uniform ladder; the approaches leave one cell one tangent
+    # revolution and the others two
     runs = _runs(monkeypatch)
     assert cli.main(["pipeline", "--preset", "lienard6", "--targets", "0.8", "1.3", "1.8",
                      "--eps", "0.005"]) == 0
     capsys.readouterr()
     value, tangent = runs[False], runs[True]
-    assert (len(value), sum(sum(run.mesh) for run in value)) == (119, 3696)
-    assert (len(tangent), sum(sum(run.mesh) for run in tangent)) == (9, 1152)
+    assert (len(value), sum(sum(run.mesh) for run in value)) == (125, 4080)
+    assert (len(tangent), sum(sum(run.mesh) for run in tangent)) == (5, 640)
 
 
 #: The benchmark's single-radius specs with their radius ranges: vdp,
@@ -1607,22 +1713,22 @@ def _revolutions(runs, batches):
 #: steps): deterministic, so a change of speed cannot hide a change of
 #: work.
 REPRO_WORK = [
-    (["repro", "vdp"], {("tangent", (32,) * 4): 9, ("scalar", (16,) * 4): 3,
+    (["repro", "vdp"], {("tangent", (32,) * 4): 6, ("scalar", (16,) * 4): 9,
                         ("batch", 8): 3, ("batch", 4): 3}),
-    (["repro", "example1"], {("tangent", (32,) * 4): 3, ("scalar", (4,) * 4): 4,
-                             ("scalar", (16,) * 4): 1, ("batch", 8): 1, ("batch", 4): 1}),
-    (["repro", "example2"], {("tangent", (32,) * 4): 12, ("scalar", (4,) * 4): 105,
-                             ("scalar", (16,) * 4): 4, ("batch", 8): 2, ("batch", 4): 2}),
-    (["repro", "lienard", "--m", "6"], {("tangent", (32,) * 4): 9, ("scalar", (4,) * 4): 5,
-                                        ("scalar", (16,) * 4): 3, ("batch", 8): 1,
+    (["repro", "example1"], {("tangent", (32,) * 4): 2, ("scalar", (4,) * 4): 4,
+                             ("scalar", (16,) * 4): 2, ("batch", 8): 1, ("batch", 4): 1}),
+    (["repro", "example2"], {("tangent", (32,) * 4): 8, ("scalar", (4,) * 4): 105,
+                             ("scalar", (16,) * 4): 12, ("batch", 8): 2, ("batch", 4): 2}),
+    (["repro", "lienard", "--m", "6"], {("tangent", (32,) * 4): 6, ("scalar", (4,) * 4): 5,
+                                        ("scalar", (16,) * 4): 8, ("batch", 8): 1,
                                         ("batch", 4): 1}),
     # one settled node (r 1.854) fails in quadrant 2 at every level, so
     # only quadrants 0-2 refine, and it stays failed at (64, 64, 64, 4) as
     # the uniform 256 steps fail it
-    (["repro", "lienard", "--m", "7"], {("tangent", (32,) * 4): 13, ("scalar", (4,) * 4): 14,
+    (["repro", "lienard", "--m", "7"], {("tangent", (32,) * 4): 8, ("scalar", (4,) * 4): 14,
                                         ("scalar", (8, 8, 8, 4)): 1,
                                         ("scalar", (16, 16, 16, 4)): 1,
-                                        ("scalar", (16,) * 4): 4,
+                                        ("scalar", (16,) * 4): 13,
                                         ("scalar", (64, 64, 64, 4)): 1,
                                         ("batch", 8): 1, ("batch", 4): 1}),
 ]
