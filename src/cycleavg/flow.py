@@ -24,17 +24,16 @@ quadrant, so no stage straddles an axis.  Near an axis a power
 |sin|^e becomes u^(3e) times sigma' ~ u^2, smooth only where 3e is an
 integer, so such a term bounds the mesh's order q by 3e + 3 (4.5 for a
 square root).  Specs made only of ordinary monomials keep the uniform
-mesh, of order q = p.  The tables hold one row per step (`_tables`):
-row n holds, for each of the 12 stages in order, F_j and then G_j of
-every field at the stage angle (n + c_i) h, so a stage at c = 1 repeats
-the next row's first values.  A bound row is led by its own step h.
-
-A lone-radius revolution runs on a per-quadrant mesh (n_0, n_1, n_2,
-n_3) through one entry, `_run_mesh`: quadrant k takes its n_k steps from
-the tables of 4 n_k steps, whose rows carry h = 2 pi / (4 n_k), so the
-quadrants' rows chain into one sequence and every revolution is one
-kernel call; a uniform mesh, 4 n steps in all, reads whole tables.  A
-kernel that stops is located and worded there (`_failure`).  Every
+mesh, of order q = p.  The tables are built per quadrant, the unit of
+every mesh (`_tables`): in quadrant k crossed in n steps, row m holds,
+for each of the 12 stages in order, F_j and then G_j of every field at
+the stage angle, so a stage at c = 1 repeats the next row's first
+values; bound, it is led by its own step h = 2 pi / (4 n).  A
+lone-radius revolution runs on a per-quadrant mesh (n_0, n_1, n_2, n_3)
+through one entry, `_run_mesh`, which chains the rows of each (n_k, k)
+into one kernel call that fetches a quadrant's rows only once it
+reaches them.  A kernel that stops is located and worded there
+(`_failure`).  Every
 revolution's mesh is chosen by one rule (`_revolve`): start on the
 uniform mesh of a start count and, while the Richardson estimate
 |P_N - P_N/2| / (2^q - 1) exceeds the caller's target, double every
@@ -64,15 +63,15 @@ and only the others cost a power: r ** 0.0 == 1.0 and r ** 1.0 == r
 exactly, so a field of exponent 0 reads its row values as they are and
 one of exponent 1 multiplies them by r, with the same bits.  The
 generated source holds field indices, those classes and the tableau's
-weights only; the exponents, the rows (bound once per search and step
-count to h and e_j = eps * b_j, `_search_tables`) and the guard window
-are its arguments, the rows its only per-step input, so no spec data
-is compiled.  Below BASE_STEPS the bound rows are tuples; from it on
-their doubles stay packed, a quarter of the memory, and each row is
-unpacked from the buffer as its step starts.  A scan's radii run
-together in a third kernel, a few numpy calls per stage on the same rows
-past h viewed as (steps, 12, 2, nf), with the failures read once per
-step (`_integrate_batch`).
+weights only; the exponents, the rows (bound once per search, step
+count and quadrant to h and e_j = eps * b_j, `_search_tables`) and the
+guard window are its arguments, the rows its only per-step input, so no
+spec data is compiled.  Below BASE_STEPS a turn the bound rows are
+tuples; from it on their doubles stay packed, a quarter of the memory,
+and each row is unpacked from the buffer as its step starts.  A scan's
+radii run together in a third kernel, a few numpy calls per stage on
+the same rows past h viewed as (n, 12, 2, nf) per quadrant, with the
+failures read once per step (`_integrate_batch`).
 """
 
 from __future__ import annotations
@@ -84,7 +83,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain, groupby
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 import numpy as np
@@ -198,13 +197,9 @@ _C = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
 
 
 class _Tables(NamedTuple):
-    steps: int                     # resolution the grid was built for
-    thetas: np.ndarray             # at 12 n + i, the angle of stage i of step n
-    alphas: tuple[float, ...]
-    rows: object                   # (steps, 12, 2, nf): F_j, then G_j, per stage;
-                                   # bound, h and then these, a tuple per
-                                   # step or packed doubles
-    richardson: float              # 2^q - 1, with q the mesh's order
+    thetas: np.ndarray             # at 12 m + i, the angle of stage i of step m
+    rows: object                   # (n, 12, 2, nf): F_j, then G_j, per stage;
+                                   # bound, h and then these, tuples or packed
 
 
 def _ordinary(term) -> bool:
@@ -214,63 +209,78 @@ def _ordinary(term) -> bool:
                                  (term.y_exp, term.y_signed)))
 
 
-@lru_cache(maxsize=64)
-def _tables(fields, steps: int) -> _Tables:
-    # Row n holds every stage of step n in tableau order, so a stage at
-    # c = 1 repeats the next row's first angle.
-    step = np.arange(steps)[:, None]
+@lru_cache(maxsize=256)
+def _tables(fields, n: int, k: int) -> _Tables:
+    # Quadrant k in n steps, row m every stage of step m in tableau order:
+    # at (k n + m + c_i) 2 pi / (4 n), or graded at (pi/2)(k + sigma((m + c_i) / n)).
+    step = np.arange(n)[:, None]
     frac = np.asarray(_C)
-    terms = [t for f in fields for t in f.f_terms + f.g_terms]
-    if all(_ordinary(t) for t in terms):
-        thetas = (step + frac) * (2.0 * math.pi / steps)
-        weight, order = 1.0, _ORDER
+    if all(_ordinary(t) for f in fields for t in f.f_terms + f.g_terms):
+        thetas = (k * n + step + frac) * (2.0 * math.pi / (4 * n))
+        weight = 1.0
     else:
-        # steps // 4 steps per quadrant, so no step crosses an axis
-        per = steps // 4
-        k = np.minimum(step // per, 3)
-        u = (step - k * per + frac) / per
+        u = (step + frac) / n
         thetas = 0.5 * math.pi * (k + u ** 3 * (10.0 - 15.0 * u + 6.0 * u * u))
         weight = 30.0 * u * u * (1.0 - u) ** 2
-        # a power |sin|^e is a u^(3e + 2) term next to an axis
-        order = min([_ORDER] + [float(3 * e + 3) for t in terms
-                                for e in (t.x_exp, t.y_exp) if (3 * e).denominator > 1])
-    rows = np.empty((steps, len(_C), 2, len(fields)))
+    rows = np.empty((n, len(_C), 2, len(fields)))
     for j, field in enumerate(fields):
         fr, ft = angular_components(field, thetas)
         np.multiply(fr, weight, out=rows[:, :, 0, j])
         rows[:, :, 1, j] = ft
+    return _Tables(thetas.ravel(), rows)
+
+
+class _Fields(tuple):
+    """A spec's fields hashed once, for `_tables`: their Fractions hash slowly."""
+    def __init__(self, fields):
+        self.hash = super().__hash__()
+
+    def __hash__(self):
+        return self.hash
+
+
+class _Search(NamedTuple):
+    bound: object                  # (n, k) -> `_tables(fields, n, k)`, rows bound
+    rows: object                   # (n, k) -> those rows as a kernel reads them
+    alphas: tuple[float, ...]
+    pattern: str                   # the kernels' key (`_pattern`)
+    richardson: float              # 2^q - 1, with q the mesh's order
+
+
+def _search_tables(spec: PerturbationSpec) -> _Search:
+    """The spec's `_tables` as the kernels read them, led by h = 2 pi / (4 n)
+    and scaled by e_j = eps * b_j, each (n, k) bound once for as long as the
+    caller (one search) keeps the lookup, and only once a revolution reaches it."""
+    fields = _Fields(spec.fields)
     alphas = tuple(float(f.alpha) for f in fields)
-    return _Tables(steps, thetas.ravel(), alphas, rows, 2.0 ** order - 1.0)
-
-
-def _search_tables(spec: PerturbationSpec):
-    """steps -> `_tables` of the spec's fields with each row led by its
-    step h = 2 pi / steps and field j's values scaled by e_j = eps * b_j,
-    the only rows the kernels read; each count is bound once for as long
-    as the caller (one search) keeps the lookup."""
+    # |sin|^e is u^(3e + 2) next to an axis; 3e is an integer at denominator 1 or 3
+    order = min([_ORDER] + [float(3 * e + 3) for f in fields for t in f.f_terms + f.g_terms
+                            for e in (t.x_exp, t.y_exp) if 3 % e.denominator])
     # e_j at every place of field j in a row: 12 stages of F_j, then G_j
-    e = np.tile(np.array([spec.epsilon * bj for bj in spec.b], dtype=float),
-                2 * len(_C))
+    e = np.tile(np.array([spec.epsilon * bj for bj in spec.b], dtype=float), 2 * len(_C))
+    width = 1 + e.size
+    unpack = struct.Struct(f"{width}d").iter_unpack
 
     @lru_cache(maxsize=None)
-    def bound(steps: int) -> _Tables:
+    def bound(n: int, k: int) -> _Tables:
         # Python floats: scalar arithmetic on numpy scalars is ~2x slower.
-        # Below BASE_STEPS, the counts of scans and settled nodes, each row
-        # is a tuple; from it on, the counts of Newton cells and lone
-        # revolutions, the doubles stay packed in a quarter of the memory
-        # and a kernel unpacks each row as its step starts.
-        tabs = _tables(spec.fields, steps)
-        raw = tabs.rows.reshape(steps, -1)
-        packed = array("d", [0.0]) * (steps + raw.size)
-        rows = np.frombuffer(packed).reshape(steps, -1)
-        rows[:, 0] = 2.0 * math.pi / steps
+        # Below BASE_STEPS a turn (scans, settled nodes) rows are tuples; from
+        # it on the doubles stay packed in a quarter of the memory.
+        tabs = _tables(fields, n, k)
+        packed = array("d", [0.0]) * (n * width)
+        rows = np.frombuffer(packed).reshape(n, width)
+        rows[:, 0] = 2.0 * math.pi / (4 * n)
         with np.errstate(over="ignore"):  # an infinite row fails the guard
-            np.multiply(raw, e, out=rows[:, 1:])
-        if steps < BASE_STEPS:
-            return tabs._replace(rows=tuple(map(tuple, rows.tolist())))
-        return tabs._replace(rows=packed)
+            np.multiply(tabs.rows.reshape(n, -1), e, out=rows[:, 1:])
+        if 4 * n < BASE_STEPS:
+            return _Tables(tabs.thetas, tuple(map(tuple, rows.tolist())))
+        return _Tables(tabs.thetas, packed)
 
-    return bound
+    def rows(n: int, k: int):
+        rows = bound(n, k).rows
+        return rows if 4 * n < BASE_STEPS else unpack(rows)
+
+    return _Search(bound, rows, alphas, _pattern(alphas), 2.0 ** order - 1.0)
 
 
 def _check_steps(steps):
@@ -401,38 +411,25 @@ def _kernel(pattern: str, tangent: bool):
     return namespace["kernel"]
 
 
-def _run_mesh(tangent: bool, tables, mesh, r0: float) -> tuple[float, float]:
+def _run_mesh(tangent: bool, tables: _Search, mesh, r0: float) -> tuple[float, float]:
     """One revolution of r0 on the per-quadrant mesh (n_0, n_1, n_2, n_3)
-    in one call of the value kernel, or with `tangent` the tangent kernel:
-    quadrant k in its n_k steps of `tables(4 n_k)`, with tables a search's
-    lookup (`_search_tables`), the rows of each run of equal counts
-    chained into one sequence.  Returns (r1, min speed), or (r1, s1).
-    The one entry of every lone-radius revolution, and the one place that
-    types, words and locates its failure (`_failure`): a kernel's stop at
-    step n lies in the quadrant q whose running sum of counts first
-    exceeds n, at row n - sum(mesh[:q]) + q n_q of `tables(4 n_q)`."""
-    rows, first = [], 0
-    for n, run in groupby(mesh):
-        tabs, last = tables(4 * n), first + len(tuple(run))
-        start, stop = n * first, n * last              # the run's steps
-        if isinstance(tabs.rows, tuple):
-            rows.append(tabs.rows[start:stop])
-        else:
-            # a memoryview slice, as an array slice is a copy
-            width = len(tabs.rows) // tabs.steps       # doubles per row
-            rows.append(struct.iter_unpack(
-                f"{width}d", memoryview(tabs.rows)[width * start:width * stop]))
-        first = last
+    in one call of the value kernel, or with `tangent` the tangent kernel,
+    on the rows `tables.rows(n_k, k)` of a search's lookup
+    (`_search_tables`), chained and each fetched once the kernel reaches
+    it.  Returns (r1, min speed), or (r1, s1).  The one entry of every
+    lone-radius revolution, and the one place that types, words and
+    locates its failure (`_failure`): a stop at step n lies in the first
+    quadrant q whose running sum of counts exceeds n, at row n - sum(mesh[:q])."""
     try:
-        r, second = _kernel(_pattern(tabs.alphas), tangent)(
-            float(r0), *GUARD, chain.from_iterable(rows) if len(rows) > 1 else rows[0],
-            *tabs.alphas)
+        r, second = _kernel(tables.pattern, tangent)(
+            float(r0), *GUARD, chain.from_iterable(map(tables.rows, mesh, range(4))),
+            *tables.alphas)
     except _Stop as stop:
         n, i, x, den = stop.args
         ends = list(accumulate(mesh))
         q = bisect_right(ends, n)
-        row = n - (ends[q] - mesh[q]) + q * mesh[q]
-        raise _failure(x, tables(4 * mesh[q]).thetas[len(_C) * row + i], q, den) from None
+        thetas = tables.bound(mesh[q], q).thetas
+        raise _failure(x, thetas[len(_C) * (n - ends[q] + mesh[q]) + i], q, den) from None
     if not GUARD[0] < r < GUARD[1]:
         raise _failure(r, None, 3)
     return r, second
@@ -443,9 +440,9 @@ def _uniform(steps: int) -> tuple[int, ...]:
     return (steps // 4,) * 4
 
 
-def _integrate_batch(tabs: _Tables, r0: np.ndarray):
-    """One revolution of a batch of start radii on bound `tabs` in
-    `tabs.steps` steps.
+def _integrate_batch(tables: _Search, n: int, r0: np.ndarray):
+    """One revolution of a batch of start radii on the uniform mesh of n steps
+    per quadrant of a search's lookup `tables`, each fetched once reached.
 
     Returns (r1, status).  A row that leaves the guard window or loses
     angular speed is tagged with its first failure (at one stage a guard
@@ -454,12 +451,14 @@ def _integrate_batch(tabs: _Tables, r0: np.ndarray):
     Failed rows keep being integrated on garbage; the cumulative `alive`
     mask keeps their later failures from overwriting the first.
     """
-    # step n's row past its h as (12, 2, nf): each stage's e_j F_j and
-    # e_j G_j, so one product gives num and den
-    rows = np.asarray(tabs.rows, dtype=float).reshape(tabs.steps, -1)
-    weights = rows[:, 1:].reshape(tabs.steps, len(_B), 2, len(tabs.alphas))
-    alphas = np.asarray(tabs.alphas)[:, None]
-    h = float(rows[0, 0])
+    def weights(quadrant):
+        # step m's row past its h as (12, 2, nf): each stage's e_j F_j and
+        # e_j G_j, so one product gives num and den
+        rows = np.asarray(tables.bound(n, quadrant).rows, dtype=float).reshape(n, -1)
+        return rows[:, 1:].reshape(n, len(_B), 2, len(tables.alphas))
+
+    alphas = np.asarray(tables.alphas)[:, None]
+    h = 2.0 * math.pi / (4 * n)
     lo, hi = GUARD
 
     r = np.array(r0, dtype=float, copy=True)
@@ -470,7 +469,7 @@ def _integrate_batch(tabs: _Tables, r0: np.ndarray):
     b = np.asarray(_B)
 
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        for step in weights:
+        for step in chain.from_iterable(map(weights, range(4))):
             for i, (row, w) in enumerate(zip(rows, step)):
                 x[i] = r + h * (row @ k[:i]) if i else r
                 num, dacc = w @ x[i] ** alphas
@@ -535,7 +534,7 @@ def _revolve(tables, tangent: bool, r0: float, start: int, tol: float,
                 half, _ = _run_mesh(False, tables, _uniform(start // 2), r0)
             except (GuardBoundError, AngularMonotonicityError):
                 half = math.nan
-        estimate = abs(out[0] - half) / tables(4 * mesh[0]).richardson
+        estimate = abs(out[0] - half) / tables.richardson
         if mesh[0] >= cap or estimate <= tol:
             return mesh, out, estimate
         mesh, half = tuple(2 * n for n in mesh), out[0]
@@ -574,7 +573,7 @@ def scan_return_map(spec: PerturbationSpec, bracket, scan_points: int = SCAN_POI
     spec = normalize_ccw(spec)
     lo, hi = check_bracket(bracket)
     grid = np.logspace(math.log10(lo), math.log10(hi), scan_points)
-    r1, status = _integrate_batch(_search_tables(spec)(steps), grid)
+    r1, status = _integrate_batch(_search_tables(spec), steps // 4, grid)
     return grid, r1, status
 
 
@@ -721,7 +720,7 @@ def _settle_scan(tables, grid: np.ndarray, r1: np.ndarray, status: np.ndarray,
                 mesh, half = _refined(mesh, exc.quadrant, finer), math.nan
                 continue
             if mesh[0] >= cap or (
-                    abs(r - half) / tables(4 * mesh[0]).richardson <= tol
+                    abs(r - half) / tables.richardson <= tol
                     or abs(r - r0) > abs(r - half)):
                 return r, _STATUS_OK
             mesh, half = tuple(2 * n for n in mesh), r
@@ -793,7 +792,7 @@ def find_fixed_points(spec: PerturbationSpec, bracket, tol: float = RESIDUAL_TOL
     coarse = max(8, (steps or BASE_STEPS) // 128 * 8)
     grid, r1, status = scan_return_map(spec, bracket, SCAN_POINTS, coarse)
     tables = _search_tables(spec)
-    r1_half, _ = _integrate_batch(tables(coarse // 2), grid)
+    r1_half, _ = _integrate_batch(tables, coarse // 8, grid)
     # settled nodes start at twice the scan's count and cells at
     # BASE_STEPS, or both at `steps` if that is more
     r1, status = _settle_scan(tables, grid, r1, status, r1_half,

@@ -78,8 +78,11 @@ def run_pipeline(spec: PerturbationSpec, targets=None, eps_values=None,
     simulate; the spec's own epsilon is used when omitted.  `bracket`
     bounds the fixed-point search, defaulting to (0.3 min, 3 max) around
     the predicted roots.  With `csv_dir` each epsilon's settled scan
-    is written to scan_NN.csv there; its r1 is trusted for its sign and
-    status, not its value (`flow.find_fixed_points`).
+    is written to scan_NN.csv there, NN the epsilon's index; its r1 is
+    trusted for its sign and status, not its value
+    (`flow.find_fixed_points`).  A search that integrates nothing (every
+    b_j zero: the map is the identity) has no scan, so its epsilon
+    writes no file.
     """
     if targets is not None:
         avg, synthesized = retune_b(spec, targets)
@@ -113,9 +116,9 @@ def run_pipeline(spec: PerturbationSpec, targets=None, eps_values=None,
 
     runs = []
     for idx, (eps, certs) in enumerate(searches):
-        if csv_dir is not None:
+        if scans:                    # the scan this epsilon's search ran, if any
             _write_scan_csv(os.path.join(csv_dir, f"scan_{idx:02d}.csv"),
-                            *scans[idx])
+                            *scans.pop())
         out["runs"].append(run_to_json(eps, certs))
         if len(certs) != len(predicted):
             raise CountMismatchError(

@@ -698,6 +698,20 @@ def test_exit_code_2_on_unusable_path(capsys, tmp_path, argv):
     assert "Traceback" not in captured.err
 
 
+def test_csv_of_an_identity_map_writes_no_scan(capsys, tmp_path):
+    # every b_j zero: the map is the identity, so the search integrates
+    # nothing and has no scan to write; the report is the one without --csv
+    spec = PerturbationSpec((linear_field(1.0, 0.0, 0.0, 0.0),), (0.0,), 0.01)
+    path = tmp_path / "zero_b.json"
+    path.write_text(json.dumps(spec_to_json(spec)), encoding="utf-8")
+    plain = main(["pipeline", "--spec", str(path)]), capsys.readouterr()
+    scans = tmp_path / "scans"
+    with_csv = main(["pipeline", "--spec", str(path), "--csv", str(scans)]), capsys.readouterr()
+    assert plain[0] == with_csv[0] == 0
+    assert with_csv[1] == plain[1] and plain[1].err == ""
+    assert list(scans.iterdir()) == []
+
+
 def test_exit_code_4_on_count_mismatch(capsys):
     rc = main(["pipeline", "--preset", "vdp", "--bracket", "2.0", "3.0",
                "--steps", "512"])

@@ -329,7 +329,7 @@ def test_batch_kernel_matches_its_per_stage_reference():
         # BASE_STEPS reads packed rows, the lower counts tuples
         for steps in (flow.BASE_STEPS, 4, 8, 64):
             new = [a.tolist() for a in
-                   flow._integrate_batch(flow._search_tables(spec)(steps), grid)]
+                   flow._integrate_batch(flow._search_tables(spec), steps // 4, grid)]
             ref = [a.tolist() for a in
                    _reference_batch(spec, _stage_profiles(spec.fields, steps), grid)]
             # repr tells -0.0 from 0.0 and compares NaNs; == would do neither
@@ -455,23 +455,40 @@ def test_scaling_a_field_against_its_b_keeps_the_certificates(case, kappa):
             assert abs(cert.map_derivative - want.map_derivative) <= tol, (j, cert, want)
 
 
+def _builds(monkeypatch):
+    """Record each (n, k) that `flow._tables` is asked for: quadrant k in n
+    steps."""
+    asked = []
+    real = flow._tables
+
+    def recording(fields, n, k):
+        asked.append((n, k))
+        return real(fields, n, k)
+
+    monkeypatch.setattr(flow, "_tables", recording)
+    return asked
+
+
+def _quadrants(*counts):
+    """(n, k) of every quadrant k of the uniform mesh of each count in turn."""
+    return [(count // 4, k) for count in counts for k in range(4)]
+
+
 @pytest.mark.parametrize("case, counts", [
-    ("vdp", [8, 4, 64, 128]),
-    ("example2", [8, 4, 16, 64, 128]),
-    ("lienard6", [8, 4, 16, 32, 64, 128, 256]),
+    ("vdp", _quadrants(8, 4, 64, 128)),
+    ("example2", _quadrants(8, 4, 16, 64, 128)),
+    # the settled nodes of the stiff band fail in quadrant 0 up to its cap
+    # of 64 steps, so no later quadrant is built at 64; the cells build the
+    # later quadrants at 16 and 32 steps
+    ("lienard6", _quadrants(8, 4, 16, 32) + [(16, 0), (32, 0), (64, 0)]
+     + [(n, k) for n in (16, 32) for k in (1, 2, 3)]),
 ])
 def test_search_builds_each_step_count_once(monkeypatch, case, counts):
     # the scan binds its own count; its half pass, the settled nodes and
     # the Newton cells read the one lookup the search keeps
-    # (`_search_tables`), so no count is asked for twice
-    asked = []
-    real = flow._tables
-
-    def recording(fields, steps):
-        asked.append(steps)
-        return real(fields, steps)
-
-    monkeypatch.setattr(flow, "_tables", recording)
+    # (`_search_tables`), so no quadrant of a count is asked for twice, and
+    # a quadrant only once a revolution reaches it
+    asked = _builds(monkeypatch)
     spec, targets, bracket = _search_case(case)
     assert len(find_fixed_points(spec, bracket)) == len(targets)
     assert asked == counts
@@ -769,9 +786,9 @@ def _batched_substeps(monkeypatch):
     calls = []
     real = flow._integrate_batch
 
-    def counting(tabs, r0):
-        calls.append(tabs.steps)
-        return real(tabs, r0)
+    def counting(tables, n, r0):
+        calls.append(4 * n)                # the steps of the whole turn
+        return real(tables, n, r0)
 
     monkeypatch.setattr(flow, "_integrate_batch", counting)
     return calls
@@ -848,7 +865,7 @@ def _reference_settle(tables, grid, r1, status, r1_half, start, tol):
         n = start
         while True:
             r, st = node(n, r0)
-            estimate = abs(r - half) / tables(n).richardson
+            estimate = abs(r - half) / tables.richardson
             if n >= flow.REVOLUTION_STEPS or (
                     st == 0 and (estimate <= tol or abs(r - r0) > abs(r - half))):
                 return r, st
@@ -956,8 +973,23 @@ def _revolution(spec, r0, steps):
 
 def _pinned_estimate(spec, r0, steps):
     """The Richardson estimate |P_n - P_n/2| / (2^q - 1) at exactly n = `steps`."""
-    richardson = flow._tables(normalize_ccw(spec).fields, steps).richardson
+    richardson = flow._search_tables(normalize_ccw(spec)).richardson
     return abs(_revolution(spec, r0, steps) - _revolution(spec, r0, steps // 2)) / richardson
+
+
+def _turn(fields, steps):
+    """The raw tables of a whole turn of `steps` uniform steps, as
+    (thetas, rows): its four quadrants' `flow._tables` in order."""
+    quarters = [flow._tables(fields, steps // 4, k) for k in range(4)]
+    return (np.concatenate([q.thetas for q in quarters]),
+            np.concatenate([q.rows for q in quarters]))
+
+
+def _bound_turn(tables, steps):
+    """The bound rows of a whole turn of `steps` uniform steps, as
+    (steps, row width): its four quadrants' rows in order."""
+    return np.concatenate([np.reshape(tables.bound(steps // 4, k).rows, (steps // 4, -1))
+                           for k in range(4)])
 
 
 def test_tableau_satisfies_its_order_conditions():
@@ -997,7 +1029,7 @@ def test_graded_estimate_matches_the_error(case, r0):
     # a square root on the quintic grading is a u^3.5 term, so the mesh's
     # order is q = 4.5 and the estimate divides by 2^4.5 - 1
     spec = example1().spec if case == "example1" else example2().spec
-    assert flow._tables(normalize_ccw(spec).fields, 32).richardson == 2 ** 4.5 - 1
+    assert flow._search_tables(normalize_ccw(spec)).richardson == 2 ** 4.5 - 1
     # from 8 steps (2 per quadrant) to 32 the smooth part of the error
     # leads, falling 2^8.7-2^8.9 per doubling, and the estimate is 9-20x
     # the error; beyond 32 the error reaches the rounding floor
@@ -1042,19 +1074,20 @@ def test_polynomial_specs_keep_the_uniform_mesh(case):
     # each entry
     e = [spec.epsilon * bj for bj in spec.b]
     for steps, kind in ((flow.BASE_STEPS // 2, tuple), (flow.BASE_STEPS, array)):
-        tabs = flow._tables(spec.fields, steps)
+        thetas, raw = _turn(spec.fields, steps)
         profiles = _stage_profiles(spec.fields, steps)
-        assert tabs.rows[:, :, 0].transpose(2, 0, 1).tolist() == profiles.radial
-        assert tabs.rows[:, :, 1].transpose(2, 0, 1).tolist() == profiles.transverse
+        assert raw[:, :, 0].transpose(2, 0, 1).tolist() == profiles.radial
+        assert raw[:, :, 1].transpose(2, 0, 1).tolist() == profiles.transverse
         h = 2.0 * math.pi / steps
-        assert tabs.thetas.tolist() == [(n + c) * h for n in range(steps) for c in flow._C]
+        assert thetas.tolist() == [(n + c) * h for n in range(steps) for c in flow._C]
         tables = flow._search_tables(spec)
-        bound = tables(steps)
-        assert tables(steps) is bound
-        assert type(bound.rows) is kind
-        scaled = np.reshape(bound.rows, (steps, -1))
+        for k in range(4):
+            bound = tables.bound(steps // 4, k)
+            assert tables.bound(steps // 4, k) is bound
+            assert type(bound.rows) is kind
+        scaled = _bound_turn(tables, steps)
         assert scaled[:, 0].tolist() == [h] * steps
-        scaled = scaled[:, 1:].reshape(tabs.rows.shape)
+        scaled = scaled[:, 1:].reshape(raw.shape)
         for profile, side in ((profiles.radial, 0), (profiles.transverse, 1)):
             assert scaled[:, :, side].transpose(2, 0, 1).tolist() == [
                 [[ej * v for v in stage] for stage in field]
@@ -1080,18 +1113,16 @@ def test_rows_hold_every_stage_profile_of_their_step(case, steps):
     assert _graded(spec.fields) == (case == "example1")
     profiles = _stage_profiles(spec.fields, steps)
     e = [spec.epsilon * bj for bj in spec.b]
+    thetas, rows = _turn(spec.fields, steps)
     raw, want = [], []
-    for n, row in enumerate(flow._tables(spec.fields, steps).rows.tolist()):
+    for n, row in enumerate(rows.tolist()):
         raw.append([v for stage in row for side in stage for v in side])
         want.append([v for i in range(len(flow._C))
                      for profile in (profiles.radial, profiles.transverse)
                      for v in (field[n][i] for field in profile)])
     _assert_rows_repr_equal(raw, want)
-    _assert_rows_repr_equal(
-        flow._tables(spec.fields, steps).thetas.reshape(steps, -1).tolist(), profiles.thetas)
-    bound = flow._search_tables(spec)(steps).rows
-    rows = (list(map(list, bound)) if isinstance(bound, tuple)
-            else np.reshape(bound, (steps, -1)).tolist())
+    _assert_rows_repr_equal(thetas.reshape(steps, -1).tolist(), profiles.thetas)
+    rows = _bound_turn(flow._search_tables(spec), steps).tolist()
     nf, h = len(spec.fields), 2.0 * math.pi / steps
     _assert_rows_repr_equal(rows, [[h] + [e[m % nf] * v for m, v in enumerate(row)]
                                    for row in want])
@@ -1103,23 +1134,26 @@ def test_a_spec_without_fields_gets_empty_rows():
     # bound, each row holds its step h only: tuples below BASE_STEPS,
     # packed from it on, as for any spec
     for steps in (8, 64, 256):
-        assert flow._tables((), steps).rows.shape == (steps, len(flow._C), 2, 0)
-        bound = flow._search_tables(PerturbationSpec((), (), 0.01))(steps)
-        rows = bound.rows if steps < flow.BASE_STEPS else tuple(
-            struct.iter_unpack("d", bound.rows))
+        assert _turn((), steps)[1].shape == (steps, len(flow._C), 2, 0)
+        tables = flow._search_tables(PerturbationSpec((), (), 0.01))
+        rows = ()
+        for k in range(4):
+            bound = tables.bound(steps // 4, k)
+            rows += bound.rows if steps < flow.BASE_STEPS else tuple(
+                struct.iter_unpack("d", bound.rows))
         assert rows == ((2.0 * math.pi / steps,),) * steps
 
 
 def test_fractional_spec_is_graded_per_quadrant():
     steps = 64
-    tabs = flow._tables(example1().spec.fields, steps)
-    thetas = tabs.thetas.reshape(steps, len(flow._C))
+    flat, raw = _turn(example1().spec.fields, steps)
+    thetas = flat.reshape(steps, len(flow._C))
     quarter = steps // 4
     axes = [thetas[k * quarter, 0] for k in range(4)] + [thetas[-1, -1]]
     assert axes == [k * math.pi / 2 for k in range(5)]
     # sigma'(u) = 30 u^2 (1 - u)^2 vanishes on the axes
     for n, i in [(k * quarter, 0) for k in range(4)] + [(steps - 1, -1)]:
-        assert all(v == 0.0 for v in tabs.rows[n, i, 0])
+        assert all(v == 0.0 for v in raw[n, i, 0])
     # every stage angle of a step lies in the step's own quadrant, a stage
     # at c = 1 on its far edge
     for n, row in enumerate(thetas):
@@ -1130,8 +1164,8 @@ def test_fractional_spec_is_graded_per_quadrant():
     # the grading keeps the order of the stage angles (n + c_i) h
     key = (np.arange(steps)[:, None] + np.asarray(flow._C)).ravel()
     order = np.argsort(key, kind="stable")
-    assert np.array_equal(np.diff(tabs.thetas[order]) > 0.0, np.diff(key[order]) > 0.0)
-    assert np.all(np.diff(tabs.thetas[order]) >= 0.0)
+    assert np.array_equal(np.diff(flat[order]) > 0.0, np.diff(key[order]) > 0.0)
+    assert np.all(np.diff(flat[order]) >= 0.0)
 
 
 def test_stiff_revolution_chooses_more_steps():
@@ -1336,6 +1370,35 @@ def test_a_failure_at_the_cap_is_the_uniform_caps_failure(monkeypatch, case, qua
         False, flow._search_tables(normalize_ccw(spec)), flow._uniform(flow.MAX_STEPS), r0))
     assert (type(chosen.value), str(chosen.value), chosen.value.quadrant) == uniform
     assert uniform[2] == quadrant
+
+
+def _overflow_spec():
+    """10 x beside -x^3 with b_0 = 1e308: e_0 F_0 overflows the guard
+    window within the first step of quadrant 0 at every step count."""
+    return PerturbationSpec(
+        (HomogeneousField((SignedPowerTerm(10.0, Fraction(1), Fraction(0), True, False),),
+                          (), Fraction(1)),
+         HomogeneousField((SignedPowerTerm(-1.0, Fraction(3), Fraction(0), True, False),),
+                          (), Fraction(3))),
+        (1e308, 1.0), 0.01, "ccw")
+
+
+@pytest.mark.parametrize("case, message, built", [
+    ("overflow", "radius 5.04298e+301 left the window (0.0001, 10000) near "
+     "theta=5.04298e-06", {0}),
+    ("capillary", "angular speed -1.332e-05 <= 0 at theta=1.84673, r=0.662914", {0, 1}),
+])
+def test_a_failing_revolution_builds_no_later_quadrant(monkeypatch, case, message, built):
+    # a kernel reaches quadrant k's rows only after quadrant k - 1, so a
+    # revolution that fails in quadrant q at every count builds no table
+    # of a later quadrant, and raises the error it raised when whole turns
+    # were built
+    spec = _overflow_spec() if case == "overflow" else capillary().spec
+    asked = _builds(monkeypatch)
+    with pytest.raises((GuardBoundError, AngularMonotonicityError)) as info:
+        return_map(spec, 1.0)
+    assert str(info.value) == message
+    assert {k for _, k in asked} == built
 
 
 @pytest.mark.parametrize("r0, steps, uniform_steps", [
