@@ -50,8 +50,9 @@ explicit `steps` is the lowest count each may start from; only
 `scan_return_map` runs an exact count.  A Newton cell first closes in
 on its cycle with value revolutions on the uniform mesh of half its
 first count (`_approach`), the mesh of that level's half pass, so its
-last one serves as the half pass and Newton's tangent revolutions start
-within ~1e-8 r of the cycle.
+last one serves as the half pass where the value kernel chooses the
+cell's mesh, and one secant step on that mesh leaves most cells one
+tangent revolution.
 
 A lone radius runs in one of two kernels generated per exponent pattern
 (`_kernel`, keyed by `_pattern`): the value kernel, and the tangent
@@ -91,6 +92,7 @@ import numpy as np
 from .errors import (
     AngularMonotonicityError,
     ContinuationError,
+    CycleAvgError,
     GuardBoundError,
     SpecError,
 )
@@ -566,14 +568,17 @@ def return_map(spec: PerturbationSpec, r0: float,
 
 
 def scan_return_map(spec: PerturbationSpec, bracket, scan_points: int = SCAN_POINTS,
-                    steps: int = BASE_STEPS):
+                    steps: int = BASE_STEPS, tables=None):
     """Evaluate the return map on a log-spaced grid at exactly `steps` steps;
-    returns the raw (r0, r1, status), with no error estimate or settling."""
+    returns the raw (r0, r1, status), with no error estimate or settling;
+    `tables` is the search's lookup (`_search_tables`), if it has one."""
     _check_steps(steps)
     spec = normalize_ccw(spec)
     lo, hi = check_bracket(bracket)
     grid = np.logspace(math.log10(lo), math.log10(hi), scan_points)
-    r1, status = _integrate_batch(_search_tables(spec), steps // 4, grid)
+    if tables is None:
+        tables = _search_tables(spec)
+    r1, status = _integrate_batch(tables, steps // 4, grid)
     return grid, r1, status
 
 
@@ -617,8 +622,8 @@ def _newton_in_cell(pmap, a: float, b: float, ga: float, gb: float,
     4 u r), u the unit roundoff: the residual is about |P' - 1| |r - r*|,
     so a strongly repelling cell steps on until its residual is as small
     as an ordinary cell's.  Returns (r, P(r), P'(r)) of the last evaluated
-    point.  A degenerate cell (a == b, a zero-displacement node) is
-    evaluated once.
+    point, P' 1 + the secant slope without a tangent.  A degenerate cell
+    (a == b, a zero-displacement node) is evaluated once.
     """
     chord = (gb - ga) / (b - a) if a < b else math.nan
     if x is None:
@@ -629,7 +634,6 @@ def _newton_in_cell(pmap, a: float, b: float, ga: float, gb: float,
     for _ in range(100):
         p, dp = pmap(x)
         g = p - x
-        evaluated = (x, p, dp)
         if (g > 0.0) == (ga > 0.0):
             a, ga = x, g
         else:
@@ -640,6 +644,7 @@ def _newton_in_cell(pmap, a: float, b: float, ga: float, gb: float,
         else:
             slope = dp - 1.0
             close = max(rel * x / max(1.0, abs(slope)), 4.0 * _ROUNDOFF * x)
+        evaluated = (x, p, 1.0 + slope if dp is None else dp)
         last = x, g
         x_new = x - g / slope if slope != 0.0 else math.nan
         if not a <= x_new <= b:
@@ -650,27 +655,29 @@ def _newton_in_cell(pmap, a: float, b: float, ga: float, gb: float,
     return evaluated
 
 
-def _approach(tables, start: int, a: float, b: float, ga: float, gb: float):
-    """Newton's start in the sign-change cell [a, b] and its value at half
-    the cell's first count: `_newton_in_cell` on the value kernel over the
-    uniform mesh of start // 2 steps, the half pass `_revolve` runs at the
-    cell's first level, stopped once a step is at most 1e-8 r.  Returns
-    (r, P_half(r)) of the last evaluated radius, or (None, None) for a
-    degenerate cell (a == b) or if a revolution fails (guard or angular
-    speed): the cell then starts where it would without the approach, at
-    the secant point of (a, b)."""
+def _approach(tables, start: int, tol: float, a: float, b: float, ga: float, gb: float):
+    """Newton's start in the sign-change cell [a, b] and the cell's mesh:
+    `_newton_in_cell` on the value kernel over the uniform mesh of
+    start // 2 steps, stopped once a step is at most 1e-8 r; at its last
+    radius `_revolve` chooses the mesh on the value kernel, its last value
+    the first half pass, and one secant step with its last slope moves to
+    the root on that mesh.  Returns (None, None) for a degenerate cell
+    (a == b) or if a half-count revolution fails (guard or angular speed):
+    the cell then starts at the secant point of (a, b)."""
     if a == b:
         return None, None
-    mesh = _uniform(start // 2)
+    half_mesh = _uniform(start // 2)
 
     def pmap(r: float):
-        return _run_mesh(False, tables, mesh, r)[0], None
+        return _run_mesh(False, tables, half_mesh, r)[0], None
 
     try:
-        x, half, _ = _newton_in_cell(pmap, a, b, ga, gb, rel=1e-8)
+        x, half, secant = _newton_in_cell(pmap, a, b, ga, gb, rel=1e-8)
     except (GuardBoundError, AngularMonotonicityError):
         return None, None
-    return x, half
+    mesh, (p, _), _ = _revolve(tables, False, x, start, tol, half)
+    slope = secant - 1.0
+    return (x - (p - x) / slope if slope != 0.0 else math.nan), mesh
 
 
 def _settle_scan(tables, grid: np.ndarray, r1: np.ndarray, status: np.ndarray,
@@ -753,9 +760,9 @@ def find_fixed_points(spec: PerturbationSpec, bracket, tol: float = RESIDUAL_TOL
     Scans a log-spaced grid of `SCAN_POINTS` radii for sign changes of
     P(r) - r and refines each cell by safeguarded Newton on the
     variational equation (`_newton_in_cell`), in the scan cell's own
-    bracket, from the radius where a secant on the value kernel at half
-    the cell's first count stopped (`_approach`), or from the secant
-    point of the cell if that approach fails or the cell is degenerate.
+    bracket, on the mesh and from the start its approach chooses
+    (`_approach`), or from the secant point of the cell if that approach
+    fails or the cell is degenerate.
     The scan only has to place the sign changes, so it runs at about
     N / 16, with N = `steps` or BASE_STEPS, and a pass at half that to
     estimate each node's error; nodes whose sign or status that
@@ -765,16 +772,16 @@ def find_fixed_points(spec: PerturbationSpec, bracket, tol: float = RESIDUAL_TOL
     for its status, not for its value: a node may stop as soon as its
     sign is trusted.
 
-    Each cell's count is chosen once, at Newton's start point, by
-    `_revolve` from BASE_STEPS (or from `steps` if that is more) against
-    `tol`, with the approach's last value as its first half pass, and
-    that revolution is also Newton's first evaluation.  The coarse scan
-    and the approach move only Newton's start point: the certificate's
-    residual and map derivative come from the last Newton revolution,
-    and the derivative is the exact derivative of the discrete map.
-    Failing scan nodes are summarized in one warning per scan; failing
-    cells (guard exits, lost angular monotonicity, residual above tol)
-    are logged and skipped; an empty list is a legitimate outcome.  With
+    Each cell's mesh is chosen once by `_revolve` from BASE_STEPS (or
+    from `steps` if that is more) against `tol`, at the approach's last
+    radius, or else at Newton's start on the tangent kernel.  The coarse
+    scan and the approach move only Newton's start point: the
+    certificate's residual and map derivative come from the last Newton
+    revolution, and the derivative is the exact derivative of the
+    discrete map.  Failing scan nodes are summarized in one warning per
+    scan; failing cells (guard exits, lost angular monotonicity, residual
+    above tol) are logged and skipped, and a non-finite r*, residual or
+    P' raises CycleAvgError; an empty list is a legitimate outcome.  With
     every b_j zero the map is the identity, which has no isolated fixed
     point, so nothing is integrated.
     """
@@ -787,11 +794,11 @@ def find_fixed_points(spec: PerturbationSpec, bracket, tol: float = RESIDUAL_TOL
     if all(bj == 0.0 for bj in spec.b):
         return []
     spec = normalize_ccw(spec)
+    tables = _search_tables(spec)
     # a multiple of 8 near N / 16, so its half pass keeps the axis-angle
     # alignment too
     coarse = max(8, (steps or BASE_STEPS) // 128 * 8)
-    grid, r1, status = scan_return_map(spec, bracket, SCAN_POINTS, coarse)
-    tables = _search_tables(spec)
+    grid, r1, status = scan_return_map(spec, bracket, SCAN_POINTS, coarse, tables)
     r1_half, _ = _integrate_batch(tables, coarse // 8, grid)
     # settled nodes start at twice the scan's count and cells at
     # BASE_STEPS, or both at `steps` if that is more
@@ -807,16 +814,13 @@ def find_fixed_points(spec: PerturbationSpec, bracket, tol: float = RESIDUAL_TOL
                     len(grid), grid[0], grid[-1], sum(failed.values()),
                     ", ".join(f"{name} {count}" for name, count in failed.items()))
 
-    def cell_map(half):
-        """P and P' for one cell, on the mesh `_revolve` chooses at the
-        cell's first point, which is Newton's first, with `half` its value
-        at half the first count if the approach has it."""
-        mesh = None
-
+    def cell_map(mesh):
+        """P and P' for one cell on `mesh`, or if that is None on the
+        mesh `_revolve` chooses at Newton's first point."""
         def pmap(r: float) -> tuple[float, float]:
             nonlocal mesh
             if mesh is None:
-                mesh, first, _ = _revolve(tables, True, r, start, tol, half)
+                mesh, first, _ = _revolve(tables, True, r, start, tol)
                 return first
             return _run_mesh(True, tables, mesh, r)
 
@@ -824,13 +828,18 @@ def find_fixed_points(spec: PerturbationSpec, bracket, tol: float = RESIDUAL_TOL
 
     certificates = []
     for a, b, ga, gb in _sign_change_cells(grid, r1 - grid, status == _STATUS_OK):
-        x, half = _approach(tables, start, a, b, ga, gb)
         try:
-            r_star, p, deriv = _newton_in_cell(cell_map(half), a, b, ga, gb, x)
+            x, mesh = _approach(tables, start, tol, a, b, ga, gb)
+            r_star, p, deriv = _newton_in_cell(cell_map(mesh), a, b, ga, gb, x)
         except (GuardBoundError, AngularMonotonicityError) as exc:
             log.warning("cell [%.6g, %.6g]: %s", a, b, exc)
             continue
         residual = abs(p - r_star)
+        for name, value in (("r_star", r_star), ("residual", residual),
+                            ("map_derivative", deriv)):
+            if not math.isfinite(value):
+                raise CycleAvgError(f"cell [{a:.6g}, {b:.6g}]: {name} {value!r} "
+                                    "is not finite")
         if residual > tol:
             log.warning("cell [%.6g, %.6g]: residual %.3e > tol %.1e, skipped",
                         a, b, residual, tol)

@@ -188,7 +188,7 @@ def test_steps_whose_count_meets_tol_keep_their_output(capsys):
     rc, out = run(capsys, *EXAMPLE2_PIPELINE, "--steps", "128")
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "5424f2bc0102fcec28ad08f2d584108accdf65c523cf5b2c0f3fb18e9a1ec00f")
+        "30d9e0f01950c6592327f017f29381a1e7bb33a5a3dd274a163d645696d71843")
 
 
 def test_steps_floor_certifies_the_stiff_repelling_cycle(capsys, tmp_path):

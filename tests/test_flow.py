@@ -408,16 +408,78 @@ def test_newton_revolutions_per_cell(monkeypatch, case):
     assert len(certs) == len(targets)
     # value-only revolutions settle scan nodes; each cell adds those of its
     # approach at half the cell's first count, each at a radius of its own,
-    # and the last is the half pass that chooses the cell's step count, so
-    # Newton's first radius runs no value revolution of its own
+    # and then one at its first count at the approach's last radius, which
+    # chooses the cell's mesh with the approach's last value as its half
+    # pass; a secant step on that mesh leaves one tangent revolution, at r*
     grid = set(np.logspace(math.log10(bracket[0]), math.log10(bracket[1]),
                            200).tolist())
-    off_grid = [run for run in runs[False] if run.r0 not in grid]
-    assert {run.mesh for run in off_grid} == {flow._uniform(flow.BASE_STEPS // 2)}
-    radii = [run.r0 for run in off_grid]
-    assert len(set(radii)) == len(radii) >= len(certs)
-    assert len(runs[True]) <= 2 * len(certs)
-    assert len({run.r0 for run in runs[True]} & set(radii)) == len(certs)
+    half, first = flow._uniform(flow.BASE_STEPS // 2), flow._uniform(flow.BASE_STEPS)
+    value = runs[False]
+    off_grid = [i for i, run in enumerate(value) if run.r0 not in grid]
+    assert {value[i].mesh for i in off_grid} == {half, first}
+    chosen = [i for i in off_grid if value[i].mesh == first]
+    assert len(chosen) == len(certs)
+    assert all((value[i - 1].r0, value[i - 1].mesh) == (value[i].r0, half) for i in chosen)
+    radii = [value[i].r0 for i in off_grid if value[i].mesh == half]
+    assert len(set(radii)) == len(radii) > len(certs)
+    assert [(run.r0, run.mesh) for run in runs[True]] == [(c.r_star, first) for c in certs]
+
+
+@pytest.mark.parametrize("case", ["vdp", "example2", "lienard6", "example1"])
+def test_certificate_is_the_tangent_revolution_at_r_star(monkeypatch, case):
+    # residual and map derivative are, bit for bit, those of one tangent
+    # revolution at r* on the cell's mesh, with the search's lookup built
+    # anew
+    if case == "example1":
+        spec, bracket = with_epsilon(example1().spec, 0.01), (0.4, 3.4)
+    else:
+        spec, _, bracket = _search_case(case)
+    tangent = _runs(monkeypatch)[True]
+    certs = find_fixed_points(spec, bracket)
+    assert certs
+    tables = flow._search_tables(normalize_ccw(spec))
+    meshes = {run.r0: run.mesh for run in tangent}
+    for cert in certs:
+        p, dp = flow._run_mesh(True, tables, meshes[cert.r_star], cert.r_star)
+        assert (abs(p - cert.r_star), dp) == (cert.residual, cert.map_derivative)
+
+
+def test_a_search_builds_one_lookup(monkeypatch):
+    # the coarse scan binds its rows in the lookup of the search it serves
+    calls = []
+    real = flow._search_tables
+
+    def counting(spec):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(flow, "_search_tables", counting)
+    spec, targets, bracket = _search_case("example2")
+    assert len(find_fixed_points(spec, bracket)) == len(targets)
+    assert len(calls) == 1
+    calls.clear()
+    assert cli.main(["repro", "vdp"]) == 0
+    assert len(calls) == 3                 # one search per epsilon
+    calls.clear()
+    scan_return_map(spec, bracket, steps=64)
+    assert len(calls) == 1
+
+
+def test_a_non_finite_certificate_is_a_typed_error(monkeypatch, capsys):
+    # a tangent revolution whose derivative overflows: the search names the
+    # cell and the value (exit 1), before any document is printed
+    real = flow._run_mesh
+
+    def overflowing(tangent, tables, mesh, r0):
+        r1, second = real(tangent, tables, mesh, r0)
+        return (r1, math.inf) if tangent else (r1, second)
+
+    monkeypatch.setattr(flow, "_run_mesh", overflowing)
+    assert cli.main(["repro", "vdp"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: cell \[[0-9.]+, [0-9.]+\]: map_derivative inf is not finite\n",
+                        captured.err), captured.err
 
 
 def _scaled_against_b(spec, j, kappa):
@@ -500,7 +562,7 @@ def test_repro_vdp_tangent_work_per_cell(monkeypatch, capsys):
     runs = json.loads(capsys.readouterr().out)["result"]["runs"]
     certs = sum(len(run["fixed_points"]) for run in runs)
     assert certs == 3
-    assert sum(sum(run.mesh) for run in tangent) <= 2 * flow.BASE_STEPS * certs
+    assert sum(sum(run.mesh) for run in tangent) <= flow.BASE_STEPS * certs
 
 
 #: The `repro` searches: every preset with cycles, lienard 5-7.
@@ -1415,17 +1477,18 @@ def test_stiff_band_revolution_refines_only_up_to_its_failure(r0, steps, uniform
 
 
 def test_lienard6_pipeline_value_steps_are_pinned(monkeypatch, capsys):
-    # value-kernel steps over the settled scan nodes and the cells'
-    # approaches, whose last revolution is each cell's half pass: 7,824 on
-    # the uniform ladder; the approaches leave one cell one tangent
-    # revolution and the others two
+    # value-kernel steps over the settled scan nodes, the cells'
+    # approaches, whose last revolution is each cell's half pass, and the
+    # revolutions that choose the cells' meshes: 7,824 on the uniform
+    # ladder; the secant step on each mesh leaves each cell one tangent
+    # revolution
     runs = _runs(monkeypatch)
     assert cli.main(["pipeline", "--preset", "lienard6", "--targets", "0.8", "1.3", "1.8",
                      "--eps", "0.005"]) == 0
     capsys.readouterr()
     value, tangent = runs[False], runs[True]
-    assert (len(value), sum(sum(run.mesh) for run in value)) == (125, 4080)
-    assert (len(tangent), sum(sum(run.mesh) for run in tangent)) == (5, 640)
+    assert (len(value), sum(sum(run.mesh) for run in value)) == (128, 4464)
+    assert (len(tangent), sum(sum(run.mesh) for run in tangent)) == (3, 384)
 
 
 #: The benchmark's single-radius specs with their radius ranges: vdp,
@@ -1774,21 +1837,26 @@ def _revolutions(runs, batches):
 
 #: Revolutions per (kernel, mesh) of each `repro`, and per (batch,
 #: steps): deterministic, so a change of speed cannot hide a change of
-#: work.
+#: work.  Each certified cell runs one value and one tangent revolution
+#: of 128 steps: the first chooses its mesh, the second is its
+#: certificate.
 REPRO_WORK = [
-    (["repro", "vdp"], {("tangent", (32,) * 4): 6, ("scalar", (16,) * 4): 9,
-                        ("batch", 8): 3, ("batch", 4): 3}),
-    (["repro", "example1"], {("tangent", (32,) * 4): 2, ("scalar", (4,) * 4): 4,
-                             ("scalar", (16,) * 4): 2, ("batch", 8): 1, ("batch", 4): 1}),
-    (["repro", "example2"], {("tangent", (32,) * 4): 8, ("scalar", (4,) * 4): 105,
-                             ("scalar", (16,) * 4): 12, ("batch", 8): 2, ("batch", 4): 2}),
-    (["repro", "lienard", "--m", "6"], {("tangent", (32,) * 4): 6, ("scalar", (4,) * 4): 5,
-                                        ("scalar", (16,) * 4): 8, ("batch", 8): 1,
-                                        ("batch", 4): 1}),
+    (["repro", "vdp"], {("tangent", (32,) * 4): 3, ("scalar", (32,) * 4): 3,
+                        ("scalar", (16,) * 4): 9, ("batch", 8): 3, ("batch", 4): 3}),
+    (["repro", "example1"], {("tangent", (32,) * 4): 1, ("scalar", (32,) * 4): 1,
+                             ("scalar", (4,) * 4): 4, ("scalar", (16,) * 4): 2,
+                             ("batch", 8): 1, ("batch", 4): 1}),
+    (["repro", "example2"], {("tangent", (32,) * 4): 4, ("scalar", (32,) * 4): 4,
+                             ("scalar", (4,) * 4): 105, ("scalar", (16,) * 4): 12,
+                             ("batch", 8): 2, ("batch", 4): 2}),
+    (["repro", "lienard", "--m", "6"], {("tangent", (32,) * 4): 3, ("scalar", (32,) * 4): 3,
+                                        ("scalar", (4,) * 4): 5, ("scalar", (16,) * 4): 8,
+                                        ("batch", 8): 1, ("batch", 4): 1}),
     # one settled node (r 1.854) fails in quadrant 2 at every level, so
     # only quadrants 0-2 refine, and it stays failed at (64, 64, 64, 4) as
     # the uniform 256 steps fail it
-    (["repro", "lienard", "--m", "7"], {("tangent", (32,) * 4): 8, ("scalar", (4,) * 4): 14,
+    (["repro", "lienard", "--m", "7"], {("tangent", (32,) * 4): 4, ("scalar", (32,) * 4): 4,
+                                        ("scalar", (4,) * 4): 14,
                                         ("scalar", (8, 8, 8, 4)): 1,
                                         ("scalar", (16, 16, 16, 4)): 1,
                                         ("scalar", (16,) * 4): 13,
