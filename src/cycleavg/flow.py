@@ -71,8 +71,10 @@ spec data is compiled.  Below BASE_STEPS a turn the bound rows are
 tuples; from it on their doubles stay packed, a quarter of the memory,
 and each row is unpacked from the buffer as its step starts.  A scan's
 radii run together in a third kernel, a few numpy calls per stage on
-the same rows past h viewed as (n, 12, 2, nf) per quadrant, with the
-failures read once per step (`_integrate_batch`).
+the same rows past h viewed as (n, 12, 2, nf) per quadrant, written
+into work arrays allocated once per call, with the failures read once
+per step and each failed row parked on a live row's radius
+(`_integrate_batch`).
 """
 
 from __future__ import annotations
@@ -450,8 +452,13 @@ def _integrate_batch(tables: _Search, n: int, r0: np.ndarray):
     angular speed is tagged with its first failure (at one stage a guard
     exit wins over a lost speed) and carries NaN.  Each stage keeps its
     radii and angular speeds, and the failures are read once per step.
-    Failed rows keep being integrated on garbage; the cumulative `alive`
-    mask keeps their later failures from overwriting the first.
+    A failed row is parked at the end of its step on the radius of the
+    first live row, so no stage sees the NaN, infinite or negative radii
+    on which the power is slow; the cumulative `alive` mask keeps its
+    later failures from overwriting the first.  Parking moves no live
+    value: a row's values do not depend on the others', though they may
+    on its column (SIMD, BLAS), so no row changes column.  Every stage
+    writes into work arrays allocated once per call.
     """
     def weights(quadrant):
         # step m's row past its h as (12, 2, nf): each stage's e_j F_j and
@@ -466,22 +473,40 @@ def _integrate_batch(tables: _Search, n: int, r0: np.ndarray):
     r = np.array(r0, dtype=float, copy=True)
     status = np.zeros(r.shape, dtype=int)
     alive = np.ones(r.shape, dtype=bool)
+    new = np.empty_like(alive)
+    dead = live = None                      # once a row fails: ~alive, first live row
     k, x, den = (np.empty((len(_B),) + r.shape) for _ in range(3))
+    powers = np.empty(alphas.shape[:1] + r.shape)
+    num_dacc = np.empty((2,) + r.shape)
+    acc = np.empty(r.shape)
+    in_window, fails = (np.empty(x.shape, dtype=bool) for _ in range(2))
     rows = [np.asarray(row) for row in _A]
     b = np.asarray(_B)
 
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         for step in chain.from_iterable(map(weights, range(4))):
+            np.copyto(x[0], r)
             for i, (row, w) in enumerate(zip(rows, step)):
-                x[i] = r + h * (row @ k[:i]) if i else r
-                num, dacc = w @ x[i] ** alphas
-                np.divide(dacc, x[i], out=den[i])
+                if i:                       # x_i = r + h (row @ k[:i])
+                    np.matmul(row, k[:i], out=acc)
+                    acc *= h
+                    np.add(r, acc, out=x[i])
+                np.power(x[i], alphas, out=powers)
+                np.matmul(w, powers, out=num_dacc)
+                np.divide(num_dacc[1], x[i], out=den[i])
                 den[i] += 1.0
-                k[i] = num / den[i]
-            r = r + h * (b @ k)
-            in_window = (x > lo) & (x < hi)
-            fails = ~(in_window & (den > 0.0))
-            new = alive & fails.any(axis=0)
+                np.divide(num_dacc[0], den[i], out=k[i])
+            np.matmul(b, k, out=acc)
+            acc *= h
+            r += acc
+            np.greater(x, lo, out=in_window)
+            np.less(x, hi, out=fails)
+            in_window &= fails
+            np.greater(den, 0.0, out=fails)
+            fails &= in_window
+            np.logical_not(fails, out=fails)
+            np.any(fails, axis=0, out=new)
+            new &= alive
             if new.any():
                 # at each row's first failing stage: _STATUS_GUARD outside
                 # the window, else _STATUS_SPEED (one less)
@@ -490,6 +515,9 @@ def _integrate_batch(tables: _Search, n: int, r0: np.ndarray):
                 alive &= ~new
                 if not alive.any():
                     break
+                dead, live = ~alive, alive.argmax()
+            if dead is not None:
+                np.copyto(r, r[live], where=dead)
         np.copyto(status, _STATUS_GUARD, where=alive & ~((r > lo) & (r < hi)))
     return np.where(status == _STATUS_OK, r, np.nan), status
 

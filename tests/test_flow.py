@@ -99,6 +99,8 @@ def test_batch_scan_agrees_with_scalar_map():
     assert np.all(status == 0)
     singles = [return_map(spec, float(r)).r1 for r in grid]
     assert np.allclose(r1, singles, rtol=1e-12, atol=1e-13)
+    # a scan of no radii is empty
+    assert [a.size for a in scan_return_map(spec, (0.5, 2.0), scan_points=0)] == [0, 0, 0]
 
 
 def test_cw_spec_is_normalized_transparently():
@@ -318,25 +320,34 @@ def _reference_batch(spec, tabs, r0):
 
 def test_batch_kernel_matches_its_per_stage_reference():
     # every preset, lienard7's scan that fails by guard and by angular
-    # speed, and a stiff bracket where every row fails
+    # speed, and a stiff bracket where every row fails; BASE_STEPS reads
+    # packed rows, the lower counts tuples
     stiff = with_b(lienard(6).spec, (7.00877, -23.01547, 17.824, -3.65714))
-    cases = [(make().spec, (0.3, 5.0)) for _, make in sorted(catalog().items())]
-    cases += [(_lienard7(), (0.4, 2.2)), (with_epsilon(stiff, 0.0185), (2.8, 2.9))]
+    counts = (flow.BASE_STEPS, 4, 8, 64)
+    cases = [(make().spec, (0.3, 5.0), counts) for _, make in sorted(catalog().items())]
+    cases += [(_lienard7(), (0.4, 2.2), counts),
+              (with_epsilon(stiff, 0.0185), (2.8, 2.9), counts)]
+    # the benchmark's scans over (0.24, 5.4), which lose a third of their
+    # rows mid-revolution: the reference keeps integrating them, the
+    # kernel parks them on a live row
+    lienard5 = retune_b(lienard(5, epsilon=0.005).spec, [0.8, 1.8])[0].spec
+    cases += [(spec, (0.24, 5.4), (4, 8)) for spec in (lienard5, _lienard7())]
     seen = []
-    for spec, (lo, hi) in cases:
+    for spec, (lo, hi), steps_list in cases:
         spec = normalize_ccw(spec)
         grid = np.logspace(math.log10(lo), math.log10(hi), flow.SCAN_POINTS)
-        # BASE_STEPS reads packed rows, the lower counts tuples
-        for steps in (flow.BASE_STEPS, 4, 8, 64):
+        for steps in steps_list:
             new = [a.tolist() for a in
                    flow._integrate_batch(flow._search_tables(spec), steps // 4, grid)]
             ref = [a.tolist() for a in
                    _reference_batch(spec, _stage_profiles(spec.fields, steps), grid)]
             # repr tells -0.0 from 0.0 and compares NaNs; == would do neither
             assert repr(new) == repr(ref), (spec, (lo, hi), steps)
-            seen.append(set(new[1]))
-    assert set().union(*seen) == {0, 1, 2}
-    assert seen[-2] == {2}                 # the stiff bracket at 8 steps
+            seen.append(new[1])
+    assert set().union(*map(set, seen)) == {0, 1, 2}
+    assert set(seen[-6]) == {2}            # the stiff bracket at 8 steps
+    # lienard5 at 4 and 8 steps, then lienard7
+    assert [sum(st != 0 for st in status) for status in seen[-4:]] == [60, 60, 70, 69]
 
 
 def _richardson_derivative(spec, r, rel_delta=1e-4):

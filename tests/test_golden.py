@@ -6,7 +6,8 @@ plus one `synthesize`, two `repro` (example1 and `lienard --m 7`, whose
 five fields run the widest generated kernel), four `simulate` (an
 epsilon sweep and `--r0` samples of vdp, of example2 on the graded mesh
 and of lienard6 at 1,024 steps on packed rows), one `continuation`,
-`classify --scan 1` and one
+one `pipeline` (lienard5 retuned to 0.8 and 1.8 at eps 0.005, whose
+scan loses 60 of its 200 radii), `classify --scan 1` and one
 `classify --system` per canonicalization step (duplicate merge, swap,
 time reversal, x^s strip, y^u strip, x-power ordering).  Exit codes,
 keys, strings, ints and bools must match exactly; floats within 1e-12
