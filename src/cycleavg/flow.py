@@ -45,7 +45,12 @@ its cycle within one quadrant, and the quadrants after the failure never
 ran.  A Newton cell of the fixed-point search starts at BASE_STEPS, a
 scan node it settles at twice the scan's count (`_settle_scan`), and a
 lone revolution (`return_map`) at REVOLUTION_STEPS, so that most radii
-need no second level and its cost depends little on its radius.  An
+need no second level and its cost depends little on its radius.  A run
+of scan nodes that the coarse scan loses is not settled node by node:
+P is increasing, so two settled nodes u < v whose values, widened by
+their error, put P(r_v) below r_u or P(r_u) above r_v show that no
+cycle lies between them, and only the runs' ends and the middles of the
+stretches that no such bound covers are settled.  An
 explicit `steps` is the lowest count each may start from; only
 `scan_return_map` runs an exact count.  A Newton cell first closes in
 on its cycle with value revolutions on the uniform mesh of half its
@@ -713,15 +718,11 @@ def _settle_scan(tables, grid: np.ndarray, r1: np.ndarray, status: np.ndarray,
     """Finer values and statuses wherever a coarse scan may be wrong.
 
     `r1`, `status` come from a coarse scan of `grid` and `r1_half` from
-    the same scan at half its steps.  Two kinds of node are
-    integrated again with the value kernel:
-
-    - an OK node whose displacement |r1 - r0| does not exceed its own
-      coarse-versus-half difference (a failed half pass gives no difference,
-      so the node is settled too);
-    - a failed node next to an OK one, repeated outward while the settled
-      nodes turn out OK, so a band that only the coarse steps lose is
-      recovered node by node.
+    the same scan at half its steps.  Two kinds of node are integrated
+    again with the value kernel: an OK node whose displacement
+    |r1 - r0| does not exceed its own coarse-versus-half difference (a
+    failed half pass gives no difference, so the node is settled too),
+    and a failed node next to an OK one.
 
     Each such node runs `_revolve`'s rule from the uniform mesh of `start`
     steps, each level's value the next one's half pass and the coarse
@@ -734,7 +735,28 @@ def _settle_scan(tables, grid: np.ndarray, r1: np.ndarray, status: np.ndarray,
     a quadrant at the cap stays failed, as the uniform REVOLUTION_STEPS
     mesh fails it, and an OK one keeps its value.  A level after a failed
     one has no half pass to be trusted by, so a failed quadrant of n steps
-    with 4n >= REVOLUTION_STEPS / 4 goes straight to the cap.  Returns new
+    with 4n >= REVOLUTION_STEPS / 4 goes straight to the cap.
+
+    The rest of a run of coarse failures is covered with the monotone
+    return map instead of being settled node by node.  P is increasing,
+    so between settled OK nodes u < v, P(r_v) + e_v < r_u puts P(r) below
+    r on all of [r_u, r_v] and P(r_u) - e_u > r_v puts it above: that
+    stretch holds no cycle.  Here e is |P - half| at the level the node
+    stopped on; a value accepted at the cap after a failed level has no
+    half pass, so it first runs one more level with every quadrant
+    doubled.  A run that reaches the scan's end has its far end settled
+    once its border is OK.  Each stretch of unsettled nodes between
+    settled ones is then covered if both ends are OK and their bounds
+    allow it, left if both failed, and else split at its middle node,
+    which is settled, its two halves treated alike (on an explicit stack,
+    so no closure refers to itself and keeps the search's lookup alive).
+    So each run fills from its OK ends toward the nodes that fail at the
+    cap, and the nodes past that frontier stay failed, as settling
+    outward from each OK end up to its first failure leaves them.  A
+    covered node gets status OK and as r1 its bound, P(r_v) + e_v or
+    P(r_u) - e_u: trusted for its sign and its status, not its value.
+    Its orbit lies between the two bounding orbits, so it stays inside
+    the guard window, but its angular speed is not checked.  Returns new
     (r1, status).
     """
     cap = REVOLUTION_STEPS // 4
@@ -743,40 +765,79 @@ def _settle_scan(tables, grid: np.ndarray, r1: np.ndarray, status: np.ndarray,
         # a failed level leaves the next one no half pass to trust it by
         return cap if 4 * n >= cap else 2 * n
 
-    def settle(r0, half):
+    def settle(i):
+        """Settle node i in place; an OK one keeps (P, |P - half|, mesh)
+        of the level it stopped on in `bars`."""
+        r0, half = float(grid[i]), float(r1[i])
         mesh = _uniform(start)
         while True:
             try:
                 r = _run_mesh(False, tables, mesh, r0)[0]
             except (GuardBoundError, AngularMonotonicityError) as exc:
                 if mesh[exc.quadrant] >= cap:
-                    return math.nan, (_STATUS_GUARD if isinstance(exc, GuardBoundError)
-                                      else _STATUS_SPEED)
+                    r1[i], status[i] = math.nan, (
+                        _STATUS_GUARD if isinstance(exc, GuardBoundError) else _STATUS_SPEED)
+                    return
                 mesh, half = _refined(mesh, exc.quadrant, finer), math.nan
                 continue
             if mesh[0] >= cap or (
                     abs(r - half) / tables.richardson <= tol
                     or abs(r - r0) > abs(r - half)):
-                return r, _STATUS_OK
+                r1[i], status[i] = r, _STATUS_OK
+                bars[i] = r, abs(r - half), mesh
+                return
             mesh, half = tuple(2 * n for n in mesh), r
 
-    r1, status = r1.copy(), status.copy()
+    def bar(i):
+        """(P, e) of the settled OK node i, running the level after its
+        last one if that had no half pass."""
+        p, e, mesh = bars[i]
+        if math.isnan(e) and mesh is not None:
+            try:
+                q = _run_mesh(False, tables, tuple(2 * n for n in mesh), float(grid[i]))[0]
+            except (GuardBoundError, AngularMonotonicityError):
+                q = math.nan
+            p, e = q, abs(q - p)
+            bars[i] = p, e, None
+        return p, e
+
+    def cover(u, v):
+        """Cover the nodes between settled OK nodes u < v, if their bars
+        show P - r of one sign over [r_u, r_v]."""
+        p, e = bar(v)
+        bound = p + e
+        if not bound < grid[u]:
+            p, e = bar(u)
+            bound = p - e
+            if not bound > grid[v]:
+                return False
+        r1[u + 1:v], status[u + 1:v] = bound, _STATUS_OK
+        return True
+
+    r1, status, bars = r1.copy(), status.copy(), {}
     n = len(grid)
     ok = status == _STATUS_OK
     with np.errstate(invalid="ignore"):
         trusted = np.abs(r1 - grid) > np.abs(r1 - r1_half)
     borders = ~ok & (np.r_[False, ok[:-1]] | np.r_[ok[1:], False])
-    pending = np.nonzero((ok & ~trusted) | borders)[0].tolist()
-    settled = set()
-    while pending:
-        i = pending.pop()
-        if i in settled:
-            continue
-        settled.add(i)
-        r1[i], status[i] = settle(float(grid[i]), float(r1[i]))
-        if status[i] == _STATUS_OK:
-            pending += [j for j in (i - 1, i + 1)
-                        if 0 <= j < n and status[j] != _STATUS_OK]
+    for i in np.flatnonzero((ok & ~trusted) | borders).tolist():
+        settle(i)
+    edges = np.flatnonzero(np.diff(np.r_[0, ~ok, 0]))
+    for first, last in zip(edges[::2].tolist(), (edges[1::2] - 1).tolist()):
+        # a run at the scan's end has one border: its far end next
+        if first == 0 < last and status[last] == _STATUS_OK:
+            settle(first)
+        if first < last == n - 1 and status[first] == _STATUS_OK:
+            settle(last)
+        stack = [(first, last)]
+        while stack:
+            u, v = stack.pop()
+            good = (status[u] == _STATUS_OK, status[v] == _STATUS_OK)
+            if v - u < 2 or not any(good) or (all(good) and cover(u, v)):
+                continue
+            m = (u + v) // 2
+            settle(m)
+            stack += [(u, m), (m, v)]
     return r1, status
 
 
@@ -794,11 +855,15 @@ def find_fixed_points(spec: PerturbationSpec, bracket, tol: float = RESIDUAL_TOL
     The scan only has to place the sign changes, so it runs at about
     N / 16, with N = `steps` or BASE_STEPS, and a pass at half that to
     estimate each node's error; nodes whose sign or status that
-    resolution cannot be trusted with are integrated again
-    (`_settle_scan`).  `on_scan`, if given, receives the settled scan as
-    (grid, r1, status), whose r1 is trusted for the sign of r1 - r0 and
-    for its status, not for its value: a node may stop as soon as its
-    sign is trusted.
+    resolution cannot be trusted with are integrated again, and the
+    rest of a run of failed nodes is covered by the monotone map where
+    it can be (`_settle_scan`).  `on_scan`, if given, receives the
+    settled scan as (grid, r1, status), whose r1 is trusted for the sign
+    of r1 - r0 and for its status, not for its value: a node may stop as
+    soon as its sign is trusted, and a covered node carries the bound on
+    P that gives its sign, not its own value.  A covered radius's orbit
+    lies between the two bounding orbits, so it stays inside the guard
+    window, but its angular speed is not checked.
 
     Each cell's mesh is chosen once by `_revolve` from BASE_STEPS (or
     from `steps` if that is more) against `tol`, at the approach's last

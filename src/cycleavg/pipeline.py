@@ -79,7 +79,8 @@ def run_pipeline(spec: PerturbationSpec, targets=None, eps_values=None,
     bounds the fixed-point search, defaulting to (0.3 min, 3 max) around
     the predicted roots.  With `csv_dir` each epsilon's settled scan
     is written to scan_NN.csv there, NN the epsilon's index; its r1 is
-    trusted for its sign and status, not its value
+    trusted for its sign and status, not its value, and a node that the
+    monotone map covers carries a bound on P rather than its own value
     (`flow.find_fixed_points`).  A search that integrates nothing (every
     b_j zero: the map is the identity) has no scan, so its epsilon
     writes no file.

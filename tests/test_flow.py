@@ -1,6 +1,7 @@
 """Return-map integration, fixed-point certificates, continuation."""
 
 import csv
+import gc
 import json
 import logging
 import math
@@ -551,10 +552,12 @@ def _quadrants(*counts):
     ("vdp", _quadrants(8, 4, 64, 128)),
     ("example2", _quadrants(8, 4, 16, 64, 128)),
     # the settled nodes of the stiff band fail in quadrant 0 up to its cap
-    # of 64 steps, so no later quadrant is built at 64; the cells build the
-    # later quadrants at 16 and 32 steps
-    ("lienard6", _quadrants(8, 4, 16, 32) + [(16, 0), (32, 0), (64, 0)]
-     + [(n, k) for n in (16, 32) for k in (1, 2, 3)]),
+    # of 64 steps, so no later quadrant is built at 64, and a bound of the
+    # monotone cover accepted there runs one more level, (128, 8, 8, 8),
+    # for its error; the cells build the later quadrants at 16 steps and
+    # every quadrant at 32
+    ("lienard6", _quadrants(8, 4, 16, 32) + [(16, 0), (64, 0), (128, 0)]
+     + [(16, k) for k in (1, 2, 3)] + _quadrants(128)),
 ])
 def test_search_builds_each_step_count_once(monkeypatch, case, counts):
     # the scan binds its own count; its half pass, the settled nodes and
@@ -818,8 +821,9 @@ def test_lienard6_stiff_band_cells_match_full_resolution(monkeypatch):
 
 def test_stiff_band_fails_only_where_the_revolution_count_fails():
     # a settled node doubles up to REVOLUTION_STEPS at most, so the band
-    # that only coarse steps lose is recovered node by node, and what stays
-    # failed fails at that count too (DOP853 clears this band at 2048)
+    # that only coarse steps lose is recovered, its nodes settled or
+    # covered by the monotone map, and what stays failed fails at that
+    # count too (DOP853 clears this band at 2048)
     spec = retune_b(lienard(6, epsilon=0.005).spec, [0.8, 1.3, 1.8])[0].spec
     bracket = (0.24, 5.4)
     _, _, coarse_status = scan_return_map(spec, bracket, steps=flow.BASE_STEPS // 16)
@@ -853,6 +857,147 @@ def test_coarse_failures_next_to_ok_nodes_are_settled(monkeypatch):
     _assert_full_resolution_cells(cells, spec, bracket, 200, flow.REVOLUTION_STEPS)
     assert len(certs) == 1
     assert certs[0].r_star == pytest.approx(cert.r_star, rel=1e-12)
+
+
+class _Settle(NamedTuple):
+    """One `flow._settle_scan` call: its arguments, its (r1, status) and
+    the value revolutions it ran."""
+    args: tuple
+    out: tuple
+    runs: list
+
+
+def _settles(monkeypatch):
+    """Spy on `flow._settle_scan` (and on `flow._run_mesh`): each call as a
+    `_Settle`."""
+    runs, settles = _runs(monkeypatch)[False], []
+    real = flow._settle_scan
+
+    def spy(*args):
+        runs.clear()
+        out = real(*args)
+        settles.append(_Settle(args, out, list(runs)))
+        return out
+
+    monkeypatch.setattr(flow, "_settle_scan", spy)
+    return settles
+
+
+def _bar(runs, r0):
+    """(P, e) of a settled node from its own revolutions: the value of its
+    last level and the difference from the level before, both OK."""
+    values = [run.out for run in runs if run.r0 == r0]
+    assert all(values[-2:]), values
+    return values[-1][0], abs(values[-1][0] - values[-2][0])
+
+
+def _covers(settle):
+    """Each stretch (u, v, bound) that a settle covered: its coarse
+    failures u < i < v that end OK without a revolution of their own, all
+    with r1 the same bound, between settled OK nodes u and v."""
+    grid, coarse = settle.args[1], settle.args[3]
+    r1, status = settle.out
+    ran = {run.r0 for run in settle.runs}
+    covered = [i for i in range(len(grid))
+               if coarse[i] != 0 and status[i] == 0 and float(grid[i]) not in ran]
+    stretches = []
+    for i in covered:
+        if stretches and stretches[-1][1] == i:
+            stretches[-1][1] = i + 1
+        else:
+            stretches.append([i - 1, i + 1])
+    out = []
+    for u, v in stretches:
+        assert len(set(r1[u + 1:v].tolist())) == 1, (u, v)
+        assert status[u] == status[v] == 0 and {float(grid[u]), float(grid[v])} <= ran
+        out.append((u, v, float(r1[u + 1])))
+    return out
+
+
+def _vdp_failed_run(monkeypatch, half_width):
+    """vdp at eps 0.01 over (0.5, 2.0), whose coarse scan is made to fail
+    on the nodes within `half_width` of its cycle's cell."""
+    spec, bracket = with_epsilon(vdp().spec, 0.01), (0.5, 2.0)
+    (cert,) = find_fixed_points(spec, bracket)
+    real = flow.scan_return_map
+
+    def failing(*args):
+        grid, r1, status = real(*args)
+        k = int(np.searchsorted(grid, cert.r_star))
+        r1[k - half_width:k + half_width], status[k - half_width:k + half_width] = np.nan, 2
+        return grid, r1, status
+
+    monkeypatch.setattr(flow, "scan_return_map", failing)
+    return spec, bracket, cert
+
+
+@pytest.mark.parametrize("case, covered", [("lienard6", 26), ("vdp", 10)])
+def test_failed_runs_are_covered_by_the_monotone_map(monkeypatch, case, covered):
+    # P is increasing, so between settled OK nodes u < v a bound
+    # P(r_v) + e_v < r_u (or P(r_u) - e_u > r_v), with e = |P - half| of
+    # the node's last level, gives every node between them the sign of
+    # that bound.  The covered nodes have the signs of their own uniform
+    # 1,024-step revolutions and the statuses of the walk that settles
+    # them one by one; a bound moved across r_u by more than its e covers
+    # nothing, so that stretch's middle node is settled instead.
+    if case == "lienard6":
+        spec, targets, bracket = _search_case(case)
+    else:
+        spec, bracket, cert = _vdp_failed_run(monkeypatch, 45)
+        targets = [cert.r_star]
+    settles = _settles(monkeypatch)
+    assert len(find_fixed_points(spec, bracket)) == len(targets)
+    ((args, (r1, status), runs),) = settles
+    tables, grid = args[0], args[1]
+    assert status.tolist() == _reference_settle(*args)[1].tolist()
+    covers = _covers(settles[0])
+    assert sum(v - u - 1 for u, v, _ in covers) == covered
+    for u, v, bound in covers:
+        p_u, e_u = _bar(runs, float(grid[u]))
+        p_v, e_v = _bar(runs, float(grid[v]))
+        assert (bound == p_v + e_v < grid[u]) or (bound == p_u - e_u > grid[v]), (u, v)
+        for i in range(u + 1, v):
+            try:
+                own = flow._run_mesh(False, tables, flow._uniform(1024), float(grid[i]))[0]
+            except (GuardBoundError, AngularMonotonicityError):
+                continue
+            assert np.sign(r1[i] - grid[i]) == np.sign(own - grid[i]), (u, i, v)
+
+    # the first stretch's bounding value moved to 2 e past the other end,
+    # or to e / 2 short of it
+    u, v, bound = covers[0]
+    p_v, e_v = _bar(runs, float(grid[v]))
+    end, other, side = (v, u, 1.0) if bound == p_v + e_v else (u, v, -1.0)
+    p, e = _bar(runs, float(grid[end]))
+    real = flow._run_mesh
+    for past in (2.0, -0.5):
+        shift = float(grid[other]) + side * past * e - p
+
+        def moved(tangent, lookup, mesh, r0, shift=shift):
+            r, second = real(tangent, lookup, mesh, r0)
+            return (r + shift, second) if not tangent and r0 == grid[end] else (r, second)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(flow, "_run_mesh", moved)
+            mutant = _settles(patch)
+            assert len(find_fixed_points(spec, bracket)) == len(targets)
+        ((args, (_, status), runs),) = mutant
+        assert status.tolist() == _reference_settle(*args)[1].tolist()
+        assert all(cover[:2] != (u, v) for cover in _covers(mutant[0])), past
+        assert float(grid[(u + v) // 2]) in {run.r0 for run in runs}, past
+
+
+def test_a_search_leaves_no_reference_cycle():
+    # the settling fills each run from an explicit stack, so no closure
+    # refers to itself and a search's lookup is freed as it returns
+    spec, targets, bracket = _search_case("lienard6")
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(find_fixed_points(spec, bracket)) == len(targets)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _batched_substeps(monkeypatch):
@@ -972,7 +1117,7 @@ def _next_settle_mesh(mesh, failed):
 
 @pytest.mark.parametrize("argv, levels", [
     (["pipeline", "--preset", "lienard6", "--targets", "0.8", "1.3", "1.8",
-      "--eps", "0.005"], (9424, 3504)),
+      "--eps", "0.005"], (9424, 1460)),
     (["repro", "lienard", "--m", "7"], (704, 500)),
 ])
 def test_settle_skips_only_the_level_it_cannot_use(monkeypatch, capsys, argv, levels):
@@ -1491,14 +1636,17 @@ def test_lienard6_pipeline_value_steps_are_pinned(monkeypatch, capsys):
     # value-kernel steps over the settled scan nodes, the cells'
     # approaches, whose last revolution is each cell's half pass, and the
     # revolutions that choose the cells' meshes: 7,824 on the uniform
-    # ladder; the secant step on each mesh leaves each cell one tangent
-    # revolution
+    # ladder, 4,464 when the settling walked the stiff band node by node;
+    # the monotone map covers 26 of its nodes.  The secant step on each
+    # mesh leaves each cell one tangent revolution
     runs = _runs(monkeypatch)
+    settles = _settles(monkeypatch)
     assert cli.main(["pipeline", "--preset", "lienard6", "--targets", "0.8", "1.3", "1.8",
                      "--eps", "0.005"]) == 0
     capsys.readouterr()
     value, tangent = runs[False], runs[True]
-    assert (len(value), sum(sum(run.mesh) for run in value)) == (128, 4464)
+    assert (len(value), sum(sum(run.mesh) for run in value)) == (52, 2420)
+    assert [sum(v - u - 1 for u, v, _ in _covers(settle)) for settle in settles] == [26]
     assert (len(tangent), sum(sum(run.mesh) for run in tangent)) == (3, 384)
 
 
